@@ -34,10 +34,16 @@ import numpy as np
 
 from . import __version__
 from .evaluate import abs_error_grid, apply_correction, build_report, predict_error_grid
-from .gbdt import GbdtParams, deserialize_model, fit_gbdt, serialize_model
-from .grid import Grid, GridParseError, difference, load_grid, save_grid
-from .linstats import LinearModel, fit_ols, flag_collinear
-from .sampling import SampleTable, extract_samples, split_table
+from .gbdt import GbdtParams, ModelFormatError, deserialize_model, fit_gbdt, serialize_model
+from .grid import Grid, GeometryMismatch, GridParseError, difference, load_grid, save_grid
+from .linstats import (
+    LinearModel,
+    SingularDesignError,
+    ZeroVarianceError,
+    fit_ols,
+    flag_collinear,
+)
+from .sampling import EmptyTableError, SampleTable, extract_samples, split_table
 from .synth import STRATUM_NAMES, ErrorSpec, fractal_dem, inject_error, synth_landcover
 from .terrain import FeatureConfig, FeatureStack, WindowSpec, build_feature_stack
 
@@ -271,7 +277,10 @@ def _write_json(path: Path, doc: dict) -> None:
 def _read_json(path: Path) -> dict:
     if not path.is_file():
         raise ConfigError(f"'{path}' does not exist (run the earlier pipeline step first)")
-    return json.loads(path.read_text())
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"'{path}' is not valid JSON: {exc}") from None
 
 
 def _sha256_file(path: Path) -> str:
@@ -604,6 +613,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: exceptions caused by bad configuration or input data; they exit 2
+_INPUT_ERRORS = (
+    ConfigError,
+    GridParseError,
+    GeometryMismatch,
+    ModelFormatError,
+    SingularDesignError,
+    ZeroVarianceError,
+    EmptyTableError,
+    FileNotFoundError,
+)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -624,10 +646,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return cmd_bench(cfg)
         raise ConfigError(f"unknown command '{args.command}'")
-    except (ConfigError, GridParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failures

@@ -11,6 +11,17 @@ where G sums the current residuals. Squared loss makes every row's hessian
 constant, so leaf values are sum(residuals) / (n_leaf + lambda) and the
 ensemble prediction is base_score + learning_rate * sum of leaf values.
 Training is deterministic for a fixed table, parameter set, and row order.
+
+Each feature column is sorted once per fit, as in the exact greedy
+algorithm over presorted column blocks (Chen & Guestrin, KDD 2016, 4.1).
+The result is an ``(F+1, n)`` index buffer in a data-partition layout
+(LightGBM, Ke et al., NeurIPS 2017): row f lists the row ids in ascending
+order of feature f, ties by row id, and the last row is ``arange(n)``.
+Every tree works on a copy of it in which each node owns a column slice
+``[lo, hi)``. Splitting a node stably moves its left rows to the front of
+its slice in every buffer row, so each node's block stays sorted per
+feature, its last row lists its rows in ascending order, and split search
+scans a node without sorting anything.
 """
 
 from __future__ import annotations
@@ -138,14 +149,16 @@ class RegressionTree:
         return int((self.feature < 0).sum())
 
     def depth(self) -> int:
-        depths = np.zeros(self.n_nodes, dtype=np.int64)
+        """Edges on the longest root-to-leaf path, walked from the root."""
         best = 0
-        for node in range(self.n_nodes):  # children always follow their parent
+        stack = [(0, 0)] if self.n_nodes else []
+        while stack:
+            node, depth = stack.pop()
             if self.feature[node] >= 0:
-                depths[self.left[node]] = depths[node] + 1
-                depths[self.right[node]] = depths[node] + 1
-        if self.n_nodes:
-            best = int(depths.max())
+                stack.append((self.left[node], depth + 1))
+                stack.append((self.right[node], depth + 1))
+            else:
+                best = max(best, depth)
         return best
 
     def predict_rows(self, X: np.ndarray) -> np.ndarray:
@@ -197,9 +210,13 @@ def best_split(
     residuals: np.ndarray,
     node_rows: np.ndarray,
     params: GbdtParams,
+    order: np.ndarray | None = None,
 ) -> Split | None:
     """Exact greedy search over all features and distinct-value midpoints.
 
+    ``order`` is an optional ``(F, m)`` block whose row f lists the node's
+    rows in ascending order of feature f, ties by row id; without it the
+    rows are sorted here (stably, ties by position in ``node_rows``).
     Returns None when the best gain does not exceed ``min_gain`` or every
     candidate would violate ``min_samples_leaf``. Ties break to the lower
     feature index, then the lower threshold.
@@ -208,40 +225,50 @@ def best_split(
     m = len(rows)
     if m < 2 * params.min_samples_leaf:
         return None
-    res = residuals[rows]
     lam = params.reg_lambda
-    total = float(res.sum())
+    # G in node_rows order: summing in sorted order moves gains by an ulp
+    total = float(residuals[rows].sum())
     parent = total * total / (m + lam)
 
-    best: Split | None = None
-    for f in range(features.shape[1]):
-        x = features[rows, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        prefix = np.cumsum(res[order])[:-1]
-        n_left = np.arange(1, m)
-        ok = xs[1:] > xs[:-1]
-        if params.min_samples_leaf > 1:
-            ok &= (n_left >= params.min_samples_leaf) & (m - n_left >= params.min_samples_leaf)
-        if not ok.any():
-            continue
-        right = total - prefix
-        gains = (prefix * prefix / (n_left + lam)
-                 + right * right / (m - n_left + lam) - parent)
-        gains[~ok] = -np.inf
-        at = int(np.argmax(gains))  # first max = lowest threshold
-        gain = float(gains[at])
-        if best is None or gain > best.gain:
-            threshold = float((xs[at] + xs[at + 1]) / 2)
-            best = Split(f, threshold, gain)
-
-    if best is None or not (best.gain > params.min_gain):
+    if order is None:
+        order = rows[np.argsort(features[rows], axis=0, kind="stable")].T
+    n_features = features.shape[1]
+    xs = features[order, np.arange(n_features)[:, None]]
+    ok = xs[:, 1:] > xs[:, :-1]
+    del xs  # (F, m) temporaries dominate the fit's memory; hold few at once
+    n_left = np.arange(1, m)
+    if params.min_samples_leaf > 1:
+        ok &= (n_left >= params.min_samples_leaf) & (m - n_left >= params.min_samples_leaf)
+    prefix = residuals[order]
+    np.cumsum(prefix, axis=1, out=prefix)
+    prefix = prefix[:, :-1]
+    # the gain formula in place, in the operation order of
+    # prefix^2 / (n_left + lam) + right^2 / (m - n_left + lam) - parent
+    right = total - prefix
+    right *= right
+    right /= m - n_left + lam
+    gains = np.multiply(prefix, prefix, out=prefix)
+    gains /= n_left + lam
+    gains += right
+    gains -= parent
+    np.putmask(gains, ~ok, -np.inf)
+    at = np.argmax(gains, axis=1)  # first max per feature = lowest threshold
+    feature_gain = gains[np.arange(n_features), at]
+    f = int(np.argmax(feature_gain))  # first max = lowest feature index
+    gain = float(feature_gain[f])
+    if not (gain > params.min_gain):  # also None when no candidate was valid
         return None
-    return best
+    below, above = order[f, at[f]], order[f, at[f] + 1]
+    threshold = float((features[below, f] + features[above, f]) / 2)
+    return Split(f, threshold, gain)
 
 
 class _TreeBuilder:
-    """Accumulates nodes in creation order; children follow their parent."""
+    """Accumulates nodes in creation order; children follow their parent.
+
+    It holds the tree only: a node's rows are its slice of the fit's
+    :class:`_Partition`, which the growers track next to the node id.
+    """
 
     def __init__(self):
         self.feature: list[int] = []
@@ -268,54 +295,98 @@ class _TreeBuilder:
         )
 
 
+def _presort(features: np.ndarray) -> np.ndarray:
+    """The ``(F+1, n)`` partition buffer of a whole table (see module doc)."""
+    n, n_features = features.shape
+    buf = np.empty((n_features + 1, n), dtype=np.intp)
+    for f in range(n_features):
+        buf[f] = np.argsort(features[:, f], kind="stable")
+    buf[n_features] = np.arange(n)
+    return buf
+
+
+class _Partition:
+    """The fit's presorted buffer and the work copy that each tree splits."""
+
+    def __init__(self, features: np.ndarray):
+        self.features = features
+        self.presorted = _presort(features)
+        self.buf = np.empty_like(self.presorted)
+        self.go_left = np.empty(len(features), dtype=bool)  # indexed by row id
+
+    def reset(self) -> "_Partition":
+        """Start a tree: one slice ``[0, n)`` holding the whole table."""
+        np.copyto(self.buf, self.presorted)
+        return self
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        return self.buf[-1, lo:hi]
+
+    def search(self, residuals, lo: int, hi: int, params: GbdtParams) -> Split | None:
+        # through the module global, positionally: tracing wraps best_split
+        return best_split(self.features, residuals, self.buf[-1, lo:hi], params,
+                          self.buf[:-1, lo:hi])
+
+    def split(self, lo: int, hi: int, split: Split) -> int:
+        """Stably reorder ``[lo, hi)`` left rows first; returns the boundary."""
+        rows = self.buf[-1, lo:hi]
+        self.go_left[rows] = self.features[rows, split.feature] <= split.threshold
+        n_left = int(np.count_nonzero(self.go_left[rows]))
+        block = self.buf[:, lo:hi]
+        go_left = self.go_left[block].ravel()
+        # compress, not boolean indexing: several times faster on int arrays
+        flat = block.ravel()
+        left = flat.compress(go_left)
+        right = flat.compress(~go_left)
+        block[:, :n_left] = left.reshape(len(block), n_left)
+        block[:, n_left:] = right.reshape(len(block), -1)
+        return lo + n_left
+
+
 def _leaf_value(residuals: np.ndarray, rows: np.ndarray, lam: float) -> float:
     return float(residuals[rows].sum() / (len(rows) + lam))
 
 
-def _partition(features: np.ndarray, rows: np.ndarray, split: Split):
-    go_left = features[rows, split.feature] <= split.threshold
-    return rows[go_left], rows[~go_left]
-
-
-def _grow_depthwise(features, residuals, params) -> tuple[RegressionTree, np.ndarray]:
+def _grow_depthwise(part: _Partition, residuals, params) -> tuple[RegressionTree, np.ndarray]:
+    """Level by level; each frontier entry is a node and its slice."""
     tb = _TreeBuilder()
-    root_rows = np.arange(len(residuals))
     leaf_of_row = np.zeros(len(residuals), dtype=np.int64)
-    frontier = [(tb.add(), root_rows, 0)]
+    frontier = [(tb.add(), 0, len(residuals), 0)]
     while frontier:
         nxt = []
-        for node, rows, depth in frontier:
+        for node, lo, hi, depth in frontier:
             split = None
             if params.max_depth is None or depth < params.max_depth:
-                split = best_split(features, residuals, rows, params)
+                split = part.search(residuals, lo, hi, params)
             if split is None:
+                rows = part.rows(lo, hi)
                 tb.value[node] = _leaf_value(residuals, rows, params.reg_lambda)
                 leaf_of_row[rows] = node
                 continue
-            lrows, rrows = _partition(features, rows, split)
+            mid = part.split(lo, hi, split)
             tb.feature[node] = split.feature
             tb.threshold[node] = split.threshold
             tb.left[node] = tb.add()
             tb.right[node] = tb.add()
-            nxt.append((tb.left[node], lrows, depth + 1))
-            nxt.append((tb.right[node], rrows, depth + 1))
+            nxt.append((tb.left[node], lo, mid, depth + 1))
+            nxt.append((tb.right[node], mid, hi, depth + 1))
         frontier = nxt
     return tb.finish(), leaf_of_row
 
 
-def _grow_leafwise(features, residuals, params) -> tuple[RegressionTree, np.ndarray]:
+def _grow_leafwise(part: _Partition, residuals, params) -> tuple[RegressionTree, np.ndarray]:
+    """Best-gain leaf first; every open leaf keeps its slice and its split."""
     tb = _TreeBuilder()
-    root_rows = np.arange(len(residuals))
     leaf_of_row = np.zeros(len(residuals), dtype=np.int64)
     root = tb.add()
-    tb.value[root] = _leaf_value(residuals, root_rows, params.reg_lambda)
-    leaf_rows = {root: root_rows}
+    tb.value[root] = _leaf_value(residuals, part.rows(0, len(residuals)), params.reg_lambda)
+    leaf_slice = {root: (0, len(residuals))}
 
     heap: list[tuple[float, int]] = []
     split_of: dict[int, Split] = {}
 
     def consider(node: int):
-        split = best_split(features, residuals, leaf_rows[node], params)
+        split = part.search(residuals, *leaf_slice[node], params)
         if split is not None:
             split_of[node] = split
             heapq.heappush(heap, (-split.gain, node))
@@ -327,21 +398,21 @@ def _grow_leafwise(features, residuals, params) -> tuple[RegressionTree, np.ndar
         split = split_of.pop(node, None)
         if split is None or tb.feature[node] >= 0:
             continue
-        rows = leaf_rows.pop(node)
-        lrows, rrows = _partition(features, rows, split)
+        lo, hi = leaf_slice.pop(node)
+        mid = part.split(lo, hi, split)
         tb.feature[node] = split.feature
         tb.threshold[node] = split.threshold
         lnode = tb.add()
         rnode = tb.add()
         tb.left[node] = lnode
         tb.right[node] = rnode
-        for child, crows in ((lnode, lrows), (rnode, rrows)):
-            tb.value[child] = _leaf_value(residuals, crows, params.reg_lambda)
-            leaf_rows[child] = crows
+        for child, span in ((lnode, (lo, mid)), (rnode, (mid, hi))):
+            tb.value[child] = _leaf_value(residuals, part.rows(*span), params.reg_lambda)
+            leaf_slice[child] = span
             consider(child)
         n_leaves += 1
-    for node, rows in leaf_rows.items():
-        leaf_of_row[rows] = node
+    for node, (lo, hi) in leaf_slice.items():
+        leaf_of_row[part.rows(lo, hi)] = node
     return tb.finish(), leaf_of_row
 
 
@@ -362,12 +433,13 @@ def fit_gbdt(train: SampleTable, params: GbdtParams | None = None,
     base = float(y.mean())
     pred = np.full(len(y), base)
     grow = _grow_depthwise if params.growth == "depthwise" else _grow_leafwise
+    part = _Partition(X)
 
     trees: list[RegressionTree] = []
     rmse = [float(np.sqrt(np.mean((y - pred) ** 2)))]
     for _ in range(params.n_trees):
         residuals = y - pred
-        tree, leaf_of_row = grow(X, residuals, params)
+        tree, leaf_of_row = grow(part.reset(), residuals, params)
         if tree.n_nodes == 1 and tree.value[0] == 0.0:
             break  # converged: no split and a zero root value changes nothing
         trees.append(tree)

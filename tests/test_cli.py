@@ -230,3 +230,74 @@ class TestUsage:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         capsys.readouterr()
+
+
+class TestInputErrors:
+    """User-input faults exit 2 with a one-line ``error:`` message."""
+
+    def assert_input_error(self, rc, capsys, needle):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_geometry_mismatch(self, workspace, capsys):
+        cfg_path, tmp = workspace
+        cfg = json.loads(cfg_path.read_text())
+        other = synth_landcover(fractal_dem(4, seed=3), seed=5).urban  # 17x17
+        save_grid(other, tmp / "urban_small.asc")
+        cfg["paths"]["urban"] = str(tmp / "urban_small.asc")
+        cfg_path.write_text(json.dumps(cfg))
+        self.assert_input_error(run_cli("features", "--config", cfg_path), capsys,
+                                "geometry")
+
+    def test_model_format_error(self, workspace, capsys):
+        cfg_path, tmp = workspace
+        run_cli("features", "--config", cfg_path)
+        doc = tmp / "no_params.json"
+        doc.write_text(json.dumps({"format": "gbdt-model", "version": 1}))
+        capsys.readouterr()
+        rc = run_cli("correct", "--config", cfg_path, "--model-doc", doc)
+        self.assert_input_error(rc, capsys, "malformed model document")
+
+    def test_non_json_model_doc(self, workspace, capsys):
+        cfg_path, tmp = workspace
+        run_cli("features", "--config", cfg_path)
+        doc = tmp / "garbage.json"
+        doc.write_text("not json {")
+        capsys.readouterr()
+        rc = run_cli("correct", "--config", cfg_path, "--model-doc", doc)
+        self.assert_input_error(rc, capsys, "garbage.json' is not valid JSON")
+
+    def test_singular_design(self, workspace, capsys):
+        cfg_path, tmp = workspace
+        run_cli("features", "--config", cfg_path)
+        out = tmp / "out"
+        (out / "feature_tri.asc").write_bytes((out / "feature_tpi.asc").read_bytes())
+        capsys.readouterr()
+        rc = run_cli("train", "--config", cfg_path, "--model", "mlr",
+                     "--set", "collinearity.vif=Infinity")
+        self.assert_input_error(rc, capsys, "rank deficient")
+
+    def test_zero_variance(self, workspace, capsys):
+        cfg_path, tmp = workspace
+        cfg = json.loads(cfg_path.read_text())
+        save_grid(fractal_dem(5, relief_amplitude=0.0), tmp / "flat.asc")
+        cfg["paths"]["dem"] = str(tmp / "flat.asc")
+        cfg_path.write_text(json.dumps(cfg))
+        run_cli("features", "--config", cfg_path)
+        capsys.readouterr()
+        self.assert_input_error(run_cli("diagnose", "--config", cfg_path), capsys,
+                                "zero variance")
+
+    def test_empty_table(self, workspace, capsys):
+        cfg_path, tmp = workspace
+        cfg = json.loads(cfg_path.read_text())
+        ref = load_grid(cfg["paths"]["reference"])
+        save_grid(ref.with_values(np.full_like(ref.values, ref.nodata)), tmp / "void.asc")
+        cfg["paths"]["reference"] = str(tmp / "void.asc")
+        cfg_path.write_text(json.dumps(cfg))
+        run_cli("features", "--config", cfg_path)
+        capsys.readouterr()
+        self.assert_input_error(run_cli("train", "--config", cfg_path), capsys,
+                                "no cell has all features")

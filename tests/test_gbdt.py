@@ -278,6 +278,28 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="unreachable"):
             deserialize_model(doc)
 
+    def test_depth_walks_from_root_in_any_storage_order(self):
+        # node 3 is internal and stored after its internal child node 2
+        doc = {
+            "format": "gbdt-model", "version": 1,
+            "params": GbdtParams(n_trees=1).to_doc(),
+            "base_score": 0.0,
+            "feature_names": ["x"],
+            "trees": [{"root": 0, "nodes": [
+                {"feature": 0, "threshold": 0.0, "left": 1, "right": 3},
+                {"value": -1.0},
+                {"feature": 0, "threshold": 2.0, "left": 5, "right": 6},
+                {"feature": 0, "threshold": 4.0, "left": 2, "right": 4},
+                {"value": 4.0},
+                {"value": 1.0},
+                {"value": 3.0},
+            ]}],
+        }
+        tree = deserialize_model(doc).trees[0]
+        assert tree.depth() == 3
+        assert tree.predict_rows(np.array([[-1.0], [1.0], [3.0], [5.0]])).tolist() \
+            == [-1.0, 1.0, 3.0, 4.0]
+
     def test_version_mismatch(self):
         with pytest.raises(ModelFormatError, match="version"):
             deserialize_model({"format": "gbdt-model", "version": 99})
