@@ -2,7 +2,8 @@
 
 Subcommands wire the library into the correction workflow:
 
-    features  -> the eleven predictor rasters plus a checksummed manifest
+    features  -> the eleven predictor rasters, a checksummed manifest and
+                 a binary copy of the layers that later steps read
     diagnose  -> Pearson/VIF collinearity report
     train     -> model documents (MLR on the post-exclusion features,
                  GBDTs on all eleven)
@@ -21,8 +22,10 @@ Exit codes: 0 success, 1 internal error, 2 configuration/input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -35,7 +38,15 @@ import numpy as np
 from . import __version__
 from .evaluate import abs_error_grid, apply_correction, build_report, predict_error_grid
 from .gbdt import GbdtParams, ModelFormatError, deserialize_model, fit_gbdt, serialize_model
-from .grid import Grid, GeometryMismatch, GridParseError, difference, load_grid, save_grid
+from .grid import (
+    Grid,
+    GeometryMismatch,
+    GridParseError,
+    difference,
+    load_grid,
+    parse_ascii_header,
+    save_grid,
+)
 from .linstats import (
     LinearModel,
     SingularDesignError,
@@ -284,19 +295,37 @@ def _read_json(path: Path) -> dict:
 
 
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+#: binary copy of the feature layers: a little-endian float64 (layers, nrows,
+#: ncols) .npy array in manifest order, which only spares later steps the
+#: ASCII parse
+_STACK_FILE = "features_stack.npy"
 
 
 def _write_stack(stack: FeatureStack, cfg: dict, out: Path) -> dict:
     layers = []
-    for name in stack.names:
-        fname = f"feature_{name}.asc"
-        save_grid(stack.layer(name), out / fname)
-        layers.append({"name": name, "file": fname, "sha256": _sha256_file(out / fname)})
+    geo = stack.geometry
+    with open(out / _STACK_FILE, "wb") as binary:
+        np.lib.format.write_array_header_1_0(binary, {
+            "descr": "<f8", "fortran_order": False,
+            "shape": (len(stack.names), geo.nrows, geo.ncols)})
+        for name, grid in zip(stack.names, stack.layers):
+            fname = f"feature_{name}.asc"
+            save_grid(grid, out / fname)
+            layers.append({"name": name, "file": fname, "sha256": _sha256_file(out / fname)})
+            # + 0.0 turns -0.0 into the 0.0 that parsing the written "0" gives
+            np.asarray(grid.values + 0.0, dtype="<f8").tofile(binary)
     manifest = {
         "format": "feature-manifest",
         "version": 1,
         "layers": layers,
+        "stack": {"file": _STACK_FILE, "sha256": _sha256_file(out / _STACK_FILE)},
         "windows": dict(cfg["windows"]),
         "provenance": _provenance(cfg),
     }
@@ -305,14 +334,41 @@ def _write_stack(stack: FeatureStack, cfg: dict, out: Path) -> dict:
 
 
 def _load_stack(out: Path) -> FeatureStack:
+    """The manifest's layers, each bit-identical to parsing its ``.asc`` file.
+
+    A layer is read from the binary copy when that copy and the layer's
+    ``.asc`` file both still have the sha256 the manifest records;
+    otherwise (no record, a stale or truncated copy, an edited layer) the
+    ``.asc`` file is parsed, so the ASCII rasters stay authoritative.
+    """
     manifest = _read_json(out / "features_manifest.json")
+    entries = manifest["layers"]
+    record = manifest.get("stack")
+    binary_path = out / record["file"] if record else None
+    fresh = (binary_path is not None and binary_path.is_file()
+             and _sha256_file(binary_path) == record["sha256"])
     names, grids = [], []
-    for entry in manifest["layers"]:
-        fpath = out / entry["file"]
-        if not fpath.is_file():
-            raise ConfigError(f"feature layer '{fpath}' named by the manifest does not exist")
-        names.append(entry["name"])
-        grids.append(load_grid(fpath))
+    with open(binary_path, "rb") if fresh else contextlib.nullcontext() as binary:
+        if fresh:
+            np.lib.format.read_magic(binary)
+            shape, _, _ = np.lib.format.read_array_header_1_0(binary)
+            start = binary.tell()
+            fresh = shape[0] == len(entries)
+        for i, entry in enumerate(entries):
+            fpath = out / entry["file"]
+            if not fpath.is_file():
+                raise ConfigError(f"feature layer '{fpath}' named by the manifest does not exist")
+            names.append(entry["name"])
+            grid = None
+            if fresh and _sha256_file(fpath) == entry["sha256"]:
+                with open(fpath, encoding="ascii") as fh:
+                    geo, nodata = parse_ascii_header(list(itertools.islice(fh, 6)))
+                if shape[1:] == (geo.nrows, geo.ncols):
+                    binary.seek(start + i * geo.nrows * geo.ncols * 8)
+                    values = np.fromfile(binary, dtype="<f8", count=geo.nrows * geo.ncols)
+                    grid = Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize,
+                                nodata, values)
+            grids.append(load_grid(fpath) if grid is None else grid)
     return FeatureStack(tuple(names), tuple(grids))
 
 
@@ -356,7 +412,7 @@ def _train_all(cfg: dict, train: SampleTable):
 
 def _load_model(path: Path):
     doc = _read_json(path)
-    fmt = doc.get("format")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt == "linear-model":
         return LinearModel.from_doc(doc), doc
     if fmt == "gbdt-model":

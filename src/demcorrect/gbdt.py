@@ -492,34 +492,43 @@ def serialize_model(model: GbdtModel) -> dict:
 
 
 def _tree_from_doc(doc: dict, n_features: int, tree_index: int) -> RegressionTree:
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"tree {tree_index}: not an object")
     nodes = doc.get("nodes")
     if not isinstance(nodes, list) or not nodes:
         raise ModelFormatError(f"tree {tree_index}: missing node array")
-    root = doc.get("root", 0)
     n = len(nodes)
     tb = _TreeBuilder()
     for _ in range(n):
         tb.add()
     for i, node in enumerate(nodes):
-        if "value" in node:
-            tb.value[i] = float(node["value"])
-        else:
-            try:
-                f = int(node["feature"])
-                tb.feature[i] = f
-                tb.threshold[i] = float(node["threshold"])
-                tb.left[i] = int(node["left"])
-                tb.right[i] = int(node["right"])
-            except KeyError as missing:
-                raise ModelFormatError(
-                    f"tree {tree_index}: node {i} lacks {missing} and has no value"
-                ) from None
-            if not (0 <= f < n_features):
-                raise ModelFormatError(f"tree {tree_index}: node {i} splits unknown feature {f}")
+        if not isinstance(node, dict):
+            raise ModelFormatError(f"tree {tree_index}: node {i} is not an object")
+        try:
+            if "value" in node:
+                tb.value[i] = float(node["value"])
+                continue
+            f = int(node["feature"])
+            tb.feature[i] = f
+            tb.threshold[i] = float(node["threshold"])
+            tb.left[i] = int(node["left"])
+            tb.right[i] = int(node["right"])
+        except KeyError as missing:
+            raise ModelFormatError(
+                f"tree {tree_index}: node {i} lacks {missing} and has no value"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            raise ModelFormatError(
+                f"tree {tree_index}: node {i} field is not a number: {exc}"
+            ) from None
+        if not (0 <= f < n_features):
+            raise ModelFormatError(f"tree {tree_index}: node {i} splits unknown feature {f}")
+    if doc.get("root", 0) != 0:
+        raise ModelFormatError(f"tree {tree_index}: root must be node 0")
 
     # the stored graph must be a proper binary tree over all nodes
     seen = set()
-    stack = [root]
+    stack = [0]
     while stack:
         i = stack.pop()
         if not (0 <= i < n):
@@ -532,9 +541,6 @@ def _tree_from_doc(doc: dict, n_features: int, tree_index: int) -> RegressionTre
             stack.append(tb.left[i])
     if len(seen) != n:
         raise ModelFormatError(f"tree {tree_index}: {n - len(seen)} unreachable node(s)")
-
-    if root != 0:
-        raise ModelFormatError(f"tree {tree_index}: root must be node 0")
     return tb.finish()
 
 
@@ -551,6 +557,8 @@ def deserialize_model(doc: dict) -> GbdtModel:
         tree_docs = doc["trees"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from None
+    if not isinstance(tree_docs, list):
+        raise ModelFormatError("malformed model document: 'trees' is not an array")
     trees = tuple(
         _tree_from_doc(td, len(names), i) for i, td in enumerate(tree_docs)
     )

@@ -23,6 +23,7 @@ __all__ = [
     "GridGeometry",
     "GridParseError",
     "GeometryMismatch",
+    "parse_ascii_header",
     "read_ascii_grid",
     "write_ascii_grid",
     "load_grid",
@@ -135,20 +136,18 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def read_ascii_grid(source: str | TextIO) -> Grid:
-    """Parse an ESRI ASCII grid from a string or text stream.
+def parse_ascii_header(lines) -> tuple[GridGeometry, float]:
+    """Parse the six header lines of an ESRI ASCII grid.
 
-    The six header lines (ncols, nrows, xllcorner, yllcorner, cellsize,
-    NODATA_value; keywords case-insensitive, in that order) are followed by
-    ncols*nrows whitespace-separated values in row-major north-first order.
+    ``lines`` holds at least the first six lines of the text (ncols, nrows,
+    xllcorner, yllcorner, cellsize, NODATA_value; keywords
+    case-insensitive, in that order). Returns the geometry and the nodata
+    sentinel.
 
     Raises:
-        GridParseError: malformed header, non-numeric token, or value-count
-            mismatch; the message names the offending line.
+        GridParseError: a missing or malformed header line; the message
+            names the line.
     """
-    text = source.read() if hasattr(source, "read") else source
-    lines = text.splitlines()
-
     header: dict[str, float] = {}
     for idx, key in enumerate(_HEADER_KEYS):
         lineno = idx + 1
@@ -170,10 +169,25 @@ def read_ascii_grid(source: str | TextIO) -> Grid:
     if header["cellsize"] <= 0:
         raise GridParseError(5, "cellsize must be strictly positive")
 
-    ncols = int(header["ncols"])
-    nrows = int(header["nrows"])
-    nodata = header["nodata_value"]
-    expected = ncols * nrows
+    geometry = GridGeometry(int(header["ncols"]), int(header["nrows"]), header["xllcorner"],
+                            header["yllcorner"], header["cellsize"])
+    return geometry, header["nodata_value"]
+
+
+def read_ascii_grid(source: str | TextIO) -> Grid:
+    """Parse an ESRI ASCII grid from a string or text stream.
+
+    The six header lines (see :func:`parse_ascii_header`) are followed by
+    ncols*nrows whitespace-separated values in row-major north-first order.
+
+    Raises:
+        GridParseError: malformed header, non-numeric token, or value-count
+            mismatch; the message names the offending line.
+    """
+    text = source.read() if hasattr(source, "read") else source
+    lines = text.splitlines()
+    geo, nodata = parse_ascii_header(lines[:6])
+    expected = geo.ncols * geo.nrows
 
     flat = np.empty(expected, dtype=np.float64)
     count = 0
@@ -195,8 +209,7 @@ def read_ascii_grid(source: str | TextIO) -> Grid:
     if count != expected:
         raise GridParseError(lineno, f"expected {expected} values, found {count}")
 
-    return Grid(ncols, nrows, header["xllcorner"], header["yllcorner"],
-                header["cellsize"], nodata, flat)
+    return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, flat)
 
 
 def write_ascii_grid(grid: Grid) -> str:
@@ -209,8 +222,15 @@ def write_ascii_grid(grid: Grid) -> str:
         f"cellsize {_fmt(grid.cellsize)}",
         f"NODATA_value {_fmt(grid.nodata)}",
     ]
-    for row in grid.values:
-        out.append(" ".join(_fmt(v) for v in row))
+    v = grid.values
+    # the cells _fmt prints bare, for the whole grid at once
+    integral = (v == np.trunc(v)) & (np.abs(v) < 1e16)
+    for r in range(grid.nrows):
+        cells = v[r].tolist()
+        text = list(map(repr, cells))
+        for j in np.flatnonzero(integral[r]).tolist():
+            text[j] = str(int(cells[j]))
+        out.append(" ".join(text))
     return "\n".join(out) + "\n"
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
+from .gbdt import ModelFormatError
 from .sampling import SampleTable
 
 __all__ = [
@@ -124,16 +125,28 @@ class LinearModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "LinearModel":
+        """Inverse of :meth:`to_doc`.
+
+        Raises:
+            ModelFormatError: not a version-1 linear-model document, or a
+                field is missing or malformed.
+        """
         if doc.get("format") != "linear-model" or doc.get("version") != 1:
-            raise ValueError("not a version-1 linear-model document")
-        return cls(
-            tuple(doc["feature_names"]),
-            float(doc["intercept"]),
-            np.array(doc["coefficients"], dtype=np.float64),
-            float(doc["r_squared"]),
-            float(doc["residual_std"]),
-            doc.get("model_name", "mlr"),
-        )
+            raise ModelFormatError(
+                f"not a version-1 linear-model document (version={doc.get('version')!r})")
+        try:
+            return cls(
+                tuple(doc["feature_names"]),
+                float(doc["intercept"]),
+                np.array(doc["coefficients"], dtype=np.float64),
+                float(doc["r_squared"]),
+                float(doc["residual_std"]),
+                doc.get("model_name", "mlr"),
+            )
+        except KeyError as missing:
+            raise ModelFormatError(f"malformed linear-model document: lacks {missing}") from None
+        except (TypeError, ValueError) as exc:
+            raise ModelFormatError(f"malformed linear-model document: {exc}") from None
 
 
 def _check_variance(X: np.ndarray, names) -> None:

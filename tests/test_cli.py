@@ -1,10 +1,20 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from demcorrect import fractal_dem, load_grid, save_grid, synth_landcover
+import demcorrect.cli as cli
+from demcorrect import (
+    FeatureStack,
+    GbdtParams,
+    fractal_dem,
+    load_grid,
+    save_grid,
+    synth_landcover,
+)
 from demcorrect.cli import ConfigError, main, resolve_config, worker_count
+from conftest import NODATA, make_grid
 
 
 @pytest.fixture
@@ -113,9 +123,15 @@ class TestFeatures:
         cfg_path, tmp = workspace
         run_cli("features", "--config", cfg_path)
         m1 = (tmp / "out" / "features_manifest.json").read_text()
+        stack1 = (tmp / "out" / "features_stack.npy").read_bytes()
         run_cli("features", "--config", cfg_path)
         m2 = (tmp / "out" / "features_manifest.json").read_text()
         assert m1 == m2
+        assert json.loads(m1)["stack"] == {
+            "file": "features_stack.npy",
+            "sha256": hashlib.sha256(stack1).hexdigest(),
+        }
+        assert (tmp / "out" / "features_stack.npy").read_bytes() == stack1
 
     def test_flat_dem_zero_slope_layer(self, workspace):
         cfg_path, tmp = workspace
@@ -128,6 +144,87 @@ class TestFeatures:
         assert run_cli("features", "--config", cfg_path) == 0
         s = load_grid(tmp / "flatout" / "feature_slope.asc")
         assert np.all(s.values[s.valid_mask()] == 0.0)
+
+
+class TestFeatureStackFile:
+    """``features_stack.npy`` spares later steps the ASCII parse, never changing a bit."""
+
+    OUTPUTS = ("collinearity.json", "model_mlr.json", "model_gbdt-depthwise.json",
+               "model_gbdt-leafwise.json", "corrected_mlr.asc",
+               "corrected_gbdt-depthwise.asc", "predicted_error_mlr.asc",
+               "abs_error_gbdt-leafwise.asc")
+
+    def run_steps(self, cfg_path, out):
+        for cmd in ("diagnose", "train", "correct"):
+            assert run_cli(cmd, "--config", cfg_path) == 0, cmd
+        return {f: (out / f).read_bytes() for f in self.OUTPUTS}
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Names of the feature layers parsed from ASCII by the CLI."""
+        names = []
+        real = cli.load_grid
+
+        def counting(path):
+            if path.name.startswith("feature_"):
+                names.append(path.name)
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_grid", counting)
+        return names
+
+    @pytest.fixture
+    def parsed_outputs(self, workspace):
+        """Step outputs with every feature layer parsed from ASCII."""
+        cfg_path, tmp = workspace
+        out = tmp / "out"
+        run_cli("features", "--config", cfg_path)
+        (out / "features_stack.npy").unlink()
+        return self.run_steps(cfg_path, out)
+
+    def test_steps_skip_the_parse_with_the_same_outputs(self, workspace, parsed_outputs,
+                                                        parsed):
+        cfg_path, tmp = workspace
+        run_cli("features", "--config", cfg_path)
+        assert self.run_steps(cfg_path, tmp / "out") == parsed_outputs
+        assert parsed == []
+
+    @pytest.mark.parametrize("damage", ["truncated", "stale"])
+    def test_bad_stack_file_falls_back_to_parsing(self, workspace, parsed_outputs,
+                                                  parsed, damage):
+        cfg_path, tmp = workspace
+        out = tmp / "out"
+        run_cli("features", "--config", cfg_path)
+        path = out / "features_stack.npy"
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-8])
+        else:
+            np.save(path, np.zeros_like(np.load(path)))
+        assert self.run_steps(cfg_path, out) == parsed_outputs
+        assert len(parsed) == 3 * 11
+
+    def test_manifest_without_stack_record_loads(self, workspace, parsed_outputs, parsed):
+        cfg_path, tmp = workspace
+        out = tmp / "out"
+        run_cli("features", "--config", cfg_path)
+        manifest = json.loads((out / "features_manifest.json").read_text())
+        del manifest["stack"]
+        (out / "features_manifest.json").write_text(json.dumps(manifest))
+        assert self.run_steps(cfg_path, out) == parsed_outputs
+        assert len(parsed) == 3 * 11
+
+    def test_loaded_layers_bit_identical_to_parsed(self, tmp_path, parsed):
+        vals = np.array([[-0.0, NODATA, 1e16, 9999999999999998.0],
+                         [5e-324, 1e22, 1e-05, -1.5]])
+        stack = FeatureStack(("a", "b"), (make_grid(vals, cellsize=30.0, xll=-7.5),
+                                          make_grid(-vals[::-1], cellsize=30.0, xll=-7.5)))
+        cli._write_stack(stack, cli.DEFAULT_CONFIG, tmp_path)
+        loaded = cli._load_stack(tmp_path)
+        assert parsed == []
+        for name, grid in zip(loaded.names, loaded.layers):
+            ref = load_grid(tmp_path / f"feature_{name}.asc")
+            assert grid.values.tobytes() == ref.values.tobytes()
+            assert (grid.geometry, grid.nodata) == (ref.geometry, ref.nodata)
 
 
 class TestPipeline:
@@ -301,3 +398,33 @@ class TestInputErrors:
         capsys.readouterr()
         self.assert_input_error(run_cli("train", "--config", cfg_path), capsys,
                                 "no cell has all features")
+
+    @pytest.mark.parametrize("doc, needle", [
+        ({"format": "linear-model", "version": 2}, "version=2"),
+        ({"format": "linear-model", "version": 1}, "lacks 'feature_names'"),
+        ({"format": "linear-model", "version": 1, "feature_names": ["slope"],
+          "intercept": "q", "coefficients": [1.0], "r_squared": 0.5,
+          "residual_std": 1.0}, "could not convert string to float: 'q'"),
+    ], ids=["linear-version", "linear-missing-key", "linear-field-text"])
+    def test_malformed_linear_model_doc(self, workspace, capsys, doc, needle):
+        self.assert_bad_model_doc(workspace, capsys, doc, needle)
+
+    @pytest.mark.parametrize("trees, needle", [
+        ([{"nodes": [{"feature": "a", "threshold": 0.0, "left": 1, "right": 2},
+                     {"value": 1.0}, {"value": 2.0}]}], "node 0 field is not a number"),
+        ([{"nodes": [{"value": "z"}]}], "node 0 field is not a number"),
+        ([[1, 2]], "tree 0: not an object"),
+    ], ids=["gbdt-feature-text", "gbdt-value-text", "gbdt-tree-list"])
+    def test_malformed_gbdt_doc(self, workspace, capsys, trees, needle):
+        doc = {"format": "gbdt-model", "version": 1, "params": GbdtParams(n_trees=1).to_doc(),
+               "base_score": 0.0, "feature_names": ["elevation"], "trees": trees}
+        self.assert_bad_model_doc(workspace, capsys, doc, needle)
+
+    def assert_bad_model_doc(self, workspace, capsys, doc, needle):
+        cfg_path, tmp = workspace
+        run_cli("features", "--config", cfg_path)
+        path = tmp / "bad_model.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run_cli("correct", "--config", cfg_path, "--model-doc", path)
+        self.assert_input_error(rc, capsys, needle)

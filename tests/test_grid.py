@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demcorrect import (
     GeometryMismatch,
@@ -11,6 +15,7 @@ from demcorrect import (
     read_ascii_grid,
     write_ascii_grid,
 )
+from demcorrect.grid import parse_ascii_header
 from conftest import NODATA, make_grid
 
 SIMPLE = "\n".join([
@@ -245,3 +250,81 @@ class TestRoundtripProperty:
             g2 = read_ascii_grid(write_ascii_grid(g))
             assert np.array_equal(g.values, g2.values)
             assert g.geometry.matches(g2.geometry)
+
+
+#: cells where the ASCII formatting changes branch: the sentinel, signed
+#: zeros, the 1e16 cut-off for bare integers and its neighbour below,
+#: subnormals, the smallest normal, and reals printed in e-notation
+SPECIALS = [-9999.0, -0.0, 0.0, 1e16, -1e16, 9999999999999998.0, -9999999999999998.0,
+            5e-324, -5e-324, 2.2250738585072014e-308, 1e22, 1e-05, 0.1, 3.0, -42.0,
+            123456789.0, 1.5]
+
+
+def golden_grid() -> Grid:
+    rng = np.random.default_rng(2024)
+    vals = rng.normal(scale=250.0, size=(23, 19))
+    vals[:, 3] = np.round(vals[:, 3])
+    vals[rng.random(vals.shape) < 0.1] = NODATA
+    flat = vals.reshape(-1)
+    flat[:len(SPECIALS)] = SPECIALS
+    flat[-len(SPECIALS):] = SPECIALS[::-1]
+    vals[5] = np.round(vals[5])          # an all-integral row
+    vals[5, :3] = (-0.0, NODATA, 9999999999999998.0)
+    return Grid(19, 23, -1234.5, 0.125, 30.0, NODATA, vals)
+
+
+class TestWriterGolden:
+    def test_golden_digest(self):
+        # pinned from the per-cell formatter that preceded the row-wise writer
+        text = write_ascii_grid(golden_grid())
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
+            "4554cc11514d2cba6de88608ed2085f8c51edc41836eaf019997b6175c48c7b1"
+
+    def test_branch_cells_render(self):
+        row = write_ascii_grid(golden_grid()).splitlines()[6].split()
+        assert row[:11] == ["-9999", "0", "0", "1e+16", "-1e+16", "9999999999999998",
+                            "-9999999999999998", "5e-324", "-5e-324",
+                            "2.2250738585072014e-308", "1e+22"]
+
+
+class TestHeader:
+    def test_parse_header_lines(self):
+        geo, nodata = parse_ascii_header(SIMPLE.splitlines(keepends=True)[:6])
+        assert geo == GridGeometry(2, 2, 0.0, 0.0, 1.0)
+        assert nodata == -9999.0
+
+    def test_short_header_names_line(self):
+        with pytest.raises(GridParseError, match="line 3"):
+            parse_ascii_header(SIMPLE.splitlines()[:2])
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(SPECIALS + [np.nextafter(1e16, 0.0), np.nextafter(1e16, 2e16),
+                                np.nextafter(-1e16, 0.0)]),
+    st.integers(-10**17, 10**17).map(float),
+)
+
+
+@st.composite
+def grids(draw):
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    nodata = draw(st.sampled_from([NODATA, -3.4028234663852886e+38, 0.0, 1e16]))
+    cells = draw(st.lists(st.one_of(_CELLS, st.just(nodata)),
+                          min_size=nrows * ncols, max_size=nrows * ncols))
+    reals = st.floats(-1e7, 1e7, allow_nan=False)
+    cellsize = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    return Grid(ncols, nrows, draw(reals), draw(reals), cellsize, nodata,
+                np.array(cells).reshape(nrows, ncols))
+
+
+class TestRoundtripHypothesis:
+    @settings(max_examples=200, deadline=None)
+    @given(grids())
+    def test_write_read_bit_identical(self, g):
+        back = read_ascii_grid(write_ascii_grid(g))
+        # -0.0 prints as "0", so the parse gives +0.0; every other cell keeps its bits
+        assert back.values.tobytes() == (g.values + 0.0).tobytes()
+        assert (back.ncols, back.nrows, back.nodata) == (g.ncols, g.nrows, g.nodata)
+        assert (back.xll, back.yll, back.cellsize) == (g.xll, g.yll, g.cellsize)
+        assert write_ascii_grid(back) == write_ascii_grid(g)
