@@ -42,7 +42,6 @@ from .linstats import (
     fit_ols,
     flag_collinear,
     pearson_matrix,
-    predict_linear,
     vif,
 )
 from .gbdt import (
@@ -53,7 +52,6 @@ from .gbdt import (
     best_split,
     deserialize_model,
     fit_gbdt,
-    predict_gbdt,
     serialize_model,
 )
 from .evaluate import (

@@ -4,13 +4,14 @@ Subcommands wire the library into the correction workflow:
 
     features  -> the eleven predictor rasters, a checksummed manifest and
                  a binary copy of the layers that later steps read
-    diagnose  -> Pearson/VIF collinearity report
-    train     -> model documents (MLR on the post-exclusion features,
-                 GBDTs on all eleven)
+    diagnose  -> Pearson/VIF collinearity report on the training split
+    train     -> model documents (MLR on the features that survive that
+                 same screen, GBDTs on all eleven)
     correct   -> corrected DEM and absolute-error rasters per model
     evaluate  -> stratified before/after report (JSON + text table)
-    bench     -> full synthetic run: generate, degrade, train, correct,
-                 evaluate (full grid and held-out test cells)
+    bench     -> synthetic inputs (terrain, land cover, injected error),
+                 then the five steps above on them in memory, plus a
+                 report over the held-out test cells
 
 Configuration comes from one JSON document plus flag overrides (flags
 win). Every output embeds a provenance block with the resolved config
@@ -48,6 +49,7 @@ from .grid import (
     save_grid,
 )
 from .linstats import (
+    CollinearityReport,
     LinearModel,
     SingularDesignError,
     ZeroVarianceError,
@@ -306,6 +308,7 @@ def _sha256_file(path: Path) -> str:
 #: ncols) .npy array in manifest order, which only spares later steps the
 #: ASCII parse
 _STACK_FILE = "features_stack.npy"
+_MANIFEST_FILE = "features_manifest.json"
 
 
 def _write_stack(stack: FeatureStack, cfg: dict, out: Path) -> dict:
@@ -329,7 +332,7 @@ def _write_stack(stack: FeatureStack, cfg: dict, out: Path) -> dict:
         "windows": dict(cfg["windows"]),
         "provenance": _provenance(cfg),
     }
-    _write_json(out / "features_manifest.json", manifest)
+    _write_json(out / _MANIFEST_FILE, manifest)
     return manifest
 
 
@@ -341,7 +344,7 @@ def _load_stack(out: Path) -> FeatureStack:
     otherwise (no record, a stale or truncated copy, an edited layer) the
     ``.asc`` file is parsed, so the ASCII rasters stay authoritative.
     """
-    manifest = _read_json(out / "features_manifest.json")
+    manifest = _read_json(out / _MANIFEST_FILE)
     entries = manifest["layers"]
     record = manifest.get("stack")
     binary_path = out / record["file"] if record else None
@@ -376,38 +379,8 @@ def _model_doc_path(out: Path, name: str) -> Path:
     return out / f"model_{name}.json"
 
 
-# ---------------------------------------------------------------------------
-# shared pipeline pieces
-# ---------------------------------------------------------------------------
-
-
-def _build_samples(cfg: dict, stack: FeatureStack, dem: Grid, reference: Grid,
-                   strata: Grid | None) -> SampleTable:
-    target = difference(dem, reference)
-    s = cfg["sampling"]
-    return extract_samples(stack, target, strata,
-                           rate=float(s["rate"]), seed=int(s["seed"]))
-
-
-def _train_all(cfg: dict, train: SampleTable):
-    """Fit every selected model; returns {name: (model, document)}."""
-    results = {}
-    for name in cfg["models"]:
-        if name == "mlr":
-            report = flag_collinear(train,
-                                    r_abs_threshold=float(cfg["collinearity"]["r_abs"]),
-                                    vif_threshold=float(cfg["collinearity"]["vif"]))
-            fitted = fit_ols(train, report.kept)
-            model = replace(fitted, name="mlr")
-            doc = model.to_doc()
-            doc["excluded_features"] = list(report.flagged)
-        else:
-            growth = "depthwise" if name == "gbdt-depthwise" else "leafwise"
-            model = fit_gbdt(train, _gbdt_params(cfg, growth), name=name)
-            doc = serialize_model(model)
-        doc["provenance"] = _provenance(cfg)
-        results[name] = (model, doc)
-    return results
+def _corrected_path(out: Path, name: str) -> Path:
+    return out / f"corrected_{name}.asc"
 
 
 def _load_model(path: Path):
@@ -420,22 +393,101 @@ def _load_model(path: Path):
     raise ConfigError(f"'{path}' is not a recognized model document (format={fmt!r})")
 
 
-def _correct_one(name: str, model, stack: FeatureStack, dem: Grid,
-                 reference: Grid | None, out: Path) -> Grid:
-    dh = predict_error_grid(model, stack)
-    corrected = apply_correction(dem, dh)
-    save_grid(dh, out / f"predicted_error_{name}.asc")
-    save_grid(corrected, out / f"corrected_{name}.asc")
-    if reference is not None:
-        save_grid(abs_error_grid(corrected, reference), out / f"abs_error_{name}.asc")
+# ---------------------------------------------------------------------------
+# pipeline steps: each computes from in-memory inputs and writes its outputs;
+# the step commands load those inputs from disk, bench makes them
+# ---------------------------------------------------------------------------
+
+
+def _features_step(cfg: dict, dem: Grid, bare: Grid, urban: Grid, forest: Grid,
+                   out: Path) -> FeatureStack:
+    stack = build_feature_stack(dem, bare, urban, forest, _feature_config(cfg),
+                                max_workers=worker_count())
+    _write_stack(stack, cfg, out)
+    return stack
+
+
+def _split_step(cfg: dict, stack: FeatureStack, dem: Grid, reference: Grid,
+                strata: Grid | None) -> tuple[SampleTable, SampleTable]:
+    """The (train, test) split of the sampled cells, target = dem - reference."""
+    s = cfg["sampling"]
+    table = extract_samples(stack, difference(dem, reference), strata,
+                            rate=float(s["rate"]), seed=int(s["seed"]))
+    return split_table(table, train_fraction=float(s["train_fraction"]),
+                       seed=int(s["seed"]), stratified=bool(s["stratified"]))
+
+
+def _screen(cfg: dict, train: SampleTable) -> CollinearityReport:
+    """The Pearson/VIF screen whose survivors the MLR is fit on."""
+    c = cfg["collinearity"]
+    return flag_collinear(train, r_abs_threshold=float(c["r_abs"]),
+                          vif_threshold=float(c["vif"]))
+
+
+def _diagnose_step(cfg: dict, train: SampleTable, out: Path) -> CollinearityReport:
+    report = _screen(cfg, train)
+    doc = report.to_doc()
+    doc["provenance"] = _provenance(cfg)
+    _write_json(out / "collinearity.json", doc)
+    return report
+
+
+def _train_step(cfg: dict, train: SampleTable, out: Path) -> dict:
+    """Fit and write every selected model; returns {name: (model, document path)}."""
+    results = {}
+    for name in cfg["models"]:
+        if name == "mlr":
+            screen = _screen(cfg, train)
+            model = replace(fit_ols(train, screen.kept), name="mlr")
+            doc = model.to_doc()
+            doc["excluded_features"] = list(screen.flagged)
+        else:
+            growth = "depthwise" if name == "gbdt-depthwise" else "leafwise"
+            model = fit_gbdt(train, _gbdt_params(cfg, growth), name=name)
+            doc = serialize_model(model)
+        doc["provenance"] = _provenance(cfg)
+        path = _model_doc_path(out, name)
+        _write_json(path, doc)
+        results[name] = (model, path)
+    return results
+
+
+def _correct_step(models: dict, stack: FeatureStack, dem: Grid, reference: Grid | None,
+                  out: Path) -> dict[str, Grid]:
+    """Corrected DEM per {name: (model, document path)}, with its rasters written.
+
+    Raises:
+        ModelFormatError: a document names a feature layer the stack lacks.
+    """
+    corrected = {}
+    for name, (model, path) in models.items():
+        for feature in model.feature_names:
+            if feature not in stack.names:
+                raise ModelFormatError(
+                    f"'{path}' names feature layer '{feature}', which the feature "
+                    f"stack lacks (layers: {', '.join(stack.names)})")
+        dh = predict_error_grid(model, stack)
+        corrected[name] = apply_correction(dem, dh)
+        save_grid(dh, out / f"predicted_error_{name}.asc")
+        save_grid(corrected[name], _corrected_path(out, name))
+        if reference is not None:
+            save_grid(abs_error_grid(corrected[name], reference), out / f"abs_error_{name}.asc")
     return corrected
 
 
-def _report_files(cfg: dict, report, out: Path, stem: str) -> None:
+def _evaluate_step(cfg: dict, reference: Grid, dem: Grid, corrected: dict,
+                   strata: Grid | None, out: Path, stem: str = "report"):
+    """Write ``<stem>.json`` and ``<stem>.txt``; model digests come from the documents."""
+    digests = {name: _sha256_file(path) for name in corrected
+               if (path := _model_doc_path(out, name)).is_file()}
+    report = build_report(reference, dem, corrected, strata,
+                          stratum_names=STRATUM_NAMES if strata is not None else None,
+                          model_digests=digests or None)
     doc = report.to_doc()
     doc["provenance"].update(_provenance(cfg))
     _write_json(out / f"{stem}.json", doc)
     (out / f"{stem}.txt").write_text(report.render_text())
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -449,45 +501,33 @@ def cmd_features(cfg: dict) -> int:
     urban = load_grid(_require_path(cfg, "urban"))
     forest = load_grid(_require_path(cfg, "forest"))
     out = _out_dir(cfg)
-    stack = build_feature_stack(dem, bare, urban, forest, _feature_config(cfg),
-                                max_workers=worker_count())
-    manifest = _write_stack(stack, cfg, out)
-    print(f"wrote {len(manifest['layers'])} feature layers to {out}")
+    stack = _features_step(cfg, dem, bare, urban, forest, out)
+    print(f"wrote {len(stack.names)} feature layers to {out}")
     return 0
 
 
-def cmd_diagnose(cfg: dict) -> int:
+def _load_train_split(cfg: dict) -> tuple[Path, SampleTable]:
     out = _out_dir(cfg)
     stack = _load_stack(out)
     dem = load_grid(_require_path(cfg, "dem"))
     reference = load_grid(_require_path(cfg, "reference"))
-    strata = _optional_grid(cfg, "strata")
-    table = _build_samples(cfg, stack, dem, reference, strata)
-    report = flag_collinear(table,
-                            r_abs_threshold=float(cfg["collinearity"]["r_abs"]),
-                            vif_threshold=float(cfg["collinearity"]["vif"]))
-    doc = report.to_doc()
-    doc["provenance"] = _provenance(cfg)
-    _write_json(out / "collinearity.json", doc)
-    flagged = ", ".join(report.flagged) if report.flagged else "none"
-    print(f"collinearity screen over {len(table)} samples; excluded: {flagged}")
+    train, _ = _split_step(cfg, stack, dem, reference, _optional_grid(cfg, "strata"))
+    return out, train
+
+
+def cmd_diagnose(cfg: dict) -> int:
+    out, train = _load_train_split(cfg)
+    report = _diagnose_step(cfg, train, out)
+    flagged = ", ".join(report.flagged) or "none"
+    print(f"collinearity screen over {len(train)} training samples; excluded: {flagged}")
     return 0
 
 
 def cmd_train(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    stack = _load_stack(out)
-    dem = load_grid(_require_path(cfg, "dem"))
-    reference = load_grid(_require_path(cfg, "reference"))
-    strata = _optional_grid(cfg, "strata")
-    table = _build_samples(cfg, stack, dem, reference, strata)
-    s = cfg["sampling"]
-    train, _ = split_table(table, train_fraction=float(s["train_fraction"]),
-                           seed=int(s["seed"]), stratified=bool(s["stratified"]))
-    for name, (_, doc) in _train_all(cfg, train).items():
-        _write_json(_model_doc_path(out, name), doc)
+    out, train = _load_train_split(cfg)
+    for name, (model, _) in _train_step(cfg, train, out).items():
         print(f"trained {name} on {len(train)} rows "
-              f"({len(doc['feature_names'])} features)")
+              f"({len(model.feature_names)} features)")
     return 0
 
 
@@ -498,10 +538,11 @@ def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
     reference = _optional_grid(cfg, "reference")
     paths = [Path(p) for p in model_docs] if model_docs else \
         [_model_doc_path(out, name) for name in cfg["models"]]
+    models = {}
     for path in paths:
         model, doc = _load_model(path)
-        name = doc.get("model_name", path.stem)
-        _correct_one(name, model, stack, dem, reference, out)
+        models[doc.get("model_name", path.stem)] = (model, path)
+    for name in _correct_step(models, stack, dem, reference, out):
         print(f"corrected DEM with {name}")
     return 0
 
@@ -512,20 +553,12 @@ def cmd_evaluate(cfg: dict) -> int:
     reference = load_grid(_require_path(cfg, "reference"))
     strata = _optional_grid(cfg, "strata")
     corrected = {}
-    digests = {}
     for name in cfg["models"]:
-        cpath = out / f"corrected_{name}.asc"
+        cpath = _corrected_path(out, name)
         if not cpath.is_file():
             raise ConfigError(f"'{cpath}' does not exist (run 'correct' first)")
         corrected[name] = load_grid(cpath)
-        mpath = _model_doc_path(out, name)
-        if mpath.is_file():
-            digests[name] = _sha256_file(mpath)
-    names = {int(k): v for k, v in STRATUM_NAMES.items()} if strata is not None else None
-    report = build_report(reference, dem, corrected, strata,
-                          stratum_names=names, model_digests=digests or None)
-    _report_files(cfg, report, out, "report")
-    print((out / "report.txt").read_text())
+    print(_evaluate_step(cfg, reference, dem, corrected, strata, out).render_text())
     return 0
 
 
@@ -541,6 +574,7 @@ def _resolve_noise(spec: ErrorSpec, fraction, dem, stack) -> ErrorSpec:
 
 
 def cmd_bench(cfg: dict) -> int:
+    """Generate synthetic inputs, then run the pipeline steps on them in memory."""
     out = _out_dir(cfg)
     b = cfg["bench"]
     t0 = time.perf_counter()
@@ -551,10 +585,8 @@ def cmd_bench(cfg: dict) -> int:
         seed=int(b["terrain_seed"]), cellsize=float(b["cellsize"]),
     )
     land = synth_landcover(reference, seed=int(b["landcover_seed"]))
-    fcfg = _feature_config(cfg)
-    workers = worker_count()
     clean_stack = build_feature_stack(reference, land.bare, land.urban, land.forest,
-                                      fcfg, max_workers=workers)
+                                      _feature_config(cfg), max_workers=worker_count())
 
     spec = _resolve_noise(ErrorSpec.from_doc(b["error_spec"]), b["noise_fraction"],
                           reference, clean_stack)
@@ -572,50 +604,26 @@ def cmd_bench(cfg: dict) -> int:
                 {**spec.to_doc(), "noise_fraction": b["noise_fraction"]})
     t_gen = time.perf_counter()
 
-    stack = build_feature_stack(original, land.bare, land.urban, land.forest,
-                                fcfg, max_workers=workers)
-    _write_stack(stack, cfg, out)
+    stack = _features_step(cfg, original, land.bare, land.urban, land.forest, out)
     t_feat = time.perf_counter()
 
-    table = _build_samples(cfg, stack, original, reference, land.strata)
-    s = cfg["sampling"]
-    train, test = split_table(table, train_fraction=float(s["train_fraction"]),
-                              seed=int(s["seed"]), stratified=bool(s["stratified"]))
+    train, test = _split_step(cfg, stack, original, reference, land.strata)
     (out / "samples_train.csv").write_text(train.to_csv())
     (out / "samples_test.csv").write_text(test.to_csv())
-
-    diag = flag_collinear(table,
-                          r_abs_threshold=float(cfg["collinearity"]["r_abs"]),
-                          vif_threshold=float(cfg["collinearity"]["vif"]))
-    diag_doc = diag.to_doc()
-    diag_doc["provenance"] = _provenance(cfg)
-    _write_json(out / "collinearity.json", diag_doc)
-
-    trained = _train_all(cfg, train)
-    digests = {}
-    for name, (_, doc) in trained.items():
-        path = _model_doc_path(out, name)
-        _write_json(path, doc)
-        digests[name] = _sha256_file(path)
+    _diagnose_step(cfg, train, out)
+    models = _train_step(cfg, train, out)
     t_train = time.perf_counter()
 
-    corrected = {}
-    for name, (model, _) in trained.items():
-        corrected[name] = _correct_one(name, model, stack, original, reference, out)
+    corrected = _correct_step(models, stack, original, reference, out)
     t_correct = time.perf_counter()
 
-    names = {int(k): v for k, v in land.stratum_names.items()}
-    report = build_report(reference, original, corrected, land.strata,
-                          stratum_names=names, model_digests=digests)
-    _report_files(cfg, report, out, "report")
-
+    _evaluate_step(cfg, reference, original, corrected, land.strata, out)
     test_mask = np.zeros((reference.nrows, reference.ncols), dtype=bool)
     test_mask[test.cells[:, 0], test.cells[:, 1]] = True
     ref_test = reference.with_values(
         np.where(test_mask, reference.values, reference.nodata))
-    report_test = build_report(ref_test, original, corrected, land.strata,
-                               stratum_names=names, model_digests=digests)
-    _report_files(cfg, report_test, out, "report_test")
+    report_test = _evaluate_step(cfg, ref_test, original, corrected, land.strata, out,
+                                 "report_test")
 
     _write_json(out / "resolved_config.json", {**cfg, "provenance": _provenance(cfg)})
     t_end = time.perf_counter()
@@ -625,7 +633,7 @@ def cmd_bench(cfg: dict) -> int:
           f"train {t_train - t_feat:.1f}, correct {t_correct - t_train:.1f}, "
           f"evaluate {t_end - t_correct:.1f})")
     print(f"train/test rows: {len(train)}/{len(test)}")
-    print((out / "report_test.txt").read_text())
+    print(report_test.render_text())
     return 0
 
 

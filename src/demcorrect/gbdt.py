@@ -42,7 +42,6 @@ __all__ = [
     "Split",
     "best_split",
     "fit_gbdt",
-    "predict_gbdt",
     "serialize_model",
     "deserialize_model",
 ]
@@ -173,13 +172,6 @@ class RegressionTree:
             go_left = X[rows, self.feature[node]] <= self.threshold[node]
             idx[rows] = np.where(go_left, self.left[node], self.right[node])
         return self.value[idx]
-
-    def predict_row(self, x: np.ndarray) -> float:
-        node = 0
-        while self.feature[node] >= 0:
-            node = self.left[node] if x[self.feature[node]] <= self.threshold[node] \
-                else self.right[node]
-        return float(self.value[node])
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,19 +440,6 @@ def fit_gbdt(train: SampleTable, params: GbdtParams | None = None,
 
     return GbdtModel(base, tuple(trees), params, train.feature_names,
                      tuple(rmse), name)
-
-
-def predict_gbdt(model: GbdtModel, x) -> float:
-    """Ensemble prediction for a single feature vector."""
-    vec = np.asarray(x, dtype=np.float64).ravel()
-    if len(vec) != len(model.feature_names):
-        raise ValueError(
-            f"expected {len(model.feature_names)} feature values, got {len(vec)}"
-        )
-    out = model.base_score
-    for tree in model.trees:
-        out += model.params.learning_rate * tree.predict_row(vec)
-    return float(out)
 
 
 def serialize_model(model: GbdtModel) -> dict:

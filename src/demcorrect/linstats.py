@@ -26,7 +26,6 @@ __all__ = [
     "vif",
     "flag_collinear",
     "fit_ols",
-    "predict_linear",
 ]
 
 #: Auxiliary R^2 at or above this reports an infinite VIF.
@@ -158,7 +157,8 @@ def _check_variance(X: np.ndarray, names) -> None:
 def pearson_matrix(table: SampleTable) -> np.ndarray:
     """Sample Pearson correlations between all feature pairs.
 
-    The matrix is exactly symmetric: each unordered pair is evaluated once.
+    The matrix is exactly symmetric (averaged with its transpose), clipped
+    to [-1, 1] and has a unit diagonal.
 
     Raises:
         ZeroVarianceError: a feature column is constant.
@@ -167,14 +167,11 @@ def pearson_matrix(table: SampleTable) -> np.ndarray:
     if len(table) < 2:
         raise ValueError("pearson_matrix requires at least 2 rows")
     _check_variance(X, table.feature_names)
-    k = X.shape[1]
     centered = X - X.mean(axis=0)
     norms = np.sqrt((centered * centered).sum(axis=0))
-    out = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            r = float(centered[:, i] @ centered[:, j] / (norms[i] * norms[j]))
-            out[i, j] = out[j, i] = min(1.0, max(-1.0, r))
+    corr = centered.T @ centered / np.outer(norms, norms)
+    out = np.clip((corr + corr.T) / 2, -1.0, 1.0)
+    np.fill_diagonal(out, 1.0)
     return out
 
 
@@ -296,13 +293,3 @@ def fit_ols(train: SampleTable, features=None) -> LinearModel:
     dof = n - p - 1
     residual_std = math.sqrt(sse / dof) if dof > 0 else 0.0
     return LinearModel(names, float(beta[0]), beta[1:], r_squared, residual_std)
-
-
-def predict_linear(model: LinearModel, x) -> float:
-    """Intercept plus dot product; the single-row form of the model."""
-    vec = np.asarray(x, dtype=np.float64).ravel()
-    if len(vec) != len(model.feature_names):
-        raise ValueError(
-            f"expected {len(model.feature_names)} feature values, got {len(vec)}"
-        )
-    return float(model.intercept + vec @ model.coefficients)

@@ -70,7 +70,7 @@ class FeatureConfig:
 
     The defaults are conventional rather than mandated: 3x3 windows for
     roughness and TPI, radius 3 for VRM and the land-cover fractions, and a
-    radius-10 window with a 1 m pit/peak threshold for texture.
+    radius-10 window with a 0.5 m pit/peak threshold for texture.
     """
 
     roughness_window: WindowSpec = field(default_factory=lambda: WindowSpec(1))
@@ -78,7 +78,7 @@ class FeatureConfig:
     vrm_window: WindowSpec = field(default_factory=lambda: WindowSpec(3))
     landcover_window: WindowSpec = field(default_factory=lambda: WindowSpec(3))
     texture_window: WindowSpec = field(default_factory=lambda: WindowSpec(10))
-    texture_threshold: float = 1.0
+    texture_threshold: float = 0.5
 
     def __post_init__(self):
         if self.texture_threshold < 0:

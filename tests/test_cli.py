@@ -319,6 +319,43 @@ class TestBench:
                              "peninsula", "grassland_shrubland", "overall"]
 
 
+class TestOnePipeline:
+    """``bench`` runs the step functions: the step commands over its grids agree."""
+
+    INPUTS = {"dem": "original", "reference": "reference", "bare": "mask_bare",
+              "urban": "mask_urban", "forest": "mask_forest", "strata": "strata"}
+
+    @staticmethod
+    def without_provenance(path):
+        doc = json.loads(path.read_text())
+        doc.pop("provenance", None)
+        return doc
+
+    def test_steps_over_bench_grids_match_bench(self, tmp_path):
+        bench, steps = tmp_path / "bench", tmp_path / "steps"
+        sets = ("--set", "sampling.rate=0.5", "--set", "gbdt.n_trees=6")
+        assert run_cli("bench", "--out", bench, "--set", "bench.size_exponent=6", *sets) == 0
+        paths = {key: str(bench / f"{stem}.asc") for key, stem in self.INPUTS.items()}
+        cfg_path = tmp_path / "steps.json"
+        cfg_path.write_text(json.dumps({"paths": paths}))
+        for cmd in ("features", "diagnose", "train", "correct", "evaluate"):
+            assert run_cli(cmd, "--config", cfg_path, "--out", steps, *sets) == 0, cmd
+
+        written = sorted(p.name for p in steps.iterdir())
+        # manifest, stack, 11 layers, collinearity, 3 x (model + 3 rasters), report
+        assert len(written) == 1 + 1 + 11 + 1 + 3 * 4 + 2
+        for name in written:
+            if name.endswith(".json"):
+                assert self.without_provenance(steps / name) == \
+                    self.without_provenance(bench / name), name
+            else:
+                assert (steps / name).read_bytes() == (bench / name).read_bytes(), name
+        for out in (bench, steps):
+            screen = json.loads((out / "collinearity.json").read_text())
+            mlr = json.loads((out / "model_mlr.json").read_text())
+            assert screen["flagged"] == mlr["excluded_features"]
+
+
 class TestUsage:
     def test_no_command_exit_2(self, capsys):
         assert main([]) == 2
@@ -419,6 +456,13 @@ class TestInputErrors:
         doc = {"format": "gbdt-model", "version": 1, "params": GbdtParams(n_trees=1).to_doc(),
                "base_score": 0.0, "feature_names": ["elevation"], "trees": trees}
         self.assert_bad_model_doc(workspace, capsys, doc, needle)
+
+    def test_model_names_missing_layer(self, workspace, capsys):
+        doc = {"format": "linear-model", "version": 1, "feature_names": ["nosuch"],
+               "intercept": 0.0, "coefficients": [1.0], "r_squared": 0.5,
+               "residual_std": 1.0}
+        self.assert_bad_model_doc(workspace, capsys, doc,
+                                  "bad_model.json' names feature layer 'nosuch'")
 
     def assert_bad_model_doc(self, workspace, capsys, doc, needle):
         cfg_path, tmp = workspace

@@ -12,7 +12,6 @@ from demcorrect import (
     deserialize_model,
     fit_gbdt,
     fit_ols,
-    predict_gbdt,
     serialize_model,
     split_table,
 )
@@ -179,6 +178,11 @@ class TestFit:
         assert rmse(gb) >= rmse(ols)
 
 
+def predict_one(model, x):
+    """``predict_rows`` on a 1-row array."""
+    return model.predict_rows(np.array([x], dtype=np.float64))[0]
+
+
 class TestPredict:
     def leaf_pair_model(self, lr=1.0):
         doc = {
@@ -197,38 +201,38 @@ class TestPredict:
 
     def test_zero_trees_base_score(self):
         m = GbdtModel(3.25, (), GbdtParams(), ("x",))
-        assert predict_gbdt(m, [0.0]) == 3.25
+        assert predict_one(m, [0.0]) == 3.25
 
     def test_manual_tree_walk(self):
         m = self.leaf_pair_model()
-        assert predict_gbdt(m, [2.0]) == -1.0
-        assert predict_gbdt(m, [3.0]) == 1.0
-        assert predict_gbdt(m, [2.5]) == -1.0  # <= goes left
+        assert predict_one(m, [2.0]) == -1.0
+        assert predict_one(m, [3.0]) == 1.0
+        assert predict_one(m, [2.5]) == -1.0  # <= goes left
 
     def test_learning_rate_scales_leaves(self):
         m = self.leaf_pair_model(lr=0.5)
-        assert predict_gbdt(m, [10.0]) == 0.5
+        assert predict_one(m, [10.0]) == 0.5
 
     def test_piecewise_constant_routing(self, rng):
         X = rng.normal(size=(50, 2))
         y = rng.normal(size=50)
         m = fit_gbdt(table_from(X, y), GbdtParams(n_trees=5, max_depth=2))
-        a = predict_gbdt(m, [0.31, 0.7])
-        b = predict_gbdt(m, [0.31 + 1e-12, 0.7])  # same leaves
+        a = predict_one(m, [0.31, 0.7])
+        b = predict_one(m, [0.31 + 1e-12, 0.7])  # same leaves
         assert a == b
 
-    def test_batch_matches_scalar(self, rng):
+    def test_one_row_matches_batch(self, rng):
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
         m = fit_gbdt(table_from(X, y), GbdtParams(n_trees=8))
         batch = m.predict_rows(X)
         for i in range(0, 30, 7):
-            assert batch[i] == predict_gbdt(m, X[i])
+            assert batch[i] == predict_one(m, X[i])
 
     def test_length_mismatch(self):
         m = GbdtModel(0.0, (), GbdtParams(), ("a", "b"))
-        with pytest.raises(ValueError, match="2 feature"):
-            predict_gbdt(m, [1.0])
+        with pytest.raises(ValueError, match=r"\(n, 2\) features"):
+            predict_one(m, [1.0])
 
 
 class TestSerialization:
@@ -251,7 +255,7 @@ class TestSerialization:
             "trees": [{"root": 0, "nodes": [{"value": 30.0}]}],
         }
         m = deserialize_model(doc)
-        assert predict_gbdt(m, [123.0]) == 2.0 + 0.1 * 30.0
+        assert predict_one(m, [123.0]) == 2.0 + 0.1 * 30.0
 
     def test_cycle_rejected(self):
         doc = {

@@ -12,7 +12,6 @@ from demcorrect import (
     fit_ols,
     flag_collinear,
     pearson_matrix,
-    predict_linear,
     vif,
 )
 
@@ -226,16 +225,16 @@ class TestFitOls:
 class TestPredictLinear:
     def test_constant_model(self):
         m = LinearModel(("a", "b"), 5.0, [0.0, 0.0], 0.0, 0.0)
-        assert predict_linear(m, [99.0, -3.0]) == 5.0
+        assert m.predict_rows(np.array([[99.0, -3.0]]))[0] == 5.0
 
     def test_hand_arithmetic(self):
         m = LinearModel(("a", "b"), 2.0, [3.0, -1.0], 1.0, 0.0)
-        assert predict_linear(m, [1.0, 1.0]) == 4.0
+        assert m.predict_rows(np.array([[1.0, 1.0]]))[0] == 4.0
 
     def test_length_mismatch(self):
         m = LinearModel(("a",), 0.0, [1.0], 1.0, 0.0)
-        with pytest.raises(ValueError, match="1 feature"):
-            predict_linear(m, [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"\(n, 1\) features"):
+            m.predict_rows(np.array([[1.0, 2.0]]))
 
     def test_fitted_values_residual_mean_zero(self, rng):
         X = rng.normal(size=(45, 2))
