@@ -33,7 +33,13 @@ from .terrain import (
     tri,
     vrm,
 )
-from .sampling import EmptyTableError, SampleTable, extract_samples, split_table
+from .sampling import (
+    EmptyTableError,
+    SampleTable,
+    StrataLabelError,
+    extract_samples,
+    split_table,
+)
 from .linstats import (
     CollinearityReport,
     LinearModel,

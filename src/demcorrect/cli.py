@@ -56,7 +56,13 @@ from .linstats import (
     fit_ols,
     flag_collinear,
 )
-from .sampling import EmptyTableError, SampleTable, extract_samples, split_table
+from .sampling import (
+    EmptyTableError,
+    SampleTable,
+    StrataLabelError,
+    extract_samples,
+    split_table,
+)
 from .synth import STRATUM_NAMES, ErrorSpec, fractal_dem, inject_error, synth_landcover
 from .terrain import FeatureConfig, FeatureStack, WindowSpec, build_feature_stack
 
@@ -198,7 +204,29 @@ def resolve_config(args) -> dict:
             )
     if not cfg["models"]:
         raise ConfigError("at least one model must be selected")
+    _check_values(cfg)
     return cfg
+
+
+def _check_values(cfg: dict) -> None:
+    """Build what each windows, gbdt and sampling key configures, one key at a time.
+
+    Raises:
+        ConfigError: a value the library refuses; names its dotted key.
+    """
+    builders = {
+        "windows": _feature_config,
+        "gbdt": lambda c: [_gbdt_params(c, growth) for growth in ("depthwise", "leafwise")],
+        "sampling": _sampling_args,
+    }
+    for section, build in builders.items():
+        for key, value in cfg[section].items():
+            probe = copy.deepcopy(DEFAULT_CONFIG)
+            probe[section][key] = value
+            try:
+                build(probe)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"configuration key '{section}.{key}': {exc}") from None
 
 
 def config_digest(cfg: dict) -> str:
@@ -235,6 +263,17 @@ def _feature_config(cfg: dict) -> FeatureConfig:
         texture_window=WindowSpec(int(w["texture_radius"]), mvf),
         texture_threshold=float(w["texture_threshold"]),
     )
+
+
+def _sampling_args(cfg: dict) -> tuple[float, float, int, bool]:
+    """(rate, train_fraction, seed, stratified), in the ranges the sampling functions take."""
+    s = cfg["sampling"]
+    rate, train_fraction = float(s["rate"]), float(s["train_fraction"])
+    if not 0 < rate <= 1:
+        raise ValueError("rate must be in (0, 1]")
+    if not 0 < train_fraction < 1:
+        raise ValueError("train_fraction must be in (0, 1)")
+    return rate, train_fraction, int(s["seed"]), bool(s["stratified"])
 
 
 def _gbdt_params(cfg: dict, growth: str) -> GbdtParams:
@@ -410,11 +449,9 @@ def _features_step(cfg: dict, dem: Grid, bare: Grid, urban: Grid, forest: Grid,
 def _split_step(cfg: dict, stack: FeatureStack, dem: Grid, reference: Grid,
                 strata: Grid | None) -> tuple[SampleTable, SampleTable]:
     """The (train, test) split of the sampled cells, target = dem - reference."""
-    s = cfg["sampling"]
-    table = extract_samples(stack, difference(dem, reference), strata,
-                            rate=float(s["rate"]), seed=int(s["seed"]))
-    return split_table(table, train_fraction=float(s["train_fraction"]),
-                       seed=int(s["seed"]), stratified=bool(s["stratified"]))
+    rate, train_fraction, seed, stratified = _sampling_args(cfg)
+    table = extract_samples(stack, difference(dem, reference), strata, rate=rate, seed=seed)
+    return split_table(table, train_fraction=train_fraction, seed=seed, stratified=stratified)
 
 
 def _screen(cfg: dict, train: SampleTable) -> CollinearityReport:
@@ -686,6 +723,7 @@ _INPUT_ERRORS = (
     SingularDesignError,
     ZeroVarianceError,
     EmptyTableError,
+    StrataLabelError,
     FileNotFoundError,
 )
 

@@ -17,6 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .grid import GeometryMismatch, Grid
+from .sampling import EmptyTableError, stratum_labels
 from .terrain import FeatureStack
 
 __all__ = [
@@ -198,6 +199,11 @@ def build_report(
     every corrected grid simultaneously, enumerated row-major. Cells whose
     stratum label is nodata count toward "overall" only. Strata with no
     valid cells are omitted with a warning.
+
+    Raises:
+        GeometryMismatch: an input grid is not on the reference geometry.
+        EmptyTableError: no cell is valid in every grid.
+        StrataLabelError: a strata cell is not an integer label.
     """
     geo = reference.geometry
     if not original.geometry.matches(geo):
@@ -215,7 +221,7 @@ def build_report(
             raise GeometryMismatch(f"corrected grid '{m}' is not on the reference geometry")
         valid &= g.valid_mask()
     if not valid.any():
-        raise ValueError("no cell is valid in every grid")
+        raise EmptyTableError("no cell is valid in every grid")
 
     before_all = (original.values - reference.values)[valid]
     after_all = {m: (corrected_by_model[m].values - reference.values)[valid] for m in models}
@@ -225,9 +231,9 @@ def build_report(
 
     strata_results: dict[str, StratumResult] = {}
     if strata is not None:
-        labels_grid = strata.values
-        label_valid = valid & (labels_grid != strata.nodata)
-        present = np.unique(labels_grid[label_valid]).astype(np.int64)
+        labels_grid = stratum_labels(strata)
+        label_valid = valid & strata.valid_mask()
+        present = np.unique(labels_grid[label_valid])
         declared = sorted(stratum_names) if stratum_names else []
         for lab in sorted(set(declared) | set(int(v) for v in present)):
             name = stratum_names.get(lab, str(lab)) if stratum_names else str(lab)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sampling import SampleTable
+from .sampling import EmptyTableError, SampleTable
 
 __all__ = [
     "GbdtParams",
@@ -418,7 +418,7 @@ def fit_gbdt(train: SampleTable, params: GbdtParams | None = None,
     """
     params = params or GbdtParams()
     if len(train) == 0:
-        raise ValueError("cannot fit on an empty table")
+        raise EmptyTableError("cannot fit on an empty table")
     X = np.ascontiguousarray(train.features)
     y = train.targets
 

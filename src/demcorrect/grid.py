@@ -145,8 +145,8 @@ def parse_ascii_header(lines) -> tuple[GridGeometry, float]:
     sentinel.
 
     Raises:
-        GridParseError: a missing or malformed header line; the message
-            names the line.
+        GridParseError: a missing or malformed header line, or a
+            non-finite nodata sentinel; the message names the line.
     """
     header: dict[str, float] = {}
     for idx, key in enumerate(_HEADER_KEYS):
@@ -168,6 +168,8 @@ def parse_ascii_header(lines) -> tuple[GridGeometry, float]:
             raise GridParseError(_HEADER_KEYS.index(key) + 1, f"'{key}' must be a positive integer")
     if header["cellsize"] <= 0:
         raise GridParseError(5, "cellsize must be strictly positive")
+    if not math.isfinite(header["nodata_value"]):
+        raise GridParseError(6, f"NODATA_value must be finite, got {header['nodata_value']!r}")
 
     geometry = GridGeometry(int(header["ncols"]), int(header["nrows"]), header["xllcorner"],
                             header["yllcorner"], header["cellsize"])
@@ -186,13 +188,40 @@ def read_ascii_grid(source: str | TextIO) -> Grid:
     """
     text = source.read() if hasattr(source, "read") else source
     lines = text.splitlines()
+    del text  # the lines hold a second copy of it; free the first before parsing
     geo, nodata = parse_ascii_header(lines[:6])
     expected = geo.ncols * geo.nrows
+    body = lines[6:]
 
+    # numpy's C reader parses each token with the routine float() uses, so
+    # the values are bit-identical; it rejects ragged wrapping and a few
+    # spellings float() takes (1_0, non-ASCII digits), which, like every
+    # other failure, go to the token loop. A body without data is left to
+    # the loop too, as loadtxt would warn on it.
+    flat = None
+    if any(line and not line.isspace() for line in body):
+        try:
+            flat = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=1).ravel()
+        except ValueError:
+            pass
+    if flat is None or flat.size != expected or not (np.isfinite(flat) | (flat == nodata)).all():
+        flat = _parse_tokens(body, expected, nodata)
+    return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, flat)
+
+
+def _parse_tokens(body: list[str], expected: int, nodata: float) -> np.ndarray:
+    """The ``expected`` values of the body lines, one ``float()`` per token.
+
+    The reference parse, and the one that names the line of a fault.
+
+    Raises:
+        GridParseError: non-numeric token, a non-finite value other than
+            ``nodata``, or a value-count mismatch.
+    """
     flat = np.empty(expected, dtype=np.float64)
     count = 0
     lineno = 6
-    for offset, line in enumerate(lines[6:]):
+    for offset, line in enumerate(body):
         lineno = 7 + offset
         tokens = line.split()
         if count + len(tokens) > expected:
@@ -208,8 +237,7 @@ def read_ascii_grid(source: str | TextIO) -> Grid:
             count += 1
     if count != expected:
         raise GridParseError(lineno, f"expected {expected} values, found {count}")
-
-    return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, flat)
+    return flat
 
 
 def write_ascii_grid(grid: Grid) -> str:

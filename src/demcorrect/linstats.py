@@ -15,7 +15,7 @@ import numpy as np
 from scipy import linalg
 
 from .gbdt import ModelFormatError
-from .sampling import SampleTable
+from .sampling import EmptyTableError, SampleTable
 
 __all__ = [
     "ZeroVarianceError",
@@ -161,11 +161,12 @@ def pearson_matrix(table: SampleTable) -> np.ndarray:
     to [-1, 1] and has a unit diagonal.
 
     Raises:
+        EmptyTableError: fewer than 2 rows.
         ZeroVarianceError: a feature column is constant.
     """
     X = table.features
     if len(table) < 2:
-        raise ValueError("pearson_matrix requires at least 2 rows")
+        raise EmptyTableError(f"pearson_matrix requires at least 2 rows; have {len(table)}")
     _check_variance(X, table.feature_names)
     centered = X - X.mean(axis=0)
     norms = np.sqrt((centered * centered).sum(axis=0))
@@ -193,10 +194,15 @@ def vif(table: SampleTable) -> np.ndarray:
 
     R^2_k comes from regressing feature k on all other features with an
     intercept; exact collinearity reports the +inf sentinel.
+
+    Raises:
+        EmptyTableError: no more rows than features.
+        ZeroVarianceError: a feature column is constant.
     """
     X = table.features
     if len(table) < X.shape[1] + 1:
-        raise ValueError("vif requires more rows than features")
+        raise EmptyTableError(f"vif requires more rows than features ({X.shape[1]}); "
+                              f"have {len(table)}")
     _check_variance(X, table.feature_names)
     out = np.empty(X.shape[1])
     for k in range(X.shape[1]):
@@ -260,6 +266,7 @@ def fit_ols(train: SampleTable, features=None) -> LinearModel:
     Solved via QR with column pivoting rather than the normal equations.
 
     Raises:
+        EmptyTableError: no more rows than features plus one.
         SingularDesignError: rank-deficient design; names a dependent column.
     """
     names = tuple(features) if features is not None else train.feature_names
@@ -268,7 +275,7 @@ def fit_ols(train: SampleTable, features=None) -> LinearModel:
     y = sub.targets
     n, p = X.shape
     if n <= p + 1:
-        raise ValueError(f"need more than {p + 1} rows to fit {p} features; have {n}")
+        raise EmptyTableError(f"need more than {p + 1} rows to fit {p} features; have {n}")
 
     design = np.column_stack([np.ones(n), X])
     q, r, piv = linalg.qr(design, mode="economic", pivoting=True)

@@ -17,7 +17,8 @@ import numpy as np
 from .grid import GeometryMismatch, Grid
 from .terrain import FeatureStack
 
-__all__ = ["SampleTable", "EmptyTableError", "extract_samples", "split_table"]
+__all__ = ["SampleTable", "EmptyTableError", "StrataLabelError", "stratum_labels",
+           "extract_samples", "split_table"]
 
 #: Stratum value for rows without a landscape label.
 NO_STRATUM = -1
@@ -25,6 +26,27 @@ NO_STRATUM = -1
 
 class EmptyTableError(ValueError):
     """No valid cells were available for sampling."""
+
+
+class StrataLabelError(ValueError):
+    """A strata grid holds a label that is not an integer; names the cell."""
+
+
+def stratum_labels(strata: Grid) -> np.ndarray:
+    """The strata grid's labels as int64, ``NO_STRATUM`` at its nodata cells.
+
+    Raises:
+        StrataLabelError: a data cell is not within 1e-9 of an integer.
+    """
+    values = strata.values
+    ok = strata.valid_mask()
+    rounded = np.rint(values)
+    bad = ok & (np.abs(values - rounded) > 1e-9)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise StrataLabelError(f"strata grid must hold integer labels; cell ({i}, {j}) "
+                               f"holds {float(values[i, j])!r}")
+    return np.where(ok, rounded, NO_STRATUM).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +160,7 @@ def extract_samples(
     Raises:
         GeometryMismatch: target or strata not on the stack geometry.
         EmptyTableError: no eligible cells.
+        StrataLabelError: see :func:`stratum_labels`.
     """
     if not (0 < rate <= 1):
         raise ValueError("rate must be in (0, 1]")
@@ -163,14 +186,7 @@ def extract_samples(
     features = np.column_stack([layer.values[rows, cols] for layer in stack.layers])
     targets = target.values[rows, cols]
 
-    labels = None
-    if strata is not None:
-        raw = strata.values[rows, cols]
-        ok = raw != strata.nodata
-        rounded = np.rint(raw)
-        if np.any(ok & (np.abs(raw - rounded) > 1e-9)):
-            raise ValueError("strata grid must hold integer labels")
-        labels = np.where(ok, rounded, NO_STRATUM).astype(np.int64)
+    labels = None if strata is None else stratum_labels(strata)[rows, cols]
 
     return SampleTable(stack.names, np.column_stack([rows, cols]), features, targets, labels)
 

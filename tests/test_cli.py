@@ -472,3 +472,41 @@ class TestInputErrors:
         capsys.readouterr()
         rc = run_cli("correct", "--config", cfg_path, "--model-doc", path)
         self.assert_input_error(rc, capsys, needle)
+
+    def test_non_finite_nodata_header(self, workspace, capsys):
+        cfg_path, tmp = workspace
+        dem = tmp / "dem.asc"
+        lines = dem.read_text().splitlines(keepends=True)
+        lines[5] = "NODATA_value nan\n"
+        dem.write_text("".join(lines))
+        self.assert_input_error(run_cli("features", "--config", cfg_path), capsys,
+                                "line 6: NODATA_value must be finite, got nan")
+
+    @pytest.mark.parametrize("setting", [
+        "gbdt.n_trees=0", "gbdt.learning_rate=2", "sampling.rate=0",
+        "sampling.train_fraction=1.5", "windows.tpi_radius=0",
+    ])
+    def test_out_of_range_value(self, tmp_path, capsys, setting):
+        rc = run_cli("bench", "--out", tmp_path, "--set", setting)
+        self.assert_input_error(rc, capsys, f"configuration key '{setting.split('=')[0]}': ")
+
+    @pytest.mark.parametrize("settings, needle", [
+        (["sampling.rate=0.01"], "pearson_matrix requires at least 2 rows; have 1"),
+        (["sampling.rate=0.6", "sampling.train_fraction=0.99"], "no cell is valid in every grid"),
+    ], ids=["one-training-row", "empty-test-split"])
+    def test_too_few_sampled_rows(self, tmp_path, capsys, settings, needle):
+        overrides = [arg for s in settings for arg in ("--set", s)]
+        rc = run_cli("bench", "--out", tmp_path, "--model", "mlr",
+                     "--set", "bench.size_exponent=5", *overrides)
+        self.assert_input_error(rc, capsys, needle)
+
+    def test_non_integer_strata_label(self, workspace, capsys):
+        cfg_path, tmp = workspace
+        strata = load_grid(tmp / "strata.asc")
+        labels = strata.values.copy()
+        labels[0] = 1.5
+        save_grid(strata.with_values(labels), tmp / "strata.asc")
+        run_cli("features", "--config", cfg_path)
+        capsys.readouterr()
+        self.assert_input_error(run_cli("diagnose", "--config", cfg_path), capsys,
+                                "strata grid must hold integer labels; cell (0, 0) holds 1.5")

@@ -9,6 +9,7 @@ from demcorrect import (
     GbdtParams,
     LinearModel,
     SampleTable,
+    StrataLabelError,
     abs_error_grid,
     apply_correction,
     build_report,
@@ -215,6 +216,22 @@ class TestBuildReport:
         after = compute_metrics((corrected.values - ref.values)[valid])
         expected = 100 * (before.rmse - after.rmse) / before.rmse
         assert rep.overall.reduction["m"] == pytest.approx(expected, rel=1e-12)
+
+    def test_non_integer_strata_label_rejected(self):
+        # cells labelled 1.5 would otherwise fall out of every stratum
+        ref = make_grid(np.zeros((2, 2)))
+        dem = make_grid([[1.0, 2.0], [3.0, 4.0]])
+        strata = make_grid([[1.0, 1.5], [1.5, 2.0]])
+        with pytest.raises(StrataLabelError, match=r"cell \(0, 1\) holds 1.5"):
+            build_report(ref, dem, {"m": dem}, strata)
+
+    def test_strata_nodata_cells_count_overall_only(self):
+        ref = make_grid(np.zeros((2, 2)))
+        dem = make_grid([[1.0, 2.0], [3.0, 4.0]])
+        strata = make_grid([[1.0, NODATA], [NODATA, 2.0]])
+        rep = build_report(ref, dem, {"m": dem}, strata)
+        assert rep.overall.before.n == 4
+        assert {k: v.before.n for k, v in rep.strata.items()} == {"1": 1, "2": 1}
 
     def test_empty_stratum_warned_and_omitted(self, rng):
         ref, dem, strata = self.grids(rng)

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from demcorrect import (
     read_ascii_grid,
     write_ascii_grid,
 )
-from demcorrect.grid import parse_ascii_header
+import demcorrect.grid as grid_module
+from demcorrect.grid import _parse_tokens, parse_ascii_header
 from conftest import NODATA, make_grid
 
 SIMPLE = "\n".join([
@@ -297,6 +299,12 @@ class TestHeader:
         with pytest.raises(GridParseError, match="line 3"):
             parse_ascii_header(SIMPLE.splitlines()[:2])
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_nodata_names_line_6(self, token):
+        lines = SIMPLE.replace("-9999", token).splitlines()[:6]
+        with pytest.raises(GridParseError, match="line 6: NODATA_value must be finite"):
+            parse_ascii_header(lines)
+
 
 _CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -328,3 +336,91 @@ class TestRoundtripHypothesis:
         assert (back.ncols, back.nrows, back.nodata) == (g.ncols, g.nrows, g.nodata)
         assert (back.xll, back.yll, back.cellsize) == (g.xll, g.yll, g.cellsize)
         assert write_ascii_grid(back) == write_ascii_grid(g)
+
+
+#: body tokens where float() and numpy's reader might part ways: signs,
+#: bare leading/trailing points, overflow, the non-finite spellings, and
+#: spellings only float() accepts or neither does
+_TOKENS = st.one_of(
+    st.sampled_from(["1", "-2", "+3", ".5", "5.", "-.5", "+5.", "0", "-0", "1e400", "-1e400",
+                     "nan", "inf", "-inf", "NaN", "Infinity", "1_0", "#", "1#2", "１",
+                     "x", "1e", "0x10"]),
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+)
+
+
+@st.composite
+def ascii_bodies(draw):
+    """(text, expected, nodata) for a header plus a body of random layout."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    expected = nrows * ncols
+    nodata = draw(st.sampled_from([NODATA, 0.0, 1e16]))
+    nodata_token = st.sampled_from([repr(nodata), str(int(nodata))])
+    count = draw(st.sampled_from([expected, expected, expected - 1, expected + 1, 0]))
+    tokens = draw(st.lists(st.one_of(_TOKENS, nodata_token), min_size=count, max_size=count))
+    if draw(st.booleans()):      # equal-width wrapping
+        width = draw(st.integers(1, max(count, 1)))
+        cuts = list(range(width, count, width))
+    else:                        # ragged wrapping
+        cuts = sorted(draw(st.sets(st.integers(1, max(count - 1, 1)), max_size=count)))
+    lines = [tokens[a:b] for a, b in zip([0] + cuts, cuts + [count])]
+    seps = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c"])
+    body = []
+    for line in lines:
+        if draw(st.booleans()):
+            body.append(draw(st.sampled_from(["", "  ", "\t"])))
+        text = ""
+        for tok in line:
+            text += tok + draw(seps)
+        body.append(draw(st.sampled_from(["", " "])) + text)
+    header = (f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+              f"NODATA_value {nodata!r}\n")
+    return header + "\n".join(body), expected, nodata
+
+
+def _outcome(parse):
+    """Bytes of the parsed values, or the parse error's message."""
+    try:
+        return parse().tobytes()
+    except GridParseError as exc:
+        return str(exc)
+
+
+class TestBulkReader:
+    @settings(max_examples=400, deadline=None)
+    @given(ascii_bodies())
+    def test_matches_token_reference(self, case):
+        text, expected, nodata = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(lambda: read_ascii_grid(text).values)
+        assert got == _outcome(lambda: _parse_tokens(text.splitlines()[6:], expected, nodata))
+
+    @pytest.mark.parametrize("body", ["", "\n\n  \n"], ids=["empty", "blank-lines"])
+    def test_body_without_values(self, body):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridParseError, match="expected 4 values, found 0"):
+                read_ascii_grid(SIMPLE.replace("1 2\n3 4\n", body))
+
+    @pytest.mark.parametrize("token, value", [("1_0", 10.0), ("１", 1.0)],
+                             ids=["underscore", "full-width"])
+    def test_spellings_only_float_takes(self, token, value):
+        g = read_ascii_grid(SIMPLE.replace("1 2", f"{token} 2"))
+        assert g.values.ravel().tolist() == [value, 2.0, 3.0, 4.0]
+
+    def test_hash_is_not_a_comment(self):
+        with pytest.raises(GridParseError, match="line 8: too many values"):
+            read_ascii_grid(SIMPLE.replace("3 4", "3 4 # note"))
+
+    def test_writer_output_takes_the_bulk_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("token loop used on writer output")
+
+        monkeypatch.setattr(grid_module, "_parse_tokens", refuse)
+        g = golden_grid()
+        back = read_ascii_grid(write_ascii_grid(g))
+        assert back.values.tobytes() == (g.values + 0.0).tobytes()
+        one = make_grid([[2.5]])
+        assert read_ascii_grid(write_ascii_grid(one)).values.tolist() == [[2.5]]

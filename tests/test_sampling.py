@@ -5,6 +5,7 @@ from demcorrect import (
     EmptyTableError,
     FeatureConfig,
     SampleTable,
+    StrataLabelError,
     WindowSpec,
     build_feature_stack,
     difference,
@@ -75,6 +76,13 @@ class TestExtract:
         labels = make_grid(np.full((11, 11), 4.0))
         table = extract_samples(stack, difference(dem, dem), strata=labels)
         assert np.all(table.strata == 4)
+
+    def test_non_integer_strata_label_rejected(self):
+        stack, dem = small_stack()
+        labels = np.full((11, 11), 4.0)
+        labels[3, 5] = 2.5
+        with pytest.raises(StrataLabelError, match=r"cell \(3, 5\) holds 2.5"):
+            extract_samples(stack, difference(dem, dem), strata=make_grid(labels))
 
     def test_geometry_mismatch(self):
         stack, dem = small_stack()
