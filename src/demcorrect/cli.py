@@ -63,8 +63,21 @@ from .sampling import (
     extract_samples,
     split_table,
 )
-from .synth import STRATUM_NAMES, ErrorSpec, fractal_dem, inject_error, synth_landcover
-from .terrain import FeatureConfig, FeatureStack, WindowSpec, build_feature_stack
+from .synth import (
+    STRATUM_NAMES,
+    ErrorSpec,
+    check_fractal_args,
+    fractal_dem,
+    inject_error,
+    synth_landcover,
+)
+from .terrain import (
+    CANONICAL_FEATURES,
+    FeatureConfig,
+    FeatureStack,
+    WindowSpec,
+    build_feature_stack,
+)
 
 __all__ = ["main", "run", "ConfigError", "DEFAULT_CONFIG"]
 
@@ -209,7 +222,7 @@ def resolve_config(args) -> dict:
 
 
 def _check_values(cfg: dict) -> None:
-    """Build what each windows, gbdt and sampling key configures, one key at a time.
+    """Build what each key of a checked section configures, one key at a time.
 
     Raises:
         ConfigError: a value the library refuses; names its dotted key.
@@ -218,6 +231,8 @@ def _check_values(cfg: dict) -> None:
         "windows": _feature_config,
         "gbdt": lambda c: [_gbdt_params(c, growth) for growth in ("depthwise", "leafwise")],
         "sampling": _sampling_args,
+        "collinearity": _screen_args,
+        "bench": _bench_args,
     }
     for section, build in builders.items():
         for key, value in cfg[section].items():
@@ -273,7 +288,51 @@ def _sampling_args(cfg: dict) -> tuple[float, float, int, bool]:
         raise ValueError("rate must be in (0, 1]")
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must be in (0, 1)")
-    return rate, train_fraction, int(s["seed"]), bool(s["stratified"])
+    seed = int(s["seed"])
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    return rate, train_fraction, seed, bool(s["stratified"])
+
+
+def _screen_args(cfg: dict) -> tuple[float, float]:
+    """(r_abs, vif) thresholds of the collinearity screen."""
+    c = cfg["collinearity"]
+    return float(c["r_abs"]), float(c["vif"])
+
+
+def _bench_args(cfg: dict) -> tuple[dict, int, float | None, ErrorSpec]:
+    """(fractal_dem keywords, landcover seed, noise fraction, error spec).
+
+    Checked as far as they can be without generating terrain.
+    """
+    b = cfg["bench"]
+    terrain = {
+        "size_exponent": int(b["size_exponent"]),
+        "base_height": float(b["base_height"]),
+        "relief_amplitude": float(b["relief_amplitude"]),
+        "roughness_decay": float(b["roughness_decay"]),
+        "seed": int(b["terrain_seed"]),
+        "cellsize": float(b["cellsize"]),
+    }
+    check_fractal_args(terrain["size_exponent"], terrain["relief_amplitude"],
+                       terrain["roughness_decay"], terrain["cellsize"])
+    landcover_seed = int(b["landcover_seed"])
+    fraction = b["noise_fraction"]
+    if fraction is not None:
+        fraction = float(fraction)
+        if not fraction >= 0:
+            raise ValueError("noise_fraction must be null or >= 0")
+    try:
+        spec = ErrorSpec.from_doc(b["error_spec"])
+    except (AttributeError, KeyError) as exc:
+        raise ValueError(f"malformed error spec: {type(exc).__name__}: {exc}") from None
+    for name in spec.referenced_features():
+        if name not in CANONICAL_FEATURES:
+            raise ValueError(f"unknown feature '{name}' in error spec "
+                             f"(features: {', '.join(CANONICAL_FEATURES)})")
+    if min(terrain["seed"], landcover_seed, spec.seed) < 0:
+        raise ValueError("seeds must be >= 0")
+    return terrain, landcover_seed, fraction, spec
 
 
 def _gbdt_params(cfg: dict, growth: str) -> GbdtParams:
@@ -456,9 +515,8 @@ def _split_step(cfg: dict, stack: FeatureStack, dem: Grid, reference: Grid,
 
 def _screen(cfg: dict, train: SampleTable) -> CollinearityReport:
     """The Pearson/VIF screen whose survivors the MLR is fit on."""
-    c = cfg["collinearity"]
-    return flag_collinear(train, r_abs_threshold=float(c["r_abs"]),
-                          vif_threshold=float(c["vif"]))
+    r_abs, vif = _screen_args(cfg)
+    return flag_collinear(train, r_abs_threshold=r_abs, vif_threshold=vif)
 
 
 def _diagnose_step(cfg: dict, train: SampleTable, out: Path) -> CollinearityReport:
@@ -599,7 +657,7 @@ def cmd_evaluate(cfg: dict) -> int:
     return 0
 
 
-def _resolve_noise(spec: ErrorSpec, fraction, dem, stack) -> ErrorSpec:
+def _resolve_noise(spec: ErrorSpec, fraction: float | None, dem, stack) -> ErrorSpec:
     """Set noise_std to fraction * std of the deterministic error field."""
     if fraction is None:
         return spec
@@ -607,26 +665,21 @@ def _resolve_noise(spec: ErrorSpec, fraction, dem, stack) -> ErrorSpec:
     probe = inject_error(dem, stack, quiet)
     vals = probe.true_dh.values[probe.true_dh.valid_mask()]
     return ErrorSpec(spec.linear_terms, spec.nonlinear_terms,
-                     float(fraction) * float(vals.std()), spec.seed)
+                     fraction * float(vals.std()), spec.seed)
 
 
 def cmd_bench(cfg: dict) -> int:
     """Generate synthetic inputs, then run the pipeline steps on them in memory."""
     out = _out_dir(cfg)
-    b = cfg["bench"]
+    terrain, landcover_seed, noise_fraction, spec = _bench_args(cfg)
     t0 = time.perf_counter()
 
-    reference = fractal_dem(
-        int(b["size_exponent"]), float(b["base_height"]),
-        float(b["relief_amplitude"]), float(b["roughness_decay"]),
-        seed=int(b["terrain_seed"]), cellsize=float(b["cellsize"]),
-    )
-    land = synth_landcover(reference, seed=int(b["landcover_seed"]))
+    reference = fractal_dem(**terrain)
+    land = synth_landcover(reference, seed=landcover_seed)
     clean_stack = build_feature_stack(reference, land.bare, land.urban, land.forest,
                                       _feature_config(cfg), max_workers=worker_count())
 
-    spec = _resolve_noise(ErrorSpec.from_doc(b["error_spec"]), b["noise_fraction"],
-                          reference, clean_stack)
+    spec = _resolve_noise(spec, noise_fraction, reference, clean_stack)
     injected = inject_error(reference, clean_stack, spec)
     original = injected.degraded
 
@@ -638,7 +691,7 @@ def cmd_bench(cfg: dict) -> int:
     save_grid(land.forest, out / "mask_forest.asc")
     save_grid(land.strata, out / "strata.asc")
     _write_json(out / "error_spec.json",
-                {**spec.to_doc(), "noise_fraction": b["noise_fraction"]})
+                {**spec.to_doc(), "noise_fraction": noise_fraction})
     t_gen = time.perf_counter()
 
     stack = _features_step(cfg, original, land.bare, land.urban, land.forest, out)

@@ -1,9 +1,14 @@
 """Gradient-boosted regression trees for squared-error loss.
 
-One engine, two growth strategies: depthwise expands every splittable node
-level by level up to a depth cap; leafwise always splits the frontier leaf
-with the largest gain until a leaf cap. Split search is exact greedy over
-sorted feature values (no histogram binning), with the regularized gain
+One best-first grower serves both growth strategies. It keeps a heap of
+open leaves that have a split; the two strategies differ only in the heap
+key and the cap. Depthwise keys every leaf alike, so leaves are split in
+creation order, which is level order, and leaves at ``max_depth`` are not
+searched. Leafwise keys a leaf by its negated gain, so the largest-gain
+leaf is split first, until the tree has ``max_leaves`` leaves (the growth
+policies of XGBoost; leafwise is LightGBM's default). Split search is exact
+greedy over sorted feature values (no histogram binning), with the
+regularized gain
 
     G_L^2/(n_L + lambda) + G_R^2/(n_R + lambda) - G^2/(n + lambda)
 
@@ -58,9 +63,11 @@ class ModelFormatError(ValueError):
 class GbdtParams:
     """Training knobs; defaults mirror common library defaults.
 
-    ``growth`` is "depthwise" (cap ``max_depth``, None = unbounded) or
-    "leafwise" (cap ``max_leaves``). ``seed`` is reserved for subsampling
-    strategies and currently unused.
+    ``growth`` picks the order in which the grower splits open leaves:
+    "depthwise" is level order, capped by ``max_depth`` (None = unbounded);
+    "leafwise" is largest gain first, capped by ``max_leaves``. Each cap
+    applies to its own growth only. ``seed`` is recorded in the model
+    document but unused: training has no random step.
     """
 
     n_trees: int = 100
@@ -259,7 +266,7 @@ class _TreeBuilder:
     """Accumulates nodes in creation order; children follow their parent.
 
     It holds the tree only: a node's rows are its slice of the fit's
-    :class:`_Partition`, which the growers track next to the node id.
+    :class:`_Partition`, which the grower tracks next to the node id.
     """
 
     def __init__(self):
@@ -339,71 +346,37 @@ def _leaf_value(residuals: np.ndarray, rows: np.ndarray, lam: float) -> float:
     return float(residuals[rows].sum() / (len(rows) + lam))
 
 
-def _grow_depthwise(part: _Partition, residuals, params) -> tuple[RegressionTree, np.ndarray]:
-    """Level by level; each frontier entry is a node and its slice."""
+def _grow(part: _Partition, residuals, params) -> tuple[RegressionTree, np.ndarray]:
+    """Best-first growth over a heap of open leaves (see the module doc)."""
+    depthwise = params.growth == "depthwise"
+    max_depth = params.max_depth if depthwise else None
+    max_leaves = float("inf") if depthwise else params.max_leaves
     tb = _TreeBuilder()
-    leaf_of_row = np.zeros(len(residuals), dtype=np.int64)
-    frontier = [(tb.add(), 0, len(residuals), 0)]
-    while frontier:
-        nxt = []
-        for node, lo, hi, depth in frontier:
-            split = None
-            if params.max_depth is None or depth < params.max_depth:
-                split = part.search(residuals, lo, hi, params)
-            if split is None:
-                rows = part.rows(lo, hi)
-                tb.value[node] = _leaf_value(residuals, rows, params.reg_lambda)
-                leaf_of_row[rows] = node
-                continue
-            mid = part.split(lo, hi, split)
-            tb.feature[node] = split.feature
-            tb.threshold[node] = split.threshold
-            tb.left[node] = tb.add()
-            tb.right[node] = tb.add()
-            nxt.append((tb.left[node], lo, mid, depth + 1))
-            nxt.append((tb.right[node], mid, hi, depth + 1))
-        frontier = nxt
-    return tb.finish(), leaf_of_row
+    leaves: dict[int, tuple[int, int]] = {}  # open leaf -> its slice
+    heap: list[tuple[float, int, int, Split]] = []
 
+    def open_leaf(lo: int, hi: int, depth: int) -> int:
+        node = tb.add()
+        tb.value[node] = _leaf_value(residuals, part.rows(lo, hi), params.reg_lambda)
+        leaves[node] = (lo, hi)
+        if max_depth is None or depth < max_depth:
+            split = part.search(residuals, lo, hi, params)
+            if split is not None:
+                key = 0.0 if depthwise else -split.gain
+                heapq.heappush(heap, (key, node, depth, split))
+        return node
 
-def _grow_leafwise(part: _Partition, residuals, params) -> tuple[RegressionTree, np.ndarray]:
-    """Best-gain leaf first; every open leaf keeps its slice and its split."""
-    tb = _TreeBuilder()
-    leaf_of_row = np.zeros(len(residuals), dtype=np.int64)
-    root = tb.add()
-    tb.value[root] = _leaf_value(residuals, part.rows(0, len(residuals)), params.reg_lambda)
-    leaf_slice = {root: (0, len(residuals))}
-
-    heap: list[tuple[float, int]] = []
-    split_of: dict[int, Split] = {}
-
-    def consider(node: int):
-        split = part.search(residuals, *leaf_slice[node], params)
-        if split is not None:
-            split_of[node] = split
-            heapq.heappush(heap, (-split.gain, node))
-
-    consider(root)
-    n_leaves = 1
-    while heap and n_leaves < params.max_leaves:
-        _, node = heapq.heappop(heap)
-        split = split_of.pop(node, None)
-        if split is None or tb.feature[node] >= 0:
-            continue
-        lo, hi = leaf_slice.pop(node)
+    open_leaf(0, len(residuals), 0)
+    while heap and len(leaves) < max_leaves:
+        _, node, depth, split = heapq.heappop(heap)
+        lo, hi = leaves.pop(node)
         mid = part.split(lo, hi, split)
         tb.feature[node] = split.feature
         tb.threshold[node] = split.threshold
-        lnode = tb.add()
-        rnode = tb.add()
-        tb.left[node] = lnode
-        tb.right[node] = rnode
-        for child, span in ((lnode, (lo, mid)), (rnode, (mid, hi))):
-            tb.value[child] = _leaf_value(residuals, part.rows(*span), params.reg_lambda)
-            leaf_slice[child] = span
-            consider(child)
-        n_leaves += 1
-    for node, (lo, hi) in leaf_slice.items():
+        tb.left[node] = open_leaf(lo, mid, depth + 1)
+        tb.right[node] = open_leaf(mid, hi, depth + 1)
+    leaf_of_row = np.empty(len(residuals), dtype=np.int64)
+    for node, (lo, hi) in leaves.items():
         leaf_of_row[part.rows(lo, hi)] = node
     return tb.finish(), leaf_of_row
 
@@ -424,14 +397,13 @@ def fit_gbdt(train: SampleTable, params: GbdtParams | None = None,
 
     base = float(y.mean())
     pred = np.full(len(y), base)
-    grow = _grow_depthwise if params.growth == "depthwise" else _grow_leafwise
     part = _Partition(X)
 
     trees: list[RegressionTree] = []
     rmse = [float(np.sqrt(np.mean((y - pred) ** 2)))]
     for _ in range(params.n_trees):
         residuals = y - pred
-        tree, leaf_of_row = grow(part.reset(), residuals, params)
+        tree, leaf_of_row = _grow(part.reset(), residuals, params)
         if tree.n_nodes == 1 and tree.value[0] == 0.0:
             break  # converged: no split and a zero root value changes nothing
         trees.append(tree)

@@ -118,13 +118,6 @@ class Grid:
             self.nodata, values, self.crs_label,
         )
 
-    def x_centers(self) -> np.ndarray:
-        return self.xll + (np.arange(self.ncols) + 0.5) * self.cellsize
-
-    def y_centers(self) -> np.ndarray:
-        """Cell-center northings, row 0 (northernmost) first."""
-        return self.yll + (self.nrows - np.arange(self.nrows) - 0.5) * self.cellsize
-
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 

@@ -36,16 +36,18 @@ def stratum_labels(strata: Grid) -> np.ndarray:
     """The strata grid's labels as int64, ``NO_STRATUM`` at its nodata cells.
 
     Raises:
-        StrataLabelError: a data cell is not within 1e-9 of an integer.
+        StrataLabelError: a data cell is not within 1e-9 of an integer, or
+            rounds to a negative one, which would collide with ``NO_STRATUM``.
     """
     values = strata.values
     ok = strata.valid_mask()
     rounded = np.rint(values)
-    bad = ok & (np.abs(values - rounded) > 1e-9)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise StrataLabelError(f"strata grid must hold integer labels; cell ({i}, {j}) "
-                               f"holds {float(values[i, j])!r}")
+    for bad, rule in ((ok & (np.abs(values - rounded) > 1e-9), "integer labels"),
+                      (ok & (rounded < 0), "non-negative labels")):
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise StrataLabelError(f"strata grid must hold {rule}; cell ({i}, {j}) "
+                                   f"holds {float(values[i, j])!r}")
     return np.where(ok, rounded, NO_STRATUM).astype(np.int64)
 
 

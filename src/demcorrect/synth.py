@@ -21,6 +21,7 @@ __all__ = [
     "NonlinearTerm",
     "LandcoverSet",
     "InjectResult",
+    "check_fractal_args",
     "fractal_dem",
     "synth_landcover",
     "inject_error",
@@ -34,6 +35,19 @@ STRATUM_NAMES = {
     4: "peninsula",
     5: "grassland_shrubland",
 }
+
+
+def check_fractal_args(size_exponent: int, relief_amplitude: float,
+                       roughness_decay: float, cellsize: float) -> None:
+    """Raise ValueError for arguments :func:`fractal_dem` refuses."""
+    if size_exponent < 2:
+        raise ValueError("size_exponent must be >= 2")
+    if relief_amplitude < 0:
+        raise ValueError("relief_amplitude must be >= 0")
+    if not (0 <= roughness_decay < 1):
+        raise ValueError("roughness_decay must be in [0, 1)")
+    if not (cellsize > 0):
+        raise ValueError("cellsize must be strictly positive")
 
 
 def fractal_dem(
@@ -53,12 +67,7 @@ def fractal_dem(
     ``roughness_decay`` per subdivision level, so the total excursion from
     ``base_height`` is bounded by amplitude / (1 - decay) for decay < 1.
     """
-    if size_exponent < 2:
-        raise ValueError("size_exponent must be >= 2")
-    if relief_amplitude < 0:
-        raise ValueError("relief_amplitude must be >= 0")
-    if not (0 <= roughness_decay < 1):
-        raise ValueError("roughness_decay must be in [0, 1)")
+    check_fractal_args(size_exponent, relief_amplitude, roughness_decay, cellsize)
 
     n = 2 ** size_exponent + 1
     rng = np.random.default_rng(seed)

@@ -115,9 +115,6 @@ class FeatureStack:
         except ValueError:
             raise KeyError(f"no feature layer named '{name}'") from None
 
-    def subset(self, names) -> "FeatureStack":
-        return FeatureStack(tuple(names), tuple(self.layer(n) for n in names))
-
 
 # ---------------------------------------------------------------------------
 # focal plumbing

@@ -484,7 +484,12 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("setting", [
         "gbdt.n_trees=0", "gbdt.learning_rate=2", "sampling.rate=0",
-        "sampling.train_fraction=1.5", "windows.tpi_radius=0",
+        "sampling.train_fraction=1.5", "sampling.seed=-1", "windows.tpi_radius=0",
+        "bench.size_exponent=0", "bench.cellsize=-1", "bench.noise_fraction=-1",
+        "bench.terrain_seed=-1", "collinearity.vif=abc", "collinearity.r_abs=x",
+        'bench.error_spec={"linear_terms": {"nosuch": 1}}',
+        'bench.error_spec={"nonlinear_terms": [{"feature": "slope", "kind": "cube", '
+        '"amplitude": 1}]}',
     ])
     def test_out_of_range_value(self, tmp_path, capsys, setting):
         rc = run_cli("bench", "--out", tmp_path, "--set", setting)

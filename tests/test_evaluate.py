@@ -225,6 +225,14 @@ class TestBuildReport:
         with pytest.raises(StrataLabelError, match=r"cell \(0, 1\) holds 1.5"):
             build_report(ref, dem, {"m": dem}, strata)
 
+    def test_negative_strata_label_rejected(self):
+        # a stratum "-1" here would be "no stratum" in the sample table
+        ref = make_grid(np.zeros((2, 2)))
+        dem = make_grid([[1.0, 2.0], [3.0, 4.0]])
+        strata = make_grid([[-1.0, -1.0], [2.0, 2.0]])
+        with pytest.raises(StrataLabelError, match=r"non-negative labels; cell \(0, 0\) holds -1.0"):
+            build_report(ref, dem, {"m": dem}, strata)
+
     def test_strata_nodata_cells_count_overall_only(self):
         ref = make_grid(np.zeros((2, 2)))
         dem = make_grid([[1.0, 2.0], [3.0, 4.0]])

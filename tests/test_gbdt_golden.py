@@ -6,9 +6,10 @@ sha256 of the canonical JSON of ``serialize_model``. Any change to split
 search, partitioning or leaf arithmetic that moves a single bit of a
 threshold, a leaf value or the training RMSE trace changes the digest.
 
-The pins were taken with the per-node sorting split search that preceded
-the presorted engine, so they also witness that the two produce
-byte-identical models.
+The first six pins were taken with the per-node sorting split search that
+preceded the presorted engine, so they also witness that the two produce
+byte-identical models. The last two were taken when each growth still had
+its own grower loop, before both moved onto one best-first grower.
 """
 
 import hashlib
@@ -69,6 +70,16 @@ CASES = {
         GbdtParams(n_trees=10, growth="leafwise", max_leaves=48, reg_lambda=0.0,
                    learning_rate=0.3),
         "9ac75cc6bfa8ab56fb75e6bc4740d9b778bd9d4d7383459ae080ef4f5c952662",
+    ),
+    # no depth cap: every leaf is searched until no split gains
+    "depthwise-unbounded": (
+        GbdtParams(n_trees=5, growth="depthwise", max_depth=None),
+        "458ddd8993e67da26d564d18cc74be8bc8e75f67b5c36f9eb92b2a1b4b828e46",
+    ),
+    # the leaf cap stops growth while splittable leaves remain open
+    "leafwise-2-leaves": (
+        GbdtParams(n_trees=20, growth="leafwise", max_leaves=2),
+        "0064d9aa811bb44d12df469eab931be14a98298e09a4084d5e312dc831b402e0",
     ),
 }
 

@@ -1,0 +1,100 @@
+"""Property tests: a model read back from its JSON document predicts the same bits.
+
+Each model is written the way the CLI writes it (``json.dumps`` with
+``indent=2`` and sorted keys), parsed back, and rebuilt from the parsed
+document. The rebuilt model's ``predict_rows`` must equal the fitted
+model's bit for bit, on the training rows, on fresh rows and on rows
+at and next to every split threshold, and rebuilding must not change
+the document.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from demcorrect import (
+    GbdtParams,
+    LinearModel,
+    SampleTable,
+    deserialize_model,
+    fit_gbdt,
+    serialize_model,
+)
+
+# a handful of shared values makes ties, and so midpoint thresholds, common
+VALUES = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]),
+                   st.floats(-1e3, 1e3, allow_nan=False, width=64))
+FLOATS = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+
+
+def through_json(doc: dict) -> dict:
+    return json.loads(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype == np.float64
+    assert a.tobytes() == b.tobytes()
+
+
+def boundary_rows(model, n_features: int) -> np.ndarray:
+    """Rows holding each threshold, and its neighbours, in every feature."""
+    ts = np.concatenate([tree.threshold[tree.feature >= 0] for tree in model.trees]
+                        + [np.zeros(0)])
+    probes = np.concatenate([ts, np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf)])
+    return np.repeat(probes[:, None], n_features, axis=1)
+
+
+@st.composite
+def fits(draw):
+    n = draw(st.integers(2, 40))
+    n_features = draw(st.integers(1, 4))
+    X = draw(hnp.arrays(np.float64, (n, n_features), elements=VALUES))
+    y = draw(hnp.arrays(np.float64, n, elements=FLOATS))
+    params = GbdtParams(
+        n_trees=draw(st.integers(1, 5)),
+        learning_rate=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        growth=draw(st.sampled_from(["depthwise", "leafwise"])),
+        max_depth=draw(st.none() | st.integers(1, 4)),
+        max_leaves=draw(st.integers(2, 8)),
+        min_samples_leaf=draw(st.integers(1, 3)),
+        reg_lambda=draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 10)),
+    )
+    names = tuple(f"f{i}" for i in range(n_features))
+    cells = np.column_stack([np.arange(n), np.zeros(n, dtype=int)])
+    query = draw(hnp.arrays(np.float64, (draw(st.integers(1, 20)), n_features),
+                            elements=VALUES))
+    return SampleTable(names, cells, X, y), params, np.vstack([X, query])
+
+
+@settings(max_examples=200, deadline=None)
+@given(fits())
+def test_gbdt_document_roundtrip_predicts_same_bits(case):
+    table, params, X = case
+    model = fit_gbdt(table, params, name=f"gbdt-{params.growth}")
+    doc = serialize_model(model)
+    back = deserialize_model(through_json(doc))
+    X = np.vstack([X, boundary_rows(model, X.shape[1])])
+    assert_same_bits(back.predict_rows(X), model.predict_rows(X))
+    assert serialize_model(back) == doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_linear_document_roundtrip_predicts_same_bits(data):
+    n_features = data.draw(st.integers(1, 6))
+    model = LinearModel(
+        tuple(f"f{i}" for i in range(n_features)),
+        data.draw(FLOATS),
+        data.draw(hnp.arrays(np.float64, n_features, elements=FLOATS)),
+        data.draw(st.floats(0, 1)),
+        data.draw(st.floats(0, 1e3)),
+    )
+    X = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 20)), n_features),
+                             elements=VALUES))
+    doc = model.to_doc()
+    back = LinearModel.from_doc(through_json(doc))
+    assert_same_bits(back.predict_rows(X), model.predict_rows(X))
+    assert back.to_doc() == doc

@@ -84,6 +84,14 @@ class TestExtract:
         with pytest.raises(StrataLabelError, match=r"cell \(3, 5\) holds 2.5"):
             extract_samples(stack, difference(dem, dem), strata=make_grid(labels))
 
+    def test_negative_strata_label_rejected(self):
+        # -1 is NO_STRATUM: the cell would be sampled with no stratum
+        stack, dem = small_stack()
+        labels = np.full((11, 11), 4.0)
+        labels[2, 7] = -1.0
+        with pytest.raises(StrataLabelError, match=r"non-negative labels; cell \(2, 7\) holds -1.0"):
+            extract_samples(stack, difference(dem, dem), strata=make_grid(labels))
+
     def test_geometry_mismatch(self):
         stack, dem = small_stack()
         bad = make_grid(np.zeros((11, 11)), xll=99.0)
