@@ -28,6 +28,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -167,18 +168,15 @@ def _apply_override(cfg: dict, dotted: str, raw: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    keys = dotted.split(".")
+    *parents, leaf = dotted.split(".")
     node = cfg
-    walked = []
-    for key in keys[:-1]:
-        walked.append(key)
+    opaque = False  # below an opaque key the leaf may be new; its parents may not
+    for depth, key in enumerate(parents, 1):
         if not isinstance(node.get(key), dict):
-            raise ConfigError(f"unknown configuration key '{'.'.join(walked)}'")
+            raise ConfigError(f"unknown configuration key '{'.'.join(parents[:depth])}'")
         node = node[key]
-        if ".".join(walked) in _OPAQUE_KEYS:
-            break
-    leaf = keys[-1]
-    if ".".join(walked) not in _OPAQUE_KEYS and leaf not in node:
+        opaque = opaque or ".".join(parents[:depth]) in _OPAQUE_KEYS
+    if not opaque and leaf not in node:
         raise ConfigError(f"unknown configuration key '{dotted}'")
     node[leaf] = value
 
@@ -297,7 +295,10 @@ def _sampling_args(cfg: dict) -> tuple[float, float, int, bool]:
 def _screen_args(cfg: dict) -> tuple[float, float]:
     """(r_abs, vif) thresholds of the collinearity screen."""
     c = cfg["collinearity"]
-    return float(c["r_abs"]), float(c["vif"])
+    r_abs, vif = float(c["r_abs"]), float(c["vif"])
+    if math.isnan(r_abs) or math.isnan(vif):
+        raise ValueError("threshold must be a number, got NaN")
+    return r_abs, vif
 
 
 def _bench_args(cfg: dict) -> tuple[dict, int, float | None, ErrorSpec]:
@@ -314,14 +315,15 @@ def _bench_args(cfg: dict) -> tuple[dict, int, float | None, ErrorSpec]:
         "seed": int(b["terrain_seed"]),
         "cellsize": float(b["cellsize"]),
     }
-    check_fractal_args(terrain["size_exponent"], terrain["relief_amplitude"],
-                       terrain["roughness_decay"], terrain["cellsize"])
+    check_fractal_args(terrain["size_exponent"], terrain["base_height"],
+                       terrain["relief_amplitude"], terrain["roughness_decay"],
+                       terrain["cellsize"])
     landcover_seed = int(b["landcover_seed"])
     fraction = b["noise_fraction"]
     if fraction is not None:
         fraction = float(fraction)
-        if not fraction >= 0:
-            raise ValueError("noise_fraction must be null or >= 0")
+        if not (0 <= fraction < math.inf):
+            raise ValueError("noise_fraction must be null, or finite and >= 0")
     try:
         spec = ErrorSpec.from_doc(b["error_spec"])
     except (AttributeError, KeyError) as exc:
@@ -434,6 +436,33 @@ def _write_stack(stack: FeatureStack, cfg: dict, out: Path) -> dict:
     return manifest
 
 
+def _read_manifest(path: Path) -> tuple[list[dict], dict | None]:
+    """The manifest's layer records and its stack record (None if absent).
+
+    Raises:
+        ConfigError: a key :func:`_load_stack` reads is missing or holds the
+            wrong type; names the manifest.
+    """
+    kinds = {list: "an array", dict: "an object", str: "a string"}
+
+    def field(doc, key, kind, where):
+        value = doc.get(key) if isinstance(doc, dict) else None
+        if not isinstance(value, kind):
+            raise ConfigError(f"'{path}': {where}'{key}' is missing or not {kinds[kind]}")
+        return value
+
+    manifest = _read_json(path)
+    entries = field(manifest, "layers", list, "")
+    for i, entry in enumerate(entries):
+        for key in ("name", "file", "sha256"):
+            field(entry, key, str, f"layers[{i}].")
+    record = manifest.get("stack")
+    if record is not None:
+        for key in ("file", "sha256"):
+            field(record, key, str, "stack.")
+    return entries, record
+
+
 def _load_stack(out: Path) -> FeatureStack:
     """The manifest's layers, each bit-identical to parsing its ``.asc`` file.
 
@@ -442,9 +471,7 @@ def _load_stack(out: Path) -> FeatureStack:
     otherwise (no record, a stale or truncated copy, an edited layer) the
     ``.asc`` file is parsed, so the ASCII rasters stay authoritative.
     """
-    manifest = _read_json(out / _MANIFEST_FILE)
-    entries = manifest["layers"]
-    record = manifest.get("stack")
+    entries, record = _read_manifest(out / _MANIFEST_FILE)
     binary_path = out / record["file"] if record else None
     fresh = (binary_path is not None and binary_path.is_file()
              and _sha256_file(binary_path) == record["sha256"])

@@ -32,6 +32,7 @@ scans a node without sorting anything.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,9 +94,9 @@ class GbdtParams:
             raise ValueError("max_leaves must be >= 2")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        if self.min_gain < 0:
+        if not (self.min_gain >= 0):
             raise ValueError("min_gain must be >= 0")
-        if self.reg_lambda < 0:
+        if not (self.reg_lambda >= 0):
             raise ValueError("lambda must be >= 0")
 
     def to_doc(self) -> dict:
@@ -442,6 +443,14 @@ def serialize_model(model: GbdtModel) -> dict:
     }
 
 
+def _finite(value, what: str) -> float:
+    """``float(value)``, refusing NaN and the infinities."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x!r}")
+    return x
+
+
 def _tree_from_doc(doc: dict, n_features: int, tree_index: int) -> RegressionTree:
     if not isinstance(doc, dict):
         raise ModelFormatError(f"tree {tree_index}: not an object")
@@ -457,11 +466,11 @@ def _tree_from_doc(doc: dict, n_features: int, tree_index: int) -> RegressionTre
             raise ModelFormatError(f"tree {tree_index}: node {i} is not an object")
         try:
             if "value" in node:
-                tb.value[i] = float(node["value"])
+                tb.value[i] = _finite(node["value"], "value")
                 continue
             f = int(node["feature"])
             tb.feature[i] = f
-            tb.threshold[i] = float(node["threshold"])
+            tb.threshold[i] = _finite(node["threshold"], "threshold")
             tb.left[i] = int(node["left"])
             tb.right[i] = int(node["right"])
         except KeyError as missing:
@@ -496,7 +505,11 @@ def _tree_from_doc(doc: dict, n_features: int, tree_index: int) -> RegressionTre
 
 
 def deserialize_model(doc: dict) -> GbdtModel:
-    """Inverse of :func:`serialize_model`; validates the node graph."""
+    """Inverse of :func:`serialize_model`; validates the node graph.
+
+    Every number a prediction reads (base score, thresholds, leaf values)
+    must be finite, and ``train_rmse`` an array of numbers.
+    """
     if doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError("not a gbdt model document")
     if doc.get("version") != MODEL_VERSION:
@@ -504,8 +517,12 @@ def deserialize_model(doc: dict) -> GbdtModel:
     try:
         params = GbdtParams.from_doc(doc["params"])
         names = tuple(doc["feature_names"])
-        base = float(doc["base_score"])
+        base = _finite(doc["base_score"], "base_score")
         tree_docs = doc["trees"]
+        rmse = doc.get("train_rmse", [])
+        if not isinstance(rmse, list):
+            raise TypeError("'train_rmse' is not an array")
+        train_rmse = tuple(float(v) for v in rmse)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from None
     if not isinstance(tree_docs, list):
@@ -515,6 +532,4 @@ def deserialize_model(doc: dict) -> GbdtModel:
     )
     if len(trees) > params.n_trees:
         raise ModelFormatError("document holds more trees than params.n_trees")
-    return GbdtModel(base, trees, params, names,
-                     tuple(float(v) for v in doc.get("train_rmse", [])),
-                     doc.get("model_name", "gbdt"))
+    return GbdtModel(base, trees, params, names, train_rmse, doc.get("model_name", "gbdt"))

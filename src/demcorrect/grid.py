@@ -81,7 +81,6 @@ class Grid:
     cellsize: float
     nodata: float
     values: np.ndarray
-    crs_label: str | None = None
 
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
@@ -113,10 +112,8 @@ class Grid:
 
     def with_values(self, values: np.ndarray) -> "Grid":
         """New grid on this geometry (and nodata sentinel) holding ``values``."""
-        return Grid(
-            self.ncols, self.nrows, self.xll, self.yll, self.cellsize,
-            self.nodata, values, self.crs_label,
-        )
+        return Grid(self.ncols, self.nrows, self.xll, self.yll, self.cellsize,
+                    self.nodata, values)
 
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
@@ -336,4 +333,4 @@ def align_to(reference: Grid, g: Grid, method: str = "nearest") -> Grid:
         out[ok] = interp[ok]
 
     return Grid(reference.ncols, reference.nrows, reference.xll, reference.yll,
-                reference.cellsize, g.nodata, out, g.crs_label)
+                reference.cellsize, g.nodata, out)

@@ -128,13 +128,14 @@ class LinearModel:
 
         Raises:
             ModelFormatError: not a version-1 linear-model document, or a
-                field is missing or malformed.
+                field is missing or malformed, or the intercept or a
+                coefficient is not finite.
         """
         if doc.get("format") != "linear-model" or doc.get("version") != 1:
             raise ModelFormatError(
                 f"not a version-1 linear-model document (version={doc.get('version')!r})")
         try:
-            return cls(
+            model = cls(
                 tuple(doc["feature_names"]),
                 float(doc["intercept"]),
                 np.array(doc["coefficients"], dtype=np.float64),
@@ -146,6 +147,10 @@ class LinearModel:
             raise ModelFormatError(f"malformed linear-model document: lacks {missing}") from None
         except (TypeError, ValueError) as exc:
             raise ModelFormatError(f"malformed linear-model document: {exc}") from None
+        if not (math.isfinite(model.intercept) and np.isfinite(model.coefficients).all()):
+            raise ModelFormatError(
+                "malformed linear-model document: intercept and coefficients must be finite")
+        return model
 
 
 def _check_variance(X: np.ndarray, names) -> None:

@@ -8,6 +8,7 @@ can be scored against a ground truth it is guaranteed to possess.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,17 +38,19 @@ STRATUM_NAMES = {
 }
 
 
-def check_fractal_args(size_exponent: int, relief_amplitude: float,
+def check_fractal_args(size_exponent: int, base_height: float, relief_amplitude: float,
                        roughness_decay: float, cellsize: float) -> None:
     """Raise ValueError for arguments :func:`fractal_dem` refuses."""
     if size_exponent < 2:
         raise ValueError("size_exponent must be >= 2")
-    if relief_amplitude < 0:
-        raise ValueError("relief_amplitude must be >= 0")
+    if not math.isfinite(base_height):
+        raise ValueError("base_height must be finite")
+    if not (0 <= relief_amplitude < math.inf):
+        raise ValueError("relief_amplitude must be finite and >= 0")
     if not (0 <= roughness_decay < 1):
         raise ValueError("roughness_decay must be in [0, 1)")
-    if not (cellsize > 0):
-        raise ValueError("cellsize must be strictly positive")
+    if not (0 < cellsize < math.inf):
+        raise ValueError("cellsize must be finite and strictly positive")
 
 
 def fractal_dem(
@@ -67,7 +70,7 @@ def fractal_dem(
     ``roughness_decay`` per subdivision level, so the total excursion from
     ``base_height`` is bounded by amplitude / (1 - decay) for decay < 1.
     """
-    check_fractal_args(size_exponent, relief_amplitude, roughness_decay, cellsize)
+    check_fractal_args(size_exponent, base_height, relief_amplitude, roughness_decay, cellsize)
 
     n = 2 ** size_exponent + 1
     rng = np.random.default_rng(seed)
@@ -196,6 +199,12 @@ def synth_landcover(dem: Grid, seed: int = 0) -> LandcoverSet:
     )
 
 
+def _reject_unknown_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {what} key '{unknown[0]}' (keys: {', '.join(known)})")
+
+
 @dataclass(frozen=True)
 class NonlinearTerm:
     """One nonlinear contribution to the error field.
@@ -217,6 +226,8 @@ class NonlinearTerm:
             raise ValueError(f"unknown nonlinear term kind '{self.kind}'")
         if self.kind == "product" and not self.feature2:
             raise ValueError("product terms need feature2")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.scale)):
+            raise ValueError("amplitude and scale must be finite")
 
     def to_doc(self) -> dict:
         doc = {"feature": self.feature, "kind": self.kind,
@@ -227,6 +238,8 @@ class NonlinearTerm:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "NonlinearTerm":
+        _reject_unknown_keys(doc, ("feature", "kind", "amplitude", "scale", "feature2"),
+                             "nonlinear term")
         return cls(doc["feature"], doc["kind"], float(doc["amplitude"]),
                    float(doc.get("scale", 1.0)), doc.get("feature2"))
 
@@ -245,8 +258,10 @@ class ErrorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not (0 <= self.noise_std < math.inf):
+            raise ValueError("noise_std must be finite and >= 0")
+        if not all(math.isfinite(c) for c in self.linear_terms.values()):
+            raise ValueError("linear term coefficients must be finite")
         object.__setattr__(self, "nonlinear_terms", tuple(self.nonlinear_terms))
 
     def referenced_features(self) -> list[str]:
@@ -270,6 +285,8 @@ class ErrorSpec:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ErrorSpec":
+        _reject_unknown_keys(doc, ("linear_terms", "nonlinear_terms", "noise_std", "seed"),
+                             "error spec")
         return cls(
             {str(k): float(v) for k, v in doc.get("linear_terms", {}).items()},
             tuple(NonlinearTerm.from_doc(t) for t in doc.get("nonlinear_terms", [])),

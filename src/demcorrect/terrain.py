@@ -81,7 +81,7 @@ class FeatureConfig:
     texture_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.texture_threshold < 0:
+        if not (self.texture_threshold >= 0):
             raise ValueError("texture_threshold must be >= 0")
 
 
@@ -121,18 +121,21 @@ class FeatureStack:
 # ---------------------------------------------------------------------------
 
 
-def _shift(arr: np.ndarray, di: int, dj: int, fill) -> np.ndarray:
-    """out[i, j] = arr[i + di, j + dj], with ``fill`` outside the array."""
-    out = np.full_like(arr, fill)
-    h, w = arr.shape
-    si0, si1 = max(di, 0), min(h + di, h)
-    sj0, sj1 = max(dj, 0), min(w + dj, w)
-    if si0 < si1 and sj0 < sj1:
-        out[si0 - di:si1 - di, sj0 - dj:sj1 - dj] = arr[si0:si1, sj0:sj1]
-    return out
-
-
 _NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
+def _neighbors(dem: Grid) -> tuple[list[np.ndarray], np.ndarray]:
+    """The eight 3x3 neighbours of every cell, in ``_NEIGHBOR_OFFSETS`` order
+    and 0 beyond the border, as views of one padded copy; and the mask of
+    cells whose whole 3x3 window is valid."""
+    h, w = dem.values.shape
+
+    def views(arr):
+        padded = np.pad(arr, 1)
+        return [padded[1 + di:1 + di + h, 1 + dj:1 + dj + w] for di, dj in _NEIGHBOR_OFFSETS]
+
+    valid = dem.valid_mask()
+    return views(dem.values), valid & np.logical_and.reduce(views(valid))
 
 
 def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
@@ -140,12 +143,11 @@ def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
     h, w = arr.shape
     c = np.zeros((h + 1, w + 1))
     c[1:, 1:] = arr.cumsum(axis=0).cumsum(axis=1)
-    i0 = np.clip(np.arange(h) - radius, 0, h)
-    i1 = np.clip(np.arange(h) + radius + 1, 0, h)
-    j0 = np.clip(np.arange(w) - radius, 0, w)
-    j1 = np.clip(np.arange(w) + radius + 1, 0, w)
-    return (c[np.ix_(i1, j1)] - c[np.ix_(i0, j1)]
-            - c[np.ix_(i1, j0)] + c[np.ix_(i0, j0)])
+    # padded row k + radius holds table row clip(k, 0, h), and columns alike:
+    # window corners beyond the grid read the table's first or last row
+    c = np.pad(c, radius, mode="edge")
+    k = 2 * radius + 1
+    return c[k:k + h, k:k + w] - c[:h, k:k + w] - c[k:k + h, :w] + c[:h, :w]
 
 
 def _window_gate(valid: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -157,16 +159,10 @@ def _window_gate(valid: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarr
 
 def _horn_gradients(dem: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Horn 3x3 weighted gradients (east, north) and the full-window mask."""
-    z = dem.values
-    v = dem.valid_mask()
-    nb = {o: _shift(z, *o, fill=0.0) for o in _NEIGHBOR_OFFSETS}
-    vb = [_shift(v, *o, fill=False) for o in _NEIGHBOR_OFFSETS]
-    full = v & np.logical_and.reduce(vb)
+    (nw, n, ne, w, e, sw, s, se), full = _neighbors(dem)
     denom = 8.0 * dem.cellsize
-    p = ((nb[(-1, 1)] + 2 * nb[(0, 1)] + nb[(1, 1)])
-         - (nb[(-1, -1)] + 2 * nb[(0, -1)] + nb[(1, -1)])) / denom
-    q = ((nb[(-1, -1)] + 2 * nb[(-1, 0)] + nb[(-1, 1)])
-         - (nb[(1, -1)] + 2 * nb[(1, 0)] + nb[(1, 1)])) / denom
+    p = ((ne + 2 * e + se) - (nw + 2 * w + sw)) / denom
+    q = ((nw + 2 * n + ne) - (sw + 2 * s + se)) / denom
     return p, q, full
 
 
@@ -234,27 +230,21 @@ def tri(dem: Grid) -> Grid:
     """Terrain ruggedness index: root of the summed squared differences
     between a cell and its eight neighbors (Riley form)."""
     z = dem.values
-    v = dem.valid_mask()
+    nb, full = _neighbors(dem)
     acc = np.zeros_like(z)
-    full = v.copy()
-    for off in _NEIGHBOR_OFFSETS:
-        acc += (_shift(z, *off, fill=0.0) - z) ** 2
-        full &= _shift(v, *off, fill=False)
+    for n in nb:
+        acc += (n - z) ** 2
     return dem.with_values(np.where(full, np.sqrt(acc), dem.nodata))
 
 
 def _pit_peak_flags(dem: Grid, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Cells deviating from their eight-neighbor median by more than
     ``threshold``; second array marks where the flag is defined."""
-    z = dem.values
-    v = dem.valid_mask()
-    stack = np.empty((8,) + z.shape)
-    defined = v.copy()
-    for idx, off in enumerate(_NEIGHBOR_OFFSETS):
-        stack[idx] = _shift(z, *off, fill=0.0)
-        defined &= _shift(v, *off, fill=False)
-    med = np.median(stack, axis=0)
-    flags = defined & (np.abs(z - med) > threshold)
+    nb, defined = _neighbors(dem)
+    # np.median stacks the views into a new (8, H, W) array, so partitioning
+    # it in place leaves the DEM untouched
+    med = np.median(nb, axis=0, overwrite_input=True)
+    flags = defined & (np.abs(dem.values - med) > threshold)
     return flags, defined
 
 
@@ -264,7 +254,7 @@ def texture(dem: Grid, pit_peak_threshold: float, w: WindowSpec) -> Grid:
     A cell is a pit or peak when it deviates from the median of its eight
     neighbors by more than ``pit_peak_threshold``. Values are in [0, 100].
     """
-    if pit_peak_threshold < 0:
+    if not (pit_peak_threshold >= 0):
         raise ValueError("pit_peak_threshold must be >= 0")
     flags, defined = _pit_peak_flags(dem, pit_peak_threshold)
     hits = _box_sum(flags.astype(np.float64), w.radius)

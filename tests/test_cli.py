@@ -88,6 +88,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="xgboost"):
             resolve_config(Args())
 
+    def test_set_walks_into_error_spec(self):
+        class Args:
+            config = None
+            set = ["bench.error_spec.linear_terms.slope=5", "bench.error_spec.linear_terms.tpi=2"]
+            model = None
+            seed = None
+            out = None
+
+        spec = resolve_config(Args())["bench"]["error_spec"]
+        assert spec["linear_terms"] == {"slope": 5, "pct_forest": 0.8, "tpi": 2}
+        assert "slope" not in spec and "tpi" not in spec
+
     def test_missing_config_file_exit_2(self, tmp_path):
         assert run_cli("features", "--config", tmp_path / "nope.json") == 2
 
@@ -442,7 +454,10 @@ class TestInputErrors:
         ({"format": "linear-model", "version": 1, "feature_names": ["slope"],
           "intercept": "q", "coefficients": [1.0], "r_squared": 0.5,
           "residual_std": 1.0}, "could not convert string to float: 'q'"),
-    ], ids=["linear-version", "linear-missing-key", "linear-field-text"])
+        ({"format": "linear-model", "version": 1, "feature_names": ["slope"],
+          "intercept": float("nan"), "coefficients": [1.0], "r_squared": 0.5,
+          "residual_std": 1.0}, "intercept and coefficients must be finite"),
+    ], ids=["linear-version", "linear-missing-key", "linear-field-text", "linear-intercept-nan"])
     def test_malformed_linear_model_doc(self, workspace, capsys, doc, needle):
         self.assert_bad_model_doc(workspace, capsys, doc, needle)
 
@@ -451,11 +466,31 @@ class TestInputErrors:
                      {"value": 1.0}, {"value": 2.0}]}], "node 0 field is not a number"),
         ([{"nodes": [{"value": "z"}]}], "node 0 field is not a number"),
         ([[1, 2]], "tree 0: not an object"),
-    ], ids=["gbdt-feature-text", "gbdt-value-text", "gbdt-tree-list"])
+        ([{"nodes": [{"value": float("inf")}]}], "node 0 field is not a number: "
+                                                 "value must be finite, got inf"),
+    ], ids=["gbdt-feature-text", "gbdt-value-text", "gbdt-tree-list", "gbdt-leaf-infinity"])
     def test_malformed_gbdt_doc(self, workspace, capsys, trees, needle):
         doc = {"format": "gbdt-model", "version": 1, "params": GbdtParams(n_trees=1).to_doc(),
                "base_score": 0.0, "feature_names": ["elevation"], "trees": trees}
         self.assert_bad_model_doc(workspace, capsys, doc, needle)
+
+    def test_gbdt_doc_train_rmse_text(self, workspace, capsys):
+        doc = {"format": "gbdt-model", "version": 1, "params": GbdtParams(n_trees=1).to_doc(),
+               "base_score": 0.0, "feature_names": ["elevation"],
+               "trees": [{"nodes": [{"value": 1.0}]}], "train_rmse": ["x"]}
+        self.assert_bad_model_doc(workspace, capsys, doc,
+                                  "malformed model document: could not convert string to float")
+
+    def test_manifest_without_layers(self, workspace, capsys):
+        cfg_path, tmp = workspace
+        run_cli("features", "--config", cfg_path)
+        path = tmp / "out" / "features_manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["layers"]
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        self.assert_input_error(run_cli("train", "--config", cfg_path), capsys,
+                                "features_manifest.json': 'layers' is missing or not an array")
 
     def test_model_names_missing_layer(self, workspace, capsys):
         doc = {"format": "linear-model", "version": 1, "feature_names": ["nosuch"],
@@ -490,10 +525,30 @@ class TestInputErrors:
         'bench.error_spec={"linear_terms": {"nosuch": 1}}',
         'bench.error_spec={"nonlinear_terms": [{"feature": "slope", "kind": "cube", '
         '"amplitude": 1}]}',
+        "gbdt.lambda=NaN", "gbdt.min_gain=NaN", "bench.base_height=NaN",
+        "bench.base_height=Infinity", "bench.relief_amplitude=Infinity",
+        "bench.cellsize=Infinity", "bench.noise_fraction=Infinity",
+        "windows.texture_threshold=NaN", "collinearity.vif=NaN",
+        'bench.error_spec={"noise_std": NaN}',
+        'bench.error_spec={"linear_terms": {"slope": NaN}}',
+        'bench.error_spec={"nonlinear_terms": [{"feature": "slope", "kind": "sine", '
+        '"amplitude": Infinity}]}',
     ])
     def test_out_of_range_value(self, tmp_path, capsys, setting):
         rc = run_cli("bench", "--out", tmp_path, "--set", setting)
         self.assert_input_error(rc, capsys, f"configuration key '{setting.split('=')[0]}': ")
+
+    @pytest.mark.parametrize("setting, needle", [
+        ("bench.error_spec.slope=5",
+         "configuration key 'bench.error_spec': unknown error spec key 'slope'"),
+        ("bench.error_spec.linear_terms.slope.x=5",
+         "unknown configuration key 'bench.error_spec.linear_terms.slope'"),
+        ('bench.error_spec.nonlinear_terms=[{"feature": "slope", "kind": "sine", '
+         '"amplitude": 1, "phase": 2}]', "unknown nonlinear term key 'phase'"),
+    ], ids=["spec-stray-key", "spec-path-through-number", "spec-term-stray-key"])
+    def test_error_spec_path(self, tmp_path, capsys, setting, needle):
+        rc = run_cli("bench", "--out", tmp_path, "--set", setting)
+        self.assert_input_error(rc, capsys, needle)
 
     @pytest.mark.parametrize("settings, needle", [
         (["sampling.rate=0.01"], "pearson_matrix requires at least 2 rows; have 1"),

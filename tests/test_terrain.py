@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demcorrect import (
     CANONICAL_FEATURES,
@@ -20,6 +22,7 @@ from demcorrect import (
     vrm,
 )
 from demcorrect.grid import GeometryMismatch
+from demcorrect.terrain import _NEIGHBOR_OFFSETS, _box_sum, _pit_peak_flags
 from conftest import NODATA, make_grid, plane_grid
 
 
@@ -341,3 +344,262 @@ class TestStack:
         dem, _, _ = self.make_inputs()
         with pytest.raises(ValueError, match="unique"):
             FeatureStack(("a", "a"), (dem, dem))
+
+
+# ---------------------------------------------------------------------------
+# brute-force window oracles: each operator recomputed cell by cell from the
+# cells of its window, with out-of-bounds cells counted as invalid
+# ---------------------------------------------------------------------------
+
+#: slope and aspect go through numpy's vectorised atan/atan2 here and libm's
+#: in the oracle (degrees); tpi and vrm sum their windows through a summed-area
+#: table here and exactly (math.fsum) in the oracle (metres, unitless). Over
+#: 1500 examples the largest deviations were 1.4e-14, 5.7e-14, 1.4e-14 and
+#: 1.6e-15, so each bound leaves a margin of more than 15.
+ANGLE_TOL = 1e-12
+TPI_TOL = 1e-12
+VRM_TOL = 1e-13
+
+
+def _window(arr, i, j, r):
+    return arr[max(i - r, 0):i + r + 1, max(j - r, 0):j + r + 1]
+
+
+def _keep(valid, i, j, w):
+    """The shared gate: valid center, valid fraction of the full window."""
+    count = int(_window(valid, i, j, w.radius).sum())
+    return bool(valid[i, j]) and count / w.size >= w.min_valid_fraction, count
+
+
+def _neighbor_values(z, valid, i, j):
+    """The eight neighbours in offset order, or None unless all nine cells are valid."""
+    h, w = z.shape
+    if not (1 <= i < h - 1 and 1 <= j < w - 1 and valid[i - 1:i + 2, j - 1:j + 2].all()):
+        return None
+    return {o: z[i + o[0], j + o[1]] for o in _NEIGHBOR_OFFSETS}
+
+
+def _horn_oracle(g, i, j):
+    nb = _neighbor_values(g.values, g.valid_mask(), i, j)
+    if nb is None:
+        return None
+    denom = 8.0 * g.cellsize
+    p = ((nb[(-1, 1)] + 2 * nb[(0, 1)] + nb[(1, 1)])
+         - (nb[(-1, -1)] + 2 * nb[(0, -1)] + nb[(1, -1)])) / denom
+    q = ((nb[(-1, -1)] + 2 * nb[(-1, 0)] + nb[(-1, 1)])
+         - (nb[(1, -1)] + 2 * nb[(1, 0)] + nb[(1, 1)])) / denom
+    return p, q
+
+
+def _oracle_grid(g, cell):
+    """Apply ``cell(i, j)`` (a value, or None for nodata) to every cell.
+
+    Nodata comes back as NaN: under the 0 sentinel a defined result can
+    equal the sentinel.
+    """
+    out = np.full(g.values.shape, np.nan)
+    for i in range(g.nrows):
+        for j in range(g.ncols):
+            value = cell(i, j)
+            if value is not None:
+                out[i, j] = value
+    return out
+
+
+def slope_oracle(g):
+    def cell(i, j):
+        pq = _horn_oracle(g, i, j)
+        return None if pq is None else math.degrees(math.atan(math.hypot(*pq)))
+    return _oracle_grid(g, cell)
+
+
+def aspect_oracle(g):
+    def cell(i, j):
+        pq = _horn_oracle(g, i, j)
+        if pq is None:
+            return None
+        p, q = pq
+        if p == 0 and q == 0:
+            return FLAT_ASPECT
+        return math.degrees(math.atan2(-p, -q)) % 360.0
+    return _oracle_grid(g, cell)
+
+
+def roughness_oracle(g, w):
+    z, valid = g.values, g.valid_mask()
+
+    def cell(i, j):
+        keep, _ = _keep(valid, i, j, w)
+        vals = _window(z, i, j, w.radius)[_window(valid, i, j, w.radius)]
+        return float(vals.max() - vals.min()) if keep else None
+    return _oracle_grid(g, cell)
+
+
+def tpi_oracle(g, w):
+    z, valid = g.values, g.valid_mask()
+
+    def cell(i, j):
+        keep, count = _keep(valid, i, j, w)
+        if not keep or count < 2:
+            return None
+        others = math.fsum(_window(z, i, j, w.radius)[_window(valid, i, j, w.radius)]) - z[i, j]
+        return z[i, j] - others / (count - 1)
+    return _oracle_grid(g, cell)
+
+
+def tri_oracle(g):
+    z, valid = g.values, g.valid_mask()
+
+    def cell(i, j):
+        nb = _neighbor_values(z, valid, i, j)
+        if nb is None:
+            return None
+        acc = 0.0
+        for o in _NEIGHBOR_OFFSETS:
+            acc += (nb[o] - z[i, j]) * (nb[o] - z[i, j])
+        return math.sqrt(acc)
+    return _oracle_grid(g, cell)
+
+
+def pit_peak_oracle(g, threshold):
+    z, valid = g.values, g.valid_mask()
+    flags = np.zeros(z.shape, dtype=bool)
+    defined = np.zeros(z.shape, dtype=bool)
+    for i in range(g.nrows):
+        for j in range(g.ncols):
+            nb = _neighbor_values(z, valid, i, j)
+            if nb is not None:
+                s = sorted(nb.values())
+                defined[i, j] = True
+                flags[i, j] = abs(z[i, j] - (s[3] + s[4]) / 2) > threshold
+    return flags, defined
+
+
+def texture_oracle(g, threshold, w):
+    flags, defined = pit_peak_oracle(g, threshold)
+
+    def cell(i, j):
+        keep, count = _keep(defined, i, j, w)
+        return 100.0 * int(_window(flags, i, j, w.radius).sum()) / count if keep else None
+    return _oracle_grid(g, cell)
+
+
+def vrm_oracle(g, w):
+    s, a = slope_oracle(g), aspect_oracle(g)
+    # vrm takes its mask from the slope raster, where a 0 slope under the
+    # 0 sentinel reads as nodata
+    valid = ~np.isnan(s) & (s != g.nodata)
+    normals = np.zeros(g.values.shape + (3,))
+    for i, j in zip(*np.nonzero(valid)):
+        srad = math.radians(s[i, j])
+        arad = 0.0 if a[i, j] == FLAT_ASPECT else math.radians(a[i, j])
+        normals[i, j] = (math.sin(srad) * math.sin(arad), math.sin(srad) * math.cos(arad),
+                         math.cos(srad))
+
+    def cell(i, j):
+        keep, count = _keep(valid, i, j, w)
+        if not keep:
+            return None
+        win = _window(normals, i, j, w.radius)[_window(valid, i, j, w.radius)]
+        resultant = math.sqrt(sum(math.fsum(win[:, k]) ** 2 for k in range(3)))
+        return max(1.0 - resultant / count, 0.0)
+    return _oracle_grid(g, cell)
+
+
+def focal_fraction_oracle(m, w):
+    valid = m.valid_mask()
+
+    def cell(i, j):
+        keep, count = _keep(valid, i, j, w)
+        ones = int((_window(m.values, i, j, w.radius)[_window(valid, i, j, w.radius)] == 1).sum())
+        return 100.0 * ones / count if keep else None
+    return _oracle_grid(m, cell)
+
+
+@st.composite
+def focal_inputs(draw):
+    """A small DEM and a binary mask with random nodata, plus a window.
+
+    Elevations are rounded to 0.1 so that flat windows, tied medians and,
+    under the 0 sentinel, nodata cells holding the value 0 all occur.
+    """
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    nodata = draw(st.sampled_from([-9999.0, 0.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    holes = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.1, 0.4]))
+    z = np.round(rng.normal(size=(h, w)) * draw(st.sampled_from([0.3, 20.0])), 1)
+    dem = make_grid(np.where(holes, nodata, z), cellsize=draw(st.sampled_from([1.0, 30.0])),
+                    nodata=nodata)
+    mask_holes = rng.random((h, w)) < 0.2
+    mask = make_grid(np.where(mask_holes, nodata, (rng.random((h, w)) < 0.4) * 1.0),
+                     nodata=nodata)
+    radius = draw(st.one_of(st.integers(1, 3), st.integers(12, 20)))
+    window = WindowSpec(radius, draw(st.sampled_from([1.0, 0.5, 0.05])))
+    return dem, mask, window, draw(st.sampled_from([0.0, 0.05, 0.5]))
+
+
+def filled(expected, nodata):
+    return np.where(np.isnan(expected), nodata, expected)
+
+
+def assert_close_or_nodata(out, expected, nodata, tol, circular=False):
+    missing = np.isnan(expected)
+    assert np.all(out[missing] == nodata)
+    diff = np.abs(out[~missing] - expected[~missing])
+    if circular:
+        diff = np.minimum(diff, 360.0 - diff)
+    assert np.all(diff <= tol), diff.max()
+
+
+class TestWindowOracles:
+    """Every focal operator against its per-cell brute-force oracle.
+
+    Exact: the nodata masks of all operators, and tri, roughness, texture,
+    focal_fraction and the pit/peak flags (the same arithmetic in the same
+    order, or integer window counts). Within ANGLE_TOL, TPI_TOL and VRM_TOL:
+    slope, aspect (on the circle), tpi and vrm.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(focal_inputs())
+    def test_operators_match_window_oracles(self, case):
+        dem, mask, w, threshold = case
+        nodata = dem.nodata
+        assert np.array_equal(tri(dem).values, filled(tri_oracle(dem), nodata))
+        assert np.array_equal(roughness(dem, w).values, filled(roughness_oracle(dem, w), nodata))
+        assert np.array_equal(focal_fraction(mask, w).values,
+                              filled(focal_fraction_oracle(mask, w), nodata))
+        flags, defined = _pit_peak_flags(dem, threshold)
+        want_flags, want_defined = pit_peak_oracle(dem, threshold)
+        assert np.array_equal(flags, want_flags) and np.array_equal(defined, want_defined)
+        assert np.array_equal(texture(dem, threshold, w).values,
+                              filled(texture_oracle(dem, threshold, w), nodata))
+        assert_close_or_nodata(slope(dem).values, slope_oracle(dem), nodata, ANGLE_TOL)
+        assert_close_or_nodata(aspect(dem).values, aspect_oracle(dem), nodata, ANGLE_TOL,
+                               circular=True)
+        assert_close_or_nodata(tpi(dem, w).values, tpi_oracle(dem, w), nodata, TPI_TOL)
+        assert_close_or_nodata(vrm(dem, w).values, vrm_oracle(dem, w), nodata, VRM_TOL)
+
+
+class TestBoxSumError:
+    def test_sat_error_bound_at_large_offset(self):
+        """Window sums of an 8000 m surface with centimetre relief.
+
+        Each summed-area table entry is a recursive sum of at most h + w
+        partial sums, each bounded by S = sum(|x|) over the grid, so its
+        error is at most (h + w) * u * S (u = 2**-53, first order); a window
+        sum combines four entries with three more roundings, giving
+        |box - exact| <= (4 * (h + w) + 3) * u * S. Here that is 6.1e-7 m,
+        under a ten-thousandth of the 1 cm relief; the largest error seen is
+        5.6e-9 m.
+        """
+        rng = np.random.default_rng(8000)
+        h, w = 48, 40
+        z = 8000.0 + 0.01 * rng.normal(size=(h, w))
+        bound = (4 * (h + w) + 3) * 2.0**-53 * math.fsum(np.abs(z).ravel())
+        assert bound < 0.01 * 1e-4
+        for r in (1, 3, 10, 60):
+            box = _box_sum(z, r)
+            exact = np.array([[math.fsum(_window(z, i, j, r).ravel()) for j in range(w)]
+                              for i in range(h)])
+            assert np.max(np.abs(box - exact)) <= bound, r
