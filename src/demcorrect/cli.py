@@ -186,6 +186,8 @@ def resolve_config(args) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
         path = Path(args.config)
+        if path.is_dir():
+            raise ConfigError(f"config file '{path}' is a directory")
         if not path.is_file():
             raise ConfigError(f"config file '{path}' does not exist")
         try:
@@ -265,15 +267,24 @@ def worker_count() -> int:
     return n
 
 
+def _integral(value) -> int:
+    """An integer config value; 2.0 passes, but a bool or 2.5 is refused
+    rather than truncated (``_check_values`` names the key)."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def _feature_config(cfg: dict) -> FeatureConfig:
     w = cfg["windows"]
     mvf = float(w["min_valid_fraction"])
     return FeatureConfig(
-        roughness_window=WindowSpec(int(w["roughness_radius"]), mvf),
-        tpi_window=WindowSpec(int(w["tpi_radius"]), mvf),
-        vrm_window=WindowSpec(int(w["vrm_radius"]), mvf),
-        landcover_window=WindowSpec(int(w["landcover_radius"]), mvf),
-        texture_window=WindowSpec(int(w["texture_radius"]), mvf),
+        roughness_window=WindowSpec(_integral(w["roughness_radius"]), mvf),
+        tpi_window=WindowSpec(_integral(w["tpi_radius"]), mvf),
+        vrm_window=WindowSpec(_integral(w["vrm_radius"]), mvf),
+        landcover_window=WindowSpec(_integral(w["landcover_radius"]), mvf),
+        texture_window=WindowSpec(_integral(w["texture_radius"]), mvf),
         texture_threshold=float(w["texture_threshold"]),
     )
 
@@ -286,7 +297,7 @@ def _sampling_args(cfg: dict) -> tuple[float, float, int, bool]:
         raise ValueError("rate must be in (0, 1]")
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must be in (0, 1)")
-    seed = int(s["seed"])
+    seed = _integral(s["seed"])
     if seed < 0:
         raise ValueError("seed must be >= 0")
     return rate, train_fraction, seed, bool(s["stratified"])
@@ -308,17 +319,17 @@ def _bench_args(cfg: dict) -> tuple[dict, int, float | None, ErrorSpec]:
     """
     b = cfg["bench"]
     terrain = {
-        "size_exponent": int(b["size_exponent"]),
+        "size_exponent": _integral(b["size_exponent"]),
         "base_height": float(b["base_height"]),
         "relief_amplitude": float(b["relief_amplitude"]),
         "roughness_decay": float(b["roughness_decay"]),
-        "seed": int(b["terrain_seed"]),
+        "seed": _integral(b["terrain_seed"]),
         "cellsize": float(b["cellsize"]),
     }
     check_fractal_args(terrain["size_exponent"], terrain["base_height"],
                        terrain["relief_amplitude"], terrain["roughness_decay"],
                        terrain["cellsize"])
-    landcover_seed = int(b["landcover_seed"])
+    landcover_seed = _integral(b["landcover_seed"])
     fraction = b["noise_fraction"]
     if fraction is not None:
         fraction = float(fraction)
@@ -340,15 +351,15 @@ def _bench_args(cfg: dict) -> tuple[dict, int, float | None, ErrorSpec]:
 def _gbdt_params(cfg: dict, growth: str) -> GbdtParams:
     g = cfg["gbdt"]
     return GbdtParams(
-        n_trees=int(g["n_trees"]),
+        n_trees=_integral(g["n_trees"]),
         learning_rate=float(g["learning_rate"]),
         growth=growth,
-        max_depth=None if g["max_depth"] is None else int(g["max_depth"]),
-        max_leaves=int(g["max_leaves"]),
-        min_samples_leaf=int(g["min_samples_leaf"]),
+        max_depth=None if g["max_depth"] is None else _integral(g["max_depth"]),
+        max_leaves=_integral(g["max_leaves"]),
+        min_samples_leaf=_integral(g["min_samples_leaf"]),
         min_gain=float(g["min_gain"]),
         reg_lambda=float(g["lambda"]),
-        seed=int(g["seed"]),
+        seed=_integral(g["seed"]),
     )
 
 

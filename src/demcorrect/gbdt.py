@@ -258,8 +258,13 @@ def best_split(
     gain = float(feature_gain[f])
     if not (gain > params.min_gain):  # also None when no candidate was valid
         return None
-    below, above = order[f, at[f]], order[f, at[f] + 1]
-    threshold = float((features[below, f] + features[above, f]) / 2)
+    lo, hi = features[order[f, at[f]], f], features[order[f, at[f] + 1], f]
+    threshold = float((lo + hi) / 2)
+    if not lo <= threshold < hi:
+        # the midpoint of adjacent floats can round onto hi (of -5e-324 and
+        # 0.0 it is -0.0), and of huge ones overflow; either would send every
+        # row to one side, so split at lo itself
+        threshold = float(lo)
     return Split(f, threshold, gain)
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .gbdt import ModelFormatError
 from .sampling import EmptyTableError, SampleTable
@@ -281,6 +280,10 @@ def fit_ols(train: SampleTable, features=None) -> LinearModel:
     n, p = X.shape
     if n <= p + 1:
         raise EmptyTableError(f"need more than {p + 1} rows to fit {p} features; have {n}")
+
+    # imported here, not at module level, so that only a process that fits
+    # OLS pays for importing scipy
+    from scipy import linalg
 
     design = np.column_stack([np.ones(n), X])
     q, r, piv = linalg.qr(design, mode="economic", pivoting=True)

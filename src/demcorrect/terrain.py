@@ -7,6 +7,8 @@ forest cover. All focal operators share one border/nodata policy: a window
 whose valid fraction falls below ``WindowSpec.min_valid_fraction`` (counting
 out-of-bounds cells as invalid), or whose center cell is invalid, yields
 nodata. Data is never invented at borders.
+
+Every operator, roughness's focal max and min included, needs numpy only.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import GeometryMismatch, Grid
 
@@ -144,10 +145,49 @@ def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
     c = np.zeros((h + 1, w + 1))
     c[1:, 1:] = arr.cumsum(axis=0).cumsum(axis=1)
     # padded row k + radius holds table row clip(k, 0, h), and columns alike:
-    # window corners beyond the grid read the table's first or last row
+    # window corners beyond the grid read the table's first or last row, so
+    # a radius past the grid reads the same entries as one of max(h, w)
+    radius = min(radius, max(h, w))
     c = np.pad(c, radius, mode="edge")
     k = 2 * radius + 1
     return c[k:k + h, k:k + w] - c[:h, k:k + w] - c[k:k + h, :w] + c[:h, :w]
+
+
+def _running(a: np.ndarray, k: int, op, axis: int) -> np.ndarray:
+    """``op`` over every k consecutive entries along ``axis``, which shrinks by k - 1.
+
+    After the doubling step for span s, entry i holds ``op`` over entries
+    i .. i+s-1; a run of k is then two overlapping spans of the largest
+    s <= k, so there are about log2(k) passes, not k - 1.
+    """
+    def shifted(x, d):
+        n = x.shape[axis] - d
+        return (x[:n], x[d:]) if axis == 0 else (x[:, :n], x[:, d:])
+
+    s = 1
+    while 2 * s <= k:
+        a = op(*shifted(a, s))
+        s *= 2
+    return op(*shifted(a, k - s))
+
+
+def _focal_extreme(z: np.ndarray, valid: np.ndarray, radius: int, op,
+                   fill: float) -> np.ndarray:
+    """``op`` (np.maximum or np.minimum) of the valid cells of each (2r+1)^2
+    window, ``fill`` where there are none: a row pass, then a column pass,
+    over one padded copy.
+
+    Max and min pick one of their inputs, so the grouping does not change
+    the result. Only a tie of 0.0 and -0.0 could go either way, so -0.0
+    is read as 0.0: every zero in the result is 0.0.
+    """
+    h, w = z.shape
+    # past max(h, w) a larger radius adds only fill to every window
+    radius = min(radius, max(h, w))
+    k = 2 * radius + 1
+    padded = np.pad(np.where(valid, z, fill), radius, constant_values=fill)
+    padded += 0.0  # -0.0 + 0.0 is 0.0
+    return _running(_running(padded, k, op, axis=1), k, op, axis=0)
 
 
 def _window_gate(valid: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -199,11 +239,8 @@ def aspect(dem: Grid) -> Grid:
 def roughness(dem: Grid, w: WindowSpec) -> Grid:
     """Focal elevation range (max - min of valid cells in the window)."""
     v = dem.valid_mask()
-    size = 2 * w.radius + 1
-    zmax = ndimage.maximum_filter(np.where(v, dem.values, -np.inf), size=size,
-                                  mode="constant", cval=-np.inf)
-    zmin = ndimage.minimum_filter(np.where(v, dem.values, np.inf), size=size,
-                                  mode="constant", cval=np.inf)
+    zmax = _focal_extreme(dem.values, v, w.radius, np.maximum, -np.inf)
+    zmin = _focal_extreme(dem.values, v, w.radius, np.minimum, np.inf)
     _, keep = _window_gate(v, w)
     return dem.with_values(np.where(keep, zmax - zmin, dem.nodata))
 

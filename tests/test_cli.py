@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +107,21 @@ class TestConfig:
 
     def test_missing_config_file_exit_2(self, tmp_path):
         assert run_cli("features", "--config", tmp_path / "nope.json") == 2
+
+    def test_config_directory_named_as_such(self, tmp_path, capsys):
+        assert run_cli("features", "--config", tmp_path) == 2
+        assert f"config file '{tmp_path}' is a directory" in capsys.readouterr().err
+
+    def test_integral_float_accepted(self):
+        class Args:
+            config = None
+            set = ["gbdt.n_trees=3.0"]
+            model = None
+            seed = None
+            out = None
+
+        cfg = resolve_config(Args())
+        assert cli._gbdt_params(cfg, "depthwise").n_trees == 3
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.delenv("DEMCORRECT_THREADS", raising=False)
@@ -368,6 +388,45 @@ class TestOnePipeline:
             assert screen["flagged"] == mlr["excluded_features"]
 
 
+class TestImportPath:
+    """scipy is needed only to fit the MLR, so no other step imports it."""
+
+    SRC = str(Path(cli.__file__).resolve().parents[1])
+    #: a step command run with the import of scipy blocked
+    BLOCKED = ("import sys; sys.modules['scipy'] = None; "
+               "from demcorrect.cli import main; sys.exit(main(sys.argv[1:]))")
+
+    def python(self, code, *args):
+        env = {**os.environ, "PYTHONPATH": self.SRC}
+        return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = self.python("import sys, demcorrect.cli; "
+                           "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_steps_without_scipy_write_the_same_bytes(self, workspace):
+        cfg_path, tmp = workspace
+        out = tmp / "out"
+        steps = ("features", "diagnose", "train", "correct", "evaluate")
+        for step in steps:
+            assert run_cli(step, "--config", cfg_path) == 0, step
+        want = {p.name: p.read_bytes() for p in out.iterdir()}
+        shutil.rmtree(out)
+        for step in steps:
+            if step == "train":  # the MLR fit needs scipy.linalg
+                assert run_cli(step, "--config", cfg_path) == 0
+                continue
+            proc = self.python(self.BLOCKED, step, "--config", cfg_path)
+            assert proc.returncode == 0, (step, proc.stderr)
+        got = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name] == want[name], name
+
+
 class TestUsage:
     def test_no_command_exit_2(self, capsys):
         assert main([]) == 2
@@ -533,6 +592,13 @@ class TestInputErrors:
         'bench.error_spec={"linear_terms": {"slope": NaN}}',
         'bench.error_spec={"nonlinear_terms": [{"feature": "slope", "kind": "sine", '
         '"amplitude": Infinity}]}',
+        # integer keys refuse a fraction or a bool rather than truncate it
+        "gbdt.n_trees=2.5", "gbdt.max_depth=true", "gbdt.max_leaves=7.5",
+        "gbdt.min_samples_leaf=false", "gbdt.seed=0.5", "sampling.seed=true",
+        "windows.roughness_radius=1.5", "windows.roughness_radius=true",
+        "windows.tpi_radius=1.25", "windows.vrm_radius=true", "windows.landcover_radius=2.5",
+        "windows.texture_radius=10.5", "bench.size_exponent=5.5", "bench.terrain_seed=true",
+        "bench.landcover_seed=1.5",
     ])
     def test_out_of_range_value(self, tmp_path, capsys, setting):
         rc = run_cli("bench", "--out", tmp_path, "--set", setting)

@@ -102,6 +102,20 @@ class TestBestSplit:
                 assert got.threshold == pytest.approx(want[1], rel=1e-12)
                 assert got.gain == pytest.approx(want[2], rel=1e-9)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("lo, hi", [(-5e-324, 0.0), (1.0 + 2**-52, 1.0 + 2**-51),
+                                        (1.5e308, 1.7e308), (-1.7e308, -1.5e308)])
+    def test_threshold_separates_adjacent_values(self, lo, hi):
+        """A midpoint that rounds onto the upper value, or overflows, would
+        leave one child empty (its value 0/0 under lambda 0)."""
+        X = np.array([[lo], [lo], [hi], [hi]])
+        res = np.array([-1.0, -1.0, 1.0, 1.0])
+        s = best_split(X, res, np.arange(4), GbdtParams(reg_lambda=0.0))
+        assert lo <= s.threshold < hi
+        model = fit_gbdt(table_from(X, res),
+                         GbdtParams(n_trees=1, learning_rate=1.0, reg_lambda=0.0))
+        assert np.array_equal(model.predict_rows(X), res)
+
     def test_subset_rows_only(self):
         X = np.array([[1.0], [2.0], [100.0], [200.0]])
         res = np.array([0.0, 0.0, -5.0, 5.0])

@@ -22,7 +22,7 @@ from demcorrect import (
     vrm,
 )
 from demcorrect.grid import GeometryMismatch
-from demcorrect.terrain import _NEIGHBOR_OFFSETS, _box_sum, _pit_peak_flags
+from demcorrect.terrain import _NEIGHBOR_OFFSETS, _box_sum, _pit_peak_flags, _window_gate
 from conftest import NODATA, make_grid, plane_grid
 
 
@@ -88,6 +88,23 @@ class TestAspect:
         assert np.allclose(a1.values[v], a2.values[v], atol=1e-6)
 
 
+@st.composite
+def signed_zero_grids(draw):
+    """Grids of 0.0, -0.0 and +-1, or of normals rounded to 0.1 (so -0.0
+    occurs), with nodata holes and, optionally, a nodata border."""
+    h, w = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        z = rng.choice([0.0, -0.0, 1.0, -1.0], size=(h, w))
+    else:
+        z = np.round(rng.normal(size=(h, w)) * 0.3, 1)
+    z[rng.random((h, w)) < draw(st.sampled_from([0.0, 0.1, 0.4]))] = NODATA
+    if draw(st.booleans()):
+        z[[0, -1], :] = NODATA
+        z[:, [0, -1]] = NODATA
+    return make_grid(z)
+
+
 class TestRoughness:
     def test_constant_zero(self):
         g = make_grid(np.full((5, 5), 9.0))
@@ -107,6 +124,39 @@ class TestRoughness:
         g = make_grid(vals)
         assert roughness(g, WindowSpec(1, 1.0)).values[1, 1] == NODATA
         assert roughness(g, WindowSpec(1, 0.5)).values[1, 1] == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_zero_grids(), st.one_of(st.integers(1, 3), st.integers(10, 40)),
+           st.sampled_from([1.0, 0.5, 0.05]))
+    def test_bits_equal_ndimage_formula(self, g, radius, min_valid_fraction):
+        """The separate max and min planes may differ from ndimage's in the
+        sign of a zero; the layer may not."""
+        w = WindowSpec(radius, min_valid_fraction)
+        assert roughness(g, w).values.tobytes() == ndimage_roughness(g, w).tobytes()
+
+    def test_radius_past_the_grid(self):
+        """A radius of 10**6 is padded as one of max(h, w); the window gate
+        still divides by the true (2r+1)^2 cells."""
+        vals = np.arange(20.0).reshape(4, 5)
+        vals[1, 2] = NODATA
+        g = make_grid(vals)
+        whole = np.where(g.valid_mask(), 19.0, NODATA)
+        assert np.array_equal(roughness(g, WindowSpec(10**6, 1e-12)).values, whole)
+        assert np.all(roughness(g, WindowSpec(10**6, 0.05)).values == NODATA)
+
+
+def ndimage_roughness(g, w):
+    """roughness as it was computed with scipy.ndimage's max and min filters."""
+    from scipy import ndimage
+
+    v = g.valid_mask()
+    size = 2 * w.radius + 1
+    zmax = ndimage.maximum_filter(np.where(v, g.values, -np.inf), size=size,
+                                  mode="constant", cval=-np.inf)
+    zmin = ndimage.minimum_filter(np.where(v, g.values, np.inf), size=size,
+                                  mode="constant", cval=np.inf)
+    _, keep = _window_gate(v, w)
+    return np.where(keep, zmax - zmin, g.nodata)
 
 
 class TestTpi:
@@ -603,3 +653,11 @@ class TestBoxSumError:
             exact = np.array([[math.fsum(_window(z, i, j, r).ravel()) for j in range(w)]
                               for i in range(h)])
             assert np.max(np.abs(box - exact)) <= bound, r
+
+    def test_radius_past_the_grid_reads_the_same_entries(self):
+        """Corners past the grid read the table's edge rows and columns, so
+        any radius of max(h, w) or more gives the same bits, and the pad
+        stays that size."""
+        z = np.random.default_rng(5).normal(size=(5, 7))
+        for r in (8, 50, 300, 10**6):
+            assert _box_sum(z, r).tobytes() == _box_sum(z, 7).tobytes(), r
