@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -44,6 +45,8 @@ from .grid import (
     Grid,
     GeometryMismatch,
     GridParseError,
+    ascii_header,
+    ascii_rows,
     difference,
     load_grid,
     parse_ascii_header,
@@ -78,6 +81,7 @@ from .terrain import (
     FeatureStack,
     WindowSpec,
     build_feature_stack,
+    layer_templates,
 )
 
 __all__ = ["main", "run", "ConfigError", "DEFAULT_CONFIG"]
@@ -422,29 +426,78 @@ _STACK_FILE = "features_stack.npy"
 _MANIFEST_FILE = "features_manifest.json"
 
 
-def _write_stack(stack: FeatureStack, cfg: dict, out: Path) -> dict:
-    layers = []
-    geo = stack.geometry
-    with open(out / _STACK_FILE, "wb") as binary:
+class _StackWriter:
+    """Writes the ``feature_<name>.asc`` files and the binary copy from row
+    blocks, top to bottom: ``writer(first_row, rows)`` takes a block's rows
+    of every layer, as the ``sink`` of :func:`build_feature_stack` does.
+
+    ``templates`` give each layer's geometry and nodata sentinel. Each
+    ``.asc`` file is hashed as it is written, and the binary copy takes each
+    block at its offset in the layer's slab. The files are opened at the
+    first block, so a build that refuses its inputs leaves none behind.
+    """
+
+    def __init__(self, out: Path, names, templates):
+        self.out, self.names, self.templates = out, tuple(names), tuple(templates)
+        self.digests = [hashlib.sha256() for _ in self.names]
+        self._files: list = []
+
+    def __enter__(self) -> "_StackWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for fh in self._files:
+            fh.close()
+
+    def __call__(self, first: int, rows) -> None:
+        if not self._files:
+            self._open()
+        binary, *texts = self._files
+        nrows, ncols = self.templates[0].nrows, self.templates[0].ncols
+        for i, (values, fh, digest) in enumerate(zip(rows, texts, self.digests)):
+            self._put(fh, digest, ascii_rows(values))
+            binary.seek(self._start + (i * nrows + first) * ncols * 8)
+            # + 0.0 turns -0.0 into the 0.0 that parsing the written "0" gives
+            binary.write(np.ascontiguousarray(values + 0.0, dtype="<f8").data)
+
+    def _open(self) -> None:
+        binary = open(self.out / _STACK_FILE, "wb")
+        self._files.append(binary)
+        top = self.templates[0]
         np.lib.format.write_array_header_1_0(binary, {
             "descr": "<f8", "fortran_order": False,
-            "shape": (len(stack.names), geo.nrows, geo.ncols)})
-        for name, grid in zip(stack.names, stack.layers):
-            fname = f"feature_{name}.asc"
-            save_grid(grid, out / fname)
-            layers.append({"name": name, "file": fname, "sha256": _sha256_file(out / fname)})
-            # + 0.0 turns -0.0 into the 0.0 that parsing the written "0" gives
-            np.asarray(grid.values + 0.0, dtype="<f8").tofile(binary)
-    manifest = {
-        "format": "feature-manifest",
-        "version": 1,
-        "layers": layers,
-        "stack": {"file": _STACK_FILE, "sha256": _sha256_file(out / _STACK_FILE)},
-        "windows": dict(cfg["windows"]),
-        "provenance": _provenance(cfg),
-    }
-    _write_json(out / _MANIFEST_FILE, manifest)
-    return manifest
+            "shape": (len(self.names), top.nrows, top.ncols)})
+        self._start = binary.tell()
+        for name, template, digest in zip(self.names, self.templates, self.digests):
+            self._files.append(open(self.out / f"feature_{name}.asc", "wb"))
+            self._put(self._files[-1], digest, ascii_header(template.geometry, template.nodata))
+
+    @staticmethod
+    def _put(fh, digest, text: str) -> None:
+        data = text.encode("ascii")
+        fh.write(data)
+        digest.update(data)
+
+    def write_manifest(self, cfg: dict) -> dict:
+        """Write ``features_manifest.json`` once the files are closed."""
+        manifest = {
+            "format": "feature-manifest",
+            "version": 1,
+            "layers": [{"name": name, "file": f"feature_{name}.asc", "sha256": d.hexdigest()}
+                       for name, d in zip(self.names, self.digests)],
+            "stack": {"file": _STACK_FILE, "sha256": _sha256_file(self.out / _STACK_FILE)},
+            "windows": dict(cfg["windows"]),
+            "provenance": _provenance(cfg),
+        }
+        _write_json(self.out / _MANIFEST_FILE, manifest)
+        return manifest
+
+
+def _write_stack(stack: FeatureStack, cfg: dict, out: Path) -> dict:
+    """Write a stack held in memory, as one block; returns the manifest."""
+    with _StackWriter(out, stack.names, stack.layers) as write:
+        write(0, [layer.values for layer in stack.layers])
+    return write.write_manifest(cfg)
 
 
 def _read_manifest(path: Path) -> tuple[list[dict], dict | None]:
@@ -536,11 +589,20 @@ def _load_model(path: Path):
 
 
 def _features_step(cfg: dict, dem: Grid, bare: Grid, urban: Grid, forest: Grid,
-                   out: Path) -> FeatureStack:
-    stack = build_feature_stack(dem, bare, urban, forest, _feature_config(cfg),
-                                max_workers=worker_count())
-    _write_stack(stack, cfg, out)
-    return stack
+                   out: Path, keep: bool = False) -> FeatureStack | None:
+    """Build and write the feature stack. With ``keep`` it is assembled,
+    written and returned; otherwise each row block is written as it is
+    built, and no whole derived layer is held."""
+    build = functools.partial(build_feature_stack, dem, bare, urban, forest,
+                              _feature_config(cfg), max_workers=worker_count())
+    if keep:
+        stack = build()
+        _write_stack(stack, cfg, out)
+        return stack
+    with _StackWriter(out, CANONICAL_FEATURES, layer_templates(dem, bare, urban, forest)) as write:
+        build(sink=write)
+    write.write_manifest(cfg)
+    return None
 
 
 def _split_step(cfg: dict, stack: FeatureStack, dem: Grid, reference: Grid,
@@ -634,8 +696,8 @@ def cmd_features(cfg: dict) -> int:
     urban = load_grid(_require_path(cfg, "urban"))
     forest = load_grid(_require_path(cfg, "forest"))
     out = _out_dir(cfg)
-    stack = _features_step(cfg, dem, bare, urban, forest, out)
-    print(f"wrote {len(stack.names)} feature layers to {out}")
+    _features_step(cfg, dem, bare, urban, forest, out)
+    print(f"wrote {len(CANONICAL_FEATURES)} feature layers to {out}")
     return 0
 
 
@@ -732,7 +794,7 @@ def cmd_bench(cfg: dict) -> int:
                 {**spec.to_doc(), "noise_fraction": noise_fraction})
     t_gen = time.perf_counter()
 
-    stack = _features_step(cfg, original, land.bare, land.urban, land.forest, out)
+    stack = _features_step(cfg, original, land.bare, land.urban, land.forest, out, keep=True)
     t_feat = time.perf_counter()
 
     train, test = _split_step(cfg, stack, original, reference, land.strata)

@@ -85,11 +85,14 @@ def predict_error_grid(model, stack: FeatureStack) -> Grid:
     valid = np.ones((ref.nrows, ref.ncols), dtype=bool)
     for layer in layers:
         valid &= layer.valid_mask()
-    rows, cols = np.nonzero(valid)
+    n = np.count_nonzero(valid)
     out = np.full(valid.shape, ref.nodata)
-    if len(rows):
-        X = np.column_stack([layer.values[rows, cols] for layer in layers])
-        out[rows, cols] = model.predict_rows(X)
+    if n:
+        # one (cells, features) matrix, filled a column at a time
+        X = np.empty((n, len(layers)))
+        for j, layer in enumerate(layers):
+            X[:, j] = layer.values[valid]
+        out[valid] = model.predict_rows(X)
     return ref.with_values(out)
 
 

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -25,6 +26,8 @@ __all__ = [
     "GeometryMismatch",
     "parse_ascii_header",
     "read_ascii_grid",
+    "ascii_header",
+    "ascii_rows",
     "write_ascii_grid",
     "load_grid",
     "save_grid",
@@ -171,32 +174,74 @@ def read_ascii_grid(source: str | TextIO) -> Grid:
 
     The six header lines (see :func:`parse_ascii_header`) are followed by
     ncols*nrows whitespace-separated values in row-major north-first order.
+    A seekable stream is parsed as it is read, so its text is never held
+    whole; should that parse fail, the stream is rewound and parsed as
+    text, which names the faulty line.
 
     Raises:
         GridParseError: malformed header, non-numeric token, or value-count
             mismatch; the message names the offending line.
     """
-    text = source.read() if hasattr(source, "read") else source
-    lines = text.splitlines()
-    del text  # the lines hold a second copy of it; free the first before parsing
+    if hasattr(source, "read"):
+        if source.seekable():
+            start = source.tell()
+            grid = _read_stream(source)
+            if grid is not None:
+                return grid
+            source.seek(start)
+        source = source.read()
+    lines = source.splitlines()
+    del source  # the lines hold a second copy of the text; free the first before parsing
     geo, nodata = parse_ascii_header(lines[:6])
     expected = geo.ncols * geo.nrows
     body = lines[6:]
-
-    # numpy's C reader parses each token with the routine float() uses, so
-    # the values are bit-identical; it rejects ragged wrapping and a few
-    # spellings float() takes (1_0, non-ASCII digits), which, like every
-    # other failure, go to the token loop. A body without data is left to
-    # the loop too, as loadtxt would warn on it.
-    flat = None
-    if any(line and not line.isspace() for line in body):
-        try:
-            flat = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=1).ravel()
-        except ValueError:
-            pass
-    if flat is None or flat.size != expected or not (np.isfinite(flat) | (flat == nodata)).all():
+    flat = _bulk_parse(body, expected, nodata)
+    if flat is None:
         flat = _parse_tokens(body, expected, nodata)
     return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, flat)
+
+
+def _read_stream(stream: TextIO) -> Grid | None:
+    """The grid of a stream read line by line, or None where the text parse
+    must decide: a missing or malformed header line, one that
+    ``str.splitlines`` would cut elsewhere (at a form feed, say), or a body
+    :func:`_bulk_parse` refuses."""
+    header = []
+    for _ in range(6):
+        line = stream.readline()
+        if line.splitlines() != [line.rstrip("\n")]:
+            return None
+        header.append(line)
+    try:
+        geo, nodata = parse_ascii_header(header)
+    except GridParseError:
+        return None
+    flat = _bulk_parse(stream, geo.ncols * geo.nrows, nodata)
+    if flat is None:
+        return None
+    return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, flat)
+
+
+def _bulk_parse(body, expected: int, nodata: float) -> np.ndarray | None:
+    """The values of ``body`` (body lines, or a stream at the body) from
+    numpy's C reader, or None unless they are ``expected`` values, each
+    finite or ``nodata``.
+
+    The C reader parses each token with the routine float() uses, so the
+    values are bit-identical; it rejects ragged wrapping and a few
+    spellings float() takes (1_0, non-ASCII digits), which, like every
+    other refusal, are left to the token loop. So is a body without data,
+    on which loadtxt warns.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            flat = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=1).ravel()
+    except ValueError:
+        return None
+    if flat.size != expected or not (np.isfinite(flat) | (flat == nodata)).all():
+        return None
+    return flat
 
 
 def _parse_tokens(body: list[str], expected: int, nodata: float) -> np.ndarray:
@@ -230,26 +275,32 @@ def _parse_tokens(body: list[str], expected: int, nodata: float) -> np.ndarray:
     return flat
 
 
-def write_ascii_grid(grid: Grid) -> str:
-    """Render a grid as ESRI ASCII text; reals carry full roundtrip precision."""
-    out = [
-        f"ncols {grid.ncols}",
-        f"nrows {grid.nrows}",
-        f"xllcorner {_fmt(grid.xll)}",
-        f"yllcorner {_fmt(grid.yll)}",
-        f"cellsize {_fmt(grid.cellsize)}",
-        f"NODATA_value {_fmt(grid.nodata)}",
-    ]
-    v = grid.values
-    # the cells _fmt prints bare, for the whole grid at once
-    integral = (v == np.trunc(v)) & (np.abs(v) < 1e16)
-    for r in range(grid.nrows):
-        cells = v[r].tolist()
+def ascii_header(geometry: GridGeometry, nodata: float) -> str:
+    """The six header lines of an ESRI ASCII grid, each ending in a newline."""
+    return (f"ncols {geometry.ncols}\nnrows {geometry.nrows}\n"
+            f"xllcorner {_fmt(geometry.xll)}\nyllcorner {_fmt(geometry.yll)}\n"
+            f"cellsize {_fmt(geometry.cellsize)}\nNODATA_value {_fmt(nodata)}\n")
+
+
+def ascii_rows(values: np.ndarray) -> str:
+    """Body lines of an ESRI ASCII grid, one per row of ``values``, each
+    ending in a newline; reals carry full roundtrip precision."""
+    # the cells _fmt prints bare, for all rows at once
+    integral = (values == np.trunc(values)) & (np.abs(values) < 1e16)
+    out = []
+    for row, bare in zip(values, integral):
+        cells = row.tolist()
         text = list(map(repr, cells))
-        for j in np.flatnonzero(integral[r]).tolist():
+        for j in np.flatnonzero(bare).tolist():
             text[j] = str(int(cells[j]))
         out.append(" ".join(text))
-    return "\n".join(out) + "\n"
+    out.append("")
+    return "\n".join(out)
+
+
+def write_ascii_grid(grid: Grid) -> str:
+    """Render a grid as ESRI ASCII text; reals carry full roundtrip precision."""
+    return ascii_header(grid.geometry, grid.nodata) + ascii_rows(grid.values)
 
 
 def load_grid(path) -> Grid:

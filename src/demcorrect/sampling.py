@@ -185,7 +185,9 @@ def extract_samples(
         flat = np.sort(rng.choice(flat, size=count, replace=False))
 
     rows, cols = np.unravel_index(flat, valid.shape)
-    features = np.column_stack([layer.values[rows, cols] for layer in stack.layers])
+    features = np.empty((flat.size, len(stack.layers)))
+    for j, layer in enumerate(stack.layers):
+        features[:, j] = layer.values[rows, cols]
     targets = target.values[rows, cols]
 
     labels = None if strata is None else stratum_labels(strata)[rows, cols]

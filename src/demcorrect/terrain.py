@@ -9,10 +9,26 @@ out-of-bounds cells as invalid), or whose center cell is invalid, yields
 nodata. Data is never invented at borders.
 
 Every operator, roughness's focal max and min included, needs numpy only.
+
+``build_feature_stack`` computes the layers in row blocks, each from a
+sub-grid holding the block's rows and a halo of the largest window radius
+plus 1 rows on either side, and every block's rows are bit-identical to
+those of the whole grid. Most operators need nothing beyond the halo:
+slope, aspect and TRI read 3x3 windows; roughness takes a focal max and
+min, which pick one of their inputs; and the box sums of texture,
+focal_fraction and every window gate add up integers (pit/peak flags, ones,
+valid cells), exact in float64 however they are grouped. Only ``tpi`` and
+``vrm`` sum real numbers in their windows. A box sum reads a summed-area
+table whose axis-0 running sum at a row adds up every row above it, and a
+sum restarted at a block's first row rounds differently; so those two carry
+the running sum across blocks, and tpi also its grid mean, one pairwise sum
+over the whole grid (``_RowCarry``).
 """
 
 from __future__ import annotations
 
+import contextlib
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -34,6 +50,7 @@ __all__ = [
     "texture",
     "vrm",
     "focal_fraction",
+    "layer_templates",
     "build_feature_stack",
 ]
 
@@ -139,11 +156,15 @@ def _neighbors(dem: Grid) -> tuple[list[np.ndarray], np.ndarray]:
     return views(dem.values), valid & np.logical_and.reduce(views(valid))
 
 
-def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
-    """Sum over the (2r+1)^2 window, out-of-bounds cells contributing zero."""
+def _box_sum(arr: np.ndarray, radius: int, running=None) -> np.ndarray:
+    """Sum over the (2r+1)^2 window, out-of-bounds cells contributing zero.
+
+    ``running(arr)`` gives the axis-0 running sum of ``arr``; by default
+    ``arr.cumsum(axis=0)``, and in a row block :meth:`_RowCarry.running`.
+    """
     h, w = arr.shape
     c = np.zeros((h + 1, w + 1))
-    c[1:, 1:] = arr.cumsum(axis=0).cumsum(axis=1)
+    c[1:, 1:] = (arr.cumsum(axis=0) if running is None else running(arr)).cumsum(axis=1)
     # padded row k + radius holds table row clip(k, 0, h), and columns alike:
     # window corners beyond the grid read the table's first or last row, so
     # a radius past the grid reads the same entries as one of max(h, w)
@@ -188,6 +209,35 @@ def _focal_extreme(z: np.ndarray, valid: np.ndarray, radius: int, op,
     padded = np.pad(np.where(valid, z, fill), radius, constant_values=fill)
     padded += 0.0  # -0.0 + 0.0 is 0.0
     return _running(_running(padded, k, op, axis=1), k, op, axis=0)
+
+
+class _RowCarry:
+    """What ``tpi`` and ``vrm`` carry from one row block to the next (see
+    the module docstring): tpi's grid mean, and per summed quantity the
+    axis-0 running sum at the first row of the next block's sub-grid.
+
+    ``first`` and ``next_first`` are the grid rows where the current and the
+    next sub-grid start; the block loop sets them before each block.
+    """
+
+    def __init__(self, dem: Grid):
+        v = dem.valid_mask()
+        self.tpi_mean = np.where(v, dem.values, 0.0).sum() / max(v.sum(), 1)
+        self.first = self.next_first = 0
+        self._heads: dict[str, np.ndarray] = {}
+
+    def running(self, key: str):
+        """The axis-0 running sum of quantity ``key`` over the current sub-grid,
+        bit for bit the whole grid's over those rows."""
+        def cumsum(arr: np.ndarray) -> np.ndarray:
+            if self.first > 0:
+                # the sub-grid's first row lacks its upper neighbours, so its
+                # own value may be wrong; the block above summed it right
+                arr = np.concatenate([self._heads[key][None], arr[1:]])
+            out = arr.cumsum(axis=0)
+            self._heads[key] = out[self.next_first - self.first].copy()
+            return out
+        return cumsum
 
 
 def _window_gate(valid: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -245,17 +295,19 @@ def roughness(dem: Grid, w: WindowSpec) -> Grid:
     return dem.with_values(np.where(keep, zmax - zmin, dem.nodata))
 
 
-def tpi(dem: Grid, w: WindowSpec) -> Grid:
+def tpi(dem: Grid, w: WindowSpec, carry: _RowCarry | None = None) -> Grid:
     """Topographic position index: center minus mean of its neighbors.
 
     The center cell is excluded from the mean. Elevations are centered on
     the grid mean first, which leaves the result unchanged but keeps the
-    focal sums well conditioned.
+    focal sums well conditioned. ``carry`` is set by the row blocks of
+    :func:`build_feature_stack`.
     """
     v = dem.valid_mask()
     z = np.where(v, dem.values, 0.0)
-    z = np.where(v, z - (z.sum() / max(v.sum(), 1)), 0.0)
-    total = _box_sum(z, w.radius)
+    mean = z.sum() / max(v.sum(), 1) if carry is None else carry.tpi_mean
+    z = np.where(v, z - mean, 0.0)
+    total = _box_sum(z, w.radius, None if carry is None else carry.running("tpi"))
     count, keep = _window_gate(v, w)
     neighbors = count - 1
     keep &= neighbors >= 1
@@ -278,9 +330,12 @@ def _pit_peak_flags(dem: Grid, threshold: float) -> tuple[np.ndarray, np.ndarray
     """Cells deviating from their eight-neighbor median by more than
     ``threshold``; second array marks where the flag is defined."""
     nb, defined = _neighbors(dem)
-    # np.median stacks the views into a new (8, H, W) array, so partitioning
-    # it in place leaves the DEM untouched
-    med = np.median(nb, axis=0, overwrite_input=True)
+    # the median as np.median(nb, axis=0, overwrite_input=True) takes it, to
+    # the sign of a zero: partition one stacked copy in place at the middle
+    # ranks and the last, then average the middle two
+    stack = np.array(nb)
+    stack.partition((3, 4, 7), axis=0)
+    med = np.mean(stack[3:5], axis=0)
     flags = defined & (np.abs(dem.values - med) > threshold)
     return flags, defined
 
@@ -300,13 +355,14 @@ def texture(dem: Grid, pit_peak_threshold: float, w: WindowSpec) -> Grid:
     return dem.with_values(np.where(keep, pct, dem.nodata))
 
 
-def vrm(dem: Grid, w: WindowSpec) -> Grid:
+def vrm(dem: Grid, w: WindowSpec, carry: _RowCarry | None = None) -> Grid:
     """Vector ruggedness measure over the window, in [0, 1].
 
     Unit surface normals (sin S sin A, sin S cos A, cos S) are built from
     slope S and aspect A per cell; flat cells contribute (0, 0, 1). The
     measure is one minus the length of the resultant divided by the number
-    of contributing normals.
+    of contributing normals. ``carry`` is set by the row blocks of
+    :func:`build_feature_stack`.
     """
     s = slope(dem)
     a = aspect(dem)
@@ -317,9 +373,8 @@ def vrm(dem: Grid, w: WindowSpec) -> Grid:
     nx = np.where(v, sin_s * np.sin(arad), 0.0)
     ny = np.where(v, sin_s * np.cos(arad), 0.0)
     nz = np.where(v, np.cos(srad), 0.0)
-    sx = _box_sum(nx, w.radius)
-    sy = _box_sum(ny, w.radius)
-    sz = _box_sum(nz, w.radius)
+    sx, sy, sz = (_box_sum(n, w.radius, None if carry is None else carry.running(key))
+                  for n, key in ((nx, "vrm_x"), (ny, "vrm_y"), (nz, "vrm_z")))
     count, keep = _window_gate(v, w)
     resultant = np.sqrt(sx * sx + sy * sy + sz * sz)
     out = np.divide(resultant, count, out=np.ones_like(resultant), where=count >= 1)
@@ -346,6 +401,27 @@ def focal_fraction(mask: Grid, w: WindowSpec) -> Grid:
     return mask.with_values(np.where(keep, pct, mask.nodata))
 
 
+#: Rows per worker in a block of :func:`build_feature_stack`, unless twice
+#: its halo is more. Smaller blocks recompute more halo rows, and leave
+#: threads less work to overlap.
+BLOCK_ROWS = 64
+
+
+def layer_templates(dem: Grid, bare: Grid, urban: Grid, forest: Grid) -> tuple[Grid, ...]:
+    """The grid whose geometry and nodata sentinel each stack layer takes,
+    in canonical order: each mask for its own layer, the DEM for the rest."""
+    own = {"pct_bare": bare, "urban": urban, "pct_forest": forest}
+    return tuple(own.get(name, dem) for name in CANONICAL_FEATURES)
+
+
+def _rows(g: Grid, start: int, stop: int) -> Grid:
+    """Rows ``start:stop`` of ``g`` as a grid of their own."""
+    if (start, stop) == (0, g.nrows):
+        return g
+    return Grid(g.ncols, stop - start, g.xll, g.yll + (g.nrows - stop) * g.cellsize,
+                g.cellsize, g.nodata, g.values[start:stop])
+
+
 def build_feature_stack(
     dem: Grid,
     bare: Grid,
@@ -353,13 +429,28 @@ def build_feature_stack(
     forest: Grid,
     cfg: FeatureConfig | None = None,
     max_workers: int = 1,
-) -> FeatureStack:
+    sink: Callable[[int, tuple[np.ndarray, ...]], None] | None = None,
+    block_rows: int | None = None,
+) -> FeatureStack | None:
     """Assemble the eleven predictor layers in canonical order.
 
     ``elevation`` is the DEM itself and ``urban`` the binary mask passed
     through; ``pct_bare``/``pct_forest`` are focal fractions of their masks;
-    the rest are the derivatives above. ``max_workers`` > 1 computes the
-    derivative layers concurrently (the result does not depend on it).
+    the rest are the derivatives above.
+
+    The layers are computed in blocks of ``block_rows`` rows, by default
+    ``max(BLOCK_ROWS, 2 * halo)`` per worker, each from a sub-grid that adds
+    a halo of the largest window radius plus 1 rows above and below. The
+    result depends neither on ``block_rows`` nor on ``max_workers`` (see the
+    module docstring). With one worker, a block peaks near
+    ``8 * ncols * (35 * block_rows + 40 * halo)`` bytes; before the blocks,
+    tpi's grid mean takes 9 bytes per cell once.
+
+    With ``sink``, each block goes to ``sink(first_row, rows)`` as it
+    finishes, ``rows`` holding its rows of every layer in canonical order,
+    and None is returned: no whole derived layer is held. Without, the
+    blocks are assembled into the returned stack. ``max_workers`` > 1
+    computes a block's derivative layers concurrently.
     """
     cfg = cfg or FeatureConfig()
     geo = dem.geometry
@@ -367,26 +458,56 @@ def build_feature_stack(
         if not g.geometry.matches(geo):
             raise GeometryMismatch(f"{name} mask is not on the DEM geometry")
     _require_binary(urban, "urban mask")
+    # checked whole, so that the error names a cell of the grid, not of a block
+    for mask in (bare, forest):
+        _require_binary(mask, "focal_fraction input")
 
+    windows = (cfg.roughness_window, cfg.tpi_window, cfg.vrm_window,
+               cfg.landcover_window, cfg.texture_window)
+    halo = 1 + max(w.radius for w in windows)
+    block_rows = block_rows or max(BLOCK_ROWS, 2 * halo) * max_workers
+    carry = _RowCarry(dem)
     jobs = {
-        "slope": lambda: slope(dem),
-        "aspect": lambda: aspect(dem),
-        "roughness": lambda: roughness(dem, cfg.roughness_window),
-        "tpi": lambda: tpi(dem, cfg.tpi_window),
-        "tri": lambda: tri(dem),
-        "texture": lambda: texture(dem, cfg.texture_threshold, cfg.texture_window),
-        "vrm": lambda: vrm(dem, cfg.vrm_window),
-        "pct_bare": lambda: focal_fraction(bare, cfg.landcover_window),
-        "pct_forest": lambda: focal_fraction(forest, cfg.landcover_window),
+        "slope": lambda d, b, f: slope(d),
+        "aspect": lambda d, b, f: aspect(d),
+        "roughness": lambda d, b, f: roughness(d, cfg.roughness_window),
+        "tpi": lambda d, b, f: tpi(d, cfg.tpi_window, carry),
+        "tri": lambda d, b, f: tri(d),
+        "texture": lambda d, b, f: texture(d, cfg.texture_threshold, cfg.texture_window),
+        "vrm": lambda d, b, f: vrm(d, cfg.vrm_window, carry),
+        "pct_bare": lambda d, b, f: focal_fraction(b, cfg.landcover_window),
+        "pct_forest": lambda d, b, f: focal_fraction(f, cfg.landcover_window),
     }
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {name: pool.submit(fn) for name, fn in jobs.items()}
-            computed = {name: fut.result() for name, fut in futures.items()}
-    else:
-        computed = {name: fn() for name, fn in jobs.items()}
-    computed["elevation"] = dem
-    computed["urban"] = urban
+    assembled = None
+    if sink is None:
+        assembled = {name: np.empty((dem.nrows, dem.ncols)) for name in jobs}
 
-    return FeatureStack(CANONICAL_FEATURES,
-                        tuple(computed[name] for name in CANONICAL_FEATURES))
+        def sink(first, rows):
+            for name, block in zip(CANONICAL_FEATURES, rows):
+                if name in assembled:
+                    assembled[name][first:first + len(block)] = block
+
+    h = dem.nrows
+    with ThreadPoolExecutor(max_workers) if max_workers > 1 else contextlib.nullcontext() as pool:
+        for r0 in range(0, h, block_rows):
+            r1 = min(r0 + block_rows, h)
+            s0, s1 = max(r0 - halo, 0), min(r1 + halo, h)
+            carry.first, carry.next_first = s0, max(r1 - halo, 0)
+            args = [_rows(g, s0, s1) for g in (dem, bare, forest)]
+            # a copy of the block's rows lets each layer's sub-grid go at once
+            if pool is None:
+                rows = {name: fn(*args).values[r0 - s0:r1 - s0].copy()
+                        for name, fn in jobs.items()}
+            else:
+                futures = {name: pool.submit(fn, *args) for name, fn in jobs.items()}
+                rows = {name: fut.result().values[r0 - s0:r1 - s0].copy()
+                        for name, fut in futures.items()}
+            rows["elevation"] = dem.values[r0:r1]
+            rows["urban"] = urban.values[r0:r1]
+            sink(r0, tuple(rows[name] for name in CANONICAL_FEATURES))
+
+    if assembled is None:
+        return None
+    return FeatureStack(CANONICAL_FEATURES, tuple(
+        template.with_values(assembled.pop(name)) if name in assembled else template
+        for name, template in zip(CANONICAL_FEATURES, layer_templates(dem, bare, urban, forest))))

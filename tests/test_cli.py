@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -11,14 +12,18 @@ import pytest
 
 import demcorrect.cli as cli
 from demcorrect import (
+    CANONICAL_FEATURES,
     FeatureStack,
     GbdtParams,
+    Grid,
+    build_feature_stack,
     fractal_dem,
     load_grid,
     save_grid,
     synth_landcover,
 )
 from demcorrect.cli import ConfigError, main, resolve_config, worker_count
+from demcorrect.terrain import layer_templates
 from conftest import NODATA, make_grid
 
 
@@ -176,6 +181,35 @@ class TestFeatures:
         assert run_cli("features", "--config", cfg_path) == 0
         s = load_grid(tmp / "flatout" / "feature_slope.asc")
         assert np.all(s.values[s.valid_mask()] == 0.0)
+
+
+class TestStreamedWriter:
+    """The ``features`` step writes each row block as it is built: its files
+    equal those of the assembled stack written whole, however it is cut."""
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 64])
+    def test_streamed_files_equal_the_assembled_stack(self, tmp_path, block_rows):
+        dem = fractal_dem(5, seed=3)
+        land = synth_landcover(dem, seed=5)
+        # a mask whose corner differs within the geometry tolerance keeps its own header
+        bare = Grid(dem.ncols, dem.nrows, dem.xll + 1e-10, dem.yll, dem.cellsize, -1.0,
+                    land.bare.values)
+        grids = (dem, bare, land.urban, land.forest)
+        cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+        cfg["windows"].update(texture_radius=3, vrm_radius=2)
+        streamed, whole = tmp_path / "streamed", tmp_path / "whole"
+        streamed.mkdir()
+        whole.mkdir()
+        with cli._StackWriter(streamed, CANONICAL_FEATURES, layer_templates(*grids)) as write:
+            build_feature_stack(*grids, cli._feature_config(cfg), sink=write,
+                                block_rows=block_rows)
+        write.write_manifest(cfg)
+        cli._write_stack(build_feature_stack(*grids, cli._feature_config(cfg)), cfg, whole)
+        names = sorted(p.name for p in whole.iterdir())
+        assert names == sorted(p.name for p in streamed.iterdir()) and len(names) == 13
+        for name in names:
+            assert (streamed / name).read_bytes() == (whole / name).read_bytes(), name
+        assert (whole / "feature_pct_bare.asc").read_text().splitlines()[2] == "xllcorner 1e-10"
 
 
 class TestFeatureStackFile:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import warnings
 
 import numpy as np
@@ -413,6 +414,53 @@ class TestBulkReader:
     def test_hash_is_not_a_comment(self):
         with pytest.raises(GridParseError, match="line 8: too many values"):
             read_ascii_grid(SIMPLE.replace("3 4", "3 4 # note"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ascii_bodies())
+    def test_stream_matches_text(self, case):
+        text = case[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(lambda: read_ascii_grid(io.StringIO(text)).values)
+        assert got == _outcome(lambda: read_ascii_grid(text).values)
+
+    @pytest.mark.parametrize("text", [
+        SIMPLE.replace("cellsize 1", "cellsize\x0c1"),
+        SIMPLE.replace("nrows 2\n", "nrows 2\x0b\n"),
+        SIMPLE.replace("\n", "\r\n"),
+        SIMPLE.replace("xllcorner 0\n", "\n"),
+        "ncols 1\nnrows 1\nxllcorner 0\n",
+        SIMPLE.replace("3 4", "3 x"),
+        SIMPLE.replace("3 4", "3 4 5"),
+        SIMPLE,
+    ], ids=["form-feed", "vertical-tab", "crlf", "blank-header-line", "short-header",
+            "bad-token", "extra-value", "plain"])
+    def test_stream_edge_cases_match_text(self, text):
+        """Header lines str.splitlines would cut elsewhere, and bad bodies,
+        leave the stream to the text parse, errors and all."""
+        class Pipe(io.StringIO):
+            def seekable(self):
+                return False
+
+        want = _outcome(lambda: read_ascii_grid(text).values)
+        for stream in (io.StringIO(text, newline=""), Pipe(text, newline="")):
+            assert _outcome(lambda: read_ascii_grid(stream).values) == want
+
+    def test_stream_is_read_by_line(self, tmp_path):
+        """No read() of the whole text; a bad line found late still gets its number."""
+        class LinesOnly(io.StringIO):
+            def read(self, *args):
+                raise AssertionError("stream read whole")
+
+        assert read_ascii_grid(LinesOnly(SIMPLE)).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        p = tmp_path / "late.asc"
+        p.write_text(SIMPLE + "5 6\n" * 1000 + "7 y\n")
+        with pytest.raises(GridParseError, match="line 9: too many values"):
+            grid_module.load_grid(p)
+        p.write_text(SIMPLE.replace("ncols 2\nnrows 2", "ncols 2\nnrows 1002")
+                     + "5 6\n" * 999 + "7 y\n")
+        with pytest.raises(GridParseError, match="line 1008: non-numeric token 'y'"):
+            grid_module.load_grid(p)
 
     def test_writer_output_takes_the_bulk_path(self, monkeypatch):
         def refuse(*args):

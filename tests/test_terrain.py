@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +19,10 @@ from demcorrect import (
     aspect,
     build_feature_stack,
     focal_fraction,
+    fractal_dem,
     roughness,
     slope,
+    synth_landcover,
     texture,
     tpi,
     tri,
@@ -614,21 +621,159 @@ class TestWindowOracles:
     @given(focal_inputs())
     def test_operators_match_window_oracles(self, case):
         dem, mask, w, threshold = case
-        nodata = dem.nodata
-        assert np.array_equal(tri(dem).values, filled(tri_oracle(dem), nodata))
-        assert np.array_equal(roughness(dem, w).values, filled(roughness_oracle(dem, w), nodata))
-        assert np.array_equal(focal_fraction(mask, w).values,
-                              filled(focal_fraction_oracle(mask, w), nodata))
         flags, defined = _pit_peak_flags(dem, threshold)
         want_flags, want_defined = pit_peak_oracle(dem, threshold)
         assert np.array_equal(flags, want_flags) and np.array_equal(defined, want_defined)
-        assert np.array_equal(texture(dem, threshold, w).values,
-                              filled(texture_oracle(dem, threshold, w), nodata))
-        assert_close_or_nodata(slope(dem).values, slope_oracle(dem), nodata, ANGLE_TOL)
-        assert_close_or_nodata(aspect(dem).values, aspect_oracle(dem), nodata, ANGLE_TOL,
-                               circular=True)
-        assert_close_or_nodata(tpi(dem, w).values, tpi_oracle(dem, w), nodata, TPI_TOL)
-        assert_close_or_nodata(vrm(dem, w).values, vrm_oracle(dem, w), nodata, VRM_TOL)
+        assert_layers_match_oracles({
+            "slope": slope(dem), "aspect": aspect(dem), "roughness": roughness(dem, w),
+            "tpi": tpi(dem, w), "tri": tri(dem), "texture": texture(dem, threshold, w),
+            "vrm": vrm(dem, w), "pct_bare": focal_fraction(mask, w)}, dem, mask, w, threshold)
+
+    @settings(max_examples=100, deadline=None)
+    @given(focal_inputs(), st.integers(1, 13), st.sampled_from([1, 2]))
+    def test_blocked_stack_matches_window_oracles(self, case, block_rows, workers):
+        """Block edges are where a halo or a carried sum would go wrong."""
+        dem, mask, w, threshold = case
+        mask = make_grid(mask.values, cellsize=dem.cellsize, nodata=mask.nodata)
+        cfg = FeatureConfig(w, w, w, w, w, threshold)
+        stack = build_feature_stack(dem, mask, mask, mask, cfg, max_workers=workers,
+                                    block_rows=block_rows)
+        assert_layers_match_oracles(dict(zip(stack.names, stack.layers)), dem, mask, w, threshold)
+
+
+def assert_layers_match_oracles(layers, dem, mask, w, threshold):
+    """``layers`` (name -> grid) against the oracles, each as exactly as it holds."""
+    nodata = dem.nodata
+    exact = {"tri": tri_oracle(dem), "roughness": roughness_oracle(dem, w),
+             "texture": texture_oracle(dem, threshold, w),
+             "pct_bare": focal_fraction_oracle(mask, w)}
+    for name, want in exact.items():
+        assert np.array_equal(layers[name].values, filled(want, nodata)), name
+    assert_close_or_nodata(layers["slope"].values, slope_oracle(dem), nodata, ANGLE_TOL)
+    assert_close_or_nodata(layers["aspect"].values, aspect_oracle(dem), nodata, ANGLE_TOL,
+                           circular=True)
+    assert_close_or_nodata(layers["tpi"].values, tpi_oracle(dem, w), nodata, TPI_TOL)
+    assert_close_or_nodata(layers["vrm"].values, vrm_oracle(dem, w), nodata, VRM_TOL)
+
+
+@st.composite
+def blocked_builds(draw):
+    """Inputs, a configuration and a block size for a blocked stack build.
+
+    Grids run taller than their halos so that several blocks carry sums
+    down the grid; elevations sit near 8000 m with small relief, where a
+    restarted running sum rounds differently.
+    """
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 9))
+    nodata = draw(st.sampled_from([-9999.0, 0.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hole = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    z = draw(st.sampled_from([0.0, 8000.0])) + rng.normal(size=(h, w)) * draw(
+        st.sampled_from([0.01, 0.4, 30.0]))
+    z = np.round(z, draw(st.sampled_from([1, 2, 8])))
+    dem = make_grid(np.where(rng.random((h, w)) < hole, nodata, z), nodata=nodata,
+                    cellsize=30.0)
+
+    def mask():
+        m = (rng.random((h, w)) < 0.4) * 1.0
+        return make_grid(np.where(rng.random((h, w)) < hole, nodata, m), nodata=nodata,
+                         cellsize=30.0)
+
+    mvf = draw(st.sampled_from([1.0, 0.5, 0.05]))
+    radius = st.one_of(st.integers(1, 4), st.integers(12, 20))
+    cfg = FeatureConfig(*(WindowSpec(draw(radius), mvf) for _ in range(5)),
+                        texture_threshold=draw(st.sampled_from([0.0, 0.05, 0.5])))
+    block_rows = draw(st.one_of(st.just(1), st.integers(2, 8), st.integers(h, h + 5)))
+    return (dem, mask(), mask(), mask()), cfg, block_rows
+
+
+class TestBlockedStack:
+    """The blocked build against each operator on the whole grid, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocked_builds(), st.sampled_from([1, 2]))
+    def test_equals_whole_grid_operators(self, build, workers):
+        (dem, bare, urban, forest), cfg, block_rows = build
+        whole = {
+            "elevation": dem, "slope": slope(dem), "aspect": aspect(dem),
+            "roughness": roughness(dem, cfg.roughness_window), "tpi": tpi(dem, cfg.tpi_window),
+            "tri": tri(dem), "texture": texture(dem, cfg.texture_threshold, cfg.texture_window),
+            "vrm": vrm(dem, cfg.vrm_window),
+            "pct_bare": focal_fraction(bare, cfg.landcover_window), "urban": urban,
+            "pct_forest": focal_fraction(forest, cfg.landcover_window)}
+        stack = build_feature_stack(dem, bare, urban, forest, cfg, max_workers=workers,
+                                    block_rows=block_rows)
+        assert stack.names == CANONICAL_FEATURES
+        for name, layer in zip(stack.names, stack.layers):
+            want = whole[name]
+            assert layer.values.tobytes() == want.values.tobytes(), name
+            assert (layer.geometry, layer.nodata) == (want.geometry, want.nodata), name
+
+    @settings(max_examples=50, deadline=None)
+    @given(blocked_builds())
+    def test_sink_gets_the_rows_in_order(self, build):
+        grids, cfg, block_rows = build
+        got = []
+        assert build_feature_stack(*grids, cfg, sink=lambda first, rows: got.append(
+            (first, [r.copy() for r in rows])), block_rows=block_rows) is None
+        stack = build_feature_stack(*grids, cfg)
+        assert [first for first, _ in got] == list(range(0, stack.geometry.nrows, block_rows))
+        for i, layer in enumerate(stack.layers):
+            joined = np.concatenate([rows[i] for _, rows in got])
+            assert joined.tobytes() == layer.values.tobytes(), stack.names[i]
+
+
+class TestStackMemory:
+    """The blocked build's tracemalloc peak, against the bound the
+    ``build_feature_stack`` docstring states: a block peaks near
+    8 * ncols * (35 * block_rows + 40 * halo) bytes, and tpi's grid mean
+    takes 9 bytes per cell once, before the blocks.
+
+    With the default windows (halo 11, 64-row blocks) that is 21.4 kB per
+    column, so 11.0 MB at 513^2 and 22.0 MB at 1025^2, where the whole-grid
+    build peaked at 22.5 grids (47 and 189 MB). At 8193^2 the grid mean's
+    604 MB sets the peak; the blocks take 176 MB, against 12.1 GB.
+    """
+
+    @staticmethod
+    def bound(nrows, ncols, block_rows=64, halo=11):
+        return max(8 * ncols * (35 * block_rows + 40 * halo), 9 * nrows * ncols)
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_peak_within_the_stated_bound(self, k):
+        dem = fractal_dem(k, seed=7)
+        land = synth_landcover(dem, seed=11)
+        tracemalloc.start()
+        try:
+            build_feature_stack(dem, land.bare, land.urban, land.forest,
+                                sink=lambda first, rows: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = self.bound(dem.nrows, dem.ncols)
+        assert 0.85 * bound <= peak <= bound, (peak, bound)
+
+    def test_extrapolation_to_8193(self):
+        n = 8193
+        assert self.bound(n, n) == 9 * n * n < 0.61e9
+        assert 8 * n * (35 * 64 + 40 * 11) < 0.18e9
+        assert self.bound(n, n) < 0.06 * 22.5 * 8 * n * n
+
+
+class TestImports:
+    def test_texture_loads_neither_numpy_ma_nor_scipy(self):
+        """np.median made numpy 2 import numpy.ma on its first call."""
+        code = ("import sys; import numpy as np; from demcorrect import texture, WindowSpec; "
+                "from conftest import make_grid; before = set(sys.modules); "
+                "texture(make_grid(np.arange(30.0).reshape(5, 6) % 7), 0.5, WindowSpec(2)); "
+                "print(sorted(m for m in set(sys.modules) - before "
+                "if m.split('.')[:2] == ['numpy', 'ma'] or m.split('.')[0] == 'scipy'))")
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestBoxSumError:
