@@ -187,8 +187,9 @@ class TestStreamedWriter:
     """The ``features`` step writes each row block as it is built: its files
     equal those of the assembled stack written whole, however it is cut."""
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("block_rows", [1, 5, 64])
-    def test_streamed_files_equal_the_assembled_stack(self, tmp_path, block_rows):
+    def test_streamed_files_equal_the_assembled_stack(self, tmp_path, block_rows, workers):
         dem = fractal_dem(5, seed=3)
         land = synth_landcover(dem, seed=5)
         # a mask whose corner differs within the geometry tolerance keeps its own header
@@ -201,8 +202,8 @@ class TestStreamedWriter:
         streamed.mkdir()
         whole.mkdir()
         with cli._StackWriter(streamed, CANONICAL_FEATURES, layer_templates(*grids)) as write:
-            build_feature_stack(*grids, cli._feature_config(cfg), sink=write,
-                                block_rows=block_rows)
+            build_feature_stack(*grids, cli._feature_config(cfg), max_workers=workers,
+                                sink=write, block_rows=block_rows)
         write.write_manifest(cfg)
         cli._write_stack(build_feature_stack(*grids, cli._feature_config(cfg)), cfg, whole)
         names = sorted(p.name for p in whole.iterdir())
