@@ -12,8 +12,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -231,12 +231,15 @@ def _bulk_parse(body, expected: int, nodata: float) -> np.ndarray | None:
     values are bit-identical; it rejects ragged wrapping and a few
     spellings float() takes (1_0, non-ASCII digits), which, like every
     other refusal, are left to the token loop. So is a body without data,
-    on which loadtxt warns.
+    as loadtxt would warn on it.
     """
+    lines = iter(body)
+    first = next((line for line in lines if line and not line.isspace()), None)
+    if first is None:
+        return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            flat = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=1).ravel()
+        flat = np.loadtxt(itertools.chain([first], lines), dtype=np.float64, comments=None,
+                          ndmin=1).ravel()
     except ValueError:
         return None
     if flat.size != expected or not (np.isfinite(flat) | (flat == nodata)).all():

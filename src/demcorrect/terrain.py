@@ -401,9 +401,8 @@ def focal_fraction(mask: Grid, w: WindowSpec) -> Grid:
     return mask.with_values(np.where(keep, pct, mask.nodata))
 
 
-#: Rows per worker in a block of :func:`build_feature_stack`, unless twice
-#: its halo is more. Smaller blocks recompute more halo rows, and leave
-#: threads less work to overlap.
+#: Rows per worker in a block of :func:`build_feature_stack`. Smaller blocks
+#: recompute more halo rows, and leave threads less work to overlap.
 BLOCK_ROWS = 64
 
 
@@ -430,7 +429,6 @@ def build_feature_stack(
     cfg: FeatureConfig | None = None,
     max_workers: int = 1,
     sink: Callable[[int, tuple[np.ndarray, ...]], None] | None = None,
-    block_rows: int | None = None,
 ) -> FeatureStack | None:
     """Assemble the eleven predictor layers in canonical order.
 
@@ -438,13 +436,12 @@ def build_feature_stack(
     through; ``pct_bare``/``pct_forest`` are focal fractions of their masks;
     the rest are the derivatives above.
 
-    The layers are computed in blocks of ``block_rows`` rows, by default
-    ``max(BLOCK_ROWS, 2 * halo)`` per worker, each from a sub-grid that adds
-    a halo of the largest window radius plus 1 rows above and below. The
-    result depends neither on ``block_rows`` nor on ``max_workers`` (see the
-    module docstring). With one worker, a block peaks near
-    ``8 * ncols * (35 * block_rows + 40 * halo)`` bytes; before the blocks,
-    tpi's grid mean takes 9 bytes per cell once.
+    The layers are computed in blocks of ``BLOCK_ROWS * max_workers`` rows,
+    each from a sub-grid that adds a halo of the largest window radius plus
+    1 rows above and below. The result depends neither on the block size
+    nor on ``max_workers`` (see the module docstring). With one worker, a
+    block peaks near ``8 * ncols * (35 * BLOCK_ROWS + 40 * halo)`` bytes;
+    before the blocks, tpi's grid mean takes 9 bytes per cell once.
 
     With ``sink``, each block goes to ``sink(first_row, rows)`` as it
     finishes, ``rows`` holding its rows of every layer in canonical order,
@@ -465,7 +462,7 @@ def build_feature_stack(
     windows = (cfg.roughness_window, cfg.tpi_window, cfg.vrm_window,
                cfg.landcover_window, cfg.texture_window)
     halo = 1 + max(w.radius for w in windows)
-    block_rows = block_rows or max(BLOCK_ROWS, 2 * halo) * max_workers
+    block_rows = BLOCK_ROWS * max_workers
     carry = _RowCarry(dem)
     jobs = {
         "slope": lambda d, b, f: slope(d),

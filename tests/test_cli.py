@@ -23,6 +23,7 @@ from demcorrect import (
     synth_landcover,
 )
 from demcorrect.cli import ConfigError, main, resolve_config, worker_count
+import demcorrect.terrain as terrain
 from demcorrect.terrain import layer_templates
 from conftest import NODATA, make_grid
 
@@ -189,7 +190,8 @@ class TestStreamedWriter:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("block_rows", [1, 5, 64])
-    def test_streamed_files_equal_the_assembled_stack(self, tmp_path, block_rows, workers):
+    def test_streamed_files_equal_the_assembled_stack(self, tmp_path, monkeypatch, block_rows,
+                                                      workers):
         dem = fractal_dem(5, seed=3)
         land = synth_landcover(dem, seed=5)
         # a mask whose corner differs within the geometry tolerance keeps its own header
@@ -201,9 +203,11 @@ class TestStreamedWriter:
         streamed, whole = tmp_path / "streamed", tmp_path / "whole"
         streamed.mkdir()
         whole.mkdir()
-        with cli._StackWriter(streamed, CANONICAL_FEATURES, layer_templates(*grids)) as write:
-            build_feature_stack(*grids, cli._feature_config(cfg), max_workers=workers,
-                                sink=write, block_rows=block_rows)
+        with monkeypatch.context() as patch:
+            patch.setattr(terrain, "BLOCK_ROWS", block_rows)
+            with cli._StackWriter(streamed, CANONICAL_FEATURES, layer_templates(*grids)) as write:
+                build_feature_stack(*grids, cli._feature_config(cfg), max_workers=workers,
+                                    sink=write)
         write.write_manifest(cfg)
         cli._write_stack(build_feature_stack(*grids, cli._feature_config(cfg)), cfg, whole)
         names = sorted(p.name for p in whole.iterdir())
