@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .grid import GeometryMismatch, Grid
-from .sampling import EmptyTableError, stratum_labels
+from .sampling import EmptyTableError, distinct_labels, stratum_labels
 from .terrain import FeatureStack
 
 __all__ = [
@@ -236,7 +236,7 @@ def build_report(
     if strata is not None:
         labels_grid = stratum_labels(strata)
         label_valid = valid & strata.valid_mask()
-        present = np.unique(labels_grid[label_valid])
+        present = distinct_labels(labels_grid[label_valid])
         declared = sorted(stratum_names) if stratum_names else []
         for lab in sorted(set(declared) | set(int(v) for v in present)):
             name = stratum_names.get(lab, str(lab)) if stratum_names else str(lab)

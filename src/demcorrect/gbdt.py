@@ -26,7 +26,11 @@ Every tree works on a copy of it in which each node owns a column slice
 ``[lo, hi)``. Splitting a node stably moves its left rows to the front of
 its slice in every buffer row, so each node's block stays sorted per
 feature, its last row lists its rows in ascending order, and split search
-scans a node without sorting anything.
+scans a node without sorting anything. The fit keeps its table
+column-major, so every value it gathers is a 1-D ``take`` from one column.
+A feature whose values never repeat in the table never repeats in a node,
+so split search compares adjacent sorted values only for features with
+ties; in the others every adjacent pair is a candidate threshold.
 """
 
 from __future__ import annotations
@@ -169,17 +173,26 @@ class RegressionTree:
         return best
 
     def predict_rows(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(len(X), dtype=np.int64)
-        while True:
-            feat = self.feature[idx]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = np.flatnonzero(active)
-            node = idx[rows]
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            idx[rows] = np.where(go_left, self.left[node], self.right[node])
-        return self.value[idx]
+        """Leaf values of the rows of ``X``, routed down the tree by partition.
+
+        Each internal node compares one column of its rows with its
+        threshold and hands the two sides on as row-index arrays, so every
+        gather reads a single column; a leaf writes its value to its rows.
+        """
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right, value = self.left.tolist(), self.right.tolist(), self.value.tolist()
+        out = np.empty(len(X))
+        stack = [(0, np.arange(len(X)))]
+        while stack:
+            node, rows = stack.pop()
+            f = feature[node]
+            if f < 0:
+                out[rows] = value[node]
+            elif len(rows):
+                go_left = X[rows, f] <= threshold[node]
+                stack.append((right[node], rows.compress(~go_left)))
+                stack.append((left[node], rows.compress(go_left)))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,12 +224,16 @@ def best_split(
     node_rows: np.ndarray,
     params: GbdtParams,
     order: np.ndarray | None = None,
+    tied=None,
 ) -> Split | None:
     """Exact greedy search over all features and distinct-value midpoints.
 
     ``order`` is an optional ``(F, m)`` block whose row f lists the node's
     rows in ascending order of feature f, ties by row id; without it the
     rows are sorted here (stably, ties by position in ``node_rows``).
+    ``tied`` lists the features whose values may repeat among the rows
+    (None: every feature). Only those need their sorted values compared:
+    in any other feature every adjacent pair of sorted rows is a candidate.
     Returns None when the best gain does not exceed ``min_gain`` or every
     candidate would violate ``min_samples_leaf``. Ties break to the lower
     feature index, then the lower threshold.
@@ -233,12 +250,7 @@ def best_split(
     if order is None:
         order = rows[np.argsort(features[rows], axis=0, kind="stable")].T
     n_features = features.shape[1]
-    xs = features[order, np.arange(n_features)[:, None]]
-    ok = xs[:, 1:] > xs[:, :-1]
-    del xs  # (F, m) temporaries dominate the fit's memory; hold few at once
     n_left = np.arange(1, m)
-    if params.min_samples_leaf > 1:
-        ok &= (n_left >= params.min_samples_leaf) & (m - n_left >= params.min_samples_leaf)
     prefix = residuals[order]
     np.cumsum(prefix, axis=1, out=prefix)
     prefix = prefix[:, :-1]
@@ -251,7 +263,13 @@ def best_split(
     gains /= n_left + lam
     gains += right
     gains -= parent
-    np.putmask(gains, ~ok, -np.inf)
+    # rule out a threshold between equal values, or one that leaves a child
+    # fewer than min_samples_leaf rows
+    for f in range(n_features) if tied is None else tied:
+        xs = features[:, f].take(order[f])
+        np.putmask(gains[f], ~(xs[1:] > xs[:-1]), -np.inf)
+    gains[:, :params.min_samples_leaf - 1] = -np.inf
+    gains[:, m - params.min_samples_leaf:] = -np.inf
     at = np.argmax(gains, axis=1)  # first max per feature = lowest threshold
     feature_gain = gains[np.arange(n_features), at]
     f = int(np.argmax(feature_gain))  # first max = lowest feature index
@@ -316,6 +334,12 @@ class _Partition:
     def __init__(self, features: np.ndarray):
         self.features = features
         self.presorted = _presort(features)
+        # a feature without ties in the table has none in any node
+        self.tied = []
+        for f, order in enumerate(self.presorted[:-1]):
+            xs = features[:, f].take(order)
+            if not (xs[1:] > xs[:-1]).all():
+                self.tied.append(f)
         self.buf = np.empty_like(self.presorted)
         self.go_left = np.empty(len(features), dtype=bool)  # indexed by row id
 
@@ -330,12 +354,12 @@ class _Partition:
     def search(self, residuals, lo: int, hi: int, params: GbdtParams) -> Split | None:
         # through the module global, positionally: tracing wraps best_split
         return best_split(self.features, residuals, self.buf[-1, lo:hi], params,
-                          self.buf[:-1, lo:hi])
+                          self.buf[:-1, lo:hi], self.tied)
 
     def split(self, lo: int, hi: int, split: Split) -> int:
         """Stably reorder ``[lo, hi)`` left rows first; returns the boundary."""
         rows = self.buf[-1, lo:hi]
-        self.go_left[rows] = self.features[rows, split.feature] <= split.threshold
+        self.go_left[rows] = self.features[:, split.feature].take(rows) <= split.threshold
         n_left = int(np.count_nonzero(self.go_left[rows]))
         block = self.buf[:, lo:hi]
         go_left = self.go_left[block].ravel()
@@ -398,7 +422,7 @@ def fit_gbdt(train: SampleTable, params: GbdtParams | None = None,
     params = params or GbdtParams()
     if len(train) == 0:
         raise EmptyTableError("cannot fit on an empty table")
-    X = np.ascontiguousarray(train.features)
+    X = np.asfortranarray(train.features)  # columns contiguous: see the module doc
     y = train.targets
 
     base = float(y.mean())

@@ -51,6 +51,17 @@ def stratum_labels(strata: Grid) -> np.ndarray:
     return np.where(ok, rounded, NO_STRATUM).astype(np.int64)
 
 
+def distinct_labels(labels: np.ndarray) -> np.ndarray:
+    """The distinct values of ``labels``, ascending.
+
+    ``np.unique`` gives the same, but under numpy 2 it imports ``numpy.ma``.
+    """
+    ordered = np.sort(labels, axis=None)
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 @dataclass(frozen=True, eq=False)
 class SampleTable:
     """Rows of (cell, feature vector, target, stratum).
@@ -229,7 +240,7 @@ def split_table(
         test_idx = np.sort(order[n_train:])
         return table.subset(train_idx), table.subset(test_idx)
 
-    labels = np.unique(table.strata)
+    labels = distinct_labels(table.strata)
     groups = {int(lab): np.flatnonzero(table.strata == lab) for lab in labels}
     eligible = [lab for lab, idx in groups.items() if len(idx) >= 2]
     forced = [lab for lab, idx in groups.items() if len(idx) < 2]

@@ -428,7 +428,11 @@ class TestOnePipeline:
 
 
 class TestImportPath:
-    """scipy is needed only to fit the MLR, so no other step imports it."""
+    """scipy is needed only to fit the MLR, so no other step imports it.
+
+    Nor does a step need ``numpy.ma``, which ``np.unique`` imports under
+    numpy 2.
+    """
 
     SRC = str(Path(cli.__file__).resolve().parents[1])
     #: a step command run with the import of scipy blocked
@@ -464,6 +468,16 @@ class TestImportPath:
         assert sorted(got) == sorted(want)
         for name in want:
             assert got[name] == want[name], name
+
+    def test_evaluate_loads_no_numpy_ma(self, workspace):
+        cfg_path, _ = workspace
+        for step in ("features", "diagnose", "train", "correct"):
+            assert run_cli(step, "--config", cfg_path) == 0, step
+        proc = self.python("import sys; from demcorrect.cli import main; "
+                           "rc = main(sys.argv[1:]); print(rc, 'numpy.ma' in sys.modules)",
+                           "evaluate", "--config", cfg_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 class TestUsage:

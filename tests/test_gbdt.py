@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from demcorrect import (
     GbdtModel,
     GbdtParams,
     ModelFormatError,
+    RegressionTree,
     SampleTable,
     best_split,
     deserialize_model,
@@ -247,6 +251,65 @@ class TestPredict:
         m = GbdtModel(0.0, (), GbdtParams(), ("a", "b"))
         with pytest.raises(ValueError, match=r"\(n, 2\) features"):
             predict_one(m, [1.0])
+
+
+def level_walk(tree, X):
+    """The oracle: every row steps one level per pass, all rows at once.
+
+    Trees predicted this way before rows were routed by partition.
+    """
+    idx = np.zeros(len(X), dtype=np.int64)
+    while True:
+        feat = tree.feature[idx]
+        active = feat >= 0
+        if not active.any():
+            break
+        rows = np.flatnonzero(active)
+        node = idx[rows]
+        go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+        idx[rows] = np.where(go_left, tree.left[node], tree.right[node])
+    return tree.value[idx]
+
+
+# a few shared values give ties and rows that land on thresholds
+VALUES = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-10, 10, width=64)
+
+
+@st.composite
+def fitted_models(draw):
+    n = draw(st.integers(1, 40))
+    n_features = draw(st.integers(1, 4))
+    X = draw(hnp.arrays(np.float64, (n, n_features), elements=VALUES))
+    y = draw(hnp.arrays(np.float64, n, elements=st.floats(-10, 10, width=64)))
+    growth = draw(st.sampled_from(["depthwise", "leafwise"]))
+    params = GbdtParams(n_trees=draw(st.integers(1, 3)), growth=growth,
+                        max_depth=draw(st.none() | st.integers(1, 5)),
+                        max_leaves=draw(st.integers(2, 12)),
+                        min_samples_leaf=draw(st.integers(1, 3)))
+    return fit_gbdt(table_from(X, y), params), X
+
+
+@settings(max_examples=200, deadline=None)
+@given(fitted_models(), st.data())
+def test_routed_prediction_equals_level_walk(fitted, data):
+    model, X = fitted
+    n_features = X.shape[1]
+    drawn = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(0, 20)), n_features),
+                                 elements=VALUES | st.just(np.nan)))
+    queries = [drawn, drawn[:0], X]
+    for tree in model.trees:  # one row on each split's threshold
+        at = np.zeros((int((tree.feature >= 0).sum()), n_features))
+        at[np.arange(len(at)), tree.feature[tree.feature >= 0]] = tree.threshold[tree.feature >= 0]
+        queries.append(at)
+    leaf = RegressionTree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]),
+                          np.array([data.draw(st.floats(-10, 10, width=64))]))
+    for Q in queries:
+        for tree in (*model.trees, leaf):
+            assert tree.predict_rows(Q).tobytes() == level_walk(tree, Q).tobytes()
+        want = np.full(len(Q), model.base_score)
+        for tree in model.trees:
+            want += model.params.learning_rate * level_walk(tree, Q)
+        assert model.predict_rows(Q).tobytes() == want.tobytes()
 
 
 class TestSerialization:

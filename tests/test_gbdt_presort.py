@@ -3,7 +3,9 @@
 ``best_split`` without ``order`` sorts the node's rows itself and is the
 reference. Given the fit-wide presort restricted to a node's rows it must
 return exactly the same split, and partitioning a slice must leave each
-child's block equal to that restriction.
+child's block equal to that restriction. A partition compares sorted values
+only in the features that have ties in the whole table, so its searches are
+also checked on tables that mix columns with and without ties.
 """
 
 import numpy as np
@@ -29,6 +31,23 @@ def tables(draw):
     params = GbdtParams(reg_lambda=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 10)),
                         min_samples_leaf=draw(st.integers(1, 4)))
     return X, res, params
+
+
+@st.composite
+def mixed_tables(draw):
+    """Tables whose columns each either repeat values or never do."""
+    n = draw(st.integers(2, 48))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            columns.append(draw(hnp.arrays(np.float64, n, elements=VALUES)))
+        else:  # distinct under ==, so 0.0 and -0.0 are not both drawn
+            columns.append(draw(hnp.arrays(np.float64, n, unique=True,
+                                           elements=st.floats(-1e3, 1e3, width=64))))
+    res = draw(hnp.arrays(np.float64, n, elements=RESIDUALS))
+    params = GbdtParams(reg_lambda=draw(st.sampled_from([0.0, 1.0])),
+                        min_samples_leaf=draw(st.integers(1, 3)))
+    return np.column_stack(columns), res, params
 
 
 def restricted(presorted: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -61,3 +80,21 @@ def test_partitioned_children_stay_presorted(table):
     go_left = X[:, split.feature] <= split.threshold
     for lo, hi, rows in ((0, mid, np.flatnonzero(go_left)), (mid, n, np.flatnonzero(~go_left))):
         assert np.array_equal(part.buf[:, lo:hi], restricted(part.presorted, rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_tables())
+def test_partition_search_equals_reference_on_mixed_tables(table):
+    X, res, params = table
+    part = _Partition(np.asfortranarray(X)).reset()
+    assert part.tied == [f for f, col in enumerate(X.T)
+                         if len(set(col.tolist())) < len(col)]
+    n = len(res)
+    split = part.search(res, 0, n, params)
+    assert split == best_split(X, res, np.arange(n), params)
+    if split is None:
+        return
+    mid = part.split(0, n, split)
+    for lo, hi in ((0, mid), (mid, n)):
+        want = best_split(X, res, part.rows(lo, hi), params)
+        assert part.search(res, lo, hi, params) == want

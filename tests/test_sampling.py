@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from demcorrect import (
     EmptyTableError,
@@ -13,6 +16,7 @@ from demcorrect import (
     split_table,
 )
 from demcorrect.grid import GeometryMismatch
+from demcorrect.sampling import distinct_labels
 from conftest import NODATA, make_grid
 
 
@@ -154,6 +158,14 @@ class TestSplit:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             split_table(toy_table(5), train_fraction=1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0),
+                  elements=st.integers(-1, 2**62)))
+def test_distinct_labels_equal_unique(labels):
+    got, want = distinct_labels(labels), np.unique(labels)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestCsv:
