@@ -26,11 +26,12 @@ Every tree works on a copy of it in which each node owns a column slice
 ``[lo, hi)``. Splitting a node stably moves its left rows to the front of
 its slice in every buffer row, so each node's block stays sorted per
 feature, its last row lists its rows in ascending order, and split search
-scans a node without sorting anything. The fit keeps its table
-column-major, so every value it gathers is a 1-D ``take`` from one column.
-A feature whose values never repeat in the table never repeats in a node,
-so split search compares adjacent sorted values only for features with
-ties; in the others every adjacent pair is a candidate threshold.
+scans a node without sorting anything. A feature whose values never
+repeat in the table never repeats in a node, so split search compares
+adjacent sorted values only for features with ties; in the others every
+adjacent pair is a candidate threshold. Splitting a node reads no column:
+the node's rows in order of the split feature send a prefix left, whose
+length a binary search finds.
 """
 
 from __future__ import annotations
@@ -266,7 +267,7 @@ def best_split(
     # rule out a threshold between equal values, or one that leaves a child
     # fewer than min_samples_leaf rows
     for f in range(n_features) if tied is None else tied:
-        xs = features[:, f].take(order[f])
+        xs = features[order[f], f]
         np.putmask(gains[f], ~(xs[1:] > xs[:-1]), -np.inf)
     gains[:, :params.min_samples_leaf - 1] = -np.inf
     gains[:, m - params.min_samples_leaf:] = -np.inf
@@ -337,7 +338,7 @@ class _Partition:
         # a feature without ties in the table has none in any node
         self.tied = []
         for f, order in enumerate(self.presorted[:-1]):
-            xs = features[:, f].take(order)
+            xs = features[order, f]
             if not (xs[1:] > xs[:-1]).all():
                 self.tied.append(f)
         self.buf = np.empty_like(self.presorted)
@@ -358,10 +359,19 @@ class _Partition:
 
     def split(self, lo: int, hi: int, split: Split) -> int:
         """Stably reorder ``[lo, hi)`` left rows first; returns the boundary."""
-        rows = self.buf[-1, lo:hi]
-        self.go_left[rows] = self.features[:, split.feature].take(rows) <= split.threshold
-        n_left = int(np.count_nonzero(self.go_left[rows]))
         block = self.buf[:, lo:hi]
+        # the rows in order of the split feature go left up to the first
+        # value above the threshold (NaN sorts last and goes right)
+        order, column = block[split.feature], self.features[:, split.feature]
+        n_left, above = 0, hi - lo
+        while n_left < above:
+            mid = (n_left + above) // 2
+            if column[order[mid]] <= split.threshold:
+                n_left = mid + 1
+            else:
+                above = mid
+        self.go_left[order[:n_left]] = True
+        self.go_left[order[n_left:]] = False
         go_left = self.go_left[block].ravel()
         # compress, not boolean indexing: several times faster on int arrays
         flat = block.ravel()
@@ -422,7 +432,7 @@ def fit_gbdt(train: SampleTable, params: GbdtParams | None = None,
     params = params or GbdtParams()
     if len(train) == 0:
         raise EmptyTableError("cannot fit on an empty table")
-    X = np.asfortranarray(train.features)  # columns contiguous: see the module doc
+    X = np.ascontiguousarray(train.features)
     y = train.targets
 
     base = float(y.mean())

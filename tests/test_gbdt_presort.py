@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from demcorrect import GbdtParams, best_split
-from demcorrect.gbdt import _Partition, _presort
+from demcorrect.gbdt import Split, _Partition, _presort
 
 # a handful of shared values makes ties common; the rest are arbitrary
 VALUES = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]),
@@ -76,8 +76,24 @@ def test_partitioned_children_stay_presorted(table):
     split = part.search(res, 0, n, params)
     if split is None:
         return
+    assert_children_presorted(part, X, split)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.data())
+def test_split_at_a_table_value_sends_that_value_left(table, data):
+    X, res, _ = table
+    f = data.draw(st.integers(0, X.shape[1] - 1))
+    threshold = X[data.draw(st.integers(0, len(X) - 1)), f]
+    assert_children_presorted(_Partition(X).reset(), X, Split(f, threshold, 0.0))
+
+
+def assert_children_presorted(part, X, split):
+    """Split the root slice; each child's block is the presort restricted to its rows."""
+    n = len(X)
     mid = part.split(0, n, split)
     go_left = X[:, split.feature] <= split.threshold
+    assert mid == np.count_nonzero(go_left)
     for lo, hi, rows in ((0, mid, np.flatnonzero(go_left)), (mid, n, np.flatnonzero(~go_left))):
         assert np.array_equal(part.buf[:, lo:hi], restricted(part.presorted, rows))
 
