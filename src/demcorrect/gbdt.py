@@ -225,7 +225,7 @@ def best_split(
     node_rows: np.ndarray,
     params: GbdtParams,
     order: np.ndarray | None = None,
-    tied=None,
+    tied: list[int] | None = None,
 ) -> Split | None:
     """Exact greedy search over all features and distinct-value midpoints.
 

@@ -298,8 +298,9 @@ def test_routed_prediction_equals_level_walk(fitted, data):
                                  elements=VALUES | st.just(np.nan)))
     queries = [drawn, drawn[:0], X]
     for tree in model.trees:  # one row on each split's threshold
-        at = np.zeros((int((tree.feature >= 0).sum()), n_features))
-        at[np.arange(len(at)), tree.feature[tree.feature >= 0]] = tree.threshold[tree.feature >= 0]
+        splits = np.flatnonzero(tree.feature >= 0)
+        at = np.zeros((len(splits), n_features))
+        at[np.arange(len(splits)), tree.feature[splits]] = tree.threshold[splits]
         queries.append(at)
     leaf = RegressionTree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]),
                           np.array([data.draw(st.floats(-10, 10, width=64))]))
