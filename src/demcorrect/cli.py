@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evaluate import abs_error_grid, apply_correction, build_report, predict_error_grid
+from .evaluate import abs_error_values, build_report, corrected_values, predict_error_grid
 from .gbdt import GbdtParams, ModelFormatError, deserialize_model, fit_gbdt, serialize_model
 from .grid import (
     Grid,
@@ -47,6 +47,7 @@ from .grid import (
     GridParseError,
     ascii_header,
     ascii_rows,
+    check_values,
     difference,
     load_grid,
     parse_ascii_header,
@@ -79,6 +80,7 @@ from .terrain import (
     CANONICAL_FEATURES,
     FeatureConfig,
     FeatureStack,
+    StackRows,
     WindowSpec,
     build_feature_stack,
     layer_templates,
@@ -517,9 +519,13 @@ def _read_manifest(path: Path) -> tuple[list[dict], dict | None]:
 
     manifest = _read_json(path)
     entries = field(manifest, "layers", list, "")
+    names = set()
     for i, entry in enumerate(entries):
         for key in ("name", "file", "sha256"):
             field(entry, key, str, f"layers[{i}].")
+        if entry["name"] in names:
+            raise ConfigError(f"'{path}': layers[{i}] repeats the layer name '{entry['name']}'")
+        names.add(entry["name"])
     record = manifest.get("stack")
     if record is not None:
         for key in ("file", "sha256"):
@@ -527,41 +533,107 @@ def _read_manifest(path: Path) -> tuple[list[dict], dict | None]:
     return entries, record
 
 
-def _load_stack(out: Path) -> FeatureStack:
+class _StackFile:
+    """The layers of a digest-checked ``features_stack.npy``, read a block of
+    rows at a time (a :class:`~demcorrect.terrain.StackRows`).
+
+    ``rows`` seeks to the block in each named layer's slab and reads it
+    into a buffer that the next call reuses. The file is not mapped:
+    ``ru_maxrss`` counts every page a map touches, so a map would cost as
+    much as reading the layers whole.
+    """
+
+    def __init__(self, path: Path, start: int, names, geometries, nodata):
+        self.path, self._start = path, start
+        self.names, self._geometries, self.nodata = tuple(names), geometries, tuple(nodata)
+        self.geometry = geometries[0]
+        self._buffer = np.empty(0, dtype="<f8")
+
+    @property
+    def layers(self) -> tuple[Grid, ...]:
+        """Every layer read whole, each on its own header's geometry, as
+        parsing the ``.asc`` files gives them."""
+        return tuple(Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, values)
+                     for geo, nodata, values in zip(self._geometries, self.nodata,
+                                                    self.rows(0, self.geometry.nrows)))
+
+    @classmethod
+    def open(cls, path: Path, sha256: str, names, layers) -> "_StackFile | None":
+        """The reader of ``path``, or None unless it and each ``(file,
+        sha256)`` of ``layers`` still have the recorded sha256 and every
+        layer header agrees with the array's shape.
+
+        Raises:
+            GeometryMismatch: a layer is not on the first layer's geometry.
+        """
+        if not path.is_file() or _sha256_file(path) != sha256:
+            return None
+        with open(path, "rb") as fh:
+            version = np.lib.format.read_magic(fh)
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            start = fh.tell()
+        if (version, len(shape), fortran, dtype) != ((1, 0), 3, False, np.dtype("<f8")) \
+                or shape[0] != len(names) \
+                or path.stat().st_size != start + 8 * shape[0] * shape[1] * shape[2]:
+            return None
+        geometries, nodata = [], []
+        for fpath, digest in layers:
+            if _sha256_file(fpath) != digest:
+                return None
+            with open(fpath, encoding="ascii") as fh:
+                geo, sentinel = parse_ascii_header(list(itertools.islice(fh, 6)))
+            if shape[1:] != (geo.nrows, geo.ncols):
+                return None
+            geometries.append(geo)
+            nodata.append(sentinel)
+        for name, geo in zip(names, geometries):
+            if not geo.matches(geometries[0]):
+                raise GeometryMismatch(f"layer '{name}' is not on the stack geometry")
+        return cls(path, start, names, geometries, nodata)
+
+    def rows(self, start: int, stop: int, names=None) -> tuple[np.ndarray, ...]:
+        order = range(len(self.names)) if names is None else [self._index(n) for n in names]
+        nrows, ncols = self.geometry.nrows, self.geometry.ncols
+        size = (stop - start) * ncols
+        if self._buffer.size < len(order) * size:
+            self._buffer = np.empty(len(order) * size, dtype="<f8")
+        blocks = []
+        with open(self.path, "rb") as fh:
+            for k, i in enumerate(order):
+                block = self._buffer[k * size:(k + 1) * size]
+                fh.seek(self._start + (i * nrows + start) * ncols * 8)
+                if fh.readinto(block) != block.nbytes:
+                    raise ConfigError(f"'{self.path}' changed while it was read")
+                blocks.append(block.reshape(stop - start, ncols))
+        return tuple(blocks)
+
+    def _index(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise KeyError(f"no feature layer named '{name}'") from None
+
+
+def _load_stack(out: Path) -> StackRows:
     """The manifest's layers, each bit-identical to parsing its ``.asc`` file.
 
-    A layer is read from the binary copy when that copy and the layer's
-    ``.asc`` file both still have the sha256 the manifest records;
-    otherwise (no record, a stale or truncated copy, an edited layer) the
-    ``.asc`` file is parsed, so the ASCII rasters stay authoritative.
+    When the binary copy and every layer's ``.asc`` file still have the
+    sha256 the manifest records, the layers are read from the copy a block
+    of rows at a time (:class:`_StackFile`). Otherwise (no record, a stale
+    or truncated copy, an edited layer) every ``.asc`` file is parsed into
+    a :class:`FeatureStack`, so the ASCII rasters stay authoritative.
     """
     entries, record = _read_manifest(out / _MANIFEST_FILE)
-    binary_path = out / record["file"] if record else None
-    fresh = (binary_path is not None and binary_path.is_file()
-             and _sha256_file(binary_path) == record["sha256"])
-    names, grids = [], []
-    with open(binary_path, "rb") if fresh else contextlib.nullcontext() as binary:
-        if fresh:
-            np.lib.format.read_magic(binary)
-            shape, _, _ = np.lib.format.read_array_header_1_0(binary)
-            start = binary.tell()
-            fresh = shape[0] == len(entries)
-        for i, entry in enumerate(entries):
-            fpath = out / entry["file"]
-            if not fpath.is_file():
-                raise ConfigError(f"feature layer '{fpath}' named by the manifest does not exist")
-            names.append(entry["name"])
-            grid = None
-            if fresh and _sha256_file(fpath) == entry["sha256"]:
-                with open(fpath, encoding="ascii") as fh:
-                    geo, nodata = parse_ascii_header(list(itertools.islice(fh, 6)))
-                if shape[1:] == (geo.nrows, geo.ncols):
-                    binary.seek(start + i * geo.nrows * geo.ncols * 8)
-                    values = np.fromfile(binary, dtype="<f8", count=geo.nrows * geo.ncols)
-                    grid = Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize,
-                                nodata, values)
-            grids.append(load_grid(fpath) if grid is None else grid)
-    return FeatureStack(tuple(names), tuple(grids))
+    names = [entry["name"] for entry in entries]
+    paths = [out / entry["file"] for entry in entries]
+    for fpath in paths:
+        if not fpath.is_file():
+            raise ConfigError(f"feature layer '{fpath}' named by the manifest does not exist")
+    stack = None
+    if record is not None:
+        stack = _StackFile.open(out / record["file"], record["sha256"], names,
+                                [(fpath, entry["sha256"]) for fpath, entry in zip(paths, entries)])
+    return stack or FeatureStack(tuple(names), tuple(load_grid(fpath) for fpath in paths))
 
 
 def _model_doc_path(out: Path, name: str) -> Path:
@@ -605,11 +677,11 @@ def _features_step(cfg: dict, dem: Grid, bare: Grid, urban: Grid, forest: Grid,
     return None
 
 
-def _split_step(cfg: dict, stack: FeatureStack, dem: Grid, reference: Grid,
+def _split_step(cfg: dict, stack: StackRows, target: Grid,
                 strata: Grid | None) -> tuple[SampleTable, SampleTable]:
-    """The (train, test) split of the sampled cells, target = dem - reference."""
+    """The (train, test) split of the sampled cells; the target is dem - reference."""
     rate, train_fraction, seed, stratified = _sampling_args(cfg)
-    table = extract_samples(stack, difference(dem, reference), strata, rate=rate, seed=seed)
+    table = extract_samples(stack, target, strata, rate=rate, seed=seed)
     return split_table(table, train_fraction=train_fraction, seed=seed, stratified=stratified)
 
 
@@ -647,26 +719,59 @@ def _train_step(cfg: dict, train: SampleTable, out: Path) -> dict:
     return results
 
 
-def _correct_step(models: dict, stack: FeatureStack, dem: Grid, reference: Grid | None,
-                  out: Path) -> dict[str, Grid]:
-    """Corrected DEM per {name: (model, document path)}, with its rasters written.
+def _correct_step(models: dict, stack: StackRows, dem: Grid, reference: Grid | None,
+                  out: Path, keep: bool = False) -> dict[str, Grid]:
+    """Write each model's predicted error, corrected DEM and, given a
+    reference, absolute error, for {name: (model, document path)}.
+
+    The three rasters are written a block of rows at a time, as the
+    predictions arrive. With ``keep`` the corrected DEMs are also assembled
+    and returned by name; otherwise the result is empty. Every input is
+    checked before the first file opens, so a refused run writes no raster.
 
     Raises:
         ModelFormatError: a document names a feature layer the stack lacks.
+        GeometryMismatch: the DEM is not on the stack geometry, or the
+            reference is not on the DEM's.
     """
-    corrected = {}
     for name, (model, path) in models.items():
         for feature in model.feature_names:
             if feature not in stack.names:
                 raise ModelFormatError(
                     f"'{path}' names feature layer '{feature}', which the feature "
                     f"stack lacks (layers: {', '.join(stack.names)})")
-        dh = predict_error_grid(model, stack)
-        corrected[name] = apply_correction(dem, dh)
-        save_grid(dh, out / f"predicted_error_{name}.asc")
-        save_grid(corrected[name], _corrected_path(out, name))
-        if reference is not None:
-            save_grid(abs_error_grid(corrected[name], reference), out / f"abs_error_{name}.asc")
+    if not dem.geometry.matches(stack.geometry):
+        raise GeometryMismatch("prediction grid is not on the DEM geometry")
+    if reference is not None and not dem.geometry.matches(reference.geometry):
+        raise GeometryMismatch("reference grid is not on the corrected geometry")
+    kinds = ("predicted_error", "corrected", "abs_error")[:2 if reference is None else 3]
+    corrected = {}
+    for name, (model, _) in models.items():
+        whole = np.empty(dem.values.shape) if keep else None
+        with contextlib.ExitStack() as files:
+            fhs = [files.enter_context(open(out / f"{kind}_{name}.asc", "w", encoding="ascii",
+                                            newline="\n")) for kind in kinds]
+            fhs[0].write(ascii_header(stack.geometry, stack.nodata[0]))
+            for fh in fhs[1:]:
+                fh.write(ascii_header(dem.geometry, dem.nodata))
+
+            def write(first, error):
+                rows = slice(first, first + len(error))
+                fixed = corrected_values(dem.values[rows], dem.nodata, error, stack.nodata[0])
+                blocks = [fixed]
+                if reference is not None:
+                    blocks.append(abs_error_values(fixed, dem.nodata, reference.values[rows],
+                                                   reference.nodata))
+                for block in blocks:
+                    check_values(block, dem.nodata, first)
+                for fh, block in zip(fhs, [error, *blocks]):
+                    fh.write(ascii_rows(block))
+                if whole is not None:
+                    whole[rows] = fixed
+
+            predict_error_grid(model, stack, sink=write)
+        if keep:
+            corrected[name] = dem.with_values(whole)
     return corrected
 
 
@@ -704,9 +809,10 @@ def cmd_features(cfg: dict) -> int:
 def _load_train_split(cfg: dict) -> tuple[Path, SampleTable]:
     out = _out_dir(cfg)
     stack = _load_stack(out)
-    dem = load_grid(_require_path(cfg, "dem"))
-    reference = load_grid(_require_path(cfg, "reference"))
-    train, _ = _split_step(cfg, stack, dem, reference, _optional_grid(cfg, "strata"))
+    # the two grids go once differenced, before the strata are read
+    target = difference(load_grid(_require_path(cfg, "dem")),
+                        load_grid(_require_path(cfg, "reference")))
+    train, _ = _split_step(cfg, stack, target, _optional_grid(cfg, "strata"))
     return out, train
 
 
@@ -736,8 +842,19 @@ def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
     models = {}
     for path in paths:
         model, doc = _load_model(path)
-        models[doc.get("model_name", path.stem)] = (model, path)
-    for name in _correct_step(models, stack, dem, reference, out):
+        name = doc.get("model_name", path.stem)
+        # the name becomes part of three file names
+        if not isinstance(name, str) or not name:
+            raise ModelFormatError(f"'{path}': model_name must be a non-empty string, "
+                                   f"got {json.dumps(name)}")
+        if any(sep in name for sep in (os.sep, os.altsep) if sep):
+            raise ModelFormatError(f"'{path}': model_name '{name}' holds a path separator")
+        if name in models:
+            raise ModelFormatError(f"'{path}': model_name '{name}' is also that of "
+                                   f"'{models[name][1]}'")
+        models[name] = (model, path)
+    _correct_step(models, stack, dem, reference, out)
+    for name in models:
         print(f"corrected DEM with {name}")
     return 0
 
@@ -797,14 +914,14 @@ def cmd_bench(cfg: dict) -> int:
     stack = _features_step(cfg, original, land.bare, land.urban, land.forest, out, keep=True)
     t_feat = time.perf_counter()
 
-    train, test = _split_step(cfg, stack, original, reference, land.strata)
+    train, test = _split_step(cfg, stack, difference(original, reference), land.strata)
     (out / "samples_train.csv").write_text(train.to_csv())
     (out / "samples_test.csv").write_text(test.to_csv())
     _diagnose_step(cfg, train, out)
     models = _train_step(cfg, train, out)
     t_train = time.perf_counter()
 
-    corrected = _correct_step(models, stack, original, reference, out)
+    corrected = _correct_step(models, stack, original, reference, out, keep=True)
     t_correct = time.perf_counter()
 
     _evaluate_step(cfg, reference, original, corrected, land.strata, out)

@@ -10,15 +10,17 @@ percent reduction in RMSE.
 
 from __future__ import annotations
 
+import collections
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .grid import GeometryMismatch, Grid
+from .grid import GeometryMismatch, Grid, check_values
 from .sampling import EmptyTableError, distinct_labels, stratum_labels
-from .terrain import FeatureStack
+from .terrain import StackRows, row_blocks
 
 __all__ = [
     "Metrics",
@@ -72,46 +74,129 @@ def pct_rmse_reduction(before: float, after: float) -> float:
     return 100.0 * (before - after) / before
 
 
-def predict_error_grid(model, stack: FeatureStack) -> Grid:
+#: Rows per ``model.predict_rows`` call in :func:`predict_error_grid`, but
+#: for the last. The BLAS kernel behind MLR's ``X @ coefficients`` takes
+#: rows in groups and rounds the rows left over at the end of a call
+#: differently, and numpy computes a 1-row product by another routine
+#: still. So calls of this size, a multiple of 64, then one of at least
+#: ``_LAST_ROWS`` rows, give the bits of one call over every row; calls of a
+#: block's own count would not.
+PREDICT_CHUNK_ROWS = 1 << 16
+#: Rows that each full call leaves to the next, so that the last call has
+#: at least this many, unless every row fits in one call.
+_LAST_ROWS = 64
+
+
+def predict_error_grid(model, stack: StackRows,
+                       sink: Callable[[int, np.ndarray], None] | None = None) -> Grid | None:
     """Per-cell predicted elevation error from any model with predict_rows.
 
-    Cells where any feature the model uses is nodata become nodata.
+    Cells where any feature the model uses is nodata become nodata; the
+    grid takes the geometry and nodata sentinel of the stack's first layer.
+
+    The stack is read a block of ``terrain.BLOCK_ROWS`` rows at a time. The
+    feature rows of the valid cells go, in row-major order, into a buffer
+    whose first ``PREDICT_CHUNK_ROWS`` rows are predicted whenever it
+    fills, and the rest once at the end. With ``sink``, each block's
+    predicted rows go to ``sink(first_row, rows)``, top to bottom, as soon
+    as their cells are predicted, and None is returned; without, the grid
+    is assembled and returned.
 
     Raises:
         KeyError: the stack lacks a feature layer the model names.
+        ValueError: a prediction is neither finite nor the nodata sentinel.
     """
-    layers = [stack.layer(name) for name in model.feature_names]
-    ref = stack.layers[0]
-    valid = np.ones((ref.nrows, ref.ncols), dtype=bool)
-    for layer in layers:
-        valid &= layer.valid_mask()
-    n = np.count_nonzero(valid)
-    out = np.full(valid.shape, ref.nodata)
-    if n:
-        # one (cells, features) matrix, filled a column at a time
-        X = np.empty((n, len(layers)))
-        for j, layer in enumerate(layers):
-            X[:, j] = layer.values[valid]
-        out[valid] = model.predict_rows(X)
-    return ref.with_values(out)
+    names = tuple(model.feature_names)
+    for name in names:
+        if name not in stack.names:
+            raise KeyError(f"no feature layer named '{name}'")
+    geo = stack.geometry
+    nodata = stack.nodata[0]
+    layer_nodata = [stack.nodata[stack.names.index(name)] for name in names]
+    assembled = None
+    if sink is None:
+        assembled = np.empty((geo.nrows, geo.ncols))
+
+        def sink(first, rows):
+            assembled[first:first + len(rows)] = rows
+
+    size = PREDICT_CHUNK_ROWS
+    chunk = np.empty((size + _LAST_ROWS, len(names)))
+    filled = 0
+    predicted = np.empty(0)  # predictions not yet placed, in cell order
+    waiting = collections.deque()  # (first row, stop row, valid cells) of unplaced blocks
+
+    def predict(n):
+        """Predict the first ``n`` rows of the chunk; move the rest to its front."""
+        nonlocal filled, predicted
+        predicted = np.concatenate([predicted, model.predict_rows(chunk[:n])])
+        chunk[:filled - n] = chunk[n:filled]
+        filled -= n
+
+    def place():
+        nonlocal predicted
+        while waiting and len(waiting[0][2]) <= len(predicted):
+            r0, r1, cells = waiting.popleft()
+            rows = np.full((r1 - r0) * geo.ncols, nodata)
+            rows[cells] = predicted[:len(cells)]
+            predicted = predicted[len(cells):]
+            rows = rows.reshape(r1 - r0, geo.ncols)
+            check_values(rows, nodata, r0)
+            sink(r0, rows)
+
+    for r0, r1 in row_blocks(geo.nrows):
+        layers = stack.rows(r0, r1, names)
+        valid = np.ones((r1 - r0, geo.ncols), dtype=bool)
+        for values, layer_nd in zip(layers, layer_nodata):
+            valid &= values != layer_nd
+        cells = np.flatnonzero(valid)
+        waiting.append((r0, r1, cells))
+        done = 0
+        while done < len(cells):
+            part = cells[done:done + len(chunk) - filled]
+            for j, values in enumerate(layers):
+                chunk[filled:filled + len(part), j] = values.reshape(-1)[part]
+            filled += len(part)
+            done += len(part)
+            if filled == len(chunk):
+                predict(size)
+        place()
+    if filled:
+        predict(filled)
+    place()
+    if assembled is None:
+        return None
+    return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, assembled)
+
+
+def corrected_values(dem: np.ndarray, dem_nodata: float, error: np.ndarray,
+                     error_nodata: float) -> np.ndarray:
+    """dem - error where both hold data, else ``dem_nodata``."""
+    both = (dem != dem_nodata) & (error != error_nodata)
+    return np.where(both, dem - error, dem_nodata)
+
+
+def abs_error_values(corrected: np.ndarray, corrected_nodata: float, reference: np.ndarray,
+                     reference_nodata: float) -> np.ndarray:
+    """|corrected - reference| where both hold data, else ``corrected_nodata``."""
+    both = (corrected != corrected_nodata) & (reference != reference_nodata)
+    return np.where(both, np.abs(corrected - reference), corrected_nodata)
 
 
 def apply_correction(dem: Grid, predicted_error: Grid) -> Grid:
     """corrected = dem - predicted error, nodata propagating."""
     if not dem.geometry.matches(predicted_error.geometry):
         raise GeometryMismatch("prediction grid is not on the DEM geometry")
-    both = dem.valid_mask() & predicted_error.valid_mask()
-    out = np.where(both, dem.values - predicted_error.values, dem.nodata)
-    return dem.with_values(out)
+    return dem.with_values(corrected_values(dem.values, dem.nodata, predicted_error.values,
+                                            predicted_error.nodata))
 
 
 def abs_error_grid(corrected: Grid, reference: Grid) -> Grid:
     """Per-cell |corrected - reference|, nodata propagating."""
     if not corrected.geometry.matches(reference.geometry):
         raise GeometryMismatch("reference grid is not on the corrected geometry")
-    both = corrected.valid_mask() & reference.valid_mask()
-    out = np.where(both, np.abs(corrected.values - reference.values), corrected.nodata)
-    return corrected.with_values(out)
+    return corrected.with_values(abs_error_values(corrected.values, corrected.nodata,
+                                                  reference.values, reference.nodata))
 
 
 @dataclass(frozen=True)

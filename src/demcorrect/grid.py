@@ -98,10 +98,7 @@ class Grid:
                 f"values length {arr.size} does not equal ncols*nrows = {self.ncols * self.nrows}"
             )
         arr = arr.reshape(self.nrows, self.ncols)
-        bad = ~(np.isfinite(arr) | (arr == self.nodata))
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ValueError(f"non-finite value at cell ({i}, {j}) is not the nodata sentinel")
+        check_values(arr, self.nodata)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -117,6 +114,20 @@ class Grid:
         """New grid on this geometry (and nodata sentinel) holding ``values``."""
         return Grid(self.ncols, self.nrows, self.xll, self.yll, self.cellsize,
                     self.nodata, values)
+
+
+def check_values(values: np.ndarray, nodata: float, first_row: int = 0) -> None:
+    """Check that every cell of ``values``, rows ``first_row`` onward of a
+    grid, is finite or ``nodata``, as a :class:`Grid` requires.
+
+    Raises:
+        ValueError: names the first cell that is neither.
+    """
+    bad = ~(np.isfinite(values) | (values == nodata))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"non-finite value at cell ({first_row + i}, {j}) "
+                         "is not the nodata sentinel")
 
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GeometryMismatch, Grid
-from .terrain import FeatureStack
+from .terrain import StackRows, row_blocks
 
 __all__ = ["SampleTable", "EmptyTableError", "StrataLabelError", "stratum_labels",
            "extract_samples", "split_table"]
@@ -32,6 +32,35 @@ class StrataLabelError(ValueError):
     """A strata grid holds a label that is not an integer; names the cell."""
 
 
+#: What every data cell of a strata grid must hold, checked in this order.
+_LABEL_RULES = ("integer labels", "non-negative labels")
+
+
+def _label_faults(strata: Grid, start: int, stop: int) -> list[tuple[int, int] | None]:
+    """Per rule of ``_LABEL_RULES``, the first cell of rows ``start:stop``
+    that breaks it, or None."""
+    values = strata.values[start:stop]
+    ok = values != strata.nodata
+    rounded = np.rint(values)
+    faults = []
+    for bad in (ok & (np.abs(values - rounded) > 1e-9), ok & (rounded < 0)):
+        cell = np.argwhere(bad)[:1].tolist()
+        faults.append((start + cell[0][0], cell[0][1]) if cell else None)
+    return faults
+
+
+def _check_labels(strata: Grid, faults) -> None:
+    for cell, rule in zip(faults, _LABEL_RULES):
+        if cell is not None:
+            i, j = cell
+            raise StrataLabelError(f"strata grid must hold {rule}; cell ({i}, {j}) "
+                                   f"holds {float(strata.values[i, j])!r}")
+
+
+def _labels(values: np.ndarray, nodata: float) -> np.ndarray:
+    return np.where(values != nodata, np.rint(values), NO_STRATUM).astype(np.int64)
+
+
 def stratum_labels(strata: Grid) -> np.ndarray:
     """The strata grid's labels as int64, ``NO_STRATUM`` at its nodata cells.
 
@@ -39,16 +68,8 @@ def stratum_labels(strata: Grid) -> np.ndarray:
         StrataLabelError: a data cell is not within 1e-9 of an integer, or
             rounds to a negative one, which would collide with ``NO_STRATUM``.
     """
-    values = strata.values
-    ok = strata.valid_mask()
-    rounded = np.rint(values)
-    for bad, rule in ((ok & (np.abs(values - rounded) > 1e-9), "integer labels"),
-                      (ok & (rounded < 0), "non-negative labels")):
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise StrataLabelError(f"strata grid must hold {rule}; cell ({i}, {j}) "
-                                   f"holds {float(values[i, j])!r}")
-    return np.where(ok, rounded, NO_STRATUM).astype(np.int64)
+    _check_labels(strata, _label_faults(strata, 0, strata.nrows))
+    return _labels(strata.values, strata.nodata)
 
 
 def distinct_labels(labels: np.ndarray) -> np.ndarray:
@@ -158,7 +179,7 @@ class SampleTable:
 
 
 def extract_samples(
-    stack: FeatureStack,
+    stack: StackRows,
     target: Grid,
     strata: Grid | None = None,
     rate: float = 1.0,
@@ -169,6 +190,11 @@ def extract_samples(
     Sampling is uniform without replacement at ``rate`` (rate 1.0 keeps
     every eligible cell), deterministic for a fixed seed. Row order follows
     row-major cell order after selection.
+
+    The stack is read twice, a block of ``terrain.BLOCK_ROWS`` rows at a
+    time: once to count the eligible cells of each block, which is all the
+    draw needs, and once to gather the drawn cells. Beyond the table, a
+    block of every layer and the draw are held, never a whole layer.
 
     Raises:
         GeometryMismatch: target or strata not on the stack geometry.
@@ -183,27 +209,60 @@ def extract_samples(
     if strata is not None and not strata.geometry.matches(geo):
         raise GeometryMismatch("strata grid is not on the stack geometry")
 
-    valid = target.valid_mask()
-    for layer in stack.layers:
-        valid &= layer.valid_mask()
-    flat = np.flatnonzero(valid.ravel())
-    if flat.size == 0:
+    def eligible(r0, r1):
+        """The block's rows of every layer, and its cells valid in the
+        target and every layer."""
+        layers = stack.rows(r0, r1)
+        valid = target.values[r0:r1] != target.nodata
+        for values, nodata in zip(layers, stack.nodata):
+            valid &= values != nodata
+        return layers, valid
+
+    blocks = row_blocks(geo.nrows)
+    counts, faults = [], [None] * len(_LABEL_RULES)
+    for r0, r1 in blocks:
+        counts.append(np.count_nonzero(eligible(r0, r1)[1]))
+        if strata is not None:
+            faults = [old or new for old, new in zip(faults, _label_faults(strata, r0, r1))]
+    total = sum(counts)
+    if total == 0:
         raise EmptyTableError("no cell has all features and the target valid")
+    if strata is not None:
+        _check_labels(strata, faults)
 
-    count = max(1, int(np.floor(rate * flat.size + 0.5)))
-    if count < flat.size:
+    # drawing ordinals among the eligible cells draws the same cells as
+    # drawing from their flat indices, without listing those
+    count = max(1, int(np.floor(rate * total + 0.5)))
+    drawn = None
+    if count < total:
         rng = np.random.default_rng(seed)
-        flat = np.sort(rng.choice(flat, size=count, replace=False))
+        drawn = np.sort(rng.choice(total, size=count, replace=False))
 
-    rows, cols = np.unravel_index(flat, valid.shape)
-    features = np.empty((flat.size, len(stack.layers)))
-    for j, layer in enumerate(stack.layers):
-        features[:, j] = layer.values[rows, cols]
-    targets = target.values[rows, cols]
+    ncols = geo.ncols
+    cells = np.empty((count, 2), dtype=np.int64)
+    features = np.empty((count, len(stack.names)))
+    targets = np.empty(count)
+    labels = None if strata is None else np.empty(count, dtype=np.int64)
+    done = seen = 0
+    for (r0, r1), n in zip(blocks, counts):
+        lo, hi = (0, n) if drawn is None else np.searchsorted(drawn, (seen, seen + n))
+        if hi > lo:
+            layers, valid = eligible(r0, r1)
+            picked = np.flatnonzero(valid)
+            if drawn is not None:
+                picked = picked[drawn[lo:hi] - seen]
+            rows = slice(done, done + len(picked))
+            done += len(picked)
+            cells[rows, 0], cells[rows, 1] = np.divmod(picked, ncols)
+            cells[rows, 0] += r0
+            for j, values in enumerate(layers):
+                features[rows, j] = values.reshape(-1)[picked]
+            targets[rows] = target.values[r0:r1].reshape(-1)[picked]
+            if labels is not None:
+                labels[rows] = _labels(strata.values[r0:r1].reshape(-1)[picked], strata.nodata)
+        seen += n
 
-    labels = None if strata is None else stratum_labels(strata)[rows, cols]
-
-    return SampleTable(stack.names, np.column_stack([rows, cols]), features, targets, labels)
+    return SampleTable(stack.names, cells, features, targets, labels)
 
 
 def _round_half_up(x: float) -> int:

@@ -28,13 +28,14 @@ over the whole grid (``_RowCarry``).
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
-from .grid import GeometryMismatch, Grid
+from .grid import GeometryMismatch, Grid, GridGeometry
 
 __all__ = [
     "CANONICAL_FEATURES",
@@ -42,6 +43,8 @@ __all__ = [
     "WindowSpec",
     "FeatureConfig",
     "FeatureStack",
+    "StackRows",
+    "row_blocks",
     "slope",
     "aspect",
     "roughness",
@@ -103,9 +106,34 @@ class FeatureConfig:
             raise ValueError("texture_threshold must be >= 0")
 
 
+class StackRows(Protocol):
+    """What sampling and prediction read of a feature stack: its layer
+    names, its geometry (the first layer's), each layer's nodata sentinel,
+    and rows of the layers.
+
+    ``rows(start, stop, names)`` returns rows ``start:stop`` of the named
+    layers (every layer when None), in that order, as
+    ``(stop - start, ncols)`` arrays that the caller must not write; the
+    next call may overwrite them. :class:`FeatureStack` holds the layers
+    in memory; the CLI also reads them a block at a time from its binary
+    copy of the stack.
+    """
+
+    names: tuple[str, ...]
+
+    @property
+    def geometry(self) -> GridGeometry: ...
+
+    @property
+    def nodata(self) -> tuple[float, ...]: ...
+
+    def rows(self, start: int, stop: int,
+             names: Sequence[str] | None = None) -> tuple[np.ndarray, ...]: ...
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureStack:
-    """Named, geometry-aligned predictor layers."""
+    """Named, geometry-aligned predictor layers held in memory (a :class:`StackRows`)."""
 
     names: tuple[str, ...]
     layers: tuple[Grid, ...]
@@ -124,14 +152,23 @@ class FeatureStack:
                     raise GeometryMismatch(f"layer '{name}' is not on the stack geometry")
 
     @property
-    def geometry(self):
+    def geometry(self) -> GridGeometry:
         return self.layers[0].geometry
+
+    @property
+    def nodata(self) -> tuple[float, ...]:
+        return tuple(layer.nodata for layer in self.layers)
 
     def layer(self, name: str) -> Grid:
         try:
             return self.layers[self.names.index(name)]
         except ValueError:
             raise KeyError(f"no feature layer named '{name}'") from None
+
+    def rows(self, start: int, stop: int,
+             names: Sequence[str] | None = None) -> tuple[np.ndarray, ...]:
+        layers = self.layers if names is None else [self.layer(name) for name in names]
+        return tuple(layer.values[start:stop] for layer in layers)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +438,15 @@ def focal_fraction(mask: Grid, w: WindowSpec) -> Grid:
     return mask.with_values(np.where(keep, pct, mask.nodata))
 
 
-#: Rows per worker in a block of :func:`build_feature_stack`. Smaller blocks
+#: Rows per worker in a block of :func:`build_feature_stack`, and rows per
+#: block where sampling and prediction read a stack. Smaller blocks
 #: recompute more halo rows, and leave threads less work to overlap.
 BLOCK_ROWS = 64
+
+
+def row_blocks(nrows: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each block of ``BLOCK_ROWS`` rows, top to bottom."""
+    return [(r0, min(r0 + BLOCK_ROWS, nrows)) for r0 in range(0, nrows, BLOCK_ROWS)]
 
 
 def layer_templates(dem: Grid, bare: Grid, urban: Grid, forest: Grid) -> tuple[Grid, ...]:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from demcorrect import Grid
+import demcorrect.cli as cli
+from demcorrect import FeatureStack, Grid, load_grid
 
 NODATA = -9999.0
 
@@ -22,3 +24,49 @@ def plane_grid(n, fx=0.0, fy=0.0, base=0.0, cellsize=1.0) -> Grid:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def stack_backings(stack, tmp):
+    """``stack`` as each backing of the stack interface serves it, paired
+    with the in-memory stack an oracle should read.
+
+    ``memory`` is the stack itself; ``binary`` reads the digest-checked
+    ``features_stack.npy`` a block at a time; ``fallback`` is the parsed
+    ``.asc`` files of a copy without it. The two file backings serve what
+    was written, in which -0.0 has become 0.0.
+    """
+    dirs = {}
+    for kind in ("binary", "fallback"):
+        dirs[kind] = tmp / kind
+        dirs[kind].mkdir()
+        cli._write_stack(stack, cli.DEFAULT_CONFIG, dirs[kind])
+    (dirs["fallback"] / "features_stack.npy").unlink()
+    written = FeatureStack(stack.names, tuple(load_grid(dirs["binary"] / f"feature_{name}.asc")
+                                              for name in stack.names))
+    binary, fallback = cli._load_stack(dirs["binary"]), cli._load_stack(dirs["fallback"])
+    assert isinstance(binary, cli._StackFile) and isinstance(fallback, FeatureStack)
+    return {"memory": (stack, stack), "binary": (written, binary), "fallback": (written, fallback)}
+
+
+@st.composite
+def random_stacks(draw, max_rows=12, max_cols=9):
+    """A stack of 1-4 layers named f0.., each with its own nodata sentinel
+    and holes, and a target grid on the same geometry.
+
+    Holes cover none, some or all of a grid; values are integral or carry
+    3 or 12 decimals, and include -0.0 where they round to zero.
+    """
+    h, w = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hole = draw(st.sampled_from([0.0, 0.0, 0.1, 0.4, 1.0]))
+
+    def holed(values, nodata):
+        return make_grid(np.where(rng.random((h, w)) < hole, nodata, values), nodata=nodata,
+                         cellsize=30.0, xll=-15.0)
+
+    layers = []
+    for _ in range(draw(st.integers(1, 4))):
+        values = np.round(rng.normal(size=(h, w)) * 10, draw(st.sampled_from([0, 3, 12])))
+        layers.append(holed(values, draw(st.sampled_from([NODATA, 0.0, 7.0]))))
+    stack = FeatureStack(tuple(f"f{i}" for i in range(len(layers))), tuple(layers))
+    return stack, holed(rng.normal(size=(h, w)), NODATA)

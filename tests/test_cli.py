@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,17 @@ from demcorrect import (
     FeatureStack,
     GbdtParams,
     Grid,
+    LinearModel,
     build_feature_stack,
+    difference,
+    extract_samples,
     fractal_dem,
     load_grid,
     save_grid,
     synth_landcover,
 )
 from demcorrect.cli import ConfigError, main, resolve_config, worker_count
+import demcorrect.evaluate as evaluate
 import demcorrect.terrain as terrain
 from demcorrect.terrain import layer_templates
 from conftest import NODATA, make_grid
@@ -427,6 +432,71 @@ class TestOnePipeline:
             assert screen["flagged"] == mlr["excluded_features"]
 
 
+class TestStepMemory:
+    """Tracemalloc peaks of sampling and of the ``correct`` step, reading the
+    stack from its binary copy, against the bounds the README's "Memory"
+    section states. The inputs (stack reader, DEM, reference, strata) are
+    made before tracing; w is the grid width, B = ``terrain.BLOCK_ROWS``,
+    C = ``evaluate.PREDICT_CHUNK_ROWS``, F the stack's layers and m a
+    model's features.
+
+    - sampling k of n eligible cells: 8*B*w*(F + 5) + k*(9*F + 32) bytes,
+      plus 8*n where numpy draws by a tail shuffle (k > n/50, n > 10,000);
+    - correcting with one model: 8*C*(m + 3) + 8*B*w*(m + 6) bytes.
+
+    The whole-grid code held every layer: 88 bytes per cell before either.
+    """
+
+    @pytest.fixture(scope="class", params=[9, 10], ids=["513", "1025"])
+    def inputs(self, request, tmp_path_factory):
+        dem = fractal_dem(request.param, seed=7)
+        land = synth_landcover(dem, seed=11)
+        stack = build_feature_stack(dem, land.bare, land.urban, land.forest)
+        tmp = tmp_path_factory.mktemp(f"memory{request.param}")
+        path = tmp / "features_stack.npy"
+        np.save(path, np.stack([layer.values for layer in stack.layers]))
+        with open(path, "rb") as fh:
+            np.lib.format.read_magic(fh)
+            np.lib.format.read_array_header_1_0(fh)
+            start = fh.tell()
+        reader = cli._StackFile(path, start, stack.names,
+                                [layer.geometry for layer in stack.layers], stack.nodata)
+        rng = np.random.default_rng(5)
+        reference = dem.with_values(np.where(dem.valid_mask(), dem.values - rng.normal(
+            size=dem.values.shape), dem.nodata))
+        return reader, dem, reference, land.strata, tmp
+
+    @staticmethod
+    def traced(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = fn(*args, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("rate", [0.01, 0.25])
+    def test_sampling_within_the_stated_bound(self, inputs, rate):
+        reader, dem, reference, strata, _ = inputs
+        target = difference(dem, reference)
+        table, peak = self.traced(extract_samples, reader, target, strata, rate=rate, seed=42)
+        n, k = round(len(table) / rate), len(table)
+        F, w = len(reader.names), dem.ncols
+        bound = 8 * terrain.BLOCK_ROWS * w * (F + 5) + k * (9 * F + 32) + 8 * n * (k > n / 50)
+        # the claim is the upper bound; the floor shows the blocks were traced
+        assert 0.5 * bound <= peak <= bound, (peak, bound)
+
+    def test_correct_within_the_stated_bound(self, inputs):
+        reader, dem, reference, _, tmp = inputs
+        names = reader.names[:10]
+        model = LinearModel(names, 0.5, np.linspace(-1, 1, len(names)), 0.0, 0.0)
+        _, peak = self.traced(cli._correct_step, {"mlr": (model, tmp / "model_mlr.json")},
+                              reader, dem, reference, tmp)
+        bound = (8 * evaluate.PREDICT_CHUNK_ROWS * (len(names) + 3)
+                 + 8 * terrain.BLOCK_ROWS * dem.ncols * (len(names) + 6))
+        assert 0.5 * bound <= peak <= bound, (peak, bound)
+
+
 class TestImportPath:
     """scipy is needed only to fit the MLR, so no other step imports it.
 
@@ -603,6 +673,62 @@ class TestInputErrors:
         capsys.readouterr()
         self.assert_input_error(run_cli("train", "--config", cfg_path), capsys,
                                 "features_manifest.json': 'layers' is missing or not an array")
+
+    @pytest.mark.parametrize("name, needle", [
+        ({"a": 1}, 'model_name must be a non-empty string, got {"a": 1}'),
+        ("", 'model_name must be a non-empty string, got ""'),
+        ("sub/x", "model_name 'sub/x' holds a path separator"),
+    ], ids=["object", "empty", "separator"])
+    def test_bad_model_name(self, workspace, capsys, name, needle):
+        cfg_path, tmp = workspace
+        for step in ("features", "train"):
+            run_cli(step, "--config", cfg_path, "--model", "mlr")
+        doc = json.loads((tmp / "out" / "model_mlr.json").read_text())
+        path = tmp / "named.json"
+        path.write_text(json.dumps({**doc, "model_name": name}))
+        capsys.readouterr()
+        rc = run_cli("correct", "--config", cfg_path, "--model-doc", path)
+        self.assert_input_error(rc, capsys, f"named.json': {needle}")
+
+    def test_repeated_model_name(self, workspace, capsys):
+        cfg_path, tmp = workspace
+        for step in ("features", "train"):
+            run_cli(step, "--config", cfg_path, "--model", "mlr")
+        first = tmp / "out" / "model_mlr.json"
+        second = tmp / "again.json"
+        shutil.copy(first, second)
+        capsys.readouterr()
+        rc = run_cli("correct", "--config", cfg_path, "--model-doc", first, "--model-doc", second)
+        self.assert_input_error(rc, capsys, f"again.json': model_name 'mlr' is also that of "
+                                            f"'{first}'")
+        assert not list((tmp / "out").glob("corrected_*"))
+
+    def test_refused_correct_writes_no_raster(self, workspace, capsys):
+        """A reference one column narrower is refused before any raster opens."""
+        cfg_path, tmp = workspace
+        for step in ("features", "train"):
+            run_cli(step, "--config", cfg_path, "--model", "mlr")
+        ref = load_grid(tmp / "reference.asc")
+        save_grid(Grid(ref.ncols - 1, ref.nrows, ref.xll, ref.yll, ref.cellsize, ref.nodata,
+                       ref.values[:, :-1]), tmp / "reference.asc")
+        capsys.readouterr()
+        rc = run_cli("correct", "--config", cfg_path, "--model", "mlr")
+        self.assert_input_error(rc, capsys, "reference grid is not on the corrected geometry")
+        written = sorted(p.name for p in (tmp / "out").iterdir())
+        assert not [name for name in written if name.endswith(".asc")
+                    and not name.startswith("feature_")], written
+
+    def test_manifest_repeats_a_layer(self, workspace, capsys):
+        cfg_path, tmp = workspace
+        run_cli("features", "--config", cfg_path)
+        path = tmp / "out" / "features_manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["layers"][3]["name"] = manifest["layers"][1]["name"]
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        self.assert_input_error(run_cli("train", "--config", cfg_path), capsys,
+                                "features_manifest.json': layers[3] repeats the layer name "
+                                "'slope'")
 
     def test_model_names_missing_layer(self, workspace, capsys):
         doc = {"format": "linear-model", "version": 1, "feature_names": ["nosuch"],

@@ -1,8 +1,13 @@
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demcorrect import (
     FeatureStack,
@@ -19,8 +24,10 @@ from demcorrect import (
     pct_rmse_reduction,
     predict_error_grid,
 )
+import demcorrect.evaluate as evaluate
+import demcorrect.terrain as terrain
 from demcorrect.grid import GeometryMismatch
-from conftest import NODATA, make_grid
+from conftest import NODATA, make_grid, random_stacks, stack_backings
 
 
 def metrics_oracle(e):
@@ -173,6 +180,88 @@ class TestPredictErrorGrid:
         model = fit_gbdt(t, GbdtParams(n_trees=3))
         out = predict_error_grid(model, stack)
         assert out.valid_mask().all()
+
+
+def predict_error_grid_oracle(model, stack):
+    """``predict_error_grid`` as one ``predict_rows`` call over every valid
+    cell of whole layers, as it was before it read the stack in row blocks:
+    the oracle of the blocked one."""
+    layers = [stack.layer(name) for name in model.feature_names]
+    ref = stack.layers[0]
+    valid = np.ones((ref.nrows, ref.ncols), dtype=bool)
+    for layer in layers:
+        valid &= layer.valid_mask()
+    out = np.full(valid.shape, ref.nodata)
+    if np.count_nonzero(valid):
+        X = np.empty((np.count_nonzero(valid), len(layers)))
+        for j, layer in enumerate(layers):
+            X[:, j] = layer.values[valid]
+        out[valid] = model.predict_rows(X)
+    return ref.with_values(out)
+
+
+@st.composite
+def predict_cases(draw):
+    """A stack, a model over some of its layers in any order, and a chunk
+    size: any for a GBDT, whose rows predict alone, and multiples of 64 for
+    an MLR, whose BLAS kernel rounds the last rows of a call by their count
+    mod 4. The grids stay small enough that BLAS does not split a call
+    across threads."""
+    stack, _ = draw(random_stacks(max_rows=32, max_cols=36))
+    names = draw(st.permutations(stack.names))[:draw(st.integers(1, len(stack.names)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        model = LinearModel(tuple(names), float(rng.normal()), rng.normal(size=len(names)),
+                            0.0, 0.0)
+        chunk = draw(st.sampled_from([64, 64, 128, 192, 1 << 16]))
+    else:
+        n = 40
+        cells = np.column_stack([np.arange(n), np.zeros(n, dtype=int)])
+        features = np.round(rng.normal(size=(n, len(names))) * 10, 1)
+        table = SampleTable(tuple(names), cells, features, rng.normal(size=n))
+        model = fit_gbdt(table, GbdtParams(n_trees=3, max_depth=3))
+        chunk = draw(st.integers(1, 50))
+    return stack, model, chunk
+
+
+class TestBlockedPredict:
+    """Predicting a block of rows at a time, in chunks of rows, gives the
+    bits of one call over every valid cell, from each backing of the stack."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(predict_cases(), st.integers(1, 32))
+    def test_equals_the_whole_grid_oracle(self, case, block_rows):
+        stack, model, chunk = case
+        with tempfile.TemporaryDirectory() as tmp:
+            for backing, (plain, read) in stack_backings(stack, Path(tmp)).items():
+                want = predict_error_grid_oracle(model, plain)
+                got, blocks = [], []
+                with mock.patch.object(terrain, "BLOCK_ROWS", block_rows), \
+                        mock.patch.object(evaluate, "PREDICT_CHUNK_ROWS", chunk):
+                    grid = predict_error_grid(model, read)
+                    assert predict_error_grid(model, read, sink=lambda first, rows: got.append(
+                        (first, rows.copy()))) is None
+                    blocks = terrain.row_blocks(want.nrows)
+                assert grid.values.tobytes() == want.values.tobytes(), backing
+                assert (grid.geometry, grid.nodata) == (want.geometry, want.nodata), backing
+                assert [first for first, _ in got] == [r0 for r0, _ in blocks], backing
+                assert np.concatenate([rows for _, rows in got]).tobytes() == \
+                    want.values.tobytes(), backing
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    @pytest.mark.parametrize("rows", [900, 129, 130, 131, 135])
+    def test_mlr_in_chunks_of_64_rows(self, rng, block_rows, rows):
+        """Rows in chunks of 64 and a last call, against one call; a last
+        call of 1 row would round differently in most of these draws."""
+        for _ in range(10):
+            layers = {f"f{i}": make_grid(rng.normal(size=(rows, 1)) * 10) for i in range(4)}
+            stack = FeatureStack(tuple(layers), tuple(layers.values()))
+            model = LinearModel(tuple(layers)[::-1], 0.5, rng.normal(size=4), 0.0, 0.0)
+            with mock.patch.object(terrain, "BLOCK_ROWS", block_rows), \
+                    mock.patch.object(evaluate, "PREDICT_CHUNK_ROWS", 64):
+                got = predict_error_grid(model, stack)
+            want = predict_error_grid_oracle(model, stack)
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestBuildReport:

@@ -1,3 +1,7 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +19,10 @@ from demcorrect import (
     extract_samples,
     split_table,
 )
+import demcorrect.terrain as terrain
 from demcorrect.grid import GeometryMismatch
-from demcorrect.sampling import distinct_labels
-from conftest import NODATA, make_grid
+from demcorrect.sampling import distinct_labels, stratum_labels
+from conftest import NODATA, make_grid, random_stacks, stack_backings
 
 
 def small_stack(n=11, seed=0):
@@ -107,6 +112,86 @@ class TestExtract:
         all_nodata = dem.with_values(np.full((11, 11), NODATA))
         with pytest.raises(EmptyTableError):
             extract_samples(stack, all_nodata)
+
+
+def extract_samples_oracle(stack, target, strata=None, rate=1.0, seed=0):
+    """``extract_samples`` over whole layers, as it was before it read the
+    stack in row blocks: the oracle of the blocked one."""
+    geo = stack.geometry
+    if not target.geometry.matches(geo):
+        raise GeometryMismatch("target grid is not on the stack geometry")
+    if strata is not None and not strata.geometry.matches(geo):
+        raise GeometryMismatch("strata grid is not on the stack geometry")
+    valid = target.valid_mask()
+    for layer in stack.layers:
+        valid &= layer.valid_mask()
+    flat = np.flatnonzero(valid.ravel())
+    if flat.size == 0:
+        raise EmptyTableError("no cell has all features and the target valid")
+    count = max(1, int(np.floor(rate * flat.size + 0.5)))
+    if count < flat.size:
+        rng = np.random.default_rng(seed)
+        flat = np.sort(rng.choice(flat, size=count, replace=False))
+    rows, cols = np.unravel_index(flat, valid.shape)
+    features = np.empty((flat.size, len(stack.layers)))
+    for j, layer in enumerate(stack.layers):
+        features[:, j] = layer.values[rows, cols]
+    targets = target.values[rows, cols]
+    labels = None if strata is None else stratum_labels(strata)[rows, cols]
+    return SampleTable(stack.names, np.column_stack([rows, cols]), features, targets, labels)
+
+
+def outcome(fn, *args):
+    """A table's names and the bytes of its arrays, or the error raised."""
+    try:
+        t = fn(*args)
+    except Exception as exc:  # the blocked code must raise what the oracle raises
+        return type(exc), str(exc)
+    return (t.feature_names, t.cells.tobytes(), t.features.tobytes(), t.targets.tobytes(),
+            None if t.strata is None else t.strata.tobytes())
+
+
+@st.composite
+def sampling_cases(draw):
+    """A stack and target, and no strata, or labels 0-4 with holes and
+    perhaps some fractional or negative labels."""
+    stack, target = draw(random_stacks())
+    geo = stack.geometry
+    strata = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        labels = rng.integers(0, 5, size=(geo.nrows, geo.ncols)).astype(float)
+        labels[rng.random(labels.shape) < 0.2] = NODATA
+        for fault in draw(st.lists(st.sampled_from([2.5, -1.0]), max_size=4)):
+            labels[rng.integers(geo.nrows), rng.integers(geo.ncols)] = fault
+        strata = make_grid(labels, cellsize=30.0, xll=-15.0)
+    return stack, target, strata
+
+
+class TestBlockedExtract:
+    """Sampling a block of rows at a time draws the cells, and builds the
+    table, of the whole-grid oracle, from each backing of the stack."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(sampling_cases(), st.integers(1, 14), st.sampled_from([1.0, 0.5, 0.2, 0.01]),
+           st.integers(0, 3))
+    def test_equals_the_whole_grid_oracle(self, case, block_rows, rate, seed):
+        stack, target, strata = case
+        with tempfile.TemporaryDirectory() as tmp:
+            for backing, (plain, read) in stack_backings(stack, Path(tmp)).items():
+                want = outcome(extract_samples_oracle, plain, target, strata, rate, seed)
+                with mock.patch.object(terrain, "BLOCK_ROWS", block_rows):
+                    got = outcome(extract_samples, read, target, strata, rate, seed)
+                assert got == want, backing
+
+    def test_fractional_label_named_before_an_earlier_negative_one(self):
+        stack, dem = small_stack()
+        labels = np.full((11, 11), 4.0)
+        labels[1, 2], labels[9, 3] = -1.0, 2.5
+        for blocks in (1, 64):
+            with mock.patch.object(terrain, "BLOCK_ROWS", blocks):
+                with pytest.raises(StrataLabelError, match=r"integer labels; cell \(9, 3\)"):
+                    extract_samples(stack, difference(dem, dem), strata=make_grid(labels))
 
 
 class TestSplit:
