@@ -10,7 +10,6 @@ percent reduction in RMSE.
 
 from __future__ import annotations
 
-import collections
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -74,19 +73,6 @@ def pct_rmse_reduction(before: float, after: float) -> float:
     return 100.0 * (before - after) / before
 
 
-#: Rows per ``model.predict_rows`` call in :func:`predict_error_grid`, but
-#: for the last. The BLAS kernel behind MLR's ``X @ coefficients`` takes
-#: rows in groups and rounds the rows left over at the end of a call
-#: differently, and numpy computes a 1-row product by another routine
-#: still. So calls of this size, a multiple of 64, then one of at least
-#: ``_LAST_ROWS`` rows, give the bits of one call over every row; calls of a
-#: block's own count would not.
-PREDICT_CHUNK_ROWS = 1 << 16
-#: Rows that each full call leaves to the next, so that the last call has
-#: at least this many, unless every row fits in one call.
-_LAST_ROWS = 64
-
-
 def predict_error_grid(model, stack: StackRows,
                        sink: Callable[[int, np.ndarray], None] | None = None) -> Grid | None:
     """Per-cell predicted elevation error from any model with predict_rows.
@@ -94,13 +80,12 @@ def predict_error_grid(model, stack: StackRows,
     Cells where any feature the model uses is nodata become nodata; the
     grid takes the geometry and nodata sentinel of the stack's first layer.
 
-    The stack is read a block of ``terrain.BLOCK_ROWS`` rows at a time. The
-    feature rows of the valid cells go, in row-major order, into a buffer
-    whose first ``PREDICT_CHUNK_ROWS`` rows are predicted whenever it
-    fills, and the rest once at the end. With ``sink``, each block's
-    predicted rows go to ``sink(first_row, rows)``, top to bottom, as soon
-    as their cells are predicted, and None is returned; without, the grid
-    is assembled and returned.
+    The stack is read a block of ``terrain.BLOCK_ROWS`` rows at a time, and
+    the valid cells of each block are predicted in one ``predict_rows``
+    call. Both model kinds predict each row from that row alone, so the
+    bits do not depend on the block height. With ``sink``, each block's
+    predicted rows go to ``sink(first_row, rows)``, top to bottom, and None
+    is returned; without, the grid is assembled and returned.
 
     Raises:
         KeyError: the stack lacks a feature layer the model names.
@@ -120,50 +105,20 @@ def predict_error_grid(model, stack: StackRows,
         def sink(first, rows):
             assembled[first:first + len(rows)] = rows
 
-    size = PREDICT_CHUNK_ROWS
-    chunk = np.empty((size + _LAST_ROWS, len(names)))
-    filled = 0
-    predicted = np.empty(0)  # predictions not yet placed, in cell order
-    waiting = collections.deque()  # (first row, stop row, valid cells) of unplaced blocks
-
-    def predict(n):
-        """Predict the first ``n`` rows of the chunk; move the rest to its front."""
-        nonlocal filled, predicted
-        predicted = np.concatenate([predicted, model.predict_rows(chunk[:n])])
-        chunk[:filled - n] = chunk[n:filled]
-        filled -= n
-
-    def place():
-        nonlocal predicted
-        while waiting and len(waiting[0][2]) <= len(predicted):
-            r0, r1, cells = waiting.popleft()
-            rows = np.full((r1 - r0) * geo.ncols, nodata)
-            rows[cells] = predicted[:len(cells)]
-            predicted = predicted[len(cells):]
-            rows = rows.reshape(r1 - r0, geo.ncols)
-            check_values(rows, nodata, r0)
-            sink(r0, rows)
-
     for r0, r1 in row_blocks(geo.nrows):
         layers = stack.rows(r0, r1, names)
         valid = np.ones((r1 - r0, geo.ncols), dtype=bool)
         for values, layer_nd in zip(layers, layer_nodata):
             valid &= values != layer_nd
-        cells = np.flatnonzero(valid)
-        waiting.append((r0, r1, cells))
-        done = 0
-        while done < len(cells):
-            part = cells[done:done + len(chunk) - filled]
+        rows = np.full(valid.shape, nodata)
+        if valid.any():
+            x = np.empty((np.count_nonzero(valid), len(names)))
             for j, values in enumerate(layers):
-                chunk[filled:filled + len(part), j] = values.reshape(-1)[part]
-            filled += len(part)
-            done += len(part)
-            if filled == len(chunk):
-                predict(size)
-        place()
-    if filled:
-        predict(filled)
-    place()
+                x[:, j] = values[valid]
+            rows[valid] = model.predict_rows(x)
+            del x  # before the sink formats the block
+        check_values(rows, nodata, r0)
+        sink(r0, rows)
     if assembled is None:
         return None
     return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, assembled)

@@ -2,8 +2,9 @@
 
 Pearson correlations and variance inflation factors screen the predictor
 set; variables are dropped highest-VIF-first until every survivor sits
-below the threshold. The linear error model itself is fit by QR with
-column pivoting, never by the raw normal equations.
+below the threshold. The linear error model itself is fit by numpy's
+SVD-based least squares, never by the raw normal equations, and predicts
+one column at a time, so each row's prediction depends on that row alone.
 """
 
 from __future__ import annotations
@@ -107,7 +108,12 @@ class LinearModel:
             raise ValueError(
                 f"expected (n, {len(self.feature_names)}) features, got {x.shape}"
             )
-        return self.intercept + x @ self.coefficients
+        # column by column rather than ``x @ coefficients``, whose BLAS
+        # rounding depends on how many rows share a call and on its threads
+        out = np.full(len(x), self.intercept)
+        for k, c in enumerate(self.coefficients):
+            out += x[:, k] * c
+        return out
 
     def to_doc(self) -> dict:
         return {
@@ -180,17 +186,26 @@ def pearson_matrix(table: SampleTable) -> np.ndarray:
     return out
 
 
+def _least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int, float, float]:
+    """Regress y on the columns of X plus an intercept (first coefficient).
+
+    Returns the coefficients, the rank of the design, and the residual and
+    total sums of squares.
+    """
+    design = np.column_stack([np.ones(len(y)), X])
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    return coef, int(rank), float((resid * resid).sum()), float(((y - y.mean()) ** 2).sum())
+
+
+def _r_squared(sse: float, sst: float) -> float:
+    return 0.0 if sst == 0 else min(1.0, max(0.0, 1.0 - sse / sst))
+
+
 def _aux_r_squared(X: np.ndarray, k: int) -> float:
     """R^2 from regressing column k on the remaining columns plus intercept."""
-    y = X[:, k]
-    others = np.delete(X, k, axis=1)
-    design = np.column_stack([np.ones(len(y)), others])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    sst = float(((y - y.mean()) ** 2).sum())
-    if sst == 0:
-        return 0.0
-    return min(1.0, max(0.0, 1.0 - float((resid * resid).sum()) / sst))
+    _, _, sse, sst = _least_squares(np.delete(X, k, axis=1), X[:, k])
+    return _r_squared(sse, sst)
 
 
 def vif(table: SampleTable) -> np.ndarray:
@@ -267,11 +282,12 @@ def flag_collinear(
 def fit_ols(train: SampleTable, features=None) -> LinearModel:
     """Least-squares fit of the target on the named features plus intercept.
 
-    Solved via QR with column pivoting rather than the normal equations.
+    Solved by numpy's SVD-based ``lstsq`` rather than the normal equations.
 
     Raises:
         EmptyTableError: no more rows than features plus one.
-        SingularDesignError: rank-deficient design; names a dependent column.
+        SingularDesignError: rank-deficient design; names the column that
+            weighs most in the design's null direction.
     """
     names = tuple(features) if features is not None else train.feature_names
     sub = train.select_features(names) if features is not None else train
@@ -281,30 +297,15 @@ def fit_ols(train: SampleTable, features=None) -> LinearModel:
     if n <= p + 1:
         raise EmptyTableError(f"need more than {p + 1} rows to fit {p} features; have {n}")
 
-    # imported here, not at module level, so that only a process that fits
-    # OLS pays for importing scipy
-    from scipy import linalg
-
-    design = np.column_stack([np.ones(n), X])
-    q, r, piv = linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = max(design.shape) * np.finfo(np.float64).eps * (diag[0] if diag[0] > 0 else 1.0)
-    rank = int((diag > tol).sum())
+    beta, rank, sse, sst = _least_squares(X, y)
     if rank < p + 1:
-        col = piv[rank]
+        null = np.linalg.svd(np.column_stack([np.ones(n), X]), full_matrices=False)[2][-1]
+        col = int(np.argmax(np.abs(null)))
         label = "intercept" if col == 0 else names[col - 1]
         raise SingularDesignError(
             f"design matrix is rank deficient; column '{label}' is linearly "
             f"dependent on the others"
         )
-    beta_piv = linalg.solve_triangular(r, q.T @ y)
-    beta = np.empty_like(beta_piv)
-    beta[piv] = beta_piv
-
-    resid = y - design @ beta
-    sse = float(resid @ resid)
-    sst = float(((y - y.mean()) ** 2).sum())
-    r_squared = 0.0 if sst == 0 else min(1.0, max(0.0, 1.0 - sse / sst))
     dof = n - p - 1
     residual_std = math.sqrt(sse / dof) if dof > 0 else 0.0
-    return LinearModel(names, float(beta[0]), beta[1:], r_squared, residual_std)
+    return LinearModel(names, float(beta[0]), beta[1:], _r_squared(sse, sst), residual_std)

@@ -27,7 +27,6 @@ from demcorrect import (
     synth_landcover,
 )
 from demcorrect.cli import ConfigError, main, resolve_config, worker_count
-import demcorrect.evaluate as evaluate
 import demcorrect.terrain as terrain
 from demcorrect.terrain import layer_templates
 from conftest import NODATA, make_grid
@@ -436,13 +435,13 @@ class TestStepMemory:
     """Tracemalloc peaks of sampling and of the ``correct`` step, reading the
     stack from its binary copy, against the bounds the README's "Memory"
     section states. The inputs (stack reader, DEM, reference, strata) are
-    made before tracing; w is the grid width, B = ``terrain.BLOCK_ROWS``,
-    C = ``evaluate.PREDICT_CHUNK_ROWS``, F the stack's layers and m a
-    model's features.
+    made before tracing, but not the reader's block buffer; w is the grid
+    width, B = ``terrain.BLOCK_ROWS``, F the stack's layers and m a model's
+    features.
 
     - sampling k of n eligible cells: 8*B*w*(F + 5) + k*(9*F + 32) bytes,
       plus 8*n where numpy draws by a tail shuffle (k > n/50, n > 10,000);
-    - correcting with one model: 8*C*(m + 3) + 8*B*w*(m + 6) bytes.
+    - correcting with one model: 8*B*w*(2*m + 9) bytes.
 
     The whole-grid code held every layer: 88 bytes per cell before either.
     """
@@ -459,12 +458,16 @@ class TestStepMemory:
             np.lib.format.read_magic(fh)
             np.lib.format.read_array_header_1_0(fh)
             start = fh.tell()
-        reader = cli._StackFile(path, start, stack.names,
-                                [layer.geometry for layer in stack.layers], stack.nodata)
+        geometries = [layer.geometry for layer in stack.layers]
+
+        def open_reader():
+            """A reader with no block buffer yet, so that a test traces its own."""
+            return cli._StackFile(path, start, stack.names, geometries, stack.nodata)
+
         rng = np.random.default_rng(5)
         reference = dem.with_values(np.where(dem.valid_mask(), dem.values - rng.normal(
             size=dem.values.shape), dem.nodata))
-        return reader, dem, reference, land.strata, tmp
+        return open_reader, dem, reference, land.strata, tmp
 
     @staticmethod
     def traced(fn, *args, **kwargs):
@@ -477,7 +480,8 @@ class TestStepMemory:
 
     @pytest.mark.parametrize("rate", [0.01, 0.25])
     def test_sampling_within_the_stated_bound(self, inputs, rate):
-        reader, dem, reference, strata, _ = inputs
+        open_reader, dem, reference, strata, _ = inputs
+        reader = open_reader()
         target = difference(dem, reference)
         table, peak = self.traced(extract_samples, reader, target, strata, rate=rate, seed=42)
         n, k = round(len(table) / rate), len(table)
@@ -487,18 +491,18 @@ class TestStepMemory:
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
     def test_correct_within_the_stated_bound(self, inputs):
-        reader, dem, reference, _, tmp = inputs
+        open_reader, dem, reference, _, tmp = inputs
+        reader = open_reader()
         names = reader.names[:10]
         model = LinearModel(names, 0.5, np.linspace(-1, 1, len(names)), 0.0, 0.0)
         _, peak = self.traced(cli._correct_step, {"mlr": (model, tmp / "model_mlr.json")},
                               reader, dem, reference, tmp)
-        bound = (8 * evaluate.PREDICT_CHUNK_ROWS * (len(names) + 3)
-                 + 8 * terrain.BLOCK_ROWS * dem.ncols * (len(names) + 6))
+        bound = 8 * terrain.BLOCK_ROWS * dem.ncols * (2 * len(names) + 9)
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
 
 class TestImportPath:
-    """scipy is needed only to fit the MLR, so no other step imports it.
+    """No command needs scipy, which only the tests use as an oracle.
 
     Nor does a step need ``numpy.ma``, which ``np.unique`` imports under
     numpy 2.
@@ -529,15 +533,15 @@ class TestImportPath:
         want = {p.name: p.read_bytes() for p in out.iterdir()}
         shutil.rmtree(out)
         for step in steps:
-            if step == "train":  # the MLR fit needs scipy.linalg
-                assert run_cli(step, "--config", cfg_path) == 0
-                continue
             proc = self.python(self.BLOCKED, step, "--config", cfg_path)
             assert proc.returncode == 0, (step, proc.stderr)
         got = {p.name: p.read_bytes() for p in out.iterdir()}
         assert sorted(got) == sorted(want)
         for name in want:
             assert got[name] == want[name], name
+        proc = self.python(self.BLOCKED, "bench", "--out", tmp / "bench",
+                           "--set", "bench.size_exponent=5", "--set", "gbdt.n_trees=3")
+        assert proc.returncode == 0, proc.stderr
 
     def test_evaluate_loads_no_numpy_ma(self, workspace):
         cfg_path, _ = workspace
@@ -598,14 +602,25 @@ class TestInputErrors:
         self.assert_input_error(rc, capsys, "garbage.json' is not valid JSON")
 
     def test_singular_design(self, workspace, capsys):
+        """A tri layer equal to tpi, or to the sum of tpi and slope; the
+        message names a column of the dependent set."""
         cfg_path, tmp = workspace
-        run_cli("features", "--config", cfg_path)
         out = tmp / "out"
-        (out / "feature_tri.asc").write_bytes((out / "feature_tpi.asc").read_bytes())
-        capsys.readouterr()
-        rc = run_cli("train", "--config", cfg_path, "--model", "mlr",
-                     "--set", "collinearity.vif=Infinity")
-        self.assert_input_error(rc, capsys, "rank deficient")
+        for dependent in (("tpi", "tri"), ("tpi", "slope", "tri")):
+            run_cli("features", "--config", cfg_path)
+            tpi, slope = load_grid(out / "feature_tpi.asc"), load_grid(out / "feature_slope.asc")
+            tri = tpi.values
+            if "slope" in dependent:
+                both = tpi.valid_mask() & slope.valid_mask()
+                tri = np.where(both, tpi.values + slope.values, tpi.nodata)
+            save_grid(tpi.with_values(tri), out / "feature_tri.asc")
+            capsys.readouterr()
+            rc = run_cli("train", "--config", cfg_path, "--model", "mlr",
+                         "--set", "collinearity.vif=Infinity")
+            err = capsys.readouterr().err
+            assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+            assert "rank deficient" in err
+            assert any(f"column '{name}'" in err for name in dependent), err
 
     def test_zero_variance(self, workspace, capsys):
         cfg_path, tmp = workspace

@@ -24,7 +24,6 @@ from demcorrect import (
     pct_rmse_reduction,
     predict_error_grid,
 )
-import demcorrect.evaluate as evaluate
 import demcorrect.terrain as terrain
 from demcorrect.grid import GeometryMismatch
 from conftest import NODATA, make_grid, random_stacks, stack_backings
@@ -202,42 +201,35 @@ def predict_error_grid_oracle(model, stack):
 
 @st.composite
 def predict_cases(draw):
-    """A stack, a model over some of its layers in any order, and a chunk
-    size: any for a GBDT, whose rows predict alone, and multiples of 64 for
-    an MLR, whose BLAS kernel rounds the last rows of a call by their count
-    mod 4. The grids stay small enough that BLAS does not split a call
-    across threads."""
+    """A stack, and an MLR or a GBDT over some of its layers in any order."""
     stack, _ = draw(random_stacks(max_rows=32, max_cols=36))
     names = draw(st.permutations(stack.names))[:draw(st.integers(1, len(stack.names)))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         model = LinearModel(tuple(names), float(rng.normal()), rng.normal(size=len(names)),
                             0.0, 0.0)
-        chunk = draw(st.sampled_from([64, 64, 128, 192, 1 << 16]))
     else:
         n = 40
         cells = np.column_stack([np.arange(n), np.zeros(n, dtype=int)])
         features = np.round(rng.normal(size=(n, len(names))) * 10, 1)
         table = SampleTable(tuple(names), cells, features, rng.normal(size=n))
         model = fit_gbdt(table, GbdtParams(n_trees=3, max_depth=3))
-        chunk = draw(st.integers(1, 50))
-    return stack, model, chunk
+    return stack, model
 
 
 class TestBlockedPredict:
-    """Predicting a block of rows at a time, in chunks of rows, gives the
-    bits of one call over every valid cell, from each backing of the stack."""
+    """Predicting a block of rows at a time gives the bits of one call over
+    every valid cell, from each backing of the stack."""
 
     @settings(max_examples=100, deadline=None)
     @given(predict_cases(), st.integers(1, 32))
     def test_equals_the_whole_grid_oracle(self, case, block_rows):
-        stack, model, chunk = case
+        stack, model = case
         with tempfile.TemporaryDirectory() as tmp:
             for backing, (plain, read) in stack_backings(stack, Path(tmp)).items():
                 want = predict_error_grid_oracle(model, plain)
                 got, blocks = [], []
-                with mock.patch.object(terrain, "BLOCK_ROWS", block_rows), \
-                        mock.patch.object(evaluate, "PREDICT_CHUNK_ROWS", chunk):
+                with mock.patch.object(terrain, "BLOCK_ROWS", block_rows):
                     grid = predict_error_grid(model, read)
                     assert predict_error_grid(model, read, sink=lambda first, rows: got.append(
                         (first, rows.copy()))) is None
@@ -251,17 +243,24 @@ class TestBlockedPredict:
     @pytest.mark.parametrize("block_rows", [1, 7, 64])
     @pytest.mark.parametrize("rows", [900, 129, 130, 131, 135])
     def test_mlr_in_chunks_of_64_rows(self, rng, block_rows, rows):
-        """Rows in chunks of 64 and a last call, against one call; a last
-        call of 1 row would round differently in most of these draws."""
+        """``LinearModel.predict_rows`` over calls of ``block_rows`` rows, over
+        a random split, over 1-row calls, and through ``predict_error_grid``
+        with blocks of that height, gives the bytes of one call. A matrix
+        product would round the last rows of a call by their count."""
         for _ in range(10):
             layers = {f"f{i}": make_grid(rng.normal(size=(rows, 1)) * 10) for i in range(4)}
             stack = FeatureStack(tuple(layers), tuple(layers.values()))
             model = LinearModel(tuple(layers)[::-1], 0.5, rng.normal(size=4), 0.0, 0.0)
-            with mock.patch.object(terrain, "BLOCK_ROWS", block_rows), \
-                    mock.patch.object(evaluate, "PREDICT_CHUNK_ROWS", 64):
-                got = predict_error_grid(model, stack)
-            want = predict_error_grid_oracle(model, stack)
-            assert got.values.tobytes() == want.values.tobytes()
+            X = np.column_stack([layers[name].values.ravel() for name in model.feature_names])
+            want = model.predict_rows(X)
+            cuts = np.arange(block_rows, rows, block_rows)
+            random_cuts = np.unique(rng.integers(1, rows, size=rows // 4))
+            for split in (cuts, random_cuts, np.arange(1, rows)):
+                got = np.concatenate([model.predict_rows(part) for part in np.split(X, split)])
+                assert got.tobytes() == want.tobytes()
+            with mock.patch.object(terrain, "BLOCK_ROWS", block_rows):
+                grid = predict_error_grid(model, stack)
+            assert grid.values.ravel().tobytes() == want.tobytes()
 
 
 class TestBuildReport:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -35,6 +36,18 @@ def ols_oracle(X, y):
     """Normal equations (X^T X)^-1 X^T y with an intercept column."""
     A = np.column_stack([np.ones(len(y)), X])
     return np.linalg.solve(A.T @ A, A.T @ y)
+
+
+def qr_oracle(X, y):
+    """Intercept and coefficients by scipy's QR with column pivoting and a
+    triangular solve, as ``fit_ols`` solved them before it used ``lstsq``."""
+    from scipy import linalg
+
+    A = np.column_stack([np.ones(len(y)), X])
+    q, r, piv = linalg.qr(A, mode="economic", pivoting=True)
+    beta = np.empty(A.shape[1])
+    beta[piv] = linalg.solve_triangular(r, q.T @ y)
+    return beta
 
 
 def r2_oracle(X, y):
@@ -110,6 +123,40 @@ class TestVif:
         perm = [3, 0, 4, 1, 2]
         out = vif(table_from(X[:, perm]))
         assert np.allclose(out, base[perm], rtol=1e-9)
+
+
+def collinear_table(seed, exact):
+    """600 rows of nine features: near-duplicates, a near-sum, a column on
+    another scale, and with ``exact`` one column the sum of two others."""
+    rng = np.random.default_rng(seed)
+    n = 600
+    X = rng.normal(size=(n, 9))
+    X[:, 1] = 2 * X[:, 0] + rng.normal(size=n) * 0.05
+    X[:, 2] = X[:, 0] - X[:, 3] + rng.normal(size=n) * 0.2
+    X[:, 5] = np.round(X[:, 5], 1) * 300 + 1000
+    X[:, 6] = X[:, 4] * 0.7 + X[:, 7] * 0.7 + rng.normal(size=n) * 0.1
+    if exact:
+        X[:, 8] = X[:, 3] + X[:, 7]
+    return table_from(X, rng.normal(size=n))
+
+
+class TestScreenPins:
+    """sha256 of the canonical JSON of ``flag_collinear(...).to_doc()``,
+    pinned while ``fit_ols`` still solved by scipy's pivoted QR and
+    ``_aux_r_squared`` called ``lstsq`` on its own. A change to the VIF
+    arithmetic that moves one bit of a factor changes the digest."""
+
+    PINS = {
+        (20261018, False): "d534f08570d237638ee9cd23b60684e243788170b6f0dfb9a0cee8aeb630be13",
+        (20261019, True): "3da3addd90555ae54c97c11a663585112774dcd9ed6603ff81ab495f47ff7a9c",
+    }
+
+    @pytest.mark.parametrize("seed, exact", sorted(PINS))
+    def test_report_digest(self, seed, exact):
+        doc = flag_collinear(collinear_table(seed, exact)).to_doc()
+        assert len(doc["flagged"]) == 3 + exact
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == self.PINS[seed, exact]
 
 
 class TestFlagCollinear:
@@ -210,11 +257,42 @@ class TestFitOls:
         for k in range(3):
             assert abs(resid @ X[:, k]) < 1e-8
 
+    @pytest.mark.parametrize("seed", [*range(8), "ill-conditioned"])
+    def test_matches_pivoted_qr_oracle(self, seed):
+        """Random designs of 1-11 features on scales from 0.01 to 1000, and
+        one with a near-duplicate column, condition number near 1e6."""
+        if seed == "ill-conditioned":
+            rng, n = np.random.default_rng(12345), 500
+            X = rng.normal(size=(n, 5))
+            X[:, 1] = X[:, 0] + rng.normal(size=n) * 7e-3
+            X[:, 4] = X[:, 4] * 1e3 + 5e3
+            assert 5e5 < np.linalg.cond(np.column_stack([np.ones(n), X])) < 2e6
+        else:
+            rng = np.random.default_rng(seed)
+            n, p = rng.integers(20, 400), rng.integers(1, 12)
+            X = rng.normal(size=(n, p)) * rng.uniform(0.01, 1000, size=p) \
+                + rng.normal(size=p) * 100
+        y = X @ rng.normal(size=X.shape[1]) + rng.normal(size=n)
+        m = fit_ols(table_from(X, y))
+        got = np.concatenate([[m.intercept], m.coefficients])
+        want = qr_oracle(X, y)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9
+
     def test_rank_deficiency_names_column(self, rng):
+        """The named column is one of the dependent set."""
         x = rng.normal(size=25)
         X = np.column_stack([x, 2 * x, rng.normal(size=25)])
-        with pytest.raises(SingularDesignError, match="f0|f1"):
+        with pytest.raises(SingularDesignError, match="'f0'|'f1'"):
             fit_ols(table_from(X))
+        for level in (0.1, 1.0, 7.0):  # a constant feature
+            X = np.column_stack([rng.normal(size=30), np.full(30, level),
+                                 rng.normal(size=30)])
+            with pytest.raises(SingularDesignError, match="'intercept'|'f1'"):
+                fit_ols(table_from(X, rng.normal(size=30)))
+        X = rng.normal(size=(40, 4))
+        X[:, 3] = X[:, 0] + X[:, 2]
+        with pytest.raises(SingularDesignError, match="'f0'|'f2'|'f3'"):
+            fit_ols(table_from(X, rng.normal(size=40)))
 
     def test_too_few_rows(self, rng):
         X = rng.normal(size=(4, 3))
