@@ -10,6 +10,7 @@ from .grid import (
     Grid,
     GridGeometry,
     GridParseError,
+    GridReader,
     align_to,
     difference,
     load_grid,

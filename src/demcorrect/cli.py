@@ -45,6 +45,8 @@ from .grid import (
     Grid,
     GeometryMismatch,
     GridParseError,
+    GridReader,
+    GridRows,
     ascii_header,
     ascii_rows,
     check_values,
@@ -196,10 +198,7 @@ def resolve_config(args) -> dict:
             raise ConfigError(f"config file '{path}' is a directory")
         if not path.is_file():
             raise ConfigError(f"config file '{path}' does not exist")
-        try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file '{path}' is not valid JSON: {exc}") from None
+        loaded = _read_json(path, "config file ")
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file '{path}' must hold a JSON object")
         _merge(cfg, loaded)
@@ -384,19 +383,21 @@ def _require_path(cfg: dict, key: str) -> Path:
     return path
 
 
+def _optional_path(cfg: dict, key: str) -> Path | None:
+    return _require_path(cfg, key) if cfg["paths"].get(key) else None
+
+
 def _optional_grid(cfg: dict, key: str) -> Grid | None:
-    value = cfg["paths"].get(key)
-    if not value:
-        return None
-    path = Path(value)
-    if not path.is_file():
-        raise ConfigError(f"paths.{key}: '{path}' does not exist")
-    return load_grid(path)
+    path = _optional_path(cfg, key)
+    return None if path is None else load_grid(path)
 
 
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["paths"]["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"output directory '{out}': {exc.strerror}") from None
     return out
 
 
@@ -404,13 +405,17 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _read_json(path: Path) -> dict:
+def _read_json(path: Path, what: str = "") -> dict:
+    """The JSON document at ``path``; ``what`` is how errors introduce it."""
     if not path.is_file():
-        raise ConfigError(f"'{path}' does not exist (run the earlier pipeline step first)")
+        raise ConfigError(f"{what}'{path}' does not exist (run the earlier pipeline step first)")
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what}'{path}' is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"'{path}' is not valid JSON: {exc}") from None
+        raise ConfigError(f"{what}'{path}' is not valid JSON: {exc}") from None
 
 
 def _sha256_file(path: Path) -> str:
@@ -435,21 +440,34 @@ class _StackWriter:
 
     ``templates`` give each layer's geometry and nodata sentinel. Each
     ``.asc`` file is hashed as it is written, and the binary copy takes each
-    block at its offset in the layer's slab. The files are opened at the
-    first block, so a build that refuses its inputs leaves none behind.
+    block at its offset in the layer's slab. The files are written under
+    temporary names, from the first block on, and take their own names
+    when the ``with`` block ends without an exception; otherwise they are
+    removed. So a build refused at any block leaves no new file, and an
+    earlier run's files stay as they were.
     """
 
     def __init__(self, out: Path, names, templates):
         self.out, self.names, self.templates = out, tuple(names), tuple(templates)
         self.digests = [hashlib.sha256() for _ in self.names]
         self._files: list = []
+        self._paths = [out / _STACK_FILE] + [out / f"feature_{name}.asc" for name in self.names]
 
     def __enter__(self) -> "_StackWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, exc_type, *exc) -> None:
         for fh in self._files:
             fh.close()
+        for path in self._paths[:len(self._files)]:
+            if exc_type is None:
+                os.replace(self._partial(path), path)
+            else:
+                self._partial(path).unlink(missing_ok=True)
+
+    @staticmethod
+    def _partial(path: Path) -> Path:
+        return path.with_name(path.name + ".partial")
 
     def __call__(self, first: int, rows) -> None:
         if not self._files:
@@ -463,16 +481,16 @@ class _StackWriter:
             binary.write(np.ascontiguousarray(values + 0.0, dtype="<f8").data)
 
     def _open(self) -> None:
-        binary = open(self.out / _STACK_FILE, "wb")
-        self._files.append(binary)
+        for path in self._paths:
+            self._files.append(open(self._partial(path), "wb"))
+        binary, *texts = self._files
         top = self.templates[0]
         np.lib.format.write_array_header_1_0(binary, {
             "descr": "<f8", "fortran_order": False,
             "shape": (len(self.names), top.nrows, top.ncols)})
         self._start = binary.tell()
-        for name, template, digest in zip(self.names, self.templates, self.digests):
-            self._files.append(open(self.out / f"feature_{name}.asc", "wb"))
-            self._put(self._files[-1], digest, ascii_header(template.geometry, template.nodata))
+        for fh, template, digest in zip(texts, self.templates, self.digests):
+            self._put(fh, digest, ascii_header(template.geometry, template.nodata))
 
     @staticmethod
     def _put(fh, digest, text: str) -> None:
@@ -660,11 +678,11 @@ def _load_model(path: Path):
 # ---------------------------------------------------------------------------
 
 
-def _features_step(cfg: dict, dem: Grid, bare: Grid, urban: Grid, forest: Grid,
+def _features_step(cfg: dict, dem: GridRows, bare: GridRows, urban: GridRows, forest: GridRows,
                    out: Path, keep: bool = False) -> FeatureStack | None:
-    """Build and write the feature stack. With ``keep`` it is assembled,
-    written and returned; otherwise each row block is written as it is
-    built, and no whole derived layer is held."""
+    """Build and write the feature stack. With ``keep`` it is assembled from
+    :class:`Grid` s, written and returned; otherwise each row block is
+    written as it is built, and no whole derived layer is held."""
     build = functools.partial(build_feature_stack, dem, bare, urban, forest,
                               _feature_config(cfg), max_workers=worker_count())
     if keep:
@@ -775,8 +793,8 @@ def _correct_step(models: dict, stack: StackRows, dem: Grid, reference: Grid | N
     return corrected
 
 
-def _evaluate_step(cfg: dict, reference: Grid, dem: Grid, corrected: dict,
-                   strata: Grid | None, out: Path, stem: str = "report"):
+def _evaluate_step(cfg: dict, reference: GridRows, dem: GridRows, corrected: dict,
+                   strata: GridRows | None, out: Path, stem: str = "report"):
     """Write ``<stem>.json`` and ``<stem>.txt``; model digests come from the documents."""
     digests = {name: _sha256_file(path) for name in corrected
                if (path := _model_doc_path(out, name)).is_file()}
@@ -796,12 +814,11 @@ def _evaluate_step(cfg: dict, reference: Grid, dem: Grid, corrected: dict,
 
 
 def cmd_features(cfg: dict) -> int:
-    dem = load_grid(_require_path(cfg, "dem"))
-    bare = load_grid(_require_path(cfg, "bare"))
-    urban = load_grid(_require_path(cfg, "urban"))
-    forest = load_grid(_require_path(cfg, "forest"))
-    out = _out_dir(cfg)
-    _features_step(cfg, dem, bare, urban, forest, out)
+    with contextlib.ExitStack() as files:
+        dem, bare, urban, forest = (files.enter_context(GridReader(_require_path(cfg, key)))
+                                    for key in ("dem", "bare", "urban", "forest"))
+        out = _out_dir(cfg)
+        _features_step(cfg, dem, bare, urban, forest, out)
     print(f"wrote {len(CANONICAL_FEATURES)} feature layers to {out}")
     return 0
 
@@ -861,16 +878,22 @@ def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
 
 def cmd_evaluate(cfg: dict) -> int:
     out = _out_dir(cfg)
-    dem = load_grid(_require_path(cfg, "dem"))
-    reference = load_grid(_require_path(cfg, "reference"))
-    strata = _optional_grid(cfg, "strata")
-    corrected = {}
-    for name in cfg["models"]:
-        cpath = _corrected_path(out, name)
-        if not cpath.is_file():
-            raise ConfigError(f"'{cpath}' does not exist (run 'correct' first)")
-        corrected[name] = load_grid(cpath)
-    print(_evaluate_step(cfg, reference, dem, corrected, strata, out).render_text())
+    with contextlib.ExitStack() as files:
+        def read(path: Path) -> GridReader:
+            return files.enter_context(GridReader(path))
+
+        dem = read(_require_path(cfg, "dem"))
+        reference = read(_require_path(cfg, "reference"))
+        strata_path = _optional_path(cfg, "strata")
+        strata = None if strata_path is None else read(strata_path)
+        corrected = {}
+        for name in cfg["models"]:
+            cpath = _corrected_path(out, name)
+            if not cpath.is_file():
+                raise ConfigError(f"'{cpath}' does not exist (run 'correct' first)")
+            corrected[name] = read(cpath)
+        report = _evaluate_step(cfg, reference, dem, corrected, strata, out)
+    print(report.render_text())
     return 0
 
 

@@ -17,8 +17,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .grid import GeometryMismatch, Grid, check_values
-from .sampling import EmptyTableError, distinct_labels, stratum_labels
+from .grid import GeometryMismatch, Grid, GridRows, check_values
+from .sampling import (NO_STRATUM, EmptyTableError, check_labels, distinct_labels, label_faults,
+                       label_values)
 from .terrain import StackRows, row_blocks
 
 __all__ = [
@@ -59,10 +60,18 @@ def compute_metrics(errors) -> Metrics:
     n = len(e)
     if n == 0:
         raise ValueError("cannot compute metrics of an empty error sample")
-    me = math.fsum(e) / n
-    mae = math.fsum(np.abs(e)) / n
-    rmse = math.sqrt(math.fsum(e * e) / n)
-    var = math.fsum((e - me) ** 2) / (n - 1) if n > 1 else 0.0
+
+    def fsum(values: np.ndarray) -> float:
+        # a memoryview yields Python floats, far cheaper to make than the
+        # numpy scalars iterating the array gives; fsum is exact either way
+        return math.fsum(memoryview(values))
+
+    me = fsum(e) / n
+    mae = fsum(np.abs(e)) / n
+    rmse = math.sqrt(fsum(e * e) / n)
+    dev = e - me
+    dev *= dev  # (e - me) ** 2 without a second temporary
+    var = fsum(dev) / (n - 1) if n > 1 else 0.0
     return Metrics(n, me, mae, rmse, math.sqrt(var))
 
 
@@ -229,10 +238,10 @@ def _stratum_result(errs_before: np.ndarray, errs_after: dict[str, np.ndarray],
 
 
 def build_report(
-    reference: Grid,
-    original: Grid,
-    corrected_by_model: Mapping[str, Grid],
-    strata: Grid | None = None,
+    reference: GridRows,
+    original: GridRows,
+    corrected_by_model: Mapping[str, GridRows],
+    strata: GridRows | None = None,
     stratum_names: Mapping[int, str] | None = None,
     model_digests: Mapping[str, str] | None = None,
 ) -> EvaluationReport:
@@ -242,6 +251,11 @@ def build_report(
     every corrected grid simultaneously, enumerated row-major. Cells whose
     stratum label is nodata count toward "overall" only. Strata with no
     valid cells are omitted with a warning.
+
+    The grids are read a block of ``terrain.BLOCK_ROWS`` rows at a time.
+    What is kept of each valid cell is all the exact sums of
+    :func:`compute_metrics` need: its error before correction, its error
+    after each model's, and its stratum label.
 
     Raises:
         GeometryMismatch: an input grid is not on the reference geometry.
@@ -256,38 +270,61 @@ def build_report(
     models = sorted(corrected_by_model)
     if not models:
         raise ValueError("at least one corrected grid is required")
-
-    valid = reference.valid_mask() & original.valid_mask()
     for m in models:
-        g = corrected_by_model[m]
-        if not g.geometry.matches(geo):
+        if not corrected_by_model[m].geometry.matches(geo):
             raise GeometryMismatch(f"corrected grid '{m}' is not on the reference geometry")
-        valid &= g.valid_mask()
-    if not valid.any():
-        raise EmptyTableError("no cell is valid in every grid")
 
-    before_all = (original.values - reference.values)[valid]
-    after_all = {m: (corrected_by_model[m].values - reference.values)[valid] for m in models}
+    before_parts: list[np.ndarray] = []
+    after_parts: dict[str, list[np.ndarray]] = {m: [] for m in models}
+    strata_parts: list[np.ndarray] = []
+    faults = None
+    for r0, r1 in row_blocks(geo.nrows):
+        ref = reference.rows(r0, r1)
+        orig = original.rows(r0, r1)
+        valid = (ref != reference.nodata) & (orig != original.nodata)
+        fixed = {}
+        for m in models:
+            g = corrected_by_model[m]
+            fixed[m] = g.rows(r0, r1)
+            valid &= fixed[m] != g.nodata
+        before_parts.append((orig - ref)[valid])
+        for m in models:
+            after_parts[m].append((fixed[m] - ref)[valid])
+        if strata is not None:
+            values = strata.rows(r0, r1)
+            faults = label_faults(values, strata.nodata, r0, faults)
+            strata_parts.append(values[valid])
+    if not sum(len(part) for part in before_parts):
+        raise EmptyTableError("no cell is valid in every grid")
+    present = set()
+    if strata is not None:
+        check_labels(faults)
+        # each part turned into labels in turn, once all are checked
+        for i, part in enumerate(strata_parts):
+            strata_parts[i] = part = label_values(part, strata.nodata)
+            present.update(distinct_labels(part[part != NO_STRATUM]).tolist())
+        labels = np.concatenate(strata_parts)
+        del strata_parts
+
+    before_all = np.concatenate(before_parts)
+    del before_parts
+    after_all = {m: np.concatenate(after_parts.pop(m)) for m in models}
 
     warnings: list[str] = []
     overall = _stratum_result(before_all, after_all, warnings, "overall")
 
     strata_results: dict[str, StratumResult] = {}
     if strata is not None:
-        labels_grid = stratum_labels(strata)
-        label_valid = valid & strata.valid_mask()
-        present = distinct_labels(labels_grid[label_valid])
         declared = sorted(stratum_names) if stratum_names else []
-        for lab in sorted(set(declared) | set(int(v) for v in present)):
+        for lab in sorted(set(declared) | present):
             name = stratum_names.get(lab, str(lab)) if stratum_names else str(lab)
-            mask = label_valid & (labels_grid == lab)
+            # a nodata label is NO_STRATUM, which no stratum takes
+            mask = (labels == lab) & (lab != NO_STRATUM)
             if not mask.any():
                 warnings.append(f"stratum '{name}' omitted: no valid cells")
                 continue
-            before = (original.values - reference.values)[mask]
-            after = {m: (corrected_by_model[m].values - reference.values)[mask]
-                     for m in models}
-            strata_results[name] = _stratum_result(before, after, warnings, name)
+            after = {m: after_all[m][mask] for m in models}
+            strata_results[name] = _stratum_result(before_all[mask], after, warnings, name)
 
     provenance = {"model_digests": dict(model_digests)} if model_digests else {}
     return EvaluationReport(tuple(models), overall, strata_results,

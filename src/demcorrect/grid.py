@@ -12,10 +12,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Protocol, TextIO
 
 import numpy as np
 
@@ -24,6 +25,8 @@ __all__ = [
     "GridGeometry",
     "GridParseError",
     "GeometryMismatch",
+    "GridRows",
+    "GridReader",
     "parse_ascii_header",
     "read_ascii_grid",
     "ascii_header",
@@ -37,11 +40,16 @@ __all__ = [
 
 
 class GridParseError(ValueError):
-    """ASCII grid stream could not be parsed; message names the line."""
+    """ASCII grid stream could not be parsed.
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    The message names the line (``line``; None for a fault of the whole
+    text) and, for a grid read from a file, the file (``path``).
+    """
+
+    def __init__(self, line: int | None, message: str, path=None):
+        text = message if line is None else f"line {line}: {message}"
+        super().__init__(text if path is None else f"'{path}': {text}")
+        self.line, self.reason, self.path = line, message, path
 
 
 class GeometryMismatch(ValueError):
@@ -114,6 +122,35 @@ class Grid:
         """New grid on this geometry (and nodata sentinel) holding ``values``."""
         return Grid(self.ncols, self.nrows, self.xll, self.yll, self.cellsize,
                     self.nodata, values)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start:stop`` of the values (see :class:`GridRows`)."""
+        return self.values[start:stop]
+
+
+class GridRows(Protocol):
+    """What :func:`~demcorrect.terrain.build_feature_stack` and
+    :func:`~demcorrect.evaluate.build_report` read of an input grid: its
+    header, and its values a block of rows at a time.
+
+    ``rows(start, stop)`` returns rows ``start:stop`` as a
+    ``(stop - start, ncols)`` array that the caller must not write. A
+    :class:`Grid` slices the values it holds; a :class:`GridReader` reads
+    the rows from its file, fastest when each call starts at or after the
+    previous call's start and ends at or after its stop.
+    """
+
+    ncols: int
+    nrows: int
+    xll: float
+    yll: float
+    cellsize: float
+    nodata: float
+
+    @property
+    def geometry(self) -> GridGeometry: ...
+
+    def rows(self, start: int, stop: int) -> np.ndarray: ...
 
 
 def check_values(values: np.ndarray, nodata: float, first_row: int = 0) -> None:
@@ -212,11 +249,10 @@ def read_ascii_grid(source: str | TextIO) -> Grid:
     return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, flat)
 
 
-def _read_stream(stream: TextIO) -> Grid | None:
-    """The grid of a stream read line by line, or None where the text parse
-    must decide: a missing or malformed header line, one that
-    ``str.splitlines`` would cut elsewhere (at a form feed, say), or a body
-    :func:`_bulk_parse` refuses."""
+def _read_header(stream: TextIO) -> tuple[GridGeometry, float] | None:
+    """The header of a stream read line by line, or None where the text
+    parse must decide: a missing or malformed header line, or one that
+    ``str.splitlines`` would cut elsewhere (at a form feed, say)."""
     header = []
     for _ in range(6):
         line = stream.readline()
@@ -224,9 +260,19 @@ def _read_stream(stream: TextIO) -> Grid | None:
             return None
         header.append(line)
     try:
-        geo, nodata = parse_ascii_header(header)
+        return parse_ascii_header(header)
     except GridParseError:
         return None
+
+
+def _read_stream(stream: TextIO) -> Grid | None:
+    """The grid of a stream read line by line, or None where the text parse
+    must decide: a header :func:`_read_header` refuses, or a body
+    :func:`_bulk_parse` refuses."""
+    header = _read_header(stream)
+    if header is None:
+        return None
+    geo, nodata = header
     flat = _bulk_parse(stream, geo.ncols * geo.nrows, nodata)
     if flat is None:
         return None
@@ -317,9 +363,130 @@ def write_ascii_grid(grid: Grid) -> str:
     return ascii_header(grid.geometry, grid.nodata) + ascii_rows(grid.values)
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Name ``path`` in the parse errors raised inside, and raise text that
+    is not ASCII as one."""
+    try:
+        yield
+    except GridParseError as exc:
+        if exc.path is not None:
+            raise
+        raise GridParseError(exc.line, exc.reason, path) from None
+    except UnicodeDecodeError as exc:
+        raise GridParseError(None, f"not ASCII text (byte {exc.object[exc.start]:#04x})",
+                             path) from None
+
+
 def load_grid(path) -> Grid:
-    with open(path, "r", encoding="ascii") as fh:
+    """The grid of an ESRI ASCII file, read whole.
+
+    Raises:
+        GridParseError: as :func:`read_ascii_grid`, or the file is not
+            ASCII text; the message names the file.
+    """
+    with _naming(path), open(path, "r", encoding="ascii") as fh:
         return read_ascii_grid(fh)
+
+
+class GridReader:
+    """The rows of an ESRI ASCII grid file, parsed a block at a time (a
+    :class:`GridRows`); values and errors are those of :func:`load_grid`.
+
+    The header is parsed when the reader is made, so that a geometry can
+    be refused before any body line is read. ``rows`` then parses the lines
+    it has not read yet with numpy's C reader, the parse
+    :func:`read_ascii_grid` makes, and holds the rows it returns: a call
+    that starts at or after the previous call's start, and stops at or
+    after its stop, reuses the rows the two share and reads on from there.
+    Any other call rereads the body from its first line.
+
+    A block is parsed this way only where its lines hold one grid row
+    each: no blank line, no row wrapped over several lines, every value
+    finite or the nodata sentinel, and only whitespace after the last row.
+    Otherwise the reader parses the whole file with :func:`load_grid`,
+    which raises its error, naming the line, or returns the grid whose
+    rows the reader serves from then on; only then is a whole grid held.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._grid: Grid | None = None
+        self._fh = open(path, "r", encoding="ascii")
+        try:
+            with _naming(path):
+                header = _read_header(self._fh)
+        except GridParseError:
+            self.close()
+            raise
+        if header is None:
+            self._read_whole()
+            geo, nodata = self._grid.geometry, self._grid.nodata
+        else:
+            geo, nodata = header
+            self._body = self._fh.tell()
+        self.ncols, self.nrows = geo.ncols, geo.nrows
+        self.xll, self.yll, self.cellsize = geo.xll, geo.yll, geo.cellsize
+        self.nodata = nodata
+        # rows _first:_next, those of the last call; the file is at row _next
+        self._held = np.empty((0, self.ncols))
+        self._first = self._next = 0
+
+    @property
+    def geometry(self) -> GridGeometry:
+        return GridGeometry(self.ncols, self.nrows, self.xll, self.yll, self.cellsize)
+
+    def __enter__(self) -> "GridReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def _read_whole(self) -> None:
+        self.close()
+        self._held = None
+        self._grid = load_grid(self.path)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        if self._grid is None:
+            if start < self._first or stop < self._next:
+                self._fh.seek(self._body)
+                self._held = np.empty((0, self.ncols))
+                self._first = self._next = 0
+            with _naming(self.path):
+                new = self._read(stop - self._next)
+            if new is not None:
+                kept = self._held[start - self._first:]
+                new = new[max(start - self._next, 0):]
+                self._held = np.concatenate([kept, new]) if len(kept) else new
+                self._first, self._next = start, stop
+                return self._held
+            self._read_whole()
+        return self._grid.values[start:stop]
+
+    def _read(self, count: int) -> np.ndarray | None:
+        """The next ``count`` rows, or None unless their lines hold one grid
+        row each (and, after the last row, only whitespace follows)."""
+        if count == 0:
+            return np.empty((0, self.ncols))
+        lines = itertools.islice(self._fh, count)
+        first = next(lines, "")
+        if not first.strip():  # loadtxt skips blank lines, and warns on no data
+            return None
+        try:
+            block = np.loadtxt(itertools.chain([first], lines), dtype=np.float64,
+                               comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if block.shape != (count, self.ncols) \
+                or not (np.isfinite(block) | (block == self.nodata)).all():
+            return None
+        if self._next + count == self.nrows and any(line.strip() for line in self._fh):
+            return None
+        return block
 
 
 def save_grid(grid: Grid, path) -> None:

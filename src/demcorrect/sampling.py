@@ -17,8 +17,8 @@ import numpy as np
 from .grid import GeometryMismatch, Grid
 from .terrain import StackRows, row_blocks
 
-__all__ = ["SampleTable", "EmptyTableError", "StrataLabelError", "stratum_labels",
-           "extract_samples", "split_table"]
+__all__ = ["SampleTable", "EmptyTableError", "StrataLabelError", "extract_samples",
+           "split_table"]
 
 #: Stratum value for rows without a landscape label.
 NO_STRATUM = -1
@@ -36,40 +36,40 @@ class StrataLabelError(ValueError):
 _LABEL_RULES = ("integer labels", "non-negative labels")
 
 
-def _label_faults(strata: Grid, start: int, stop: int) -> list[tuple[int, int] | None]:
-    """Per rule of ``_LABEL_RULES``, the first cell of rows ``start:stop``
-    that breaks it, or None."""
-    values = strata.values[start:stop]
-    ok = values != strata.nodata
+def label_faults(values: np.ndarray, nodata: float, first_row: int, faults=None) -> list:
+    """Per rule of ``_LABEL_RULES``, the first cell of a strata grid that
+    breaks it, as ``(row, col, value)``, or None: ``faults`` as found in the
+    rows above (None for none yet), then in ``values``, the grid's rows
+    ``first_row`` onward."""
+    ok = values != nodata
     rounded = np.rint(values)
-    faults = []
+    found = []
     for bad in (ok & (np.abs(values - rounded) > 1e-9), ok & (rounded < 0)):
         cell = np.argwhere(bad)[:1].tolist()
-        faults.append((start + cell[0][0], cell[0][1]) if cell else None)
-    return faults
+        found.append((first_row + cell[0][0], cell[0][1], float(values[cell[0][0], cell[0][1]]))
+                     if cell else None)
+    return found if faults is None else [old or new for old, new in zip(faults, found)]
 
 
-def _check_labels(strata: Grid, faults) -> None:
-    for cell, rule in zip(faults, _LABEL_RULES):
-        if cell is not None:
-            i, j = cell
-            raise StrataLabelError(f"strata grid must hold {rule}; cell ({i}, {j}) "
-                                   f"holds {float(strata.values[i, j])!r}")
-
-
-def _labels(values: np.ndarray, nodata: float) -> np.ndarray:
-    return np.where(values != nodata, np.rint(values), NO_STRATUM).astype(np.int64)
-
-
-def stratum_labels(strata: Grid) -> np.ndarray:
-    """The strata grid's labels as int64, ``NO_STRATUM`` at its nodata cells.
+def check_labels(faults) -> None:
+    """Raise the fault :func:`label_faults` found for the first rule broken.
 
     Raises:
-        StrataLabelError: a data cell is not within 1e-9 of an integer, or
-            rounds to a negative one, which would collide with ``NO_STRATUM``.
+        StrataLabelError: names the cell and the value it holds.
     """
-    _check_labels(strata, _label_faults(strata, 0, strata.nrows))
-    return _labels(strata.values, strata.nodata)
+    for fault, rule in zip(faults, _LABEL_RULES):
+        if fault is not None:
+            i, j, value = fault
+            raise StrataLabelError(f"strata grid must hold {rule}; cell ({i}, {j}) "
+                                   f"holds {value!r}")
+
+
+def label_values(values: np.ndarray, nodata: float) -> np.ndarray:
+    """Strata values as int64 labels, ``NO_STRATUM`` at ``nodata``; a label
+    is checked by :func:`label_faults`: a data cell must lie within 1e-9 of
+    an integer that is not negative, or it would collide with
+    ``NO_STRATUM``."""
+    return np.where(values != nodata, np.rint(values), NO_STRATUM).astype(np.int64)
 
 
 def distinct_labels(labels: np.ndarray) -> np.ndarray:
@@ -199,7 +199,7 @@ def extract_samples(
     Raises:
         GeometryMismatch: target or strata not on the stack geometry.
         EmptyTableError: no eligible cells.
-        StrataLabelError: see :func:`stratum_labels`.
+        StrataLabelError: a strata label :func:`label_faults` refuses.
     """
     if not (0 < rate <= 1):
         raise ValueError("rate must be in (0, 1]")
@@ -219,16 +219,16 @@ def extract_samples(
         return layers, valid
 
     blocks = row_blocks(geo.nrows)
-    counts, faults = [], [None] * len(_LABEL_RULES)
+    counts, faults = [], None
     for r0, r1 in blocks:
         counts.append(np.count_nonzero(eligible(r0, r1)[1]))
         if strata is not None:
-            faults = [old or new for old, new in zip(faults, _label_faults(strata, r0, r1))]
+            faults = label_faults(strata.values[r0:r1], strata.nodata, r0, faults)
     total = sum(counts)
     if total == 0:
         raise EmptyTableError("no cell has all features and the target valid")
     if strata is not None:
-        _check_labels(strata, faults)
+        check_labels(faults)
 
     # drawing ordinals among the eligible cells draws the same cells as
     # drawing from their flat indices, without listing those
@@ -259,7 +259,8 @@ def extract_samples(
                 features[rows, j] = values.reshape(-1)[picked]
             targets[rows] = target.values[r0:r1].reshape(-1)[picked]
             if labels is not None:
-                labels[rows] = _labels(strata.values[r0:r1].reshape(-1)[picked], strata.nodata)
+                labels[rows] = label_values(strata.values[r0:r1].reshape(-1)[picked],
+                                            strata.nodata)
         seen += n
 
     return SampleTable(stack.names, cells, features, targets, labels)

@@ -23,6 +23,11 @@ table whose axis-0 running sum at a row adds up every row above it, and a
 sum restarted at a block's first row rounds differently; so those two carry
 the running sum across blocks, and tpi also its grid mean, one pairwise sum
 over the whole grid (``_RowCarry``).
+
+The inputs are read through :class:`~demcorrect.grid.GridRows`: a
+:class:`~demcorrect.grid.Grid` held in memory, or a
+:class:`~demcorrect.grid.GridReader` that parses a block of rows of an
+ASCII file at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .grid import GeometryMismatch, Grid, GridGeometry
+from .grid import GeometryMismatch, Grid, GridGeometry, GridRows
 
 __all__ = [
     "CANONICAL_FEATURES",
@@ -257,9 +262,11 @@ class _RowCarry:
     next sub-grid start; the block loop sets them before each block.
     """
 
-    def __init__(self, dem: Grid):
-        v = dem.valid_mask()
-        self.tpi_mean = np.where(v, dem.values, 0.0).sum() / max(v.sum(), 1)
+    def __init__(self, dem: GridRows):
+        # the one read of the whole DEM, which a reader drops at its next call
+        values = dem.rows(0, dem.nrows)
+        v = values != dem.nodata
+        self.tpi_mean = np.where(v, values, 0.0).sum() / max(v.sum(), 1)
         self.first = self.next_first = 0
         self._heads: dict[str, np.ndarray] = {}
 
@@ -419,18 +426,21 @@ def vrm(dem: Grid, w: WindowSpec, carry: _RowCarry | None = None) -> Grid:
     return dem.with_values(np.where(keep, out, dem.nodata))
 
 
-def _require_binary(mask: Grid, what: str) -> None:
-    bad = ~((mask.values == 0) | (mask.values == 1) | (mask.values == mask.nodata))
+def _require_binary(values: np.ndarray, nodata: float, what: str, first_row: int = 0) -> None:
+    """Check that ``values``, rows ``first_row`` onward of a mask, hold only
+    0, 1 or ``nodata``; the error names the first cell that does not."""
+    bad = ~((values == 0) | (values == 1) | (values == nodata))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ValueError(
-            f"{what} must hold only 0, 1 or nodata; found {mask.values[i, j]!r} at cell ({i}, {j})"
+            f"{what} must hold only 0, 1 or nodata; found {values[i, j]!r} at cell "
+            f"({first_row + i}, {j})"
         )
 
 
 def focal_fraction(mask: Grid, w: WindowSpec) -> Grid:
     """Percent of valid window cells equal to 1, for a binary {0,1} mask."""
-    _require_binary(mask, "focal_fraction input")
+    _require_binary(mask.values, mask.nodata, "focal_fraction input")
     v = mask.valid_mask()
     ones = _box_sum(np.where(v & (mask.values == 1), 1.0, 0.0), w.radius)
     count, keep = _window_gate(v, w)
@@ -449,26 +459,19 @@ def row_blocks(nrows: int) -> list[tuple[int, int]]:
     return [(r0, min(r0 + BLOCK_ROWS, nrows)) for r0 in range(0, nrows, BLOCK_ROWS)]
 
 
-def layer_templates(dem: Grid, bare: Grid, urban: Grid, forest: Grid) -> tuple[Grid, ...]:
+def layer_templates(dem: GridRows, bare: GridRows, urban: GridRows,
+                    forest: GridRows) -> tuple[GridRows, ...]:
     """The grid whose geometry and nodata sentinel each stack layer takes,
     in canonical order: each mask for its own layer, the DEM for the rest."""
     own = {"pct_bare": bare, "urban": urban, "pct_forest": forest}
     return tuple(own.get(name, dem) for name in CANONICAL_FEATURES)
 
 
-def _rows(g: Grid, start: int, stop: int) -> Grid:
-    """Rows ``start:stop`` of ``g`` as a grid of their own."""
-    if (start, stop) == (0, g.nrows):
-        return g
-    return Grid(g.ncols, stop - start, g.xll, g.yll + (g.nrows - stop) * g.cellsize,
-                g.cellsize, g.nodata, g.values[start:stop])
-
-
 def build_feature_stack(
-    dem: Grid,
-    bare: Grid,
-    urban: Grid,
-    forest: Grid,
+    dem: GridRows,
+    bare: GridRows,
+    urban: GridRows,
+    forest: GridRows,
     cfg: FeatureConfig | None = None,
     max_workers: int = 1,
     sink: Callable[[int, tuple[np.ndarray, ...]], None] | None = None,
@@ -484,23 +487,25 @@ def build_feature_stack(
     1 rows above and below. The result depends neither on the block size
     nor on ``max_workers`` (see the module docstring). With one worker, a
     block peaks near ``8 * ncols * (35 * BLOCK_ROWS + 40 * halo)`` bytes;
-    before the blocks, tpi's grid mean takes 9 bytes per cell once.
+    before the blocks, tpi's grid mean reads the whole DEM once and takes 9
+    bytes per cell. The inputs are read a sub-grid at a time, top to
+    bottom; each mask's rows are checked as they are first read, so that
+    the error names the first faulty cell of the first block that holds
+    one, urban mask first, then bare, then forest.
 
     With ``sink``, each block goes to ``sink(first_row, rows)`` as it
     finishes, ``rows`` holding its rows of every layer in canonical order,
     and None is returned: no whole derived layer is held. Without, the
-    blocks are assembled into the returned stack. ``max_workers`` > 1
-    computes a block's derivative layers concurrently.
+    blocks are assembled into the returned stack, whose ``elevation`` and
+    ``urban`` layers are the DEM and the urban mask, which must then be
+    :class:`Grid` s. ``max_workers`` > 1 computes a block's derivative
+    layers concurrently.
     """
     cfg = cfg or FeatureConfig()
     geo = dem.geometry
     for name, g in (("bare", bare), ("urban", urban), ("forest", forest)):
         if not g.geometry.matches(geo):
             raise GeometryMismatch(f"{name} mask is not on the DEM geometry")
-    _require_binary(urban, "urban mask")
-    # checked whole, so that the error names a cell of the grid, not of a block
-    for mask in (bare, forest):
-        _require_binary(mask, "focal_fraction input")
 
     windows = (cfg.roughness_window, cfg.tpi_window, cfg.vrm_window,
                cfg.landcover_window, cfg.texture_window)
@@ -528,12 +533,23 @@ def build_feature_stack(
                     assembled[name][first:first + len(block)] = block
 
     h = dem.nrows
+    checked = 0  # the mask rows checked so far
     with ThreadPoolExecutor(max_workers) if max_workers > 1 else contextlib.nullcontext() as pool:
         for r0 in range(0, h, block_rows):
             r1 = min(r0 + block_rows, h)
             s0, s1 = max(r0 - halo, 0), min(r1 + halo, h)
             carry.first, carry.next_first = s0, max(r1 - halo, 0)
-            args = [_rows(g, s0, s1) for g in (dem, bare, forest)]
+            dem_rows, bare_rows, urban_rows, forest_rows = (
+                g.rows(s0, s1) for g in (dem, bare, urban, forest))
+            for what, g, values in (("urban mask", urban, urban_rows),
+                                    ("focal_fraction input", bare, bare_rows),
+                                    ("focal_fraction input", forest, forest_rows)):
+                _require_binary(values[checked - s0:], g.nodata, what, checked)
+            checked = s1
+            # each input's sub-grid of rows s0:s1
+            args = [Grid(g.ncols, s1 - s0, g.xll, g.yll + (g.nrows - s1) * g.cellsize,
+                         g.cellsize, g.nodata, values)
+                    for g, values in ((dem, dem_rows), (bare, bare_rows), (forest, forest_rows))]
             # a copy of the block's rows lets each layer's sub-grid go at once
             if pool is None:
                 rows = {name: fn(*args).values[r0 - s0:r1 - s0].copy()
@@ -542,8 +558,8 @@ def build_feature_stack(
                 futures = {name: pool.submit(fn, *args) for name, fn in jobs.items()}
                 rows = {name: fut.result().values[r0 - s0:r1 - s0].copy()
                         for name, fut in futures.items()}
-            rows["elevation"] = dem.values[r0:r1]
-            rows["urban"] = urban.values[r0:r1]
+            rows["elevation"] = dem_rows[r0 - s0:r1 - s0]
+            rows["urban"] = urban_rows[r0 - s0:r1 - s0]
             sink(r0, tuple(rows[name] for name in CANONICAL_FEATURES))
 
     if assembled is None:

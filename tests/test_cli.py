@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import hashlib
 import json
@@ -14,11 +15,14 @@ import pytest
 import demcorrect.cli as cli
 from demcorrect import (
     CANONICAL_FEATURES,
+    STRATUM_NAMES,
     FeatureStack,
     GbdtParams,
     Grid,
+    GridReader,
     LinearModel,
     build_feature_stack,
+    build_report,
     difference,
     extract_samples,
     fractal_dem,
@@ -186,6 +190,28 @@ class TestFeatures:
         assert run_cli("features", "--config", cfg_path) == 0
         s = load_grid(tmp / "flatout" / "feature_slope.asc")
         assert np.all(s.values[s.valid_mask()] == 0.0)
+
+    def test_refused_build_leaves_the_earlier_files(self, workspace, monkeypatch, capsys):
+        """A mask fault in the grid's last row refuses the build after three
+        row blocks were written: no new file stays, and the files of the
+        earlier run keep their bytes."""
+        cfg_path, tmp = workspace
+        out = tmp / "out"
+        assert run_cli("features", "--config", cfg_path) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        dem = load_grid(tmp / "dem.asc")
+        save_grid(dem.with_values(np.where(dem.valid_mask(), dem.values + 1.0, dem.nodata)),
+                  tmp / "dem.asc")
+        bare = load_grid(tmp / "bare.asc")
+        values = bare.values.copy()
+        values[-1, 3] = 2.0
+        save_grid(bare.with_values(values), tmp / "bare.asc")
+        monkeypatch.setattr(terrain, "BLOCK_ROWS", 8)
+        capsys.readouterr()
+        assert run_cli("features", "--config", cfg_path) != 0
+        err = capsys.readouterr().err
+        assert "must hold only 0, 1 or nodata" in err and "at cell (32, 3)" in err, err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestStreamedWriter:
@@ -433,15 +459,20 @@ class TestOnePipeline:
 
 class TestStepMemory:
     """Tracemalloc peaks of sampling and of the ``correct`` step, reading the
-    stack from its binary copy, against the bounds the README's "Memory"
-    section states. The inputs (stack reader, DEM, reference, strata) are
-    made before tracing, but not the reader's block buffer; w is the grid
-    width, B = ``terrain.BLOCK_ROWS``, F the stack's layers and m a model's
-    features.
+    stack from its binary copy, and of the ``features`` and ``evaluate``
+    steps, reading their ASCII inputs through :class:`GridReader`, against
+    the bounds the README's "Memory" section states. The inputs (stack
+    reader, DEM, reference, strata; the readers, with their headers parsed)
+    are made before tracing, but not the stack reader's block buffer; h and
+    w are the grid's rows and columns, B = ``terrain.BLOCK_ROWS``, H = 11
+    the feature build's halo, F the stack's layers and m a model's features.
 
     - sampling k of n eligible cells: 8*B*w*(F + 5) + k*(9*F + 32) bytes,
       plus 8*n where numpy draws by a tail shuffle (k > n/50, n > 10,000);
-    - correcting with one model: 8*B*w*(2*m + 9) bytes.
+    - correcting with one model: 8*B*w*(2*m + 9) bytes;
+    - building the features: max(17*h*w, 8*w*(35*B + 40*H) + 32*w*(3*B + 4*H));
+    - evaluating M corrected grids, n cells valid in every grid:
+      8*n*(M + 3) + 16*B*w*(M + 3).
 
     The whole-grid code held every layer: 88 bytes per cell before either.
     """
@@ -468,6 +499,25 @@ class TestStepMemory:
         reference = dem.with_values(np.where(dem.valid_mask(), dem.values - rng.normal(
             size=dem.values.shape), dem.nodata))
         return open_reader, dem, reference, land.strata, tmp
+
+    @pytest.fixture(scope="class")
+    def grid_files(self, inputs):
+        """The ASCII files the ``features`` and ``evaluate`` steps read: the
+        DEM, its masks, reference and strata, and two corrected DEMs with
+        holes of their own."""
+        _, dem, reference, strata, tmp = inputs
+        land = synth_landcover(dem, seed=11)
+        rng = np.random.default_rng(3)
+        grids = {"dem": dem, "bare": land.bare, "urban": land.urban, "forest": land.forest,
+                 "reference": reference, "strata": strata}
+        for name in ("a", "b"):
+            keep = dem.valid_mask() & (rng.random(dem.values.shape) > 0.05)
+            grids[name] = dem.with_values(np.where(
+                keep, dem.values - rng.normal(size=dem.values.shape), dem.nodata))
+        paths = {name: tmp / f"{name}.asc" for name in grids}
+        for name, grid in grids.items():
+            save_grid(grid, paths[name])
+        return paths
 
     @staticmethod
     def traced(fn, *args, **kwargs):
@@ -498,6 +548,26 @@ class TestStepMemory:
         _, peak = self.traced(cli._correct_step, {"mlr": (model, tmp / "model_mlr.json")},
                               reader, dem, reference, tmp)
         bound = 8 * terrain.BLOCK_ROWS * dem.ncols * (2 * len(names) + 9)
+        assert 0.5 * bound <= peak <= bound, (peak, bound)
+
+    def test_features_within_the_stated_bound(self, grid_files):
+        with contextlib.ExitStack() as files:
+            inputs = [files.enter_context(GridReader(grid_files[key]))
+                      for key in ("dem", "bare", "urban", "forest")]
+            _, peak = self.traced(build_feature_stack, *inputs, sink=lambda first, rows: None)
+        h, w = inputs[0].nrows, inputs[0].ncols
+        B, H = terrain.BLOCK_ROWS, 11
+        bound = max(17 * h * w, 8 * w * (35 * B + 40 * H) + 32 * w * (3 * B + 4 * H))
+        assert 0.5 * bound <= peak <= bound, (peak, bound)
+
+    def test_evaluate_within_the_stated_bound(self, grid_files):
+        with contextlib.ExitStack() as files:
+            ref, dem, strata, *corrected = (files.enter_context(GridReader(grid_files[key]))
+                                            for key in ("reference", "dem", "strata", "a", "b"))
+            report, peak = self.traced(build_report, ref, dem, dict(zip("ab", corrected)), strata,
+                                       stratum_names=STRATUM_NAMES)
+        n, M = report.overall.before.n, len(corrected)
+        bound = 8 * n * (M + 3) + 16 * terrain.BLOCK_ROWS * ref.ncols * (M + 3)
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
 
@@ -760,6 +830,49 @@ class TestInputErrors:
         capsys.readouterr()
         rc = run_cli("correct", "--config", cfg_path, "--model-doc", path)
         self.assert_input_error(rc, capsys, needle)
+
+    @pytest.mark.parametrize("key", ["bare", "dem"])
+    def test_undecodable_grid(self, workspace, capsys, key):
+        """A byte that is not ASCII, read in a row block or in the whole-DEM
+        parse, is an input error that names the file."""
+        cfg_path, tmp = workspace
+        path = tmp / f"{key}.asc"
+        data = bytearray(path.read_bytes())
+        data[-3] = 0xE9
+        path.write_bytes(bytes(data))
+        self.assert_input_error(run_cli("features", "--config", cfg_path), capsys,
+                                f"'{path}': not ASCII text (byte 0xe9)")
+
+    def test_undecodable_config(self, workspace, capsys):
+        cfg_path, _ = workspace
+        cfg_path.write_bytes(cfg_path.read_bytes().replace(b'"gbdt"', b'"gbdt\xe9"'))
+        self.assert_input_error(run_cli("features", "--config", cfg_path), capsys,
+                                f"config file '{cfg_path}' is not UTF-8 text: byte 0xe9")
+
+    def test_undecodable_manifest(self, workspace, capsys):
+        cfg_path, tmp = workspace
+        run_cli("features", "--config", cfg_path)
+        path = tmp / "out" / "features_manifest.json"
+        path.write_bytes(path.read_bytes().replace(b'"layers"', b'"layers\xff"'))
+        capsys.readouterr()
+        self.assert_input_error(run_cli("train", "--config", cfg_path), capsys,
+                                f"'{path}' is not UTF-8 text: byte 0xff")
+
+    def test_out_names_a_file(self, workspace, capsys):
+        cfg_path, tmp = workspace
+        taken = tmp / "taken"
+        taken.write_text("not a directory\n")
+        self.assert_input_error(run_cli("features", "--config", cfg_path, "--out", taken),
+                                capsys, f"output directory '{taken}': File exists")
+        self.assert_input_error(run_cli("evaluate", "--config", cfg_path, "--out", taken / "x"),
+                                capsys, f"output directory '{taken / 'x'}': Not a directory")
+
+    def test_grid_parse_error_names_the_file(self, workspace, capsys):
+        cfg_path, tmp = workspace
+        (tmp / "urban.asc").write_text("")
+        self.assert_input_error(run_cli("features", "--config", cfg_path), capsys,
+                                f"error: '{tmp / 'urban.asc'}': line 1: missing header line "
+                                "(expected 'ncols <value>')")
 
     def test_non_finite_nodata_header(self, workspace, capsys):
         cfg_path, tmp = workspace

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import tempfile
@@ -10,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demcorrect import (
+    EmptyTableError,
+    EvaluationReport,
     FeatureStack,
     GbdtParams,
+    GridReader,
     LinearModel,
     SampleTable,
     StrataLabelError,
@@ -23,9 +27,12 @@ from demcorrect import (
     fit_gbdt,
     pct_rmse_reduction,
     predict_error_grid,
+    save_grid,
 )
 import demcorrect.terrain as terrain
+from demcorrect.evaluate import _stratum_result
 from demcorrect.grid import GeometryMismatch
+from demcorrect.sampling import check_labels, distinct_labels, label_faults, label_values
 from conftest import NODATA, make_grid, random_stacks, stack_backings
 
 
@@ -363,3 +370,107 @@ class TestBuildReport:
         doc = build_report(ref, dem, {"m": dem}, strata).to_doc()
         parsed = json.loads(json.dumps(doc, sort_keys=True))
         assert parsed["overall"]["pct_rmse_reduction"]["m"] == pytest.approx(0.0)
+
+
+def build_report_oracle(reference, original, corrected_by_model, strata=None,
+                        stratum_names=None) -> EvaluationReport:
+    """``build_report`` over whole grids, as it was before it read row
+    blocks: the oracle of the blocked one."""
+    models = sorted(corrected_by_model)
+    valid = reference.valid_mask() & original.valid_mask()
+    for m in models:
+        valid &= corrected_by_model[m].valid_mask()
+    if not valid.any():
+        raise EmptyTableError("no cell is valid in every grid")
+    before_all = (original.values - reference.values)[valid]
+    after_all = {m: (corrected_by_model[m].values - reference.values)[valid] for m in models}
+    warnings = []
+    overall = _stratum_result(before_all, after_all, warnings, "overall")
+    strata_results = {}
+    if strata is not None:
+        check_labels(label_faults(strata.values, strata.nodata, 0))
+        labels_grid = label_values(strata.values, strata.nodata)
+        label_valid = valid & strata.valid_mask()
+        present = distinct_labels(labels_grid[label_valid])
+        declared = sorted(stratum_names) if stratum_names else []
+        for lab in sorted(set(declared) | set(int(v) for v in present)):
+            name = stratum_names.get(lab, str(lab)) if stratum_names else str(lab)
+            mask = label_valid & (labels_grid == lab)
+            if not mask.any():
+                warnings.append(f"stratum '{name}' omitted: no valid cells")
+                continue
+            before = (original.values - reference.values)[mask]
+            after = {m: (corrected_by_model[m].values - reference.values)[mask] for m in models}
+            strata_results[name] = _stratum_result(before, after, warnings, name)
+    return EvaluationReport(tuple(models), overall, strata_results, tuple(warnings), {})
+
+
+class TestReportFromFiles:
+    """``build_report`` reads its grids a block of rows at a time, from
+    in-memory grids or from files through :class:`GridReader`: either way
+    its report is the whole-grid oracle's, byte for byte, and so are its
+    errors."""
+
+    NAMES = {1: "one", 2: "two", 9: "ghost"}
+
+    @staticmethod
+    def grids(seed, h=23, w=9):
+        """Reference, DEM, two corrections and strata, each with nodata
+        holes and its own sentinel."""
+        rng = np.random.default_rng(seed)
+
+        def holed(values, nodata, share):
+            return make_grid(np.where(rng.random((h, w)) < share, nodata, values), nodata=nodata)
+
+        ref = holed(300 + rng.normal(size=(h, w)) * 10, NODATA, 0.1)
+        dem = holed(ref.values + 2 + rng.normal(size=(h, w)), -1.0, 0.1)
+        corrected = {m: holed(dem.values - shift + rng.normal(size=(h, w)) * 0.5, 0.0, 0.05)
+                     for m, shift in (("b", 1.5), ("a", 2.5))}
+        strata = holed(rng.integers(1, 4, size=(h, w)).astype(float), NODATA, 0.2)
+        return ref, dem, corrected, strata
+
+    @staticmethod
+    def outcome(report_fn):
+        try:
+            report = report_fn()
+        except (EmptyTableError, StrataLabelError) as exc:
+            return type(exc).__name__, str(exc)
+        return json.dumps(report.to_doc(), sort_keys=True), report.render_text()
+
+    def assert_same_reports(self, tmp_path, ref, dem, corrected, strata):
+        grids = {"ref": ref, "dem": dem, "strata": strata, **corrected}
+        for name, grid in grids.items():
+            save_grid(grid, tmp_path / f"{name}.asc")
+        want = self.outcome(lambda: build_report_oracle(ref, dem, corrected, strata, self.NAMES))
+        assert self.outcome(lambda: build_report(ref, dem, corrected, strata,
+                                                 stratum_names=self.NAMES)) == want
+        with contextlib.ExitStack() as files:
+            read = {name: files.enter_context(GridReader(tmp_path / f"{name}.asc"))
+                    for name in grids}
+            got = self.outcome(lambda: build_report(
+                read["ref"], read["dem"], {m: read[m] for m in corrected}, read["strata"],
+                stratum_names=self.NAMES))
+        assert got == want
+        return want
+
+    @pytest.mark.parametrize("block_rows", [3, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_files_and_memory_match_the_oracle(self, tmp_path, monkeypatch, block_rows, seed):
+        monkeypatch.setattr(terrain, "BLOCK_ROWS", block_rows)
+        want = self.assert_same_reports(tmp_path, *self.grids(seed))
+        assert "stratum 'ghost' omitted" in want[0]
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["label-fault", "empty-first"])
+    def test_errors_match_the_oracle(self, tmp_path, monkeypatch, empty):
+        """A label fault in the last block; with no valid cell, the empty
+        table is reported first."""
+        monkeypatch.setattr(terrain, "BLOCK_ROWS", 4)
+        ref, dem, corrected, strata = self.grids(3)
+        labels = strata.values.copy()
+        labels[5, 0], labels[22, 2] = -1.0, 1.5
+        if empty:
+            ref = ref.with_values(np.full_like(ref.values, ref.nodata))
+        want = self.assert_same_reports(tmp_path, ref, dem, corrected, strata.with_values(labels))
+        assert want == (("EmptyTableError", "no cell is valid in every grid") if empty else
+                        ("StrataLabelError", "strata grid must hold integer labels; "
+                                             "cell (22, 2) holds 1.5"))

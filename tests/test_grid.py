@@ -1,6 +1,8 @@
 import hashlib
 import io
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from demcorrect import (
     Grid,
     GridGeometry,
     GridParseError,
+    GridReader,
     align_to,
     difference,
     read_ascii_grid,
@@ -388,15 +391,40 @@ def _outcome(parse):
         return str(exc)
 
 
+def _read_by_blocks(path, height: int, halo: int) -> np.ndarray:
+    """Every row of the file at ``path`` through a :class:`GridReader`, in
+    blocks of ``height`` rows, each asked for with ``halo`` rows above and
+    below, as the feature build asks for its sub-grids."""
+    with GridReader(path) as reader:
+        h = reader.nrows
+        blocks = []
+        for r0 in range(0, h, height):
+            r1 = min(r0 + height, h)
+            s0 = max(r0 - halo, 0)
+            rows = reader.rows(s0, min(r1 + halo, h))
+            blocks.append(rows[r0 - s0:r1 - s0].copy())
+        return np.concatenate(blocks)
+
+
 class TestBulkReader:
     @settings(max_examples=400, deadline=None)
-    @given(ascii_bodies())
-    def test_matches_token_reference(self, case):
+    @given(ascii_bodies(), st.integers(1, 4), st.integers(0, 2))
+    def test_matches_token_reference(self, case, height, halo):
+        """The text parse, and the row-block reader over the text in a file,
+        against the token loop: the same values, or the same error."""
         text, expected, nodata = case
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _outcome(lambda: read_ascii_grid(text).values)
         assert got == _outcome(lambda: _parse_tokens(text.splitlines()[6:], expected, nodata))
+        if not text.isascii():
+            return
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = Path(tmp) / "g.asc"
+            path.write_text(text, encoding="ascii", newline="")
+            blocks = _outcome(lambda: _read_by_blocks(path, height, halo))
+        assert blocks == (got if isinstance(got, bytes) else f"'{path}': {got}")
 
     @pytest.mark.parametrize("body", ["", "\n\n  \n"], ids=["empty", "blank-lines"])
     def test_body_without_values(self, body):
@@ -461,6 +489,61 @@ class TestBulkReader:
                      + "5 6\n" * 999 + "7 y\n")
         with pytest.raises(GridParseError, match="line 1008: non-numeric token 'y'"):
             grid_module.load_grid(p)
+
+    def test_reader_rereads_for_an_earlier_row(self, tmp_path):
+        """The whole grid, then blocks from the top: the reader drops the
+        rows it holds and reads the body again, a block at a time."""
+        g = make_grid(np.arange(35.0).reshape(7, 5))
+        path = tmp_path / "g.asc"
+        grid_module.save_grid(g, path)
+        with GridReader(path) as reader:
+            assert (reader.geometry, reader.nodata) == (g.geometry, g.nodata)
+            assert reader.rows(0, 7).tobytes() == g.values.tobytes()
+            for start, stop in ((0, 3), (1, 5), (5, 7), (2, 4), (4, 4), (6, 7)):
+                assert reader.rows(start, stop).tobytes() == g.values[start:stop].tobytes()
+            assert reader._grid is None  # never parsed whole by load_grid
+
+    @pytest.mark.parametrize("body, message", [
+        ("1 2\n3 4\n", None),
+        ("1 2 3\n4\n", None),
+        ("1 2\n\n3 4\n", None),
+        ("1 2\n3 4\n\n \n", None),
+        ("1 2\n3 x\n", "line 8: non-numeric token 'x'"),
+        ("1 2\n3\n", "line 8: expected 4 values, found 3"),
+        ("1 2\n3 4\n5\n", "line 9: too many values (expected 4)"),
+        ("1 2\n3 nan\n", "line 8: non-finite value 'nan'"),
+    ], ids=["rows", "wrapped", "blank-line", "blank-tail", "bad-token", "short", "long",
+            "nan"])
+    def test_reader_fallback(self, tmp_path, monkeypatch, body, message):
+        """Lines that are not one grid row each leave the file to load_grid,
+        which returns the grid or raises its error, naming the file."""
+        path = tmp_path / "g.asc"
+        path.write_text(SIMPLE.replace("1 2\n3 4\n", body))
+        whole = []
+        real = grid_module.load_grid
+        monkeypatch.setattr(grid_module, "load_grid", lambda p: whole.append(p) or real(p))
+        if message is None:
+            assert _read_by_blocks(path, 1, 0).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+            # only lines that are not one row each leave the file to load_grid
+            assert whole == ([path] if body in ("1 2 3\n4\n", "1 2\n\n3 4\n") else [])
+        else:
+            with pytest.raises(GridParseError) as err:
+                _read_by_blocks(path, 1, 0)
+            assert str(err.value) == f"'{path}': {message}"
+
+    def test_reader_refuses_a_header_before_the_body(self, tmp_path):
+        path = tmp_path / "g.asc"
+        path.write_text(SIMPLE.replace("cellsize 1", "cellsize -1") + "x" * 100 + "\n")
+        with pytest.raises(GridParseError, match=f"^'{path}': line 5: cellsize must be"):
+            GridReader(path)
+
+    def test_not_ascii_names_the_file(self, tmp_path):
+        path = tmp_path / "g.asc"
+        path.write_bytes(SIMPLE.replace("3 4", "3 \xe9").encode("latin-1"))
+        for read in (grid_module.load_grid, lambda p: _read_by_blocks(p, 1, 0)):
+            with pytest.raises(GridParseError) as err:
+                read(path)
+            assert str(err.value) == f"'{path}': not ASCII text (byte 0xe9)"
 
     def test_writer_output_takes_the_bulk_path(self, monkeypatch):
         def refuse(*args):

@@ -21,7 +21,7 @@ from demcorrect import (
 )
 import demcorrect.terrain as terrain
 from demcorrect.grid import GeometryMismatch
-from demcorrect.sampling import distinct_labels, stratum_labels
+from demcorrect.sampling import check_labels, distinct_labels, label_faults, label_values
 from conftest import NODATA, make_grid, random_stacks, stack_backings
 
 
@@ -112,6 +112,12 @@ class TestExtract:
         all_nodata = dem.with_values(np.full((11, 11), NODATA))
         with pytest.raises(EmptyTableError):
             extract_samples(stack, all_nodata)
+
+
+def stratum_labels(strata):
+    """The whole strata grid's labels, checked first."""
+    check_labels(label_faults(strata.values, strata.nodata, 0))
+    return label_values(strata.values, strata.nodata)
 
 
 def extract_samples_oracle(stack, target, strata=None, rate=1.0, seed=0):
