@@ -23,6 +23,7 @@ from .terrain import (
     FLAT_ASPECT,
     FeatureConfig,
     FeatureStack,
+    MaskValueError,
     WindowSpec,
     aspect,
     build_feature_stack,

@@ -73,6 +73,7 @@ from .sampling import (
 from .synth import (
     STRATUM_NAMES,
     ErrorSpec,
+    LandcoverSet,
     check_fractal_args,
     fractal_dem,
     inject_error,
@@ -82,6 +83,7 @@ from .terrain import (
     CANONICAL_FEATURES,
     FeatureConfig,
     FeatureStack,
+    MaskValueError,
     StackRows,
     WindowSpec,
     build_feature_stack,
@@ -402,7 +404,12 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to ``path``,
+    encoding into the file as it goes: the same pure-Python encoder, without
+    joining the whole document into one string first."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _read_json(path: Path, what: str = "") -> dict:
@@ -459,10 +466,13 @@ class _StackWriter:
     def __exit__(self, exc_type, *exc) -> None:
         for fh in self._files:
             fh.close()
-        for path in self._paths[:len(self._files)]:
+        paths = self._paths[:len(self._files)]
+        try:
             if exc_type is None:
-                os.replace(self._partial(path), path)
-            else:
+                for path in paths:
+                    os.replace(self._partial(path), path)
+        finally:  # after a refused build, or a name that cannot be replaced
+            for path in paths:
                 self._partial(path).unlink(missing_ok=True)
 
     @staticmethod
@@ -908,23 +918,24 @@ def _resolve_noise(spec: ErrorSpec, fraction: float | None, dem, stack) -> Error
                      fraction * float(vals.std()), spec.seed)
 
 
-def cmd_bench(cfg: dict) -> int:
-    """Generate synthetic inputs, then run the pipeline steps on them in memory."""
-    out = _out_dir(cfg)
-    terrain, landcover_seed, noise_fraction, spec = _bench_args(cfg)
-    t0 = time.perf_counter()
+def _bench_inputs(cfg: dict, out: Path) -> tuple[Grid, Grid, LandcoverSet]:
+    """Generate and write the synthetic inputs; returns the reference, the
+    degraded DEM and the land cover.
 
+    The clean terrain's feature stack, which the injected error reads, is
+    dropped on return, so ``bench`` then builds the degraded DEM's stack
+    without holding a second one.
+    """
+    terrain, landcover_seed, noise_fraction, spec = _bench_args(cfg)
     reference = fractal_dem(**terrain)
     land = synth_landcover(reference, seed=landcover_seed)
     clean_stack = build_feature_stack(reference, land.bare, land.urban, land.forest,
                                       _feature_config(cfg), max_workers=worker_count())
-
     spec = _resolve_noise(spec, noise_fraction, reference, clean_stack)
     injected = inject_error(reference, clean_stack, spec)
-    original = injected.degraded
 
     save_grid(reference, out / "reference.asc")
-    save_grid(original, out / "original.asc")
+    save_grid(injected.degraded, out / "original.asc")
     save_grid(injected.true_dh, out / "true_error.asc")
     save_grid(land.bare, out / "mask_bare.asc")
     save_grid(land.urban, out / "mask_urban.asc")
@@ -932,14 +943,23 @@ def cmd_bench(cfg: dict) -> int:
     save_grid(land.strata, out / "strata.asc")
     _write_json(out / "error_spec.json",
                 {**spec.to_doc(), "noise_fraction": noise_fraction})
+    return reference, injected.degraded, land
+
+
+def cmd_bench(cfg: dict) -> int:
+    """Generate synthetic inputs, then run the pipeline steps on them in memory."""
+    out = _out_dir(cfg)
+    t0 = time.perf_counter()
+    reference, original, land = _bench_inputs(cfg, out)
     t_gen = time.perf_counter()
 
     stack = _features_step(cfg, original, land.bare, land.urban, land.forest, out, keep=True)
     t_feat = time.perf_counter()
 
     train, test = _split_step(cfg, stack, difference(original, reference), land.strata)
-    (out / "samples_train.csv").write_text(train.to_csv())
-    (out / "samples_test.csv").write_text(test.to_csv())
+    for kind, table in (("train", train), ("test", test)):
+        with open(out / f"samples_{kind}.csv", "w") as fh:
+            table.to_csv(fh)
     _diagnose_step(cfg, train, out)
     models = _train_step(cfg, train, out)
     t_train = time.perf_counter()
@@ -1007,17 +1027,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: exceptions caused by bad configuration or input data; they exit 2
+#: exceptions caused by bad configuration or input data; they exit 2, as
+#: does an ``OSError`` that names a file (missing, a directory, no permission)
 _INPUT_ERRORS = (
     ConfigError,
     GridParseError,
     GeometryMismatch,
+    MaskValueError,
     ModelFormatError,
     SingularDesignError,
     ZeroVarianceError,
     EmptyTableError,
     StrataLabelError,
-    FileNotFoundError,
 )
 
 
@@ -1044,7 +1065,11 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - internal failures
+    except Exception as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            names = "' -> '".join(str(n) for n in (exc.filename, exc.filename2) if n is not None)
+            print(f"error: '{names}': {exc.strerror}", file=sys.stderr)
+            return 2
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -137,9 +137,11 @@ class SampleTable:
         return SampleTable(tuple(names), self.cells, self.features[:, cols],
                            self.targets, self.strata)
 
-    def to_csv(self) -> str:
-        """CSV with header ``row,col,stratum,<feature names...>,target``."""
-        buf = io.StringIO()
+    def to_csv(self, out=None) -> str | None:
+        """CSV with header ``row,col,stratum,<feature names...>,target``,
+        written a row at a time into the text stream ``out``; with no
+        stream, the text is returned."""
+        buf = io.StringIO() if out is None else out
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["row", "col", "stratum", *self.feature_names, "target"])
         for i in range(len(self)):
@@ -150,7 +152,7 @@ class SampleTable:
                 *(repr(float(v)) for v in self.features[i]),
                 repr(float(self.targets[i])),
             ])
-        return buf.getvalue()
+        return buf.getvalue() if out is None else None
 
     @classmethod
     def from_csv(cls, text: str) -> "SampleTable":

@@ -48,6 +48,7 @@ __all__ = [
     "WindowSpec",
     "FeatureConfig",
     "FeatureStack",
+    "MaskValueError",
     "StackRows",
     "row_blocks",
     "slope",
@@ -426,13 +427,17 @@ def vrm(dem: Grid, w: WindowSpec, carry: _RowCarry | None = None) -> Grid:
     return dem.with_values(np.where(keep, out, dem.nodata))
 
 
+class MaskValueError(ValueError):
+    """A land-cover mask holds a value other than 0, 1 or nodata; names the cell."""
+
+
 def _require_binary(values: np.ndarray, nodata: float, what: str, first_row: int = 0) -> None:
     """Check that ``values``, rows ``first_row`` onward of a mask, hold only
     0, 1 or ``nodata``; the error names the first cell that does not."""
     bad = ~((values == 0) | (values == 1) | (values == nodata))
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise ValueError(
+        raise MaskValueError(
             f"{what} must hold only 0, 1 or nodata; found {values[i, j]!r} at cell "
             f"({first_row + i}, {j})"
         )

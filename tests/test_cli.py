@@ -6,11 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import demcorrect.cli as cli
 from demcorrect import (
@@ -21,13 +24,16 @@ from demcorrect import (
     Grid,
     GridReader,
     LinearModel,
+    SampleTable,
     build_feature_stack,
     build_report,
     difference,
     extract_samples,
+    fit_gbdt,
     fractal_dem,
     load_grid,
     save_grid,
+    serialize_model,
     synth_landcover,
 )
 from demcorrect.cli import ConfigError, main, resolve_config, worker_count
@@ -208,7 +214,7 @@ class TestFeatures:
         save_grid(bare.with_values(values), tmp / "bare.asc")
         monkeypatch.setattr(terrain, "BLOCK_ROWS", 8)
         capsys.readouterr()
-        assert run_cli("features", "--config", cfg_path) != 0
+        assert run_cli("features", "--config", cfg_path) == 2
         err = capsys.readouterr().err
         assert "must hold only 0, 1 or nodata" in err and "at cell (32, 3)" in err, err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -245,6 +251,27 @@ class TestStreamedWriter:
         for name in names:
             assert (streamed / name).read_bytes() == (whole / name).read_bytes(), name
         assert (whole / "feature_pct_bare.asc").read_text().splitlines()[2] == "xllcorner 1e-10"
+
+
+#: JSON values that the encoder spells in ways of its own: signed zero,
+#: exponents, NaN and infinities, integers past 2**64 and non-ASCII text
+_json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text()
+    | st.sampled_from([-0.0, 1e-05, 1e16, -1e16, float("nan"), float("inf"), float("-inf")]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), _json_docs, max_size=5))
+def test_write_json_writes_what_dumps_returns(doc):
+    """``_write_json`` encodes into the file: the bytes are those of the
+    document encoded whole."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        cli._write_json(path, doc)
+        assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 class TestFeatureStackFile:
@@ -571,6 +598,66 @@ class TestStepMemory:
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
 
+class TestBenchMemory:
+    """``bench`` holds one feature stack at a time, and writes its JSON
+    documents and sample tables without building each as one string, as the
+    README's "Memory" section states."""
+
+    @pytest.mark.parametrize("rate", [0.25, 1.0])
+    def test_one_stack_when_training(self, tmp_path, monkeypatch, rate):
+        """At 129², the traced live memory when ``bench`` enters
+        ``_train_step`` is at most 16 grids of 8*h*w bytes (the reference,
+        the DEM, three masks, the strata, the nine derived layers and one
+        for smaller objects) plus the k sampled rows, k*(8*F + 32) bytes.
+        Holding the clean terrain's stack too took nine grids more."""
+        # an untraced run first imports what bench needs
+        run_cli("bench", "--out", tmp_path / "warm", "--set", "bench.size_exponent=5",
+                "--set", "windows.texture_radius=3", "--model", "mlr")
+        seen = {}
+        train_step = cli._train_step
+
+        def entered(cfg, train, out):
+            seen["live"], seen["train"] = tracemalloc.get_traced_memory()[0], len(train)
+            return train_step(cfg, train, out)
+
+        monkeypatch.setattr(cli, "_train_step", entered)
+        out = tmp_path / "bench"
+        tracemalloc.start()
+        try:
+            rc = run_cli("bench", "--out", out, "--set", "bench.size_exponent=7",
+                         "--set", f"sampling.rate={rate}", "--model", "mlr")
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        with open(out / "samples_test.csv") as fh:
+            k = seen["train"] + sum(1 for _ in fh) - 1
+        h = w = 129
+        bound = 16 * 8 * h * w + k * (8 * len(CANONICAL_FEATURES) + 32)
+        assert 0.5 * bound <= seen["live"] <= bound, (seen["live"], bound)
+
+    def test_model_document_streams(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n, k = 2000, 11
+        table = SampleTable(tuple(f"f{i}" for i in range(k)),
+                            np.column_stack([np.arange(n), np.zeros(n, dtype=int)]),
+                            rng.normal(size=(n, k)), rng.normal(size=n))
+        doc = serialize_model(fit_gbdt(table, GbdtParams(n_trees=100), name="gbdt-depthwise"))
+        path = tmp_path / "model.json"
+        _, peak = TestStepMemory.traced(cli._write_json, path, doc)
+        assert peak < 0.25 * path.stat().st_size, (peak, path.stat().st_size)
+
+    def test_sample_table_streams(self, tmp_path):
+        rng = np.random.default_rng(1)
+        n, k = 10_000, 11
+        table = SampleTable(tuple(f"f{i}" for i in range(k)),
+                            np.column_stack([np.arange(n), np.zeros(n, dtype=int)]),
+                            rng.normal(size=(n, k)), rng.normal(size=n), np.arange(n) % 5)
+        path = tmp_path / "samples.csv"
+        with open(path, "w") as fh:
+            _, peak = TestStepMemory.traced(table.to_csv, fh)
+        assert peak < 0.25 * path.stat().st_size, (peak, path.stat().st_size)
+
+
 class TestImportPath:
     """No command needs scipy, which only the tests use as an oracle.
 
@@ -866,6 +953,18 @@ class TestInputErrors:
                                 capsys, f"output directory '{taken}': File exists")
         self.assert_input_error(run_cli("evaluate", "--config", cfg_path, "--out", taken / "x"),
                                 capsys, f"output directory '{taken / 'x'}': Not a directory")
+
+    @pytest.mark.parametrize("name", ["collinearity.json", "samples_train.csv",
+                                      "feature_slope.asc"])
+    def test_output_file_is_a_directory(self, tmp_path, capsys, name):
+        """A JSON document, a sample table or a raster that cannot be
+        written; the raster's own temporary file does not stay."""
+        out = tmp_path / "bench"
+        (out / name).mkdir(parents=True)
+        rc = run_cli("bench", "--out", out, "--set", "bench.size_exponent=5",
+                     "--set", "windows.texture_radius=3", "--model", "mlr")
+        self.assert_input_error(rc, capsys, f"{out / name}': Is a directory")
+        assert not list(out.glob("*.partial"))
 
     def test_grid_parse_error_names_the_file(self, workspace, capsys):
         cfg_path, tmp = workspace

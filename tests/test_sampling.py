@@ -1,3 +1,4 @@
+import io
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -21,7 +22,7 @@ from demcorrect import (
 )
 import demcorrect.terrain as terrain
 from demcorrect.grid import GeometryMismatch
-from demcorrect.sampling import check_labels, distinct_labels, label_faults, label_values
+from demcorrect.sampling import NO_STRATUM, check_labels, distinct_labels, label_faults, label_values
 from conftest import NODATA, make_grid, random_stacks, stack_backings
 
 
@@ -278,6 +279,24 @@ class TestCsv:
         t = toy_table(4)
         back = SampleTable.from_csv(t.to_csv())
         assert back.strata is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_stream_gets_the_returned_text(self, data):
+        """Written into a stream, the CSV is the text ``to_csv()`` returns,
+        with or without strata, unlabelled rows and subnormal values."""
+        n, k = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 4))
+        values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308])
+        strata = data.draw(st.none() | hnp.arrays(
+            np.int64, n, elements=st.integers(NO_STRATUM, 4) | st.just(NO_STRATUM)))
+        table = SampleTable(tuple(f"f{i}" for i in range(k)),
+                            data.draw(hnp.arrays(np.int64, (n, 2), elements=st.integers(0, 9))),
+                            data.draw(hnp.arrays(np.float64, (n, k), elements=values)),
+                            data.draw(hnp.arrays(np.float64, n, elements=values)), strata)
+        out = io.StringIO()
+        assert table.to_csv(out) is None
+        assert out.getvalue() == table.to_csv()
 
 
 class TestValidation:
