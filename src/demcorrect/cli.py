@@ -40,7 +40,16 @@ import numpy as np
 
 from . import __version__
 from .evaluate import abs_error_values, build_report, corrected_values, predict_error_grid
-from .gbdt import GbdtParams, ModelFormatError, deserialize_model, fit_gbdt, serialize_model
+from .gbdt import (
+    GbdtModel,
+    GbdtParams,
+    ModelFormatError,
+    RegressionTree,
+    deserialize_model,
+    fit_gbdt,
+    serialize_model,
+    serialize_tree,
+)
 from .grid import (
     Grid,
     GeometryMismatch,
@@ -403,12 +412,40 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
+class _DeferredTree:
+    """A GBDT document's entry for ``tree``, which :func:`_write_json` builds
+    only when the encoder reaches it."""
+
+    __slots__ = ("tree",)
+
+    def __init__(self, tree: RegressionTree):
+        self.tree = tree
+
+
+def _encode_deferred(value):
+    """``json.dump``'s ``default``: the dict of a deferred tree; any other
+    value is refused as the encoder refuses it without a ``default``."""
+    if isinstance(value, _DeferredTree):
+        return serialize_tree(value.tree)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _gbdt_doc(model: GbdtModel) -> dict:
+    """``serialize_model(model)`` with each ``trees`` entry deferred, so that
+    :func:`_write_json` holds one tree's dict at a time."""
+    doc = serialize_model(replace(model, trees=()))
+    doc["trees"] = [_DeferredTree(tree) for tree in model.trees]
+    return doc
+
+
 def _write_json(path: Path, doc: dict) -> None:
     """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to ``path``,
     encoding into the file as it goes: the same pure-Python encoder, without
-    joining the whole document into one string first."""
+    joining the whole document into one string first. A deferred tree
+    (:func:`_gbdt_doc`) is built when the encoder reaches it and dropped
+    once it is written."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_encode_deferred)
         fh.write("\n")
 
 
@@ -739,7 +776,7 @@ def _train_step(cfg: dict, train: SampleTable, out: Path) -> dict:
         else:
             growth = "depthwise" if name == "gbdt-depthwise" else "leafwise"
             model = fit_gbdt(train, _gbdt_params(cfg, growth), name=name)
-            doc = serialize_model(model)
+            doc = _gbdt_doc(model)
         doc["provenance"] = _provenance(cfg)
         path = _model_doc_path(out, name)
         _write_json(path, doc)

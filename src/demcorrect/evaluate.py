@@ -17,9 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .grid import GeometryMismatch, Grid, GridRows, check_values
-from .sampling import (NO_STRATUM, EmptyTableError, check_labels, distinct_labels, label_faults,
-                       label_values)
+from .grid import GeometryMismatch, Grid, GridRows, check_values, distinct_values
+from .sampling import NO_STRATUM, EmptyTableError, check_labels, label_faults, label_values
 from .terrain import StackRows, row_blocks
 
 __all__ = [
@@ -302,7 +301,7 @@ def build_report(
         # each part turned into labels in turn, once all are checked
         for i, part in enumerate(strata_parts):
             strata_parts[i] = part = label_values(part, strata.nodata)
-            present.update(distinct_labels(part[part != NO_STRATUM]).tolist())
+            present.update(distinct_values(part[part != NO_STRATUM]).tolist())
         labels = np.concatenate(strata_parts)
         del strata_parts
 

@@ -54,6 +54,7 @@ __all__ = [
     "best_split",
     "fit_gbdt",
     "serialize_model",
+    "serialize_tree",
     "deserialize_model",
 ]
 
@@ -454,22 +455,18 @@ def fit_gbdt(train: SampleTable, params: GbdtParams | None = None,
                      tuple(rmse), name)
 
 
+def serialize_tree(tree: RegressionTree) -> dict:
+    """One entry of the ``trees`` array of :func:`serialize_model`."""
+    nodes = [
+        {"value": v} if f < 0 else {"feature": f, "threshold": t, "left": lo, "right": hi}
+        for f, t, lo, hi, v in zip(tree.feature.tolist(), tree.threshold.tolist(),
+                                   tree.left.tolist(), tree.right.tolist(), tree.value.tolist())
+    ]
+    return {"root": 0, "nodes": nodes}
+
+
 def serialize_model(model: GbdtModel) -> dict:
     """Versioned JSON-ready document; roundtrips losslessly."""
-    trees = []
-    for tree in model.trees:
-        nodes = []
-        for i in range(tree.n_nodes):
-            if tree.feature[i] < 0:
-                nodes.append({"value": float(tree.value[i])})
-            else:
-                nodes.append({
-                    "feature": int(tree.feature[i]),
-                    "threshold": float(tree.threshold[i]),
-                    "left": int(tree.left[i]),
-                    "right": int(tree.right[i]),
-                })
-        trees.append({"root": 0, "nodes": nodes})
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -478,7 +475,7 @@ def serialize_model(model: GbdtModel) -> dict:
         "base_score": model.base_score,
         "feature_names": list(model.feature_names),
         "train_rmse": list(model.train_rmse),
-        "trees": trees,
+        "trees": [serialize_tree(tree) for tree in model.trees],
     }
 
 

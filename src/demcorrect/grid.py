@@ -36,6 +36,7 @@ __all__ = [
     "save_grid",
     "align_to",
     "difference",
+    "distinct_values",
 ]
 
 
@@ -168,6 +169,17 @@ def check_values(values: np.ndarray, nodata: float, first_row: int = 0) -> None:
 
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+
+
+def distinct_values(values: np.ndarray) -> np.ndarray:
+    """The distinct values of ``values``, ascending.
+
+    ``np.unique`` gives the same, but under numpy 2 it imports ``numpy.ma``.
+    """
+    ordered = np.sort(values, axis=None)
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
 
 
 def _fmt(v: float) -> str:
@@ -342,20 +354,34 @@ def ascii_header(geometry: GridGeometry, nodata: float) -> str:
             f"cellsize {_fmt(geometry.cellsize)}\nNODATA_value {_fmt(nodata)}\n")
 
 
+def _texts(values: np.ndarray) -> list[str]:
+    """:func:`_fmt` of each value of the 1-D ``values``."""
+    bare = (values == np.trunc(values)) & (np.abs(values) < 1e16)
+    cells = values.tolist()
+    text = list(map(repr, cells))
+    for j in np.flatnonzero(bare).tolist():
+        text[j] = str(int(cells[j]))
+    return text
+
+
 def ascii_rows(values: np.ndarray) -> str:
     """Body lines of an ESRI ASCII grid, one per row of ``values``, each
-    ending in a newline; reals carry full roundtrip precision."""
-    # the cells _fmt prints bare, for all rows at once
-    integral = (values == np.trunc(values)) & (np.abs(values) < 1e16)
-    out = []
-    for row, bare in zip(values, integral):
-        cells = row.tolist()
-        text = list(map(repr, cells))
-        for j in np.flatnonzero(bare).tolist():
-            text[j] = str(int(cells[j]))
-        out.append(" ".join(text))
-    out.append("")
-    return "\n".join(out)
+    ending in a newline; reals carry full roundtrip precision.
+
+    A block with at most one distinct value per 16 cells, such as a mask
+    or a land-cover fraction, formats each distinct value once and looks
+    up every cell's text; the bytes are the same either way.
+    """
+    distinct = distinct_values(values)
+    if 16 * len(distinct) <= values.size:
+        table = np.array(_texts(distinct), dtype=object)
+        lines = [" ".join(table.take(np.searchsorted(distinct, row)).tolist())
+                 for row in values]
+    else:
+        del distinct  # nearly a copy of the block: not held while its rows are formatted
+        lines = [" ".join(_texts(row)) for row in values]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def write_ascii_grid(grid: Grid) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GeometryMismatch, Grid
+from .grid import GeometryMismatch, Grid, distinct_values
 from .terrain import StackRows, row_blocks
 
 __all__ = ["SampleTable", "EmptyTableError", "StrataLabelError", "extract_samples",
@@ -70,17 +70,6 @@ def label_values(values: np.ndarray, nodata: float) -> np.ndarray:
     an integer that is not negative, or it would collide with
     ``NO_STRATUM``."""
     return np.where(values != nodata, np.rint(values), NO_STRATUM).astype(np.int64)
-
-
-def distinct_labels(labels: np.ndarray) -> np.ndarray:
-    """The distinct values of ``labels``, ascending.
-
-    ``np.unique`` gives the same, but under numpy 2 it imports ``numpy.ma``.
-    """
-    ordered = np.sort(labels, axis=None)
-    first = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return ordered[first]
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,7 +291,7 @@ def split_table(
         test_idx = np.sort(order[n_train:])
         return table.subset(train_idx), table.subset(test_idx)
 
-    labels = distinct_labels(table.strata)
+    labels = distinct_values(table.strata)
     groups = {int(lab): np.flatnonzero(table.strata == lab) for lab in labels}
     eligible = [lab for lab, idx in groups.items() if len(idx) >= 2]
     forced = [lab for lab, idx in groups.items() if len(idx) < 2]

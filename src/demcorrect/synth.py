@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, distinct_values
 from .terrain import FeatureStack, slope
 
 __all__ = [
@@ -133,6 +133,27 @@ def _disk_mask(shape, centers, radii) -> np.ndarray:
     return out
 
 
+def _quantile(values: np.ndarray, q):
+    """``np.quantile(values, q)`` (method ``linear``) bit for bit, signed
+    zeros included, for finite ``values`` and float ``q`` in [0, 1].
+
+    It takes numpy's steps: partition a flat copy at the same indices (0,
+    n-1, and each q's floor and ceiling index, both clamped to n-1 from
+    n-1 on), then interpolate with numpy's lerp. The indices are made
+    distinct by :func:`grid.distinct_values`, since ``np.unique``, which
+    numpy uses, imports ``numpy.ma`` under numpy 2.
+    """
+    arr = np.asarray(values).flatten()
+    virtual = (len(arr) - 1) * np.asarray(q, dtype=np.float64)
+    last = virtual >= len(arr) - 1
+    below = np.where(last, -1, np.floor(virtual)).astype(np.intp)
+    above = np.where(last, -1, np.floor(virtual) + 1).astype(np.intp)
+    arr.partition(distinct_values(np.concatenate(([0, -1], below.ravel(), above.ravel()))))
+    a, b, t = arr[below], arr[above], virtual - below
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)[()]
+
+
 def synth_landcover(dem: Grid, seed: int = 0) -> LandcoverSet:
     """Derive masks and strata from elevation bands plus seeded patches.
 
@@ -144,7 +165,7 @@ def synth_landcover(dem: Grid, seed: int = 0) -> LandcoverSet:
     rng = np.random.default_rng(seed)
     z = dem.values
     n_rows, n_cols = z.shape
-    q15, q45, q75 = np.quantile(z, [0.15, 0.45, 0.75])
+    q15, q45, q75 = _quantile(z, [0.15, 0.45, 0.75])
 
     strata = np.full(z.shape, 5.0)           # grassland/shrubland
     strata[z >= q75] = 3.0                   # mountain
@@ -170,7 +191,7 @@ def synth_landcover(dem: Grid, seed: int = 0) -> LandcoverSet:
     s_valid = s.valid_mask()
     steep = np.zeros(z.shape, dtype=bool)
     if s_valid.any():
-        steep = s_valid & (s.values >= np.quantile(s.values[s_valid], 0.7))
+        steep = s_valid & (s.values >= _quantile(s.values[s_valid], 0.7))
 
     bare = steep & ((strata == 3.0) | (strata == 5.0))
     k_bare = 4

@@ -438,7 +438,7 @@ def _require_binary(values: np.ndarray, nodata: float, what: str, first_row: int
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise MaskValueError(
-            f"{what} must hold only 0, 1 or nodata; found {values[i, j]!r} at cell "
+            f"{what} must hold only 0, 1 or nodata; found {float(values[i, j])!r} at cell "
             f"({first_row + i}, {j})"
         )
 
@@ -547,8 +547,8 @@ def build_feature_stack(
             dem_rows, bare_rows, urban_rows, forest_rows = (
                 g.rows(s0, s1) for g in (dem, bare, urban, forest))
             for what, g, values in (("urban mask", urban, urban_rows),
-                                    ("focal_fraction input", bare, bare_rows),
-                                    ("focal_fraction input", forest, forest_rows)):
+                                    ("bare mask", bare, bare_rows),
+                                    ("forest mask", forest, forest_rows)):
                 _require_binary(values[checked - s0:], g.nodata, what, checked)
             checked = s1
             # each input's sub-grid of rows s0:s1

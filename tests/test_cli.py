@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -216,8 +217,21 @@ class TestFeatures:
         capsys.readouterr()
         assert run_cli("features", "--config", cfg_path) == 2
         err = capsys.readouterr().err
-        assert "must hold only 0, 1 or nodata" in err and "at cell (32, 3)" in err, err
+        assert "bare mask must hold only 0, 1 or nodata; found 2.0 at cell (32, 3)" in err, err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("mask", ["bare", "urban", "forest"])
+    def test_mask_fault_names_the_mask(self, workspace, capsys, mask):
+        """The message names the faulty mask and prints the value as a float."""
+        cfg_path, tmp = workspace
+        grid = load_grid(tmp / f"{mask}.asc")
+        values = grid.values.copy()
+        values[5, 7] = 0.5
+        save_grid(grid.with_values(values), tmp / f"{mask}.asc")
+        assert run_cli("features", "--config", cfg_path) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {mask} mask must hold only 0, 1 or nodata; "
+                       "found 0.5 at cell (5, 7)\n"), err
 
 
 class TestStreamedWriter:
@@ -635,16 +649,38 @@ class TestBenchMemory:
         bound = 16 * 8 * h * w + k * (8 * len(CANONICAL_FEATURES) + 32)
         assert 0.5 * bound <= seen["live"] <= bound, (seen["live"], bound)
 
-    def test_model_document_streams(self, tmp_path):
+    @staticmethod
+    def gbdt_table(n=2000, k=11):
         rng = np.random.default_rng(0)
-        n, k = 2000, 11
-        table = SampleTable(tuple(f"f{i}" for i in range(k)),
-                            np.column_stack([np.arange(n), np.zeros(n, dtype=int)]),
-                            rng.normal(size=(n, k)), rng.normal(size=n))
-        doc = serialize_model(fit_gbdt(table, GbdtParams(n_trees=100), name="gbdt-depthwise"))
+        return SampleTable(tuple(f"f{i}" for i in range(k)),
+                           np.column_stack([np.arange(n), np.zeros(n, dtype=int)]),
+                           rng.normal(size=(n, k)), rng.normal(size=n))
+
+    def test_model_document_streams(self, tmp_path):
+        """A 100-tree GBDT document is written from the fitted model as
+        ``_train_step`` writes it, holding one tree's dict at a time: the
+        whole document as one dict peaked at 2.3 times the bytes written."""
+        model = fit_gbdt(self.gbdt_table(), GbdtParams(n_trees=100), name="gbdt-depthwise")
         path = tmp_path / "model.json"
-        _, peak = TestStepMemory.traced(cli._write_json, path, doc)
+        _, peak = TestStepMemory.traced(lambda: cli._write_json(path, cli._gbdt_doc(model)))
         assert peak < 0.25 * path.stat().st_size, (peak, path.stat().st_size)
+
+    @pytest.mark.parametrize("growth", ["depthwise", "leafwise"])
+    def test_gbdt_document_is_its_whole_encoding(self, tmp_path, growth):
+        """The file ``_train_step`` writes holds ``serialize_model(model)``
+        plus its provenance, in the bytes of the document encoded whole."""
+        cfg = resolve_config(SimpleNamespace(set=["gbdt.n_trees=12"], model=[f"gbdt-{growth}"]))
+        (model, path), = cli._train_step(cfg, self.gbdt_table(300), tmp_path).values()
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert json.loads(text) == {**serialize_model(model),
+                                    "provenance": cli._provenance(cfg)}
+
+    def test_write_json_refuses_other_objects(self, tmp_path):
+        """Only a deferred tree is encoded through the ``default`` hook."""
+        for value in (object(), np.int64(1), {1, 2}):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                cli._write_json(tmp_path / "doc.json", {"a": value})
 
     def test_sample_table_streams(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -699,6 +735,14 @@ class TestImportPath:
         proc = self.python(self.BLOCKED, "bench", "--out", tmp / "bench",
                            "--set", "bench.size_exponent=5", "--set", "gbdt.n_trees=3")
         assert proc.returncode == 0, proc.stderr
+
+    def test_bench_loads_no_numpy_ma(self, tmp_path):
+        proc = self.python("import sys; from demcorrect.cli import main; "
+                           "rc = main(sys.argv[1:]); print(rc, 'numpy.ma' in sys.modules)",
+                           "bench", "--out", tmp_path / "bench", "--set", "bench.size_exponent=5",
+                           "--set", "gbdt.n_trees=3")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_evaluate_loads_no_numpy_ma(self, workspace):
         cfg_path, _ = workspace

@@ -31,8 +31,8 @@ from demcorrect import (
 )
 import demcorrect.terrain as terrain
 from demcorrect.evaluate import _stratum_result
-from demcorrect.grid import GeometryMismatch
-from demcorrect.sampling import check_labels, distinct_labels, label_faults, label_values
+from demcorrect.grid import GeometryMismatch, distinct_values
+from demcorrect.sampling import check_labels, label_faults, label_values
 from conftest import NODATA, make_grid, random_stacks, stack_backings
 
 
@@ -391,7 +391,7 @@ def build_report_oracle(reference, original, corrected_by_model, strata=None,
         check_labels(label_faults(strata.values, strata.nodata, 0))
         labels_grid = label_values(strata.values, strata.nodata)
         label_valid = valid & strata.valid_mask()
-        present = distinct_labels(labels_grid[label_valid])
+        present = distinct_values(labels_grid[label_valid])
         declared = sorted(stratum_names) if stratum_names else []
         for lab in sorted(set(declared) | set(int(v) for v in present)):
             name = stratum_names.get(lab, str(lab)) if stratum_names else str(lab)

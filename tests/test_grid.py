@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from demcorrect import (
     GeometryMismatch,
@@ -21,7 +22,7 @@ from demcorrect import (
     write_ascii_grid,
 )
 import demcorrect.grid as grid_module
-from demcorrect.grid import _parse_tokens, parse_ascii_header
+from demcorrect.grid import _fmt, _parse_tokens, ascii_rows, parse_ascii_header
 from conftest import NODATA, make_grid
 
 SIMPLE = "\n".join([
@@ -291,6 +292,33 @@ class TestWriterGolden:
         assert row[:11] == ["-9999", "0", "0", "1e+16", "-1e+16", "9999999999999998",
                             "-9999999999999998", "5e-324", "-5e-324",
                             "2.2250738585072014e-308", "1e+22"]
+
+
+#: cells the writer spells in ways of its own: nodata, signed zeros,
+#: integral values on both sides of 1e16, and reals
+_CELLS = (st.sampled_from([NODATA, 0.0, -0.0, 1.0, -3.0, 1e16, -1e16, 9999999999999998.0,
+                           0.5, -2.25, 5e-324, 1e22])
+          | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def low_cardinality_blocks(draw):
+    """A row block whose cells take a few values, in one row, one column or
+    a rectangle; with at most one distinct value per 16 cells the writer
+    formats each value once."""
+    shape = draw(st.tuples(st.just(1), st.integers(1, 120))
+                 | st.tuples(st.integers(1, 120), st.just(1))
+                 | st.tuples(st.integers(1, 24), st.integers(1, 24)))
+    pool = draw(st.lists(_CELLS, min_size=1, max_size=6))
+    return draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(pool)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_cardinality_blocks())
+def test_rows_are_each_cell_formatted_alone(values):
+    """``ascii_rows`` writes what formatting each cell by itself gives."""
+    want = "".join(" ".join(_fmt(v) for v in row) + "\n" for row in values.tolist())
+    assert ascii_rows(values) == want
 
 
 class TestHeader:

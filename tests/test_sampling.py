@@ -21,8 +21,8 @@ from demcorrect import (
     split_table,
 )
 import demcorrect.terrain as terrain
-from demcorrect.grid import GeometryMismatch
-from demcorrect.sampling import NO_STRATUM, check_labels, distinct_labels, label_faults, label_values
+from demcorrect.grid import GeometryMismatch, distinct_values
+from demcorrect.sampling import NO_STRATUM, check_labels, label_faults, label_values
 from conftest import NODATA, make_grid, random_stacks, stack_backings
 
 
@@ -256,7 +256,7 @@ class TestSplit:
 @given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0),
                   elements=st.integers(-1, 2**62)))
 def test_distinct_labels_equal_unique(labels):
-    got, want = distinct_labels(labels), np.unique(labels)
+    got, want = distinct_values(labels), np.unique(labels)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 

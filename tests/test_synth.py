@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from demcorrect import (
     ErrorSpec,
@@ -13,6 +16,7 @@ from demcorrect import (
     inject_error,
     synth_landcover,
 )
+from demcorrect.synth import _quantile
 
 
 def bench_stack(dem, land):
@@ -156,3 +160,22 @@ class TestInjectError:
         border_invalid = ~self.stack.layer("slope").valid_mask()
         assert np.all(out.degraded.values[border_invalid] == self.dem.nodata)
         assert np.all(out.true_dh.values[border_invalid] == self.dem.nodata)
+
+
+#: quantile levels, the ends included
+_LEVELS = st.sampled_from([0.0, 1.0, 0.15, 0.5]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=9),
+                         elements=st.sampled_from([-0.0, 0.0, 1.0, -2.5, 5e-324])
+                         | st.floats(-1e300, 1e300)),
+       q=_LEVELS | st.lists(_LEVELS, min_size=1, max_size=4))
+@example(values=np.array([-0.0]), q=0.5)
+@example(values=np.array([[-0.0]]), q=[0.0, 1.0])
+def test_quantile_is_np_quantile_bit_for_bit(values, q):
+    """``synth._quantile`` stands in for ``np.quantile``, whose ``np.unique``
+    imports ``numpy.ma``: the same type and bits, signed zeros included."""
+    got, want = _quantile(values, q), np.quantile(values, q)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (got, want)
