@@ -6,9 +6,8 @@ key and the cap. Depthwise keys every leaf alike, so leaves are split in
 creation order, which is level order, and leaves at ``max_depth`` are not
 searched. Leafwise keys a leaf by its negated gain, so the largest-gain
 leaf is split first, until the tree has ``max_leaves`` leaves (the growth
-policies of XGBoost; leafwise is LightGBM's default). Split search is exact
-greedy over sorted feature values (no histogram binning), with the
-regularized gain
+policies of XGBoost; leafwise is LightGBM's default). Both split searches
+score a cut with the regularized gain
 
     G_L^2/(n_L + lambda) + G_R^2/(n_R + lambda) - G^2/(n + lambda)
 
@@ -16,22 +15,39 @@ where G sums the current residuals. Squared loss makes every row's hessian
 constant, so leaf values are sum(residuals) / (n_leaf + lambda) and the
 ensemble prediction is base_score + learning_rate * sum of leaf values.
 Training is deterministic for a fixed table, parameter set, and row order.
+Ties between cuts break to the lower feature index, then the lower cut.
 
-Each feature column is sorted once per fit, as in the exact greedy
-algorithm over presorted column blocks (Chen & Guestrin, KDD 2016, 4.1).
-The result is an ``(F+1, n)`` index buffer in a data-partition layout
-(LightGBM, Ke et al., NeurIPS 2017): row f lists the row ids in ascending
-order of feature f, ties by row id, and the last row is ``arange(n)``.
-Every tree works on a copy of it in which each node owns a column slice
-``[lo, hi)``. Splitting a node stably moves its left rows to the front of
-its slice in every buffer row, so each node's block stays sorted per
-feature, its last row lists its rows in ascending order, and split search
-scans a node without sorting anything. A feature whose values never
-repeat in the table never repeats in a node, so split search compares
-adjacent sorted values only for features with ties; in the others every
-adjacent pair is a candidate threshold. Splitting a node reads no column:
-the node's rows in order of the split feature send a prefix left, whose
-length a binary search finds.
+``split="exact"`` searches every gap between distinct sorted values. Each
+feature column is sorted once per fit, as in the exact greedy algorithm
+over presorted column blocks (Chen & Guestrin, KDD 2016, 4.1). The result
+is an ``(F+1, n)`` index buffer in a data-partition layout (LightGBM, Ke
+et al., NeurIPS 2017): row f lists the row ids in ascending order of
+feature f, ties by row id, and the last row is ``arange(n)``. Every tree
+works on a copy of it in which each node owns a column slice ``[lo, hi)``.
+Splitting a node stably moves its left rows to the front of its slice in
+every buffer row, so each node's block stays sorted per feature, its last
+row lists its rows in ascending order, and split search scans a node
+without sorting anything. A feature whose values never repeat in the
+table never repeats in a node, so split search compares adjacent sorted
+values only for features with ties; in the others every adjacent pair is
+a candidate threshold. Splitting a node reads no column: the node's rows
+in order of the split feature send a prefix left, whose length a binary
+search finds.
+
+``split="hist"`` searches cuts between at most 255 bins per feature, as
+XGBoost ``hist`` and LightGBM train by default. Each feature is binned
+once per fit: one bin per distinct value when there are at most 255,
+otherwise quantile bins whose upper edges are table values. The codes are
+an ``(n, F)`` ``uint8`` array. A node's histogram holds the residual sum
+and the row count of every (feature, bin); a cut after bin b is scored
+from the prefix sums over bins. Only the smaller child of a split has its
+histogram built from its rows; the larger one's is its parent's minus
+the smaller's, and a child that will not be searched gets none. The
+threshold of a cut is the midpoint of the largest table value in bin b
+and the smallest one in the node's next non-empty bin, so when every
+distinct value has its own bin the thresholds are those of exact search.
+Each tree holds one array of row ids in which each node owns a slice, in
+ascending order; a split moves that one array.
 """
 
 from __future__ import annotations
@@ -43,6 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .grid import distinct_values
 from .sampling import EmptyTableError, SampleTable
 
 __all__ = [
@@ -60,6 +77,8 @@ __all__ = [
 
 MODEL_FORMAT = "gbdt-model"
 MODEL_VERSION = 1
+SPLITS = ("exact", "hist")
+MAX_BINS = 255  # per feature, so that a bin code fits a uint8
 
 
 class ModelFormatError(ValueError):
@@ -73,7 +92,11 @@ class GbdtParams:
     ``growth`` picks the order in which the grower splits open leaves:
     "depthwise" is level order, capped by ``max_depth`` (None = unbounded);
     "leafwise" is largest gain first, capped by ``max_leaves``. Each cap
-    applies to its own growth only. ``seed`` is recorded in the model
+    applies to its own growth only. ``split`` picks the split search (see
+    the module doc): "exact" over every distinct value, the reference and
+    the default here, or "hist" over at most 255 bins per feature, which
+    the pipeline's configuration selects by default. Model documents
+    record ``split`` only for "hist". ``seed`` is recorded in the model
     document but unused: training has no random step.
     """
 
@@ -86,6 +109,7 @@ class GbdtParams:
     min_gain: float = 0.0
     reg_lambda: float = 1.0
     seed: int = 0
+    split: str = "exact"
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -104,9 +128,11 @@ class GbdtParams:
             raise ValueError("min_gain must be >= 0")
         if not (self.reg_lambda >= 0):
             raise ValueError("lambda must be >= 0")
+        if self.split not in SPLITS:
+            raise ValueError("split must be 'exact' or 'hist'")
 
     def to_doc(self) -> dict:
-        return {
+        doc = {
             "n_trees": self.n_trees,
             "learning_rate": self.learning_rate,
             "growth": self.growth,
@@ -117,6 +143,9 @@ class GbdtParams:
             "lambda": self.reg_lambda,
             "seed": self.seed,
         }
+        if self.split != "exact":  # exact documents keep their bytes
+            doc["split"] = self.split
+        return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "GbdtParams":
@@ -130,13 +159,27 @@ class GbdtParams:
             min_gain=float(doc["min_gain"]),
             reg_lambda=float(doc["lambda"]),
             seed=int(doc["seed"]),
+            split=doc.get("split", "exact"),
         )
 
 
 class Split(NamedTuple):
+    """A node's best cut; ``last_bin`` is the last bin sent left (hist search only)."""
+
     feature: int
     threshold: float
     gain: float
+    last_bin: int = -1
+
+
+class _Histogram(NamedTuple):
+    """A node's residual sums and row counts per (feature, bin), ``(F, 256)``,
+    and the smallest and largest table value of each bin."""
+
+    sums: np.ndarray
+    counts: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,15 +270,22 @@ def best_split(
     params: GbdtParams,
     order: np.ndarray | None = None,
     tied: list[int] | None = None,
+    histogram: _Histogram | None = None,
 ) -> Split | None:
-    """Exact greedy search over all features and distinct-value midpoints.
+    """The best split of a node's rows, by exact greedy search or from bins.
 
-    ``order`` is an optional ``(F, m)`` block whose row f lists the node's
-    rows in ascending order of feature f, ties by row id; without it the
-    rows are sorted here (stably, ties by position in ``node_rows``).
+    Exact search scores every midpoint between distinct values of every
+    feature. ``order`` is an optional ``(F, m)`` block whose row f lists the
+    node's rows in ascending order of feature f, ties by row id; without it
+    the rows are sorted here (stably, ties by position in ``node_rows``).
     ``tied`` lists the features whose values may repeat among the rows
     (None: every feature). Only those need their sorted values compared:
     in any other feature every adjacent pair of sorted rows is a candidate.
+
+    With the node's ``histogram`` the search scores the cuts between its
+    non-empty bins instead (see the module doc) and reads neither
+    ``features``, ``order`` nor ``tied``.
+
     Returns None when the best gain does not exceed ``min_gain`` or every
     candidate would violate ``min_samples_leaf``. Ties break to the lower
     feature index, then the lower threshold.
@@ -244,27 +294,17 @@ def best_split(
     m = len(rows)
     if m < 2 * params.min_samples_leaf:
         return None
-    lam = params.reg_lambda
     # G in node_rows order: summing in sorted order moves gains by an ulp
     total = float(residuals[rows].sum())
-    parent = total * total / (m + lam)
+    if histogram is not None:
+        return _best_cut(histogram, total, m, params)
 
     if order is None:
         order = rows[np.argsort(features[rows], axis=0, kind="stable")].T
     n_features = features.shape[1]
-    n_left = np.arange(1, m)
     prefix = residuals[order]
     np.cumsum(prefix, axis=1, out=prefix)
-    prefix = prefix[:, :-1]
-    # the gain formula in place, in the operation order of
-    # prefix^2 / (n_left + lam) + right^2 / (m - n_left + lam) - parent
-    right = total - prefix
-    right *= right
-    right /= m - n_left + lam
-    gains = np.multiply(prefix, prefix, out=prefix)
-    gains /= n_left + lam
-    gains += right
-    gains -= parent
+    gains = _gains(prefix[:, :-1], np.arange(1, m), total, m, params.reg_lambda)
     # rule out a threshold between equal values, or one that leaves a child
     # fewer than min_samples_leaf rows
     for f in range(n_features) if tied is None else tied:
@@ -279,20 +319,62 @@ def best_split(
     if not (gain > params.min_gain):  # also None when no candidate was valid
         return None
     lo, hi = features[order[f, at[f]], f], features[order[f, at[f] + 1], f]
+    return Split(f, _threshold(lo, hi), gain)
+
+
+def _gains(left: np.ndarray, n_left, total: float, m: int, lam: float) -> np.ndarray:
+    """The gain of each cut from its left sum and row count, in place of ``left``.
+
+    The operation order is that of
+    left^2 / (n_left + lam) + (total - left)^2 / (m - n_left + lam) - parent.
+    """
+    parent = total * total / (m + lam)
+    right = total - left
+    right *= right
+    right /= m - n_left + lam
+    gains = np.multiply(left, left, out=left)
+    gains /= n_left + lam
+    gains += right
+    gains -= parent
+    return gains
+
+
+def _best_cut(histogram: _Histogram, total: float, m: int, params: GbdtParams) -> Split | None:
+    """Hist search of :func:`best_split` over a node of ``m`` rows."""
+    sums, counts, low, high = histogram
+    min_leaf = params.min_samples_leaf
+    n_left = np.cumsum(counts, axis=1)
+    # with lambda 0, a cut before the first or after the last non-empty bin
+    # divides by 0; the mask below rules those cuts out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = _gains(np.cumsum(sums, axis=1), n_left, total, m, params.reg_lambda)
+    # a cut after bin b needs rows in b and min_samples_leaf on each side
+    np.putmask(gains, (counts == 0) | (n_left < min_leaf) | (n_left > m - min_leaf), -np.inf)
+    f, b = divmod(int(np.argmax(gains)), 256)  # first max: lowest feature, then bin
+    gain = float(gains[f, b])
+    if not (gain > params.min_gain):  # also None when no cut was valid
+        return None
+    upper = b + 1 + int(np.argmax(counts[f, b + 1:] > 0))  # the next non-empty bin
+    return Split(f, _threshold(high[f, b], low[f, upper]), gain, b)
+
+
+def _threshold(lo: np.float64, hi: np.float64) -> float:
+    """The cut between the values ``lo < hi``: their midpoint, or ``lo``."""
     threshold = float((lo + hi) / 2)
     if not lo <= threshold < hi:
         # the midpoint of adjacent floats can round onto hi (of -5e-324 and
         # 0.0 it is -0.0), and of huge ones overflow; either would send every
         # row to one side, so split at lo itself
         threshold = float(lo)
-    return Split(f, threshold, gain)
+    return threshold
 
 
 class _TreeBuilder:
     """Accumulates nodes in creation order; children follow their parent.
 
     It holds the tree only: a node's rows are its slice of the fit's
-    :class:`_Partition`, which the grower tracks next to the node id.
+    :class:`_Partition` or :class:`_BinnedPartition`, which the grower
+    tracks next to the node id.
     """
 
     def __init__(self):
@@ -383,11 +465,129 @@ class _Partition:
         return lo + n_left
 
 
+def _bin_table(features: np.ndarray):
+    """Bin codes of a table, and the smallest and largest value of each bin.
+
+    Returns ``codes`` (``(n, F)`` ``uint8``) and ``low`` and ``high``
+    (``(F, 256)``): bin b of feature f holds the table values in
+    ``[low[f, b], high[f, b]]``. A feature with at most ``MAX_BINS``
+    distinct values has one bin per value; otherwise the bins' upper edges
+    are the sorted values at ``k*n // MAX_BINS - 1``, k = 1 .. MAX_BINS,
+    without repeats, so the last one is the maximum.
+    """
+    n, n_features = features.shape
+    codes = np.empty((n, n_features), dtype=np.uint8)
+    low = np.zeros((n_features, 256))
+    high = np.zeros((n_features, 256))
+    quantiles = np.arange(1, MAX_BINS + 1) * n // MAX_BINS - 1
+    for f in range(n_features):
+        ordered = np.sort(features[:, f])
+        values = distinct_values(ordered)
+        edges = values if len(values) <= MAX_BINS else distinct_values(ordered[quantiles])
+        codes[:, f] = np.searchsorted(edges, features[:, f])
+        high[f, :len(edges)] = edges
+        # each bin starts at the value after the previous bin's upper edge
+        low[f, 0] = values[0]
+        low[f, 1:len(edges)] = values[np.searchsorted(values, edges[:-1], side="right")]
+    return codes, low, high
+
+
+class _BinnedPartition:
+    """The fit's bin codes, and the row ids that each tree splits.
+
+    Each node owns a slice ``[lo, hi)`` of ``ids``, its rows in ascending
+    order. ``open`` keeps the histogram of each open leaf that has a split
+    until the grower splits it; the grower searches both children of a
+    split right after it, or neither.
+    """
+
+    def __init__(self, features: np.ndarray):
+        n, n_features = features.shape
+        self.features = features
+        self.codes, self.low, self.high = _bin_table(features)
+        # histogram key of (feature f, bin b): f*256 + b
+        self.key_base = np.arange(0, 256 * n_features, 256, dtype=np.uint16)
+        self.ids = np.empty(n, dtype=np.intp)
+        self.open: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.parent = None  # (lo, mid, hi, sums, counts) of the last split
+        self.sibling = None  # (lo, (sums, counts)) of the child searched next
+
+    def reset(self) -> "_BinnedPartition":
+        """Start a tree: one slice ``[0, n)`` holding the whole table."""
+        self.ids[:] = np.arange(len(self.ids))
+        self.open.clear()
+        self.parent = self.sibling = None
+        return self
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        return self.ids[lo:hi]
+
+    def build_histogram(self, residuals, rows: np.ndarray):
+        """Residual sums and row counts of ``rows`` per (feature, bin), ``(F, 256)``."""
+        keys = (self.codes[rows] + self.key_base).ravel()
+        size = 256 * len(self.key_base)
+        sums = np.bincount(keys, weights=np.repeat(residuals[rows], len(self.key_base)),
+                           minlength=size)
+        counts = np.bincount(keys, minlength=size)
+        return sums.reshape(-1, 256), counts.reshape(-1, 256)
+
+    def _node_histogram(self, residuals, lo: int, hi: int, min_rows: int):
+        """The histogram of ``[lo, hi)``, or None for a node with too few rows.
+
+        For a child of the last split, the smaller child's histogram is
+        built and the larger one's is the parent's minus it, in place; the
+        other child's is kept for its search, which comes next.
+        """
+        sibling, self.sibling = self.sibling, None
+        if hi - lo < min_rows:
+            return None
+        if sibling is not None and sibling[0] == lo:
+            return sibling[1]
+        parent, self.parent = self.parent, None
+        if parent is None or not parent[0] <= lo < hi <= parent[2]:
+            return self.build_histogram(residuals, self.ids[lo:hi])
+        p_lo, mid, p_hi, sums, counts = parent
+        small = (p_lo, mid) if mid - p_lo <= p_hi - mid else (mid, p_hi)
+        large = (mid, p_hi) if small[0] == p_lo else (p_lo, mid)
+        hists = {small: self.build_histogram(residuals, self.ids[small[0]:small[1]])}
+        sums -= hists[small][0]
+        counts -= hists[small][1]
+        hists[large] = sums, counts
+        other = large if lo == small[0] else small
+        if other[1] - other[0] >= min_rows:
+            self.sibling = (other[0], hists[other])
+        return hists[lo, hi]
+
+    def search(self, residuals, lo: int, hi: int, params: GbdtParams) -> Split | None:
+        hist = self._node_histogram(residuals, lo, hi, 2 * params.min_samples_leaf)
+        if hist is None:
+            return None
+        # through the module global, positionally: tracing wraps best_split
+        split = best_split(self.features, residuals, self.ids[lo:hi], params, None, None,
+                           _Histogram(*hist, self.low, self.high))
+        if split is not None:
+            self.open[lo] = hist
+        return split
+
+    def split(self, lo: int, hi: int, split: Split) -> int:
+        """Stably move the rows of ``[lo, hi)`` in the cut's lower bins first."""
+        hist = self.open.pop(lo)
+        rows = self.ids[lo:hi]
+        go_left = self.codes[rows, split.feature] <= split.last_bin
+        left, right = rows.compress(go_left), rows.compress(~go_left)
+        mid = lo + len(left)
+        rows[:len(left)] = left
+        rows[len(left):] = right
+        self.parent = (lo, mid, hi, *hist)
+        return mid
+
+
 def _leaf_value(residuals: np.ndarray, rows: np.ndarray, lam: float) -> float:
     return float(residuals[rows].sum() / (len(rows) + lam))
 
 
-def _grow(part: _Partition, residuals, params) -> tuple[RegressionTree, np.ndarray]:
+def _grow(part: _Partition | _BinnedPartition, residuals,
+          params) -> tuple[RegressionTree, np.ndarray]:
     """Best-first growth over a heap of open leaves (see the module doc)."""
     depthwise = params.growth == "depthwise"
     max_depth = params.max_depth if depthwise else None
@@ -428,7 +628,8 @@ def fit_gbdt(train: SampleTable, params: GbdtParams | None = None,
 
     The base score is the mean target; each tree fits the current residuals
     and shifts predictions by learning_rate times its leaf values. Training
-    stops early once a tree finds no split and adds nothing.
+    stops early once a tree finds no split and adds nothing. The table is
+    presorted (``params.split == "exact"``) or binned ("hist") once per fit.
     """
     params = params or GbdtParams()
     if len(train) == 0:
@@ -438,7 +639,7 @@ def fit_gbdt(train: SampleTable, params: GbdtParams | None = None,
 
     base = float(y.mean())
     pred = np.full(len(y), base)
-    part = _Partition(X)
+    part = _Partition(X) if params.split == "exact" else _BinnedPartition(X)
 
     trees: list[RegressionTree] = []
     rmse = [float(np.sqrt(np.mean((y - pred) ** 2)))]

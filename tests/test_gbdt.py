@@ -415,3 +415,20 @@ class TestParams:
     def test_doc_roundtrip_with_unlimited_depth(self):
         p = GbdtParams(max_depth=None, growth="leafwise", max_leaves=63)
         assert GbdtParams.from_doc(json.loads(json.dumps(p.to_doc()))) == p
+
+    def test_split_written_only_for_hist(self):
+        exact, hist = GbdtParams(), GbdtParams(split="hist")
+        assert "split" not in exact.to_doc()
+        assert hist.to_doc()["split"] == "hist"
+        for p in (exact, hist):
+            assert GbdtParams.from_doc(json.loads(json.dumps(p.to_doc()))) == p
+        with pytest.raises(ValueError, match="split must be 'exact' or 'hist'"):
+            GbdtParams(split="approx")
+
+    @pytest.mark.parametrize("split", ["approx", None, 1])
+    def test_unknown_split_refused(self, rng, split):
+        t = table_from(rng.normal(size=(20, 2)), rng.normal(size=20))
+        doc = serialize_model(fit_gbdt(t, GbdtParams(n_trees=2, split="hist")))
+        doc["params"]["split"] = split
+        with pytest.raises(ModelFormatError, match="split must be 'exact' or 'hist'"):
+            deserialize_model(doc)

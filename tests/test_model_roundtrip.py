@@ -5,7 +5,8 @@ Each model is written the way the CLI writes it (``json.dumps`` with
 document. The rebuilt model's ``predict_rows`` must equal the fitted
 model's bit for bit, on the training rows, on fresh rows and on rows
 at and next to every split threshold, and rebuilding must not change
-the document.
+the document. GBDT models are fitted with exact and with histogram split
+search; a hist document records its split mode and reads it back.
 """
 
 import json
@@ -48,7 +49,7 @@ def boundary_rows(model, n_features: int) -> np.ndarray:
 
 
 @st.composite
-def fits(draw):
+def fits(draw, split="exact"):
     n = draw(st.integers(2, 40))
     n_features = draw(st.integers(1, 4))
     X = draw(hnp.arrays(np.float64, (n, n_features), elements=VALUES))
@@ -61,6 +62,7 @@ def fits(draw):
         max_leaves=draw(st.integers(2, 8)),
         min_samples_leaf=draw(st.integers(1, 3)),
         reg_lambda=draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 10)),
+        split=split,
     )
     names = tuple(f"f{i}" for i in range(n_features))
     cells = np.column_stack([np.arange(n), np.zeros(n, dtype=int)])
@@ -69,16 +71,27 @@ def fits(draw):
     return SampleTable(names, cells, X, y), params, np.vstack([X, query])
 
 
-@settings(max_examples=200, deadline=None)
-@given(fits())
-def test_gbdt_document_roundtrip_predicts_same_bits(case):
+def assert_roundtrip(case):
     table, params, X = case
     model = fit_gbdt(table, params, name=f"gbdt-{params.growth}")
     doc = serialize_model(model)
     back = deserialize_model(through_json(doc))
+    assert back.params == params
     X = np.vstack([X, boundary_rows(model, X.shape[1])])
     assert_same_bits(back.predict_rows(X), model.predict_rows(X))
     assert serialize_model(back) == doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(fits())
+def test_gbdt_document_roundtrip_predicts_same_bits(case):
+    assert_roundtrip(case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fits(split="hist"))
+def test_hist_gbdt_document_roundtrip_predicts_same_bits(case):
+    assert_roundtrip(case)
 
 
 @settings(max_examples=200, deadline=None)
