@@ -133,7 +133,6 @@ DEFAULT_CONFIG: dict = {
         "min_gain": 0.0,
         "lambda": 1.0,
         "seed": 0,
-        "split": "hist",
     },
     "sampling": {"rate": 1.0, "train_fraction": 0.8, "seed": 42, "stratified": False},
     "bench": {
@@ -377,7 +376,7 @@ def _gbdt_params(cfg: dict, growth: str) -> GbdtParams:
         min_gain=float(g["min_gain"]),
         reg_lambda=float(g["lambda"]),
         seed=_integral(g["seed"]),
-        split=g["split"],
+        split="hist",
     )
 
 

@@ -95,7 +95,7 @@ class GbdtParams:
     applies to its own growth only. ``split`` picks the split search (see
     the module doc): "exact" over every distinct value, the reference and
     the default here, or "hist" over at most 255 bins per feature, which
-    the pipeline's configuration selects by default. Model documents
+    every fit of the command-line pipeline uses. Model documents
     record ``split`` only for "hist". ``seed`` is recorded in the model
     document but unused: training has no random step.
     """
@@ -505,8 +505,10 @@ class _BinnedPartition:
         n, n_features = features.shape
         self.features = features
         self.codes, self.low, self.high = _bin_table(features)
-        # histogram key of (feature f, bin b): f*256 + b
-        self.key_base = np.arange(0, 256 * n_features, 256, dtype=np.uint16)
+        # histogram key of (feature f, bin b): f*256 + b, which outgrows
+        # uint16 past 256 features
+        key_type = np.uint16 if n_features <= 256 else np.uint32
+        self.key_base = np.arange(0, 256 * n_features, 256, dtype=key_type)
         self.ids = np.empty(n, dtype=np.intp)
         self.open: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.parent = None  # (lo, mid, hi, sums, counts) of the last split

@@ -451,16 +451,14 @@ class TestBench:
         for f in watched:
             assert (out / f).read_bytes() == first[f], f
 
-    def test_gbdt_documents_record_hist_only(self, tmp_path):
-        """The default configuration fits on histograms; exact documents
-        carry no ``split`` key."""
-        for sets, want in (((), "hist"), (("--set", "gbdt.split=exact"), None)):
-            out = tmp_path / str(want)
-            assert run_cli(*self.bench_args(out), "--model", "gbdt-depthwise",
-                           "--model", "gbdt-leafwise", *sets) == 0
-            for name in ("gbdt-depthwise", "gbdt-leafwise"):
-                doc = json.loads((out / f"model_{name}.json").read_text())
-                assert doc["params"].get("split") == want
+    def test_gbdt_documents_record_hist(self, tmp_path):
+        """The pipeline fits its GBDTs on histograms."""
+        out = tmp_path / "bench"
+        assert run_cli(*self.bench_args(out), "--model", "gbdt-depthwise",
+                       "--model", "gbdt-leafwise") == 0
+        for name in ("gbdt-depthwise", "gbdt-leafwise"):
+            doc = json.loads((out / f"model_{name}.json").read_text())
+            assert doc["params"]["split"] == "hist"
 
     def test_report_text_has_five_strata_rows(self, tmp_path):
         out = tmp_path / "bench"
@@ -1072,12 +1070,6 @@ class TestInputErrors:
     def test_out_of_range_value(self, tmp_path, capsys, setting):
         rc = run_cli("bench", "--out", tmp_path, "--set", setting)
         self.assert_input_error(rc, capsys, f"configuration key '{setting.split('=')[0]}': ")
-
-    @pytest.mark.parametrize("value", ["approx", "Hist", "1", "null"])
-    def test_unknown_split(self, tmp_path, capsys, value):
-        rc = run_cli("bench", "--out", tmp_path, "--set", f"gbdt.split={value}")
-        self.assert_input_error(
-            rc, capsys, "error: configuration key 'gbdt.split': split must be 'exact' or 'hist'\n")
 
     @pytest.mark.parametrize("setting, needle", [
         ("bench.error_spec.slope=5",

@@ -98,6 +98,18 @@ def test_tied_cuts_break_to_the_lower_feature_then_bin():
     assert (split.feature, split.threshold, split.last_bin) == (0, 0.5, 0)
 
 
+def test_more_than_256_features():
+    """Histogram keys f*256 + b of feature 256 and up must not wrap onto
+    feature 0's; only the last of 257 columns carries the signal."""
+    rng = np.random.default_rng(11)
+    X = rng.integers(0, 4, size=(200, 257)).astype(float)
+    res = np.where(X[:, -1] > 1, 1.0, -1.0) + rng.normal(size=200) * 0.01
+    params = GbdtParams(split="hist")
+    split = _BinnedPartition(X).reset().search(res, 0, len(res), params)
+    exact = best_split(X, res, np.arange(len(res)), params)
+    assert (split.feature, split.threshold) == (exact.feature, exact.threshold) == (256, 1.5)
+
+
 class CheckedPartition(_BinnedPartition):
     """Checks every histogram it hands to split search against a direct build."""
 
