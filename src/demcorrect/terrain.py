@@ -13,16 +13,12 @@ Every operator, roughness's focal max and min included, needs numpy only.
 ``build_feature_stack`` computes the layers in row blocks, each from a
 sub-grid holding the block's rows and a halo of the largest window radius
 plus 1 rows on either side, and every block's rows are bit-identical to
-those of the whole grid. Most operators need nothing beyond the halo:
-slope, aspect and TRI read 3x3 windows; roughness takes a focal max and
-min, which pick one of their inputs; and the box sums of texture,
-focal_fraction and every window gate add up integers (pit/peak flags, ones,
-valid cells), exact in float64 however they are grouped. Only ``tpi`` and
-``vrm`` sum real numbers in their windows. A box sum reads a summed-area
-table whose axis-0 running sum at a row adds up every row above it, and a
-sum restarted at a block's first row rounds differently; so those two carry
-the running sum across blocks, and tpi also its grid mean, one pairwise sum
-over the whole grid (``_RowCarry``).
+those of the whole grid. Slope, aspect and TRI read their 3x3 windows
+directly. Every other window is reduced by one helper, ``_box_sum``: a
+row pass, then a column pass, each joining spans of 1, 2, 4, ... cells in
+a fixed order. A cell's window sum, or its focal max or min, is thus the
+same expression of its own window wherever its sub-grid starts. No sum
+runs past the window, and nothing is carried from one block to the next.
 
 The inputs are read through :class:`~demcorrect.grid.GridRows`: a
 :class:`~demcorrect.grid.Grid` held in memory, or a
@@ -199,90 +195,45 @@ def _neighbors(dem: Grid) -> tuple[list[np.ndarray], np.ndarray]:
     return views(dem.values), valid & np.logical_and.reduce(views(valid))
 
 
-def _box_sum(arr: np.ndarray, radius: int, running=None) -> np.ndarray:
-    """Sum over the (2r+1)^2 window, out-of-bounds cells contributing zero.
-
-    ``running(arr)`` gives the axis-0 running sum of ``arr``; by default
-    ``arr.cumsum(axis=0)``, and in a row block :meth:`_RowCarry.running`.
-    """
-    h, w = arr.shape
-    c = np.zeros((h + 1, w + 1))
-    c[1:, 1:] = (arr.cumsum(axis=0) if running is None else running(arr)).cumsum(axis=1)
-    # padded row k + radius holds table row clip(k, 0, h), and columns alike:
-    # window corners beyond the grid read the table's first or last row, so
-    # a radius past the grid reads the same entries as one of max(h, w)
-    radius = min(radius, max(h, w))
-    c = np.pad(c, radius, mode="edge")
-    k = 2 * radius + 1
-    return c[k:k + h, k:k + w] - c[:h, k:k + w] - c[k:k + h, :w] + c[:h, :w]
-
-
 def _running(a: np.ndarray, k: int, op, axis: int) -> np.ndarray:
     """``op`` over every k consecutive entries along ``axis``, which shrinks by k - 1.
 
-    After the doubling step for span s, entry i holds ``op`` over entries
-    i .. i+s-1; a run of k is then two overlapping spans of the largest
-    s <= k, so there are about log2(k) passes, not k - 1.
+    Spans of 1, 2, 4, ... entries are built by doubling, and a run of k
+    joins the spans of k's binary digits, lowest first: 21 entries are
+    ``(span1 + span4) + span16``. An entry's result is thus the same
+    expression of its own k entries wherever the array starts: a tree of
+    operations at most floor(log2 k) + popcount(k) - 1 deep.
     """
-    def shifted(x, d):
-        n = x.shape[axis] - d
-        return (x[:n], x[d:]) if axis == 0 else (x[:, :n], x[:, d:])
+    def span(x, first, n):
+        return x[first:first + n] if axis == 0 else x[:, first:first + n]
 
-    s = 1
-    while 2 * s <= k:
-        a = op(*shifted(a, s))
+    n = a.shape[axis] - k + 1
+    out, done, s = None, 0, 1
+    while True:
+        if k & s:
+            out = span(a, done, n) if out is None else op(out, span(a, done, n))
+            done += s
+        if 2 * s > k:
+            return out
+        m = a.shape[axis] - s
+        a = op(span(a, 0, m), span(a, s, m))
         s *= 2
-    return op(*shifted(a, k - s))
 
 
-def _focal_extreme(z: np.ndarray, valid: np.ndarray, radius: int, op,
-                   fill: float) -> np.ndarray:
-    """``op`` (np.maximum or np.minimum) of the valid cells of each (2r+1)^2
-    window, ``fill`` where there are none: a row pass, then a column pass,
-    over one padded copy.
+def _box_sum(arr: np.ndarray, radius: int, op=np.add, fill: float = 0.0) -> np.ndarray:
+    """Sum (or ``op``) over each (2r+1)^2 window, cells past the border
+    reading 0 (``fill``): a row pass, then a column pass.
 
-    Max and min pick one of their inputs, so the grouping does not change
-    the result. Only a tie of 0.0 and -0.0 could go either way, so -0.0
-    is read as 0.0: every zero in the result is 0.0.
+    Past max(h, w) a larger radius adds only ``fill`` to every window, so the
+    radius is clamped there.
     """
-    h, w = z.shape
-    # past max(h, w) a larger radius adds only fill to every window
+    h, w = arr.shape
     radius = min(radius, max(h, w))
     k = 2 * radius + 1
-    padded = np.pad(np.where(valid, z, fill), radius, constant_values=fill)
-    padded += 0.0  # -0.0 + 0.0 is 0.0
-    return _running(_running(padded, k, op, axis=1), k, op, axis=0)
-
-
-class _RowCarry:
-    """What ``tpi`` and ``vrm`` carry from one row block to the next (see
-    the module docstring): tpi's grid mean, and per summed quantity the
-    axis-0 running sum at the first row of the next block's sub-grid.
-
-    ``first`` and ``next_first`` are the grid rows where the current and the
-    next sub-grid start; the block loop sets them before each block.
-    """
-
-    def __init__(self, dem: GridRows):
-        # the one read of the whole DEM, which a reader drops at its next call
-        values = dem.rows(0, dem.nrows)
-        v = values != dem.nodata
-        self.tpi_mean = np.where(v, values, 0.0).sum() / max(v.sum(), 1)
-        self.first = self.next_first = 0
-        self._heads: dict[str, np.ndarray] = {}
-
-    def running(self, key: str):
-        """The axis-0 running sum of quantity ``key`` over the current sub-grid,
-        bit for bit the whole grid's over those rows."""
-        def cumsum(arr: np.ndarray) -> np.ndarray:
-            if self.first > 0:
-                # the sub-grid's first row lacks its upper neighbours, so its
-                # own value may be wrong; the block above summed it right
-                arr = np.concatenate([self._heads[key][None], arr[1:]])
-            out = arr.cumsum(axis=0)
-            self._heads[key] = out[self.next_first - self.first].copy()
-            return out
-        return cumsum
+    rows = _running(np.pad(arr, ((0, 0), (radius, radius)), constant_values=fill),
+                    k, op, axis=1)
+    return _running(np.pad(rows, ((radius, radius), (0, 0)), constant_values=fill),
+                    k, op, axis=0)
 
 
 def _window_gate(valid: np.ndarray, w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -334,25 +285,26 @@ def aspect(dem: Grid) -> Grid:
 def roughness(dem: Grid, w: WindowSpec) -> Grid:
     """Focal elevation range (max - min of valid cells in the window)."""
     v = dem.valid_mask()
-    zmax = _focal_extreme(dem.values, v, w.radius, np.maximum, -np.inf)
-    zmin = _focal_extreme(dem.values, v, w.radius, np.minimum, np.inf)
+    # max and min pick one of their inputs, so the grouping does not change
+    # the result; only a tie of 0.0 and -0.0 could go either way, so -0.0
+    # is read as 0.0 (-0.0 + 0.0 is 0.0)
+    z = dem.values + 0.0
+    zmax = _box_sum(np.where(v, z, -np.inf), w.radius, np.maximum, -np.inf)
+    zmin = _box_sum(np.where(v, z, np.inf), w.radius, np.minimum, np.inf)
     _, keep = _window_gate(v, w)
     return dem.with_values(np.where(keep, zmax - zmin, dem.nodata))
 
 
-def tpi(dem: Grid, w: WindowSpec, carry: _RowCarry | None = None) -> Grid:
+def tpi(dem: Grid, w: WindowSpec) -> Grid:
     """Topographic position index: center minus mean of its neighbors.
 
-    The center cell is excluded from the mean. Elevations are centered on
-    the grid mean first, which leaves the result unchanged but keeps the
-    focal sums well conditioned. ``carry`` is set by the row blocks of
-    :func:`build_feature_stack`.
+    The center cell is excluded from the mean. The neighbors' sum is the
+    window sum less the center, each window summed in a fixed order of its
+    own cells (see the module docstring).
     """
     v = dem.valid_mask()
     z = np.where(v, dem.values, 0.0)
-    mean = z.sum() / max(v.sum(), 1) if carry is None else carry.tpi_mean
-    z = np.where(v, z - mean, 0.0)
-    total = _box_sum(z, w.radius, None if carry is None else carry.running("tpi"))
+    total = _box_sum(z, w.radius)
     count, keep = _window_gate(v, w)
     neighbors = count - 1
     keep &= neighbors >= 1
@@ -400,14 +352,14 @@ def texture(dem: Grid, pit_peak_threshold: float, w: WindowSpec) -> Grid:
     return dem.with_values(np.where(keep, pct, dem.nodata))
 
 
-def vrm(dem: Grid, w: WindowSpec, carry: _RowCarry | None = None) -> Grid:
+def vrm(dem: Grid, w: WindowSpec) -> Grid:
     """Vector ruggedness measure over the window, in [0, 1].
 
     Unit surface normals (sin S sin A, sin S cos A, cos S) are built from
     slope S and aspect A per cell; flat cells contribute (0, 0, 1). The
     measure is one minus the length of the resultant divided by the number
-    of contributing normals. ``carry`` is set by the row blocks of
-    :func:`build_feature_stack`.
+    of contributing normals, each component summed over the window in a
+    fixed order of its own cells (see the module docstring).
     """
     s = slope(dem)
     a = aspect(dem)
@@ -418,8 +370,7 @@ def vrm(dem: Grid, w: WindowSpec, carry: _RowCarry | None = None) -> Grid:
     nx = np.where(v, sin_s * np.sin(arad), 0.0)
     ny = np.where(v, sin_s * np.cos(arad), 0.0)
     nz = np.where(v, np.cos(srad), 0.0)
-    sx, sy, sz = (_box_sum(n, w.radius, None if carry is None else carry.running(key))
-                  for n, key in ((nx, "vrm_x"), (ny, "vrm_y"), (nz, "vrm_z")))
+    sx, sy, sz = (_box_sum(n, w.radius) for n in (nx, ny, nz))
     count, keep = _window_gate(v, w)
     resultant = np.sqrt(sx * sx + sy * sy + sz * sz)
     out = np.divide(resultant, count, out=np.ones_like(resultant), where=count >= 1)
@@ -491,12 +442,11 @@ def build_feature_stack(
     each from a sub-grid that adds a halo of the largest window radius plus
     1 rows above and below. The result depends neither on the block size
     nor on ``max_workers`` (see the module docstring). With one worker, a
-    block peaks near ``8 * ncols * (35 * BLOCK_ROWS + 40 * halo)`` bytes;
-    before the blocks, tpi's grid mean reads the whole DEM once and takes 9
-    bytes per cell. The inputs are read a sub-grid at a time, top to
-    bottom; each mask's rows are checked as they are first read, so that
-    the error names the first faulty cell of the first block that holds
-    one, urban mask first, then bare, then forest.
+    block peaks near ``8 * ncols * (35 * BLOCK_ROWS + 40 * halo)`` bytes.
+    Each input is read once, a sub-grid at a time, top to bottom; each
+    mask's rows are checked as they are first read, so that the error
+    names the first faulty cell of the first block that holds one, urban
+    mask first, then bare, then forest.
 
     With ``sink``, each block goes to ``sink(first_row, rows)`` as it
     finishes, ``rows`` holding its rows of every layer in canonical order,
@@ -516,15 +466,14 @@ def build_feature_stack(
                cfg.landcover_window, cfg.texture_window)
     halo = 1 + max(w.radius for w in windows)
     block_rows = BLOCK_ROWS * max_workers
-    carry = _RowCarry(dem)
     jobs = {
         "slope": lambda d, b, f: slope(d),
         "aspect": lambda d, b, f: aspect(d),
         "roughness": lambda d, b, f: roughness(d, cfg.roughness_window),
-        "tpi": lambda d, b, f: tpi(d, cfg.tpi_window, carry),
+        "tpi": lambda d, b, f: tpi(d, cfg.tpi_window),
         "tri": lambda d, b, f: tri(d),
         "texture": lambda d, b, f: texture(d, cfg.texture_threshold, cfg.texture_window),
-        "vrm": lambda d, b, f: vrm(d, cfg.vrm_window, carry),
+        "vrm": lambda d, b, f: vrm(d, cfg.vrm_window),
         "pct_bare": lambda d, b, f: focal_fraction(b, cfg.landcover_window),
         "pct_forest": lambda d, b, f: focal_fraction(f, cfg.landcover_window),
     }
@@ -543,7 +492,6 @@ def build_feature_stack(
         for r0 in range(0, h, block_rows):
             r1 = min(r0 + block_rows, h)
             s0, s1 = max(r0 - halo, 0), min(r1 + halo, h)
-            carry.first, carry.next_first = s0, max(r1 - halo, 0)
             dem_rows, bare_rows, urban_rows, forest_rows = (
                 g.rows(s0, s1) for g in (dem, bare, urban, forest))
             for what, g, values in (("urban mask", urban, urban_rows),

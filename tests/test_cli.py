@@ -520,7 +520,7 @@ class TestStepMemory:
     - sampling k of n eligible cells: 8*B*w*(F + 5) + k*(9*F + 32) bytes,
       plus 8*n where numpy draws by a tail shuffle (k > n/50, n > 10,000);
     - correcting with one model: 8*B*w*(2*m + 9) bytes;
-    - building the features: max(17*h*w, 8*w*(35*B + 40*H) + 32*w*(3*B + 4*H));
+    - building the features: 8*w*(35*B + 40*H) + 32*w*(3*B + 4*H);
     - evaluating M corrected grids, n cells valid in every grid:
       8*n*(M + 3) + 16*B*w*(M + 3).
 
@@ -605,9 +605,9 @@ class TestStepMemory:
             inputs = [files.enter_context(GridReader(grid_files[key]))
                       for key in ("dem", "bare", "urban", "forest")]
             _, peak = self.traced(build_feature_stack, *inputs, sink=lambda first, rows: None)
-        h, w = inputs[0].nrows, inputs[0].ncols
+        w = inputs[0].ncols
         B, H = terrain.BLOCK_ROWS, 11
-        bound = max(17 * h * w, 8 * w * (35 * B + 40 * H) + 32 * w * (3 * B + 4 * H))
+        bound = 8 * w * (35 * B + 40 * H) + 32 * w * (3 * B + 4 * H)
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
     def test_evaluate_within_the_stated_bound(self, grid_files):
