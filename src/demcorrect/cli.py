@@ -10,8 +10,8 @@ Subcommands wire the library into the correction workflow:
     correct   -> corrected DEM and absolute-error rasters per model
     evaluate  -> stratified before/after report (JSON + text table)
     bench     -> synthetic inputs (terrain, land cover, injected error),
-                 then the five steps above on them in memory, plus a
-                 report over the held-out test cells
+                 then the five steps above, run as the step commands
+                 run them, plus a report over the held-out test cells
 
 Configuration comes from one JSON document plus flag overrides (flags
 win). Every output embeds a provenance block with the resolved config
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import functools
 import hashlib
 import itertools
 import json
@@ -561,13 +560,6 @@ class _StackWriter:
         return manifest
 
 
-def _write_stack(stack: FeatureStack, cfg: dict, out: Path) -> dict:
-    """Write a stack held in memory, as one block; returns the manifest."""
-    with _StackWriter(out, stack.names, stack.layers) as write:
-        write(0, [layer.values for layer in stack.layers])
-    return write.write_manifest(cfg)
-
-
 def _read_manifest(path: Path) -> tuple[list[dict], dict | None]:
     """The manifest's layer records and its stack record (None if absent).
 
@@ -721,26 +713,19 @@ def _load_model(path: Path):
 
 
 # ---------------------------------------------------------------------------
-# pipeline steps: each computes from in-memory inputs and writes its outputs;
-# the step commands load those inputs from disk, bench makes them
+# pipeline steps: each writes its outputs from the inputs it is handed; the
+# step commands open those from disk, bench makes some and reads the rest back
 # ---------------------------------------------------------------------------
 
 
 def _features_step(cfg: dict, dem: GridRows, bare: GridRows, urban: GridRows, forest: GridRows,
-                   out: Path, keep: bool = False) -> FeatureStack | None:
-    """Build and write the feature stack. With ``keep`` it is assembled from
-    :class:`Grid` s, written and returned; otherwise each row block is
-    written as it is built, and no whole derived layer is held."""
-    build = functools.partial(build_feature_stack, dem, bare, urban, forest,
-                              _feature_config(cfg), max_workers=worker_count())
-    if keep:
-        stack = build()
-        _write_stack(stack, cfg, out)
-        return stack
+                   out: Path) -> None:
+    """Build and write the feature stack, each row block as it is built, so
+    that no whole derived layer is held."""
     with _StackWriter(out, CANONICAL_FEATURES, layer_templates(dem, bare, urban, forest)) as write:
-        build(sink=write)
+        build_feature_stack(dem, bare, urban, forest, _feature_config(cfg),
+                            max_workers=worker_count(), sink=write)
     write.write_manifest(cfg)
-    return None
 
 
 def _split_step(cfg: dict, stack: StackRows, target: Grid,
@@ -785,15 +770,20 @@ def _train_step(cfg: dict, train: SampleTable, out: Path) -> dict:
     return results
 
 
+def _geometry_text(geo) -> str:
+    return (f"{geo.ncols} x {geo.nrows}, xll {float(geo.xll)!r}, yll {float(geo.yll)!r}, "
+            f"cellsize {float(geo.cellsize)!r}")
+
+
 def _correct_step(models: dict, stack: StackRows, dem: Grid, reference: Grid | None,
-                  out: Path, keep: bool = False) -> dict[str, Grid]:
+                  out: Path, sources: tuple[str, str]) -> None:
     """Write each model's predicted error, corrected DEM and, given a
     reference, absolute error, for {name: (model, document path)}.
 
     The three rasters are written a block of rows at a time, as the
-    predictions arrive. With ``keep`` the corrected DEMs are also assembled
-    and returned by name; otherwise the result is empty. Every input is
-    checked before the first file opens, so a refused run writes no raster.
+    predictions arrive. Every input is checked before the first file
+    opens, so a refused run writes no raster. ``sources`` say where the
+    DEM and the reference come from, for the refusals.
 
     Raises:
         ModelFormatError: a document names a feature layer the stack lacks.
@@ -806,14 +796,13 @@ def _correct_step(models: dict, stack: StackRows, dem: Grid, reference: Grid | N
                 raise ModelFormatError(
                     f"'{path}' names feature layer '{feature}', which the feature "
                     f"stack lacks (layers: {', '.join(stack.names)})")
-    if not dem.geometry.matches(stack.geometry):
-        raise GeometryMismatch("prediction grid is not on the DEM geometry")
-    if reference is not None and not dem.geometry.matches(reference.geometry):
-        raise GeometryMismatch("reference grid is not on the corrected geometry")
+    for source, grid, against, what in ((sources[0], dem, stack, "the feature stack's"),
+                                        (sources[1], reference, dem, "the DEM's")):
+        if grid is not None and not grid.geometry.matches(against.geometry):
+            raise GeometryMismatch(f"{source} ({_geometry_text(grid.geometry)}) is not on "
+                                   f"{what} geometry ({_geometry_text(against.geometry)})")
     kinds = ("predicted_error", "corrected", "abs_error")[:2 if reference is None else 3]
-    corrected = {}
     for name, (model, _) in models.items():
-        whole = np.empty(dem.values.shape) if keep else None
         with contextlib.ExitStack() as files:
             fhs = [files.enter_context(open(out / f"{kind}_{name}.asc", "w", encoding="ascii",
                                             newline="\n")) for kind in kinds]
@@ -832,13 +821,8 @@ def _correct_step(models: dict, stack: StackRows, dem: Grid, reference: Grid | N
                     check_values(block, dem.nodata, first)
                 for fh, block in zip(fhs, [error, *blocks]):
                     fh.write(ascii_rows(block))
-                if whole is not None:
-                    whole[rows] = fixed
 
             predict_error_grid(model, stack, sink=write)
-        if keep:
-            corrected[name] = dem.with_values(whole)
-    return corrected
 
 
 def _evaluate_step(cfg: dict, reference: GridRows, dem: GridRows, corrected: dict,
@@ -918,7 +902,8 @@ def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
             raise ModelFormatError(f"'{path}': model_name '{name}' is also that of "
                                    f"'{models[name][1]}'")
         models[name] = (model, path)
-    _correct_step(models, stack, dem, reference, out)
+    _correct_step(models, stack, dem, reference, out,
+                  tuple(f"paths.{key} '{cfg['paths'][key]}'" for key in ("dem", "reference")))
     for name in models:
         print(f"corrected DEM with {name}")
     return 0
@@ -960,15 +945,25 @@ def _bench_inputs(cfg: dict, out: Path) -> tuple[Grid, Grid, LandcoverSet]:
     """Generate and write the synthetic inputs; returns the reference, the
     degraded DEM and the land cover.
 
-    The clean terrain's feature stack, which the injected error reads, is
-    dropped on return, so ``bench`` then builds the degraded DEM's stack
-    without holding a second one.
+    Of the clean terrain's feature layers, only those the error spec names
+    are kept as they are built, and they are dropped on return.
     """
     terrain, landcover_seed, noise_fraction, spec = _bench_args(cfg)
     reference = fractal_dem(**terrain)
     land = synth_landcover(reference, seed=landcover_seed)
-    clean_stack = build_feature_stack(reference, land.bare, land.urban, land.forest,
-                                      _feature_config(cfg), max_workers=worker_count())
+    masks = (land.bare, land.urban, land.forest)
+    kept = {name: np.empty(reference.values.shape) for name in spec.referenced_features()}
+
+    def keep(first, rows):
+        for name, block in zip(CANONICAL_FEATURES, rows):
+            if name in kept:
+                kept[name][first:first + len(block)] = block
+
+    build_feature_stack(reference, *masks, _feature_config(cfg), max_workers=worker_count(),
+                        sink=keep)
+    templates = dict(zip(CANONICAL_FEATURES, layer_templates(reference, *masks)))
+    clean_stack = FeatureStack(tuple(kept), tuple(templates[name].with_values(kept.pop(name))
+                                                  for name in tuple(kept)))
     spec = _resolve_noise(spec, noise_fraction, reference, clean_stack)
     injected = inject_error(reference, clean_stack, spec)
 
@@ -985,13 +980,14 @@ def _bench_inputs(cfg: dict, out: Path) -> tuple[Grid, Grid, LandcoverSet]:
 
 
 def cmd_bench(cfg: dict) -> int:
-    """Generate synthetic inputs, then run the pipeline steps on them in memory."""
+    """Generate synthetic inputs, then run the pipeline steps on them as the step commands do."""
     out = _out_dir(cfg)
     t0 = time.perf_counter()
     reference, original, land = _bench_inputs(cfg, out)
     t_gen = time.perf_counter()
 
-    stack = _features_step(cfg, original, land.bare, land.urban, land.forest, out, keep=True)
+    _features_step(cfg, original, land.bare, land.urban, land.forest, out)
+    stack = _load_stack(out)
     t_feat = time.perf_counter()
 
     train, test = _split_step(cfg, stack, difference(original, reference), land.strata)
@@ -1002,16 +998,20 @@ def cmd_bench(cfg: dict) -> int:
     models = _train_step(cfg, train, out)
     t_train = time.perf_counter()
 
-    corrected = _correct_step(models, stack, original, reference, out, keep=True)
+    _correct_step(models, stack, original, reference, out,
+                  (f"'{out / 'original.asc'}'", f"'{out / 'reference.asc'}'"))
+    del stack  # and its block buffer, before the reports
     t_correct = time.perf_counter()
 
-    _evaluate_step(cfg, reference, original, corrected, land.strata, out)
-    test_mask = np.zeros((reference.nrows, reference.ncols), dtype=bool)
-    test_mask[test.cells[:, 0], test.cells[:, 1]] = True
-    ref_test = reference.with_values(
-        np.where(test_mask, reference.values, reference.nodata))
-    report_test = _evaluate_step(cfg, ref_test, original, corrected, land.strata, out,
-                                 "report_test")
+    with contextlib.ExitStack() as files:
+        corrected = {name: files.enter_context(GridReader(_corrected_path(out, name)))
+                     for name in models}
+        _evaluate_step(cfg, reference, original, corrected, land.strata, out)
+        test_mask = np.zeros((reference.nrows, reference.ncols), dtype=bool)
+        test_mask[test.cells[:, 0], test.cells[:, 1]] = True
+        ref_test = reference.with_values(np.where(test_mask, reference.values, reference.nodata))
+        report_test = _evaluate_step(cfg, ref_test, original, corrected, land.strata, out,
+                                     "report_test")
 
     _write_json(out / "resolved_config.json", {**cfg, "provenance": _provenance(cfg)})
     t_end = time.perf_counter()

@@ -26,6 +26,15 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def write_stack(stack, cfg, out):
+    """Write a stack held in memory through the ``features`` writer, as one
+    block: the assembled-stack oracle of the streamed files. Returns the
+    manifest."""
+    with cli._StackWriter(out, stack.names, stack.layers) as write:
+        write(0, [layer.values for layer in stack.layers])
+    return write.write_manifest(cfg)
+
+
 def stack_backings(stack, tmp):
     """``stack`` as each backing of the stack interface serves it, paired
     with the in-memory stack an oracle should read.
@@ -39,7 +48,7 @@ def stack_backings(stack, tmp):
     for kind in ("binary", "fallback"):
         dirs[kind] = tmp / kind
         dirs[kind].mkdir()
-        cli._write_stack(stack, cli.DEFAULT_CONFIG, dirs[kind])
+        write_stack(stack, cli.DEFAULT_CONFIG, dirs[kind])
     (dirs["fallback"] / "features_stack.npy").unlink()
     written = FeatureStack(stack.names, tuple(load_grid(dirs["binary"] / f"feature_{name}.asc")
                                               for name in stack.names))

@@ -36,11 +36,12 @@ from demcorrect import (
     save_grid,
     serialize_model,
     synth_landcover,
+    write_ascii_grid,
 )
 from demcorrect.cli import ConfigError, main, resolve_config, worker_count
 import demcorrect.terrain as terrain
 from demcorrect.terrain import layer_templates
-from conftest import NODATA, make_grid
+from conftest import NODATA, make_grid, write_stack
 
 
 @pytest.fixture
@@ -259,7 +260,7 @@ class TestStreamedWriter:
                 build_feature_stack(*grids, cli._feature_config(cfg), max_workers=workers,
                                     sink=write)
         write.write_manifest(cfg)
-        cli._write_stack(build_feature_stack(*grids, cli._feature_config(cfg)), cfg, whole)
+        write_stack(build_feature_stack(*grids, cli._feature_config(cfg)), cfg, whole)
         names = sorted(p.name for p in whole.iterdir())
         assert names == sorted(p.name for p in streamed.iterdir()) and len(names) == 13
         for name in names:
@@ -360,7 +361,7 @@ class TestFeatureStackFile:
                          [5e-324, 1e22, 1e-05, -1.5]])
         stack = FeatureStack(("a", "b"), (make_grid(vals, cellsize=30.0, xll=-7.5),
                                           make_grid(-vals[::-1], cellsize=30.0, xll=-7.5)))
-        cli._write_stack(stack, cli.DEFAULT_CONFIG, tmp_path)
+        write_stack(stack, cli.DEFAULT_CONFIG, tmp_path)
         loaded = cli._load_stack(tmp_path)
         assert parsed == []
         for name, grid in zip(loaded.names, loaded.layers):
@@ -596,7 +597,7 @@ class TestStepMemory:
         names = reader.names[:10]
         model = LinearModel(names, 0.5, np.linspace(-1, 1, len(names)), 0.0, 0.0)
         _, peak = self.traced(cli._correct_step, {"mlr": (model, tmp / "model_mlr.json")},
-                              reader, dem, reference, tmp)
+                              reader, dem, reference, tmp, ("the DEM", "the reference"))
         bound = 8 * terrain.BLOCK_ROWS * dem.ncols * (2 * len(names) + 9)
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
@@ -621,29 +622,96 @@ class TestStepMemory:
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
 
+class TestBenchInputs:
+    """``bench`` keeps only the clean terrain's layers that its error spec
+    names, and injects the error that the whole stack gives."""
+
+    SPECS = {
+        "linear": {"linear_terms": {"tpi": 1.5, "roughness": -0.7}},
+        "sine": {"nonlinear_terms": [{"feature": "aspect", "kind": "sine", "amplitude": 2.0,
+                                      "scale": 1.3}]},
+        "step": {"linear_terms": {"elevation": 0.5},
+                 "nonlinear_terms": [{"feature": "pct_bare", "kind": "step", "amplitude": 1.5,
+                                      "scale": 0.2}]},
+        "interaction": {"nonlinear_terms": [{"feature": "vrm", "kind": "product",
+                                             "amplitude": 1.0, "feature2": "urban"}]},
+    }
+
+    @staticmethod
+    def config(size_exponent, spec=None):
+        cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+        cfg["bench"]["size_exponent"] = size_exponent
+        if spec is not None:
+            cfg["bench"]["error_spec"] = {**spec, "seed": 5}
+            cfg["windows"]["texture_radius"] = 3
+        return cfg
+
+    @pytest.mark.parametrize("kind", SPECS)
+    def test_inputs_equal_those_of_the_whole_stack(self, tmp_path, monkeypatch, kind):
+        cfg = self.config(6, self.SPECS[kind])
+        names = []
+        inject = cli.inject_error
+
+        def recording(dem, stack, spec):
+            names.append(stack.names)
+            return inject(dem, stack, spec)
+
+        monkeypatch.setattr(cli, "inject_error", recording)
+        cli._bench_inputs(cfg, tmp_path)
+        terrain_args, landcover_seed, fraction, spec = cli._bench_args(cfg)
+        assert set(names) == {tuple(spec.referenced_features())}
+        reference = fractal_dem(**terrain_args)
+        land = synth_landcover(reference, seed=landcover_seed)
+        whole = build_feature_stack(reference, land.bare, land.urban, land.forest,
+                                    cli._feature_config(cfg))
+        injected = inject(reference, whole, cli._resolve_noise(spec, fraction, reference, whole))
+        for name, grid in (("original.asc", injected.degraded),
+                           ("true_error.asc", injected.true_dh)):
+            assert (tmp_path / name).read_text() == write_ascii_grid(grid), name
+
+    @pytest.mark.parametrize("size_exponent", [8, 9])
+    def test_generation_within_the_stated_bound(self, tmp_path, size_exponent):
+        """For a spec that names s layers, the traced peak of making the
+        inputs is at most 8*h*w*(2*s + 13) bytes: the five generated grids,
+        the s kept layers and their s standardized copies, seven grids of
+        the injection's own (the error field, its noise, and the degraded
+        DEM and the true error, each also while it is copied into a grid),
+        and one for masks and smaller objects. Holding every clean layer
+        took 25.4 grids at the default spec (s = 4)."""
+        cli._bench_inputs(self.config(5), tmp_path)  # imports what it needs, untraced
+        cfg = self.config(size_exponent)
+        _, peak = TestStepMemory.traced(cli._bench_inputs, cfg, tmp_path)
+        s = len(cli._bench_args(cfg)[3].referenced_features())
+        h = w = 2 ** size_exponent + 1
+        bound = 8 * h * w * (2 * s + 13)
+        assert 0.5 * bound <= peak <= bound, (peak, bound)
+
+
 class TestBenchMemory:
-    """``bench`` holds one feature stack at a time, and writes its JSON
-    documents and sample tables without building each as one string, as the
-    README's "Memory" section states."""
+    """``bench`` holds no whole derived layer it does not need, and writes its
+    JSON documents and sample tables without building each as one string,
+    as the README's "Memory" section states."""
 
     @pytest.mark.parametrize("rate", [0.25, 1.0])
     def test_one_stack_when_training(self, tmp_path, monkeypatch, rate):
         """At 129², the traced live memory when ``bench`` enters
-        ``_train_step`` is at most 16 grids of 8*h*w bytes (the reference,
-        the DEM, three masks, the strata, the nine derived layers and one
-        for smaller objects) plus the k sampled rows, k*(8*F + 32) bytes.
-        Holding the clean terrain's stack too took nine grids more."""
+        ``_train_step`` is at most 7 grids of 8*h*w bytes (the reference,
+        the DEM, three masks, the strata and one for smaller objects), the
+        stack reader's block buffer of 8*F*B*w bytes and the k sampled rows,
+        k*(8*F + 32) bytes. When it enters ``_evaluate_step`` the block
+        buffer is gone and no corrected DEM is held. Holding the assembled
+        stack, and then the corrected DEMs, took 17.8 and 18.9 grids at rate
+        0.25 against 14.3 and 9.0 now."""
         # an untraced run first imports what bench needs
         run_cli("bench", "--out", tmp_path / "warm", "--set", "bench.size_exponent=5",
                 "--set", "windows.texture_radius=3", "--model", "mlr")
-        seen = {}
-        train_step = cli._train_step
+        live = {}
+        for step in ("_train_step", "_evaluate_step"):
+            def entered(*args, _step=step, _real=getattr(cli, step)):
+                live.setdefault(_step, tracemalloc.get_traced_memory()[0])
+                return _real(*args)
 
-        def entered(cfg, train, out):
-            seen["live"], seen["train"] = tracemalloc.get_traced_memory()[0], len(train)
-            return train_step(cfg, train, out)
-
-        monkeypatch.setattr(cli, "_train_step", entered)
+            monkeypatch.setattr(cli, step, entered)
         out = tmp_path / "bench"
         tracemalloc.start()
         try:
@@ -652,11 +720,14 @@ class TestBenchMemory:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        with open(out / "samples_test.csv") as fh:
-            k = seen["train"] + sum(1 for _ in fh) - 1
+        k = sum(len((out / f"samples_{kind}.csv").read_text().splitlines()) - 1
+                for kind in ("train", "test"))
         h = w = 129
-        bound = 16 * 8 * h * w + k * (8 * len(CANONICAL_FEATURES) + 32)
-        assert 0.5 * bound <= seen["live"] <= bound, (seen["live"], bound)
+        F = len(CANONICAL_FEATURES)
+        held = 7 * 8 * h * w + k * (8 * F + 32)
+        for step, bound in (("_train_step", held + 8 * F * terrain.BLOCK_ROWS * w),
+                            ("_evaluate_step", held)):
+            assert 0.5 * bound <= live[step] <= bound, (step, live[step], bound)
 
     @staticmethod
     def gbdt_table(n=2000, k=11):
@@ -946,10 +1017,30 @@ class TestInputErrors:
                        ref.values[:, :-1]), tmp / "reference.asc")
         capsys.readouterr()
         rc = run_cli("correct", "--config", cfg_path, "--model", "mlr")
-        self.assert_input_error(rc, capsys, "reference grid is not on the corrected geometry")
+        self.assert_input_error(rc, capsys, f"paths.reference '{tmp / 'reference.asc'}' "
+                                            "(32 x 33, xll 0.0, yll 0.0, cellsize 30.0) is not "
+                                            "on the DEM's geometry (33 x 33, xll 0.0, yll 0.0, "
+                                            "cellsize 30.0)")
         written = sorted(p.name for p in (tmp / "out").iterdir())
         assert not [name for name in written if name.endswith(".asc")
                     and not name.startswith("feature_")], written
+
+    def test_correct_dem_off_the_stack(self, workspace, capsys):
+        """A DEM moved by half a cell after ``features`` is refused, naming its
+        file and both geometries."""
+        cfg_path, tmp = workspace
+        for step in ("features", "train"):
+            run_cli(step, "--config", cfg_path, "--model", "mlr")
+        dem = load_grid(tmp / "dem.asc")
+        save_grid(Grid(dem.ncols, dem.nrows, dem.xll + 15.0, dem.yll, dem.cellsize, dem.nodata,
+                       dem.values), tmp / "dem.asc")
+        capsys.readouterr()
+        rc = run_cli("correct", "--config", cfg_path, "--model", "mlr")
+        self.assert_input_error(rc, capsys, f"error: paths.dem '{tmp / 'dem.asc'}' (33 x 33, "
+                                            "xll 15.0, yll 0.0, cellsize 30.0) is not on the "
+                                            "feature stack's geometry (33 x 33, xll 0.0, "
+                                            "yll 0.0, cellsize 30.0)\n")
+        assert not list((tmp / "out").glob("corrected_*"))
 
     def test_manifest_repeats_a_layer(self, workspace, capsys):
         cfg_path, tmp = workspace
