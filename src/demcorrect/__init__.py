@@ -11,7 +11,6 @@ from .grid import (
     GridGeometry,
     GridParseError,
     GridReader,
-    align_to,
     difference,
     load_grid,
     read_ascii_grid,

@@ -1,4 +1,4 @@
-"""Single-band raster grids: ESRI ASCII I/O, alignment, and differencing.
+"""Single-band raster grids: ESRI ASCII I/O and differencing.
 
 Conventions used throughout the package:
 
@@ -34,7 +34,6 @@ __all__ = [
     "write_ascii_grid",
     "load_grid",
     "save_grid",
-    "align_to",
     "difference",
     "distinct_values",
 ]
@@ -531,64 +530,3 @@ def difference(a: Grid, b: Grid) -> Grid:
     both = a.valid_mask() & b.valid_mask()
     out = np.where(both, a.values - b.values, a.nodata)
     return a.with_values(out)
-
-
-def align_to(reference: Grid, g: Grid, method: str = "nearest") -> Grid:
-    """Resample ``g`` onto the geometry of ``reference``.
-
-    Every output cell is sampled from ``g`` at the output cell center.
-    ``nearest`` takes the closest source cell; ``bilinear`` interpolates the
-    four surrounding cell centers and refuses to interpolate across nodata
-    (the result is nodata). Cells outside ``g`` become nodata.
-
-    Raises:
-        ValueError: unknown method, or the two extents do not overlap.
-    """
-    if method not in ("nearest", "bilinear"):
-        raise ValueError(f"unknown resampling method '{method}'")
-
-    gx0, gx1 = g.xll, g.xll + g.ncols * g.cellsize
-    gy0, gy1 = g.yll, g.yll + g.nrows * g.cellsize
-    rx0, rx1 = reference.xll, reference.xll + reference.ncols * reference.cellsize
-    ry0, ry1 = reference.yll, reference.yll + reference.nrows * reference.cellsize
-    if min(gx1, rx1) <= max(gx0, rx0) or min(gy1, ry1) <= max(gy0, ry0):
-        raise ValueError("grids do not overlap; cannot align")
-
-    x = reference.xll + (np.arange(reference.ncols) + 0.5) * reference.cellsize
-    y = reference.yll + (reference.nrows - np.arange(reference.nrows) - 0.5) * reference.cellsize
-    xx, yy = np.meshgrid(x, y)
-
-    # fractional column/row position of each sample point in g, measured
-    # in cell-center coordinates (0 = first center)
-    fc = (xx - g.xll) / g.cellsize - 0.5
-    fr = (gy1 - yy) / g.cellsize - 0.5
-    src = g.values
-    valid = g.valid_mask()
-    out = np.full(xx.shape, g.nodata)
-
-    if method == "nearest":
-        inside = (xx >= gx0) & (xx <= gx1) & (yy >= gy0) & (yy <= gy1)
-        j = np.clip(np.rint(fc).astype(np.int64), 0, g.ncols - 1)
-        i = np.clip(np.rint(fr).astype(np.int64), 0, g.nrows - 1)
-        picked = src[i, j]
-        ok = inside & (picked != g.nodata)
-        out[ok] = picked[ok]
-    else:
-        inside = (fr >= 0) & (fr <= g.nrows - 1) & (fc >= 0) & (fc <= g.ncols - 1)
-        r0 = np.clip(np.floor(fr).astype(np.int64), 0, g.nrows - 1)
-        c0 = np.clip(np.floor(fc).astype(np.int64), 0, g.ncols - 1)
-        wr = fr - r0
-        wc = fc - c0
-        r1 = np.where(wr > 0, np.minimum(r0 + 1, g.nrows - 1), r0)
-        c1 = np.where(wc > 0, np.minimum(c0 + 1, g.ncols - 1), c0)
-        ok = inside & valid[r0, c0] & valid[r0, c1] & valid[r1, c0] & valid[r1, c1]
-        interp = (
-            src[r0, c0] * (1 - wr) * (1 - wc)
-            + src[r0, c1] * (1 - wr) * wc
-            + src[r1, c0] * wr * (1 - wc)
-            + src[r1, c1] * wr * wc
-        )
-        out[ok] = interp[ok]
-
-    return Grid(reference.ncols, reference.nrows, reference.xll, reference.yll,
-                reference.cellsize, g.nodata, out)

@@ -16,7 +16,6 @@ from demcorrect import (
     GridGeometry,
     GridParseError,
     GridReader,
-    align_to,
     difference,
     read_ascii_grid,
     write_ascii_grid,
@@ -173,78 +172,6 @@ class TestDifference:
         a, b = make_grid(av), make_grid(bv)
         d = difference(a, b)
         assert np.array_equal(d.values + b.values, a.values)
-
-
-class TestAlign:
-    def test_identity_on_same_geometry_nearest(self, rng):
-        g = make_grid(rng.normal(size=(5, 4)))
-        out = align_to(g, g, "nearest")
-        assert np.array_equal(out.values, g.values)
-
-    def test_identity_on_same_geometry_bilinear_close(self, rng):
-        g = make_grid(rng.normal(size=(5, 4)))
-        out = align_to(g, g, "bilinear")
-        assert np.allclose(out.values, g.values, atol=1e-12)
-
-    def test_nearest_upsample_1x1(self):
-        g = make_grid([[7.5]])  # extent [0,1]x[0,1]
-        ref = Grid(2, 2, 0, 0, 0.5, NODATA, np.zeros(4))
-        out = align_to(ref, g, "nearest")
-        assert np.array_equal(out.values, np.full((2, 2), 7.5))
-
-    def test_bilinear_midpoint_of_four_cells(self):
-        # hand oracle: equal weights on {0, 0, 2, 2} -> 1
-        g = make_grid([[0.0, 0.0], [2.0, 2.0]])  # extent [0,2]x[0,2]
-        ref = Grid(1, 1, 0, 0, 2.0, NODATA, [0.0])
-        out = align_to(ref, g, "bilinear")
-        assert out.values[0, 0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_bilinear_hand_weights(self):
-        # sample at (0.75, 1.75) of a 2x2 unit grid: fc=0.25, fr=-0.25 -> outside
-        # sample at (0.75, 1.25): fc=0.25, fr=0.25
-        # corners NW=1 NE=2 SW=3 SE=4 -> 1*.5625 + 2*.1875 + 3*.1875 + 4*.0625
-        g = make_grid([[1.0, 2.0], [3.0, 4.0]])
-        ref = Grid(1, 1, 0.25, 0.75, 1.0, NODATA, [0.0])
-        out = align_to(ref, g, "bilinear")
-        expected = 1 * 0.5625 + 2 * 0.1875 + 3 * 0.1875 + 4 * 0.0625
-        assert out.values[0, 0] == pytest.approx(expected, rel=1e-12)
-
-    def test_outside_cells_become_nodata(self):
-        g = make_grid([[1.0]])
-        ref = Grid(3, 1, -1.0, 0.0, 1.0, NODATA, np.zeros(3))
-        out = align_to(ref, g, "nearest")
-        assert out.values[0, 0] == NODATA  # center (-0.5, 0.5) is west of g
-        assert out.values[0, 1] == 1.0
-
-    def test_bilinear_refuses_nodata_neighbors(self):
-        g = make_grid([[0.0, NODATA], [2.0, 2.0]])
-        ref = Grid(1, 1, 0, 0, 2.0, NODATA, [0.0])
-        out = align_to(ref, g, "bilinear")
-        assert out.values[0, 0] == NODATA
-
-    def test_zero_overlap_is_error(self):
-        g = make_grid([[1.0]])
-        ref = Grid(1, 1, 100.0, 100.0, 1.0, NODATA, [0.0])
-        with pytest.raises(ValueError, match="overlap"):
-            align_to(ref, g, "nearest")
-
-    def test_unknown_method(self):
-        g = make_grid([[1.0]])
-        with pytest.raises(ValueError, match="method"):
-            align_to(g, g, "cubic")
-
-    def test_downsample_nearest_picks_center_cell(self):
-        vals = np.arange(16, dtype=float).reshape(4, 4)  # extent [0,4]^2
-        g = make_grid(vals)
-        ref = Grid(2, 2, 0, 0, 2.0, NODATA, np.zeros(4))
-        out = align_to(ref, g, "nearest")
-        # centers at (1,3),(3,3),(1,1),(3,1); fc/fr = 0.5 -> rint rounds to even = 0/2... verify by oracle
-        def oracle(x, y):
-            fc = x / 1.0 - 0.5
-            fr = (4.0 - y) / 1.0 - 0.5
-            return vals[int(np.rint(fr)), int(np.rint(fc))]
-        expect = [[oracle(1, 3), oracle(3, 3)], [oracle(1, 1), oracle(3, 1)]]
-        assert np.array_equal(out.values, expect)
 
 
 class TestRoundtripProperty:
