@@ -930,17 +930,6 @@ def cmd_evaluate(cfg: dict) -> int:
     return 0
 
 
-def _resolve_noise(spec: ErrorSpec, fraction: float | None, dem, stack) -> ErrorSpec:
-    """Set noise_std to fraction * std of the deterministic error field."""
-    if fraction is None:
-        return spec
-    quiet = ErrorSpec(spec.linear_terms, spec.nonlinear_terms, 0.0, spec.seed)
-    probe = inject_error(dem, stack, quiet)
-    vals = probe.true_dh.values[probe.true_dh.valid_mask()]
-    return ErrorSpec(spec.linear_terms, spec.nonlinear_terms,
-                     fraction * float(vals.std()), spec.seed)
-
-
 def _bench_inputs(cfg: dict, out: Path) -> tuple[Grid, Grid, LandcoverSet]:
     """Generate and write the synthetic inputs; returns the reference, the
     degraded DEM and the land cover.
@@ -964,8 +953,7 @@ def _bench_inputs(cfg: dict, out: Path) -> tuple[Grid, Grid, LandcoverSet]:
     templates = dict(zip(CANONICAL_FEATURES, layer_templates(reference, *masks)))
     clean_stack = FeatureStack(tuple(kept), tuple(templates[name].with_values(kept.pop(name))
                                                   for name in tuple(kept)))
-    spec = _resolve_noise(spec, noise_fraction, reference, clean_stack)
-    injected = inject_error(reference, clean_stack, spec)
+    injected = inject_error(reference, clean_stack, spec, noise_fraction)
 
     save_grid(reference, out / "reference.asc")
     save_grid(injected.degraded, out / "original.asc")
@@ -975,7 +963,7 @@ def _bench_inputs(cfg: dict, out: Path) -> tuple[Grid, Grid, LandcoverSet]:
     save_grid(land.forest, out / "mask_forest.asc")
     save_grid(land.strata, out / "strata.asc")
     _write_json(out / "error_spec.json",
-                {**spec.to_doc(), "noise_fraction": noise_fraction})
+                {**injected.spec.to_doc(), "noise_fraction": noise_fraction})
     return reference, injected.degraded, land
 
 

@@ -9,7 +9,7 @@ can be scored against a ground truth it is guaranteed to possess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -320,9 +320,12 @@ class ErrorSpec:
 class InjectResult:
     degraded: Grid
     true_dh: Grid
+    #: the spec applied, with the noise std that was used
+    spec: ErrorSpec
 
 
-def inject_error(dem: Grid, stack: FeatureStack, spec: ErrorSpec) -> InjectResult:
+def inject_error(dem: Grid, stack: FeatureStack, spec: ErrorSpec,
+                 noise_fraction: float | None = None) -> InjectResult:
     """Add a feature-driven error field to the DEM.
 
     ``degraded = dem + dh`` where dh sums the spec's terms over standardized
@@ -330,6 +333,10 @@ def inject_error(dem: Grid, stack: FeatureStack, spec: ErrorSpec) -> InjectResul
     ``degraded - dem`` so that differencing the outputs recovers it
     bit-exactly. Cells where the DEM or any referenced feature is nodata
     come back nodata in both outputs.
+
+    With ``noise_fraction``, the noise std is that fraction of the std of
+    the true error the terms alone would give, in place of
+    ``spec.noise_std``.
 
     Raises:
         KeyError: the spec references a feature the stack does not hold.
@@ -365,6 +372,11 @@ def inject_error(dem: Grid, stack: FeatureStack, spec: ErrorSpec) -> InjectResul
         else:
             dh += term.amplitude * z * standardized[term.feature2]
 
+    if noise_fraction is not None:
+        quiet = dem.values + dh
+        quiet -= dem.values
+        spec = replace(spec, noise_std=noise_fraction * float(quiet[valid].std()))
+        del quiet
     if spec.noise_std > 0:
         rng = np.random.default_rng(spec.seed)
         noise = np.zeros(dem.values.shape)
@@ -374,4 +386,4 @@ def inject_error(dem: Grid, stack: FeatureStack, spec: ErrorSpec) -> InjectResul
     degraded_vals = np.where(valid, dem.values + dh, dem.nodata)
     degraded = dem.with_values(degraded_vals)
     true_vals = np.where(valid, degraded.values - dem.values, dem.nodata)
-    return InjectResult(degraded, dem.with_values(true_vals))
+    return InjectResult(degraded, dem.with_values(true_vals), spec)

@@ -652,9 +652,9 @@ class TestBenchInputs:
         names = []
         inject = cli.inject_error
 
-        def recording(dem, stack, spec):
+        def recording(dem, stack, spec, noise_fraction):
             names.append(stack.names)
-            return inject(dem, stack, spec)
+            return inject(dem, stack, spec, noise_fraction)
 
         monkeypatch.setattr(cli, "inject_error", recording)
         cli._bench_inputs(cfg, tmp_path)
@@ -664,7 +664,7 @@ class TestBenchInputs:
         land = synth_landcover(reference, seed=landcover_seed)
         whole = build_feature_stack(reference, land.bare, land.urban, land.forest,
                                     cli._feature_config(cfg))
-        injected = inject(reference, whole, cli._resolve_noise(spec, fraction, reference, whole))
+        injected = inject(reference, whole, spec, fraction)
         for name, grid in (("original.asc", injected.degraded),
                            ("true_error.asc", injected.true_dh)):
             assert (tmp_path / name).read_text() == write_ascii_grid(grid), name

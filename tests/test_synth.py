@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -140,6 +142,22 @@ class TestInjectError:
                          ErrorSpec({"slope": 1.0}, noise_std=1.0, seed=4))
         assert np.array_equal(a.degraded.values, b.degraded.values)
         assert not np.array_equal(a.degraded.values, c.degraded.values)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.1, 2.5])
+    def test_noise_fraction_of_the_quiet_error_std(self, fraction):
+        """A noise fraction gives the noise std, in the spec it reports,
+        that fraction of the std of the error the terms alone give, and the
+        outputs that the spec with that std gives."""
+        spec = ErrorSpec({"slope": 1.0}, (NonlinearTerm("elevation", "sine", 2.0, 1.5),),
+                         noise_std=7.0, seed=11)
+        quiet = inject_error(self.dem, self.stack, replace(spec, noise_std=0.0)).true_dh
+        std = fraction * float(quiet.values[quiet.valid_mask()].std())
+        out = inject_error(self.dem, self.stack, spec, fraction)
+        assert out.spec == replace(spec, noise_std=std)
+        assert inject_error(self.dem, self.stack, spec).spec == spec
+        expected = inject_error(self.dem, self.stack, out.spec)
+        for got, want in ((out.degraded, expected.degraded), (out.true_dh, expected.true_dh)):
+            assert np.array_equal(got.values, want.values)
 
     def test_unknown_feature_rejected(self):
         with pytest.raises(KeyError, match="curvature"):
