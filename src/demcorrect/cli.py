@@ -55,6 +55,7 @@ from .grid import (
     GridParseError,
     GridReader,
     GridRows,
+    NonFiniteError,
     ascii_header,
     ascii_rows,
     check_values,
@@ -477,44 +478,58 @@ _STACK_FILE = "features_stack.npy"
 _MANIFEST_FILE = "features_manifest.json"
 
 
-class _StackWriter:
+class _PartialFiles:
+    """Files written under temporary ``<name>.partial`` names, which take
+    their own names when the ``with`` block ends without an exception and
+    are removed otherwise. So a refused write leaves no new file, and an
+    earlier run's files stay as they were."""
+
+    def __init__(self):
+        self._opened: list = []  # (path, file)
+
+    def open(self, path: Path, *args, **kwargs):
+        """``open`` the temporary file that is to take the name ``path``."""
+        fh = open(self._partial(path), *args, **kwargs)
+        self._opened.append((path, fh))
+        return fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        for _, fh in self._opened:
+            fh.close()
+        try:
+            if exc_type is None:
+                for path, _ in self._opened:
+                    os.replace(self._partial(path), path)
+        finally:  # after a refused write, or a name that cannot be replaced
+            for path, _ in self._opened:
+                self._partial(path).unlink(missing_ok=True)
+
+    @staticmethod
+    def _partial(path: Path) -> Path:
+        return path.with_name(path.name + ".partial")
+
+
+class _StackWriter(_PartialFiles):
     """Writes the ``feature_<name>.asc`` files and the binary copy from row
     blocks, top to bottom: ``writer(first_row, rows)`` takes a block's rows
     of every layer, as the ``sink`` of :func:`build_feature_stack` does.
 
     ``templates`` give each layer's geometry and nodata sentinel. Each
     ``.asc`` file is hashed as it is written, and the binary copy takes each
-    block at its offset in the layer's slab. The files are written under
-    temporary names, from the first block on, and take their own names
-    when the ``with`` block ends without an exception; otherwise they are
-    removed. So a build refused at any block leaves no new file, and an
-    earlier run's files stay as they were.
+    block at its offset in the layer's slab. The files are opened at the
+    first block, under temporary names (:class:`_PartialFiles`), so a build
+    refused at any block leaves no new file.
     """
 
     def __init__(self, out: Path, names, templates):
+        super().__init__()
         self.out, self.names, self.templates = out, tuple(names), tuple(templates)
         self.digests = [hashlib.sha256() for _ in self.names]
         self._files: list = []
         self._paths = [out / _STACK_FILE] + [out / f"feature_{name}.asc" for name in self.names]
-
-    def __enter__(self) -> "_StackWriter":
-        return self
-
-    def __exit__(self, exc_type, *exc) -> None:
-        for fh in self._files:
-            fh.close()
-        paths = self._paths[:len(self._files)]
-        try:
-            if exc_type is None:
-                for path in paths:
-                    os.replace(self._partial(path), path)
-        finally:  # after a refused build, or a name that cannot be replaced
-            for path in paths:
-                self._partial(path).unlink(missing_ok=True)
-
-    @staticmethod
-    def _partial(path: Path) -> Path:
-        return path.with_name(path.name + ".partial")
 
     def __call__(self, first: int, rows) -> None:
         if not self._files:
@@ -528,8 +543,7 @@ class _StackWriter:
             binary.write(np.ascontiguousarray(values + 0.0, dtype="<f8").data)
 
     def _open(self) -> None:
-        for path in self._paths:
-            self._files.append(open(self._partial(path), "wb"))
+        self._files = [self.open(path, "wb") for path in self._paths]
         binary, *texts = self._files
         top = self.templates[0]
         np.lib.format.write_array_header_1_0(binary, {
@@ -781,12 +795,15 @@ def _correct_step(models: dict, stack: StackRows, dem: Grid, reference: Grid | N
     reference, absolute error, for {name: (model, document path)}.
 
     The three rasters are written a block of rows at a time, as the
-    predictions arrive. Every input is checked before the first file
-    opens, so a refused run writes no raster. ``sources`` say where the
-    DEM and the reference come from, for the refusals.
+    predictions arrive, under temporary names (:class:`_PartialFiles`)
+    that they give up once a model's rasters are complete. Every input is
+    checked before the first file opens. ``sources`` say where the DEM and
+    the reference come from, for the refusals.
 
     Raises:
-        ModelFormatError: a document names a feature layer the stack lacks.
+        ModelFormatError: a document names a feature layer the stack lacks,
+            or its model gives a value that is not finite; names the
+            document and the cell.
         GeometryMismatch: the DEM is not on the stack geometry, or the
             reference is not on the DEM's.
     """
@@ -802,10 +819,11 @@ def _correct_step(models: dict, stack: StackRows, dem: Grid, reference: Grid | N
             raise GeometryMismatch(f"{source} ({_geometry_text(grid.geometry)}) is not on "
                                    f"{what} geometry ({_geometry_text(against.geometry)})")
     kinds = ("predicted_error", "corrected", "abs_error")[:2 if reference is None else 3]
-    for name, (model, _) in models.items():
-        with contextlib.ExitStack() as files:
-            fhs = [files.enter_context(open(out / f"{kind}_{name}.asc", "w", encoding="ascii",
-                                            newline="\n")) for kind in kinds]
+    for name, (model, path) in models.items():
+        # a value that overflows is refused by its check, not warned of
+        with _PartialFiles() as files, np.errstate(over="ignore", invalid="ignore"):
+            fhs = [files.open(out / f"{kind}_{name}.asc", "w", encoding="ascii", newline="\n")
+                   for kind in kinds]
             fhs[0].write(ascii_header(stack.geometry, stack.nodata[0]))
             for fh in fhs[1:]:
                 fh.write(ascii_header(dem.geometry, dem.nodata))
@@ -822,7 +840,11 @@ def _correct_step(models: dict, stack: StackRows, dem: Grid, reference: Grid | N
                 for fh, block in zip(fhs, [error, *blocks]):
                     fh.write(ascii_rows(block))
 
-            predict_error_grid(model, stack, sink=write)
+            try:
+                predict_error_grid(model, stack, sink=write)
+            except NonFiniteError as exc:
+                raise ModelFormatError(f"'{path}': the model's correction overflows: "
+                                       f"{exc}") from None
 
 
 def _evaluate_step(cfg: dict, reference: GridRows, dem: GridRows, corrected: dict,

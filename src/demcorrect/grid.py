@@ -25,6 +25,7 @@ __all__ = [
     "GridGeometry",
     "GridParseError",
     "GeometryMismatch",
+    "NonFiniteError",
     "GridRows",
     "GridReader",
     "parse_ascii_header",
@@ -153,17 +154,21 @@ class GridRows(Protocol):
     def rows(self, start: int, stop: int) -> np.ndarray: ...
 
 
+class NonFiniteError(ValueError):
+    """A cell of a grid is neither finite nor the nodata sentinel; names the cell."""
+
+
 def check_values(values: np.ndarray, nodata: float, first_row: int = 0) -> None:
     """Check that every cell of ``values``, rows ``first_row`` onward of a
     grid, is finite or ``nodata``, as a :class:`Grid` requires.
 
     Raises:
-        ValueError: names the first cell that is neither.
+        NonFiniteError: names the first cell that is neither.
     """
     bad = ~(np.isfinite(values) | (values == nodata))
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise ValueError(f"non-finite value at cell ({first_row + i}, {j}) "
+        raise NonFiniteError(f"non-finite value at cell ({first_row + i}, {j}) "
                          "is not the nodata sentinel")
 
 

@@ -1042,6 +1042,50 @@ class TestInputErrors:
                                             "yll 0.0, cellsize 30.0)\n")
         assert not list((tmp / "out").glob("corrected_*"))
 
+    @staticmethod
+    def overflowing_mlr(workspace):
+        """The trained MLR document with every coefficient 1e308, beside
+        the rasters of a first ``correct``; returns its path."""
+        cfg_path, tmp = workspace
+        for step in ("features", "train", "correct"):
+            run_cli(step, "--config", cfg_path)
+        doc = json.loads((tmp / "out" / "model_mlr.json").read_text())
+        doc["coefficients"] = [1e308] * len(doc["coefficients"])
+        path = tmp / "overflow.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_overflowing_model_names_its_document(self, workspace, capsys):
+        """A document whose predictions overflow passes validation; ``correct``
+        refuses it, naming the document and the first cell."""
+        cfg_path, _ = workspace
+        path = self.overflowing_mlr(workspace)
+        capsys.readouterr()
+        rc = run_cli("correct", "--config", cfg_path, "--model-doc", path)
+        self.assert_input_error(rc, capsys, f"error: '{path}': the model's correction "
+                                            "overflows: non-finite value at cell (4, 4) is not "
+                                            "the nodata sentinel\n")
+
+    def test_refused_model_keeps_the_earlier_rasters(self, workspace, capsys):
+        """Each model's rasters take their names once they are complete: the
+        model before the refused one writes its rasters, and the refused
+        one's earlier rasters stay as they were."""
+        cfg_path, tmp = workspace
+        path = self.overflowing_mlr(workspace)
+        out = tmp / "out"
+        earlier = {p.name: p.read_bytes() for p in out.glob("*_mlr.asc")}
+        assert len(earlier) == 3
+        gbdt = {p.name: p.read_bytes() for p in out.glob("*_gbdt-leafwise.asc")}
+        for name in gbdt:
+            (out / name).unlink()
+        capsys.readouterr()
+        rc = run_cli("correct", "--config", cfg_path,
+                     "--model-doc", out / "model_gbdt-leafwise.json", "--model-doc", path)
+        self.assert_input_error(rc, capsys, f"'{path}'")
+        assert {p.name: p.read_bytes() for p in out.glob("*_mlr.asc")} == earlier
+        assert {p.name: p.read_bytes() for p in out.glob("*_gbdt-leafwise.asc")} == gbdt
+        assert not list(out.glob("*.partial"))
+
     def test_manifest_repeats_a_layer(self, workspace, capsys):
         cfg_path, tmp = workspace
         run_cli("features", "--config", cfg_path)
