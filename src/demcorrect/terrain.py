@@ -355,22 +355,17 @@ def texture(dem: Grid, pit_peak_threshold: float, w: WindowSpec) -> Grid:
 def vrm(dem: Grid, w: WindowSpec) -> Grid:
     """Vector ruggedness measure over the window, in [0, 1].
 
-    Unit surface normals (sin S sin A, sin S cos A, cos S) are built from
-    slope S and aspect A per cell; flat cells contribute (0, 0, 1). The
-    measure is one minus the length of the resultant divided by the number
-    of contributing normals, each component summed over the window in a
-    fixed order of its own cells (see the module docstring).
+    Each cell whose 3x3 window is whole contributes the unit normal of its
+    surface, ``(-p, -q, 1) / sqrt(1 + p^2 + q^2)`` for its Horn gradients
+    p and q: (sin S sin A, sin S cos A, cos S) for its slope S and aspect
+    A, and (0, 0, 1) on flat cells. The measure is one minus the length of
+    the resultant divided by the number of contributing normals, each
+    component summed over the window in a fixed order of its own cells
+    (see the module docstring).
     """
-    s = slope(dem)
-    a = aspect(dem)
-    v = s.valid_mask()
-    srad = np.radians(np.where(v, s.values, 0.0))
-    arad = np.radians(np.where(v & (a.values != FLAT_ASPECT), a.values, 0.0))
-    sin_s = np.sin(srad)
-    nx = np.where(v, sin_s * np.sin(arad), 0.0)
-    ny = np.where(v, sin_s * np.cos(arad), 0.0)
-    nz = np.where(v, np.cos(srad), 0.0)
-    sx, sy, sz = (_box_sum(n, w.radius) for n in (nx, ny, nz))
+    p, q, v = _horn_gradients(dem)
+    nz = np.where(v, 1.0 / np.sqrt(1.0 + p * p + q * q), 0.0)
+    sx, sy, sz = (_box_sum(n, w.radius) for n in (-p * nz, -q * nz, nz))
     count, keep = _window_gate(v, w)
     resultant = np.sqrt(sx * sx + sy * sy + sz * sz)
     out = np.divide(resultant, count, out=np.ones_like(resultant), where=count >= 1)

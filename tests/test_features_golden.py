@@ -3,9 +3,9 @@
 A seeded DEM and three 0/1 masks, with holes, values rounded to
 centimetres, run through the ``features`` command. The grid is taller
 than one row block at the default windows, so the pins cover the blocked
-build across a block boundary. The eight pinned layers use no ``arctan``
-or ``arctan2``, whose bits depend on the host's SIMD support; slope,
-aspect and vrm are checked against window oracles within tolerances in
+build across a block boundary. The nine pinned layers use no ``arctan``
+or ``arctan2``, whose bits depend on the host's SIMD support; slope and
+aspect are checked against window oracles within tolerances in
 ``tests/test_terrain.py`` instead.
 
 The output directory is relative, as it enters the provenance digests of
@@ -14,6 +14,8 @@ the manifest (which is not pinned here).
 The pins were taken while window sums still read a summed-area table.
 tpi's alone was taken again when each window came to be summed in a
 fixed order of its own cells, which moved it by at most 4.5e-13 m.
+vrm's was taken once it came to take its normals from the Horn gradients
+alone, with no ``arctan``.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ PINS = {
     "tpi": "49abf6aea851f7f13656f370b5c04c05097ffda6bb763ae4d3f91d694ac6f0f1",
     "tri": "55684c72b3a2b95e8f33342b74b7a881fd515b76fc6eddcdebec3ac85cf8ff48",
     "texture": "a0d1813ad125787a5c4e1fe074206ba7203c953e73e3d8b0b03e1c767edfe2fb",
+    "vrm": "2f559cf1c486f715a485c94596521cfe0d849d0972d1e13a430b18d76e6498f7",
     "pct_bare": "8bec4e0ff3cb42a6163a66917a1440b80c05fb6640a999c796a9cee820e25c82",
     "urban": "f5762a6b6a417673499de5fb974f51abfa017b0e13222961ed40d8e18a09b8e8",
     "pct_forest": "c04c5f49327ea2afe157fa3fe87bf13b3bd8bf31fae311e85c1b0f744d83893b",

@@ -257,6 +257,19 @@ class TestVrm:
         value = 1.0 - math.sqrt(sx * sx + sy * sy + sz * sz) / n
         assert value == pytest.approx(1 - math.sqrt(2) / 2, abs=1e-12)
 
+    def test_flat_cells_count_under_either_sentinel(self):
+        """A flat cell's normal is (0, 0, 1) whatever the nodata sentinel: a
+        0 sentinel gives the data cells that -9999 gives. (A mask taken from
+        the slope raster dropped every flat cell under 0, its slope of 0
+        reading as nodata.)"""
+        z = np.full((7, 7), 100.0)
+        z[0] = z[-1] = z[:, 0] = z[:, -1] = [100.5, 99.0, 100.2, 101.0, 99.5, 100.0, 100.3]
+        w = WindowSpec(1)
+        under = {nodata: vrm(make_grid(z, cellsize=30.0, nodata=nodata), w).values
+                 for nodata in (NODATA, 0.0)}
+        assert under[NODATA][3, 2] > 0  # flat itself, beside cells that are not
+        assert np.array_equal(np.where(under[NODATA] == NODATA, 0.0, under[NODATA]), under[0.0])
+
     def test_bounded_0_1(self, rng):
         vals = rng.normal(size=(15, 15)) * 8
         out = vrm(make_grid(vals), WindowSpec(2))
@@ -412,10 +425,12 @@ class TestStack:
 # ---------------------------------------------------------------------------
 
 #: slope and aspect go through numpy's vectorised atan/atan2 here and libm's
-#: in the oracle (degrees); tpi and vrm sum their windows through a summed-area
-#: table here and exactly (math.fsum) in the oracle (metres, unitless). Over
-#: 1500 examples the largest deviations were 1.4e-14, 5.7e-14, 1.4e-14 and
-#: 1.6e-15, so each bound leaves a margin of more than 15.
+#: in the oracle (degrees); tpi and vrm sum their windows in a fixed order
+#: here and exactly (math.fsum) in the oracle (metres, unitless), and vrm
+#: takes its normals from the Horn gradients here and from slope and aspect
+#: by trigonometry in the oracle. Over 1500 examples the largest deviations
+#: were 1.4e-14, 5.7e-14, 1.4e-14 and 4.4e-16, so each bound leaves a margin
+#: of more than 15.
 ANGLE_TOL = 1e-12
 TPI_TOL = 1e-12
 VRM_TOL = 1e-13
@@ -545,10 +560,12 @@ def texture_oracle(g, threshold, w):
 
 
 def vrm_oracle(g, w):
+    """The normals from slope and aspect by trigonometry, an independent
+    check of the gradient form that ``vrm`` takes them in; the cells with a
+    whole 3x3 window contribute."""
     s, a = slope_oracle(g), aspect_oracle(g)
-    # vrm takes its mask from the slope raster, where a 0 slope under the
-    # 0 sentinel reads as nodata
-    valid = ~np.isnan(s) & (s != g.nodata)
+    valid = np.array([[_horn_oracle(g, i, j) is not None for j in range(g.ncols)]
+                      for i in range(g.nrows)], dtype=bool)
     normals = np.zeros(g.values.shape + (3,))
     for i, j in zip(*np.nonzero(valid)):
         srad = math.radians(s[i, j])
@@ -789,7 +806,7 @@ class TestStackMemory:
             tracemalloc.stop()
         bound = self.bound(dem.ncols)
         # the claim is the upper bound; the floor only shows that the build
-        # was traced (numpy 2.4 measures 99% of the bound at both sizes)
+        # was traced (numpy 2.4 measures 83% of the bound at both sizes)
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
 
