@@ -485,31 +485,27 @@ class _PartialFiles:
     earlier run's files stay as they were."""
 
     def __init__(self):
-        self._opened: list = []  # (path, file)
+        self._opened: list = []  # (path, its temporary path, file)
 
     def open(self, path: Path, *args, **kwargs):
         """``open`` the temporary file that is to take the name ``path``."""
-        fh = open(self._partial(path), *args, **kwargs)
-        self._opened.append((path, fh))
-        return fh
+        partial = path.with_name(path.name + ".partial")
+        self._opened.append((path, partial, open(partial, *args, **kwargs)))
+        return self._opened[-1][2]
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
-        for _, fh in self._opened:
+        for *_, fh in self._opened:
             fh.close()
         try:
             if exc_type is None:
-                for path, _ in self._opened:
-                    os.replace(self._partial(path), path)
+                for path, partial, _ in self._opened:
+                    os.replace(partial, path)
         finally:  # after a refused write, or a name that cannot be replaced
-            for path, _ in self._opened:
-                self._partial(path).unlink(missing_ok=True)
-
-    @staticmethod
-    def _partial(path: Path) -> Path:
-        return path.with_name(path.name + ".partial")
+            for _, partial, _ in self._opened:
+                partial.unlink(missing_ok=True)
 
 
 class _StackWriter(_PartialFiles):
@@ -529,7 +525,6 @@ class _StackWriter(_PartialFiles):
         self.out, self.names, self.templates = out, tuple(names), tuple(templates)
         self.digests = [hashlib.sha256() for _ in self.names]
         self._files: list = []
-        self._paths = [out / _STACK_FILE] + [out / f"feature_{name}.asc" for name in self.names]
 
     def __call__(self, first: int, rows) -> None:
         if not self._files:
@@ -543,7 +538,8 @@ class _StackWriter(_PartialFiles):
             binary.write(np.ascontiguousarray(values + 0.0, dtype="<f8").data)
 
     def _open(self) -> None:
-        self._files = [self.open(path, "wb") for path in self._paths]
+        self._files = [self.open(self.out / name, "wb") for name in
+                       [_STACK_FILE, *(f"feature_{name}.asc" for name in self.names)]]
         binary, *texts = self._files
         top = self.templates[0]
         np.lib.format.write_array_header_1_0(binary, {
@@ -617,17 +613,8 @@ class _StackFile:
 
     def __init__(self, path: Path, start: int, names, geometries, nodata):
         self.path, self._start = path, start
-        self.names, self._geometries, self.nodata = tuple(names), geometries, tuple(nodata)
-        self.geometry = geometries[0]
+        self.names, self.geometry, self.nodata = tuple(names), geometries[0], tuple(nodata)
         self._buffer = np.empty(0, dtype="<f8")
-
-    @property
-    def layers(self) -> tuple[Grid, ...]:
-        """Every layer read whole, each on its own header's geometry, as
-        parsing the ``.asc`` files gives them."""
-        return tuple(Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, values)
-                     for geo, nodata, values in zip(self._geometries, self.nodata,
-                                                    self.rows(0, self.geometry.nrows)))
 
     @classmethod
     def open(cls, path: Path, sha256: str, names, layers) -> "_StackFile | None":
@@ -795,15 +782,13 @@ def _correct_step(models: dict, stack: StackRows, dem: Grid, reference: Grid | N
     reference, absolute error, for {name: (model, document path)}.
 
     The three rasters are written a block of rows at a time, as the
-    predictions arrive, under temporary names (:class:`_PartialFiles`)
-    that they give up once a model's rasters are complete. Every input is
-    checked before the first file opens. ``sources`` say where the DEM and
-    the reference come from, for the refusals.
+    predictions arrive, and take their names once a model's are complete
+    (:class:`_PartialFiles`). ``sources`` say where the DEM and the
+    reference come from, for the refusals.
 
     Raises:
         ModelFormatError: a document names a feature layer the stack lacks,
-            or its model gives a value that is not finite; names the
-            document and the cell.
+            or gives a value that is not finite (names the cell).
         GeometryMismatch: the DEM is not on the stack geometry, or the
             reference is not on the DEM's.
     """

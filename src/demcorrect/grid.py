@@ -4,8 +4,6 @@ Conventions used throughout the package:
 
 * values are stored row-major with the first row at the northern edge,
   matching the ASCII format's line order;
-* a cell's sampling point is its center,
-  ``(xll + (col + 0.5) * cellsize, yll + (nrows - row - 0.5) * cellsize)``;
 * invalid cells hold the ``nodata`` sentinel exactly and never take part
   in any statistic or derivative.
 """

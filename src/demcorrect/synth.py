@@ -335,8 +335,7 @@ def inject_error(dem: Grid, stack: FeatureStack, spec: ErrorSpec,
     come back nodata in both outputs.
 
     With ``noise_fraction``, the noise std is that fraction of the std of
-    the true error the terms alone would give, in place of
-    ``spec.noise_std``.
+    the true error the terms alone give, in place of ``spec.noise_std``.
 
     Raises:
         KeyError: the spec references a feature the stack does not hold.
@@ -373,10 +372,8 @@ def inject_error(dem: Grid, stack: FeatureStack, spec: ErrorSpec,
             dh += term.amplitude * z * standardized[term.feature2]
 
     if noise_fraction is not None:
-        quiet = dem.values + dh
-        quiet -= dem.values
-        spec = replace(spec, noise_std=noise_fraction * float(quiet[valid].std()))
-        del quiet
+        std = float(((dem.values + dh) - dem.values)[valid].std())
+        spec = replace(spec, noise_std=noise_fraction * std)
     if spec.noise_std > 0:
         rng = np.random.default_rng(spec.seed)
         noise = np.zeros(dem.values.shape)

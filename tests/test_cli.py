@@ -364,10 +364,10 @@ class TestFeatureStackFile:
         write_stack(stack, cli.DEFAULT_CONFIG, tmp_path)
         loaded = cli._load_stack(tmp_path)
         assert parsed == []
-        for name, grid in zip(loaded.names, loaded.layers):
+        for name, values, nodata in zip(loaded.names, loaded.rows(0, 2), loaded.nodata):
             ref = load_grid(tmp_path / f"feature_{name}.asc")
-            assert grid.values.tobytes() == ref.values.tobytes()
-            assert (grid.geometry, grid.nodata) == (ref.geometry, ref.nodata)
+            assert values.tobytes() == ref.values.tobytes()
+            assert (loaded.geometry, nodata) == (ref.geometry, ref.nodata)
 
 
 class TestPipeline:
