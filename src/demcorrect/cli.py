@@ -783,8 +783,9 @@ def _correct_step(models: dict, stack: StackRows, dem: Grid, reference: Grid | N
 
     The three rasters are written a block of rows at a time, as the
     predictions arrive, and take their names once a model's are complete
-    (:class:`_PartialFiles`). ``sources`` say where the DEM and the
-    reference come from, for the refusals.
+    (:class:`_PartialFiles`). Every input is checked before the first file
+    opens. ``sources`` say where the DEM and the reference come from, for
+    the refusals.
 
     Raises:
         ModelFormatError: a document names a feature layer the stack lacks,
