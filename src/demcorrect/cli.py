@@ -17,7 +17,10 @@ Configuration comes from one JSON document plus flag overrides (flags
 win). Every output embeds a provenance block with the resolved config
 digest, and reruns with identical configuration are byte-identical.
 
-Exit codes: 0 success, 1 internal error, 2 configuration/input error.
+Exit codes: 0 success, 1 internal error, 2 configuration/input error,
+141 (128 + SIGPIPE, as a shell reports a process that SIGPIPE ended) when
+the reader of stdout has gone, as in ``demcorrect bench | head -n 1``; the
+command's files are complete by then, and nothing goes to stderr.
 """
 
 from __future__ import annotations
@@ -751,12 +754,19 @@ def _diagnose_step(cfg: dict, train: SampleTable, out: Path) -> CollinearityRepo
     return report
 
 
-def _train_step(cfg: dict, train: SampleTable, out: Path) -> dict:
-    """Fit and write every selected model; returns {name: (model, document path)}."""
+def _train_step(cfg: dict, train: SampleTable, out: Path,
+                screen: CollinearityReport | None = None) -> dict:
+    """Fit and write every selected model; returns {name: (model, document path)}.
+
+    The MLR is fit on the features that survive ``screen``, the report
+    :func:`_diagnose_step` returned for ``train``; without it, ``train`` is
+    screened here.
+    """
     results = {}
     for name in cfg["models"]:
         if name == "mlr":
-            screen = _screen(cfg, train)
+            if screen is None:
+                screen = _screen(cfg, train)
             model = replace(fit_ols(train, screen.kept), name="mlr")
             doc = model.to_doc()
             doc["excluded_features"] = list(screen.flagged)
@@ -990,8 +1000,7 @@ def cmd_bench(cfg: dict) -> int:
     for kind, table in (("train", train), ("test", test)):
         with open(out / f"samples_{kind}.csv", "w") as fh:
             table.to_csv(fh)
-    _diagnose_step(cfg, train, out)
-    models = _train_step(cfg, train, out)
+    models = _train_step(cfg, train, out, _diagnose_step(cfg, train, out))
     t_train = time.perf_counter()
 
     _correct_step(models, stack, original, reference, out,
@@ -1076,26 +1085,39 @@ _INPUT_ERRORS = (
 )
 
 
+def _run_command(args) -> int:
+    cfg = resolve_config(args)
+    if args.command == "features":
+        return cmd_features(cfg)
+    if args.command == "diagnose":
+        return cmd_diagnose(cfg)
+    if args.command == "train":
+        return cmd_train(cfg)
+    if args.command == "correct":
+        return cmd_correct(cfg, args.model_doc)
+    if args.command == "evaluate":
+        return cmd_evaluate(cfg)
+    if args.command == "bench":
+        return cmd_bench(cfg)
+    raise ConfigError(f"unknown command '{args.command}'")
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad usage; keep that code
         return int(exc.code or 0)
     try:
-        cfg = resolve_config(args)
-        if args.command == "features":
-            return cmd_features(cfg)
-        if args.command == "diagnose":
-            return cmd_diagnose(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "correct":
-            return cmd_correct(cfg, args.model_doc)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "bench":
-            return cmd_bench(cfg)
-        raise ConfigError(f"unknown command '{args.command}'")
+        code = _run_command(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone (``demcorrect bench | head -n 1``): exit
+        # as a shell reports a process that SIGPIPE ended (128 + 13),
+        # silently, with stdout on devnull so that the flush at exit does
+        # not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

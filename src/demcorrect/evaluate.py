@@ -120,7 +120,8 @@ def predict_error_grid(model, stack: StackRows,
             valid &= values != layer_nd
         rows = np.full(valid.shape, nodata)
         if valid.any():
-            x = np.empty((np.count_nonzero(valid), len(names)))
+            # column-major: each model reads the matrix a column at a time
+            x = np.empty((np.count_nonzero(valid), len(names)), order="F")
             for j, values in enumerate(layers):
                 x[:, j] = values[valid]
             rows[valid] = model.predict_rows(x)

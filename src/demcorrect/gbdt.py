@@ -6,8 +6,10 @@ key and the cap. Depthwise keys every leaf alike, so leaves are split in
 creation order, which is level order, and leaves at ``max_depth`` are not
 searched. Leafwise keys a leaf by its negated gain, so the largest-gain
 leaf is split first, until the tree has ``max_leaves`` leaves (the growth
-policies of XGBoost; leafwise is LightGBM's default). Both split searches
-score a cut with the regularized gain
+policies of XGBoost; leafwise is LightGBM's default); the children of the
+split that brings it there are not searched, since none of them is split.
+A node's residuals are summed once, for its value and its search's G.
+Both split searches score a cut with the regularized gain
 
     G_L^2/(n_L + lambda) + G_R^2/(n_R + lambda) - G^2/(n + lambda)
 
@@ -40,7 +42,9 @@ once per fit: one bin per distinct value when there are at most 255,
 otherwise quantile bins whose upper edges are table values. The codes are
 an ``(n, F)`` ``uint8`` array. A node's histogram holds the residual sum
 and the row count of every (feature, bin); a cut after bin b is scored
-from the prefix sums over bins. Only the smaller child of a split has its
+from the prefix sums over bins. Every tree's root holds every row, so its
+counts are taken once per fit and only its residual sums once per tree,
+one column at a time. Only the smaller child of a split has its
 histogram built from its rows; the larger one's is its parent's minus
 the smaller's, and a child that will not be searched gets none. The
 threshold of a cut is the midpoint of the largest table value in bin b
@@ -222,10 +226,12 @@ class RegressionTree:
 
         Each internal node compares one column of its rows with its
         threshold and hands the two sides on as row-index arrays, so every
-        gather reads a single column; a leaf writes its value to its rows.
+        gather reads a single contiguous column (``take``); a leaf writes its
+        value to its rows. A matrix that is not column-major is copied once.
         """
         feature, threshold = self.feature.tolist(), self.threshold.tolist()
         left, right, value = self.left.tolist(), self.right.tolist(), self.value.tolist()
+        columns = list(np.asfortranarray(X).T)
         out = np.empty(len(X))
         stack = [(0, np.arange(len(X)))]
         while stack:
@@ -234,7 +240,7 @@ class RegressionTree:
             if f < 0:
                 out[rows] = value[node]
             elif len(rows):
-                go_left = X[rows, f] <= threshold[node]
+                go_left = columns[f].take(rows) <= threshold[node]
                 stack.append((right[node], rows.compress(~go_left)))
                 stack.append((left[node], rows.compress(go_left)))
         return out
@@ -252,7 +258,10 @@ class GbdtModel:
     name: str = "gbdt"
 
     def predict_rows(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        """The ensemble's predictions; ``X`` is read column-major (see
+        :meth:`RegressionTree.predict_rows`), so a matrix in any other
+        layout is copied once."""
+        X = np.asfortranarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise ValueError(
                 f"expected (n, {len(self.feature_names)}) features, got {X.shape}"
@@ -271,6 +280,7 @@ def best_split(
     order: np.ndarray | None = None,
     tied: list[int] | None = None,
     histogram: _Histogram | None = None,
+    total: float | None = None,
 ) -> Split | None:
     """The best split of a node's rows, by exact greedy search or from bins.
 
@@ -284,7 +294,8 @@ def best_split(
 
     With the node's ``histogram`` the search scores the cuts between its
     non-empty bins instead (see the module doc) and reads neither
-    ``features``, ``order`` nor ``tied``.
+    ``features``, ``order`` nor ``tied``. ``total`` is the sum of the
+    node's residuals in ``node_rows`` order, if the caller has it.
 
     Returns None when the best gain does not exceed ``min_gain`` or every
     candidate would violate ``min_samples_leaf``. Ties break to the lower
@@ -295,7 +306,8 @@ def best_split(
     if m < 2 * params.min_samples_leaf:
         return None
     # G in node_rows order: summing in sorted order moves gains by an ulp
-    total = float(residuals[rows].sum())
+    if total is None:
+        total = float(residuals[rows].sum())
     if histogram is not None:
         return _best_cut(histogram, total, m, params)
 
@@ -435,10 +447,11 @@ class _Partition:
     def rows(self, lo: int, hi: int) -> np.ndarray:
         return self.buf[-1, lo:hi]
 
-    def search(self, residuals, lo: int, hi: int, params: GbdtParams) -> Split | None:
+    def search(self, residuals, lo: int, hi: int, params: GbdtParams,
+               total: float | None = None) -> Split | None:
         # through the module global, positionally: tracing wraps best_split
         return best_split(self.features, residuals, self.buf[-1, lo:hi], params,
-                          self.buf[:-1, lo:hi], self.tied)
+                          self.buf[:-1, lo:hi], self.tied, None, total)
 
     def split(self, lo: int, hi: int, split: Split) -> int:
         """Stably reorder ``[lo, hi)`` left rows first; returns the boundary."""
@@ -498,17 +511,19 @@ class _BinnedPartition:
     Each node owns a slice ``[lo, hi)`` of ``ids``, its rows in ascending
     order. ``open`` keeps the histogram of each open leaf that has a split
     until the grower splits it; the grower searches both children of a
-    split right after it, or neither.
+    split right after it, or neither. Every tree's root holds every row, so
+    its row counts are counted once per fit, into a read-only array.
     """
 
     def __init__(self, features: np.ndarray):
         n, n_features = features.shape
         self.features = features
         self.codes, self.low, self.high = _bin_table(features)
-        # histogram key of (feature f, bin b): f*256 + b, which outgrows
-        # uint16 past 256 features
-        key_type = np.uint16 if n_features <= 256 else np.uint32
-        self.key_base = np.arange(0, 256 * n_features, 256, dtype=key_type)
+        # histogram key of (feature f, bin b): f*256 + b, as bincount takes it
+        self.key_base = np.arange(0, 256 * n_features, 256, dtype=np.intp)
+        self.root_counts = np.array([np.bincount(codes, minlength=256)
+                                     for codes in self.codes.T])
+        self.root_counts.flags.writeable = False
         self.ids = np.empty(n, dtype=np.intp)
         self.open: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.parent = None  # (lo, mid, hi, sums, counts) of the last split
@@ -526,19 +541,25 @@ class _BinnedPartition:
 
     def build_histogram(self, residuals, rows: np.ndarray):
         """Residual sums and row counts of ``rows`` per (feature, bin), ``(F, 256)``."""
-        keys = (self.codes[rows] + self.key_base).ravel()
+        if len(rows) == len(self.ids):
+            # the root: every row in ascending order, so a bincount per
+            # column sums each bin's rows in the order the keys below would,
+            # without building n*F keys; its counts are the fit's
+            sums = np.array([np.bincount(codes, residuals, 256) for codes in self.codes.T])
+            return sums, self.root_counts
+        keys = (self.codes.take(rows, axis=0) + self.key_base).ravel()
         size = 256 * len(self.key_base)
-        sums = np.bincount(keys, weights=np.repeat(residuals[rows], len(self.key_base)),
-                           minlength=size)
-        counts = np.bincount(keys, minlength=size)
-        return sums.reshape(-1, 256), counts.reshape(-1, 256)
+        sums = np.bincount(keys, np.repeat(residuals[rows], len(self.key_base)), size)
+        counts = np.bincount(keys, minlength=size).reshape(-1, 256)
+        return sums.reshape(-1, 256), counts
 
     def _node_histogram(self, residuals, lo: int, hi: int, min_rows: int):
         """The histogram of ``[lo, hi)``, or None for a node with too few rows.
 
         For a child of the last split, the smaller child's histogram is
-        built and the larger one's is the parent's minus it, in place; the
-        other child's is kept for its search, which comes next.
+        built and the larger one's is the parent's minus it: the sums in
+        place, the counts not, since the root's are the fit's. The other
+        child's is kept for its search, which comes next.
         """
         sibling, self.sibling = self.sibling, None
         if hi - lo < min_rows:
@@ -553,20 +574,20 @@ class _BinnedPartition:
         large = (mid, p_hi) if small[0] == p_lo else (p_lo, mid)
         hists = {small: self.build_histogram(residuals, self.ids[small[0]:small[1]])}
         sums -= hists[small][0]
-        counts -= hists[small][1]
-        hists[large] = sums, counts
+        hists[large] = sums, counts - hists[small][1]
         other = large if lo == small[0] else small
         if other[1] - other[0] >= min_rows:
             self.sibling = (other[0], hists[other])
         return hists[lo, hi]
 
-    def search(self, residuals, lo: int, hi: int, params: GbdtParams) -> Split | None:
+    def search(self, residuals, lo: int, hi: int, params: GbdtParams,
+               total: float | None = None) -> Split | None:
         hist = self._node_histogram(residuals, lo, hi, 2 * params.min_samples_leaf)
         if hist is None:
             return None
         # through the module global, positionally: tracing wraps best_split
         split = best_split(self.features, residuals, self.ids[lo:hi], params, None, None,
-                           _Histogram(*hist, self.low, self.high))
+                           _Histogram(*hist, self.low, self.high), total)
         if split is not None:
             self.open[lo] = hist
         return split
@@ -584,10 +605,6 @@ class _BinnedPartition:
         return mid
 
 
-def _leaf_value(residuals: np.ndarray, rows: np.ndarray, lam: float) -> float:
-    return float(residuals[rows].sum() / (len(rows) + lam))
-
-
 def _grow(part: _Partition | _BinnedPartition, residuals,
           params) -> tuple[RegressionTree, np.ndarray]:
     """Best-first growth over a heap of open leaves (see the module doc)."""
@@ -598,12 +615,13 @@ def _grow(part: _Partition | _BinnedPartition, residuals,
     leaves: dict[int, tuple[int, int]] = {}  # open leaf -> its slice
     heap: list[tuple[float, int, int, Split]] = []
 
-    def open_leaf(lo: int, hi: int, depth: int) -> int:
+    def open_leaf(lo: int, hi: int, depth: int, search: bool = True) -> int:
         node = tb.add()
-        tb.value[node] = _leaf_value(residuals, part.rows(lo, hi), params.reg_lambda)
+        total = residuals[part.rows(lo, hi)].sum()  # the leaf value's and the search's G
+        tb.value[node] = float(total / (hi - lo + params.reg_lambda))
         leaves[node] = (lo, hi)
-        if max_depth is None or depth < max_depth:
-            split = part.search(residuals, lo, hi, params)
+        if search and (max_depth is None or depth < max_depth):
+            split = part.search(residuals, lo, hi, params, float(total))
             if split is not None:
                 key = 0.0 if depthwise else -split.gain
                 heapq.heappush(heap, (key, node, depth, split))
@@ -616,8 +634,10 @@ def _grow(part: _Partition | _BinnedPartition, residuals,
         mid = part.split(lo, hi, split)
         tb.feature[node] = split.feature
         tb.threshold[node] = split.threshold
-        tb.left[node] = open_leaf(lo, mid, depth + 1)
-        tb.right[node] = open_leaf(mid, hi, depth + 1)
+        # the children of the split that reaches max_leaves are never split
+        search = len(leaves) + 2 < max_leaves
+        tb.left[node] = open_leaf(lo, mid, depth + 1, search)
+        tb.right[node] = open_leaf(mid, hi, depth + 1, search)
     leaf_of_row = np.empty(len(residuals), dtype=np.int64)
     for node, (lo, hi) in leaves.items():
         leaf_of_row[part.rows(lo, hi)] = node

@@ -31,6 +31,7 @@ from demcorrect import (
     difference,
     extract_samples,
     fit_gbdt,
+    flag_collinear,
     fractal_dem,
     load_grid,
     save_grid,
@@ -460,6 +461,30 @@ class TestBench:
         for name in ("gbdt-depthwise", "gbdt-leafwise"):
             doc = json.loads((out / f"model_{name}.json").read_text())
             assert doc["params"]["split"] == "hist"
+
+    def test_bench_screens_once(self, tmp_path, monkeypatch):
+        """The MLR is fit on the screen that diagnose wrote, not on a second one."""
+        screens = []
+        monkeypatch.setattr(cli, "flag_collinear",
+                            lambda *a, **k: screens.append(1) or flag_collinear(*a, **k))
+        assert run_cli(*self.bench_args(tmp_path / "bench"), "--model", "mlr") == 0
+        assert len(screens) == 1
+
+    def test_closed_stdout_exits_141_silently(self, tmp_path):
+        """A reader that leaves before bench prints (``bench | head -n 1``):
+        exit 141, nothing on stderr, every file written, none ``.partial``."""
+        args = [str(a) for a in self.bench_args(tmp_path / "bench")] + ["--model", "mlr"]
+        assert run_cli(*args[:2], tmp_path / "whole", *args[3:]) == 0
+        proc = subprocess.Popen([sys.executable, "-m", "demcorrect", *args],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": TestImportPath.SRC})
+        proc.stdout.close()  # the read end: bench's first write fails
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert stderr == b""
+        names = sorted(p.name for p in (tmp_path / "bench").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "whole").iterdir())
+        assert not [n for n in names if n.endswith(".partial")]
 
     def test_report_text_has_five_strata_rows(self, tmp_path):
         out = tmp_path / "bench"

@@ -6,18 +6,29 @@ and puts each threshold at the same midpoint. Only the order in which the
 residuals are summed differs, so the two may choose differently only where
 the best gain is tied with another cut, or with no split, within rounding.
 The histogram of a node taken by subtraction must equal the one built from
-its rows, and the partition must send each row where the tree routes it.
+its rows, in every tree of a fit, and the partition must send each row
+where the tree routes it.
 """
 
+import heapq
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from demcorrect import GbdtParams, best_split
-from demcorrect.gbdt import MAX_BINS, _bin_table, _BinnedPartition, _grow
+import demcorrect.gbdt as gbdt
+from demcorrect import GbdtParams, SampleTable, best_split, fit_gbdt, serialize_model
+from demcorrect.gbdt import (
+    MAX_BINS,
+    _bin_table,
+    _BinnedPartition,
+    _grow,
+    _Partition,
+    _TreeBuilder,
+)
 
 FLOATS = st.floats(-1e3, 1e3, allow_nan=False, width=64)
 # ties within this share of the node's sum of squared residuals, which
@@ -193,3 +204,89 @@ def test_bins_bracket_the_table(X):
         assert np.all(high[f, :n_bins - 1] < low[f, 1:n_bins])
         assert np.isin(low[f, :n_bins], values).all() and np.isin(high[f, :n_bins], values).all()
         assert high[f, n_bins - 1] == values[-1]
+
+
+@pytest.mark.parametrize("growth", ["depthwise", "leafwise"])
+@pytest.mark.parametrize("seed", range(3))
+def test_histograms_hold_in_every_tree_of_a_fit(monkeypatch, growth, seed):
+    """Every tree's root holds every row, so the fit counts its rows once;
+    its counts must come out of every tree unchanged, or the next tree's
+    root and the larger children under it would be counted wrong."""
+    rng = np.random.default_rng(seed)
+    n = 500
+    X = np.column_stack([rng.integers(0, 12, n), rng.normal(size=n) * 10,
+                         np.round(rng.normal(size=n), 1)])
+    y = np.sin(X[:, 0]) + X[:, 1] / 10 + rng.normal(size=n) * 0.1
+    table = SampleTable(("a", "b", "c"), np.zeros((n, 2)), X, y)
+    params = GbdtParams(n_trees=4, learning_rate=0.5, growth=growth, max_depth=4,
+                        max_leaves=9, split="hist")
+    want = serialize_model(fit_gbdt(table, params))
+    parts = []
+
+    def checked(features):
+        parts.append(CheckedPartition(features))
+        return parts[-1]
+
+    monkeypatch.setattr(gbdt, "_BinnedPartition", checked)
+    model = fit_gbdt(table, params)
+    assert len(model.trees) == 4 and serialize_model(model) == want
+    # each tree built its root, whose counts are the fit's, and subtracted
+    assert len(parts) == 1 and parts[0].checked > parts[0].built >= 4
+
+
+def grow_searching_every_child(part, residuals, params):
+    """Leafwise growth that also searches the children of the split that
+    reaches ``max_leaves``, which the grower skips."""
+    tb = _TreeBuilder()
+    leaves, heap = {}, []
+
+    def open_leaf(lo, hi):
+        node = tb.add()
+        tb.value[node] = float(residuals[part.rows(lo, hi)].sum() / (hi - lo + params.reg_lambda))
+        leaves[node] = (lo, hi)
+        split = part.search(residuals, lo, hi, params)
+        if split is not None:
+            heapq.heappush(heap, (-split.gain, node, split))
+        return node
+
+    open_leaf(0, len(residuals))
+    while heap and len(leaves) < params.max_leaves:
+        _, node, split = heapq.heappop(heap)
+        lo, hi = leaves.pop(node)
+        mid = part.split(lo, hi, split)
+        tb.feature[node], tb.threshold[node] = split.feature, split.threshold
+        tb.left[node] = open_leaf(lo, mid)
+        tb.right[node] = open_leaf(mid, hi)
+    return tb.finish()
+
+
+class CountedPartition:
+    """Counts a partition's split searches."""
+
+    def __init__(self, part):
+        self.part, self.searches = part, 0
+
+    def search(self, *args):
+        self.searches += 1
+        return self.part.search(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.part, name)
+
+
+@pytest.mark.parametrize("split", ["exact", "hist"])
+def test_leafwise_skips_only_searches_it_never_reads(split):
+    rng = np.random.default_rng(8)
+    X = np.column_stack([rng.normal(size=400), rng.integers(0, 30, 400)])
+    res = np.sin(X[:, 0] * 2) + np.cos(X[:, 1] / 3) + rng.normal(size=400) * 0.1
+    partition = _Partition if split == "exact" else _BinnedPartition
+    for max_leaves in range(2, 17):
+        params = GbdtParams(growth="leafwise", max_leaves=max_leaves, split=split)
+        every = CountedPartition(partition(X).reset())
+        want = grow_searching_every_child(every, res, params)
+        part = CountedPartition(partition(X).reset())
+        tree, _ = _grow(part, res, params)
+        assert tree.n_leaves == max_leaves
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(tree, name).tobytes() == getattr(want, name).tobytes(), name
+        assert part.searches == every.searches - 2

@@ -111,3 +111,28 @@ def test_linear_document_roundtrip_predicts_same_bits(data):
     back = LinearModel.from_doc(through_json(doc))
     assert_same_bits(back.predict_rows(X), model.predict_rows(X))
     assert back.to_doc() == doc
+
+
+def layouts(X: np.ndarray) -> list[np.ndarray]:
+    """The values of ``X`` C-ordered, F-ordered, and as two strided views."""
+    wide = np.zeros((2 * len(X), 2 * X.shape[1] + 1))
+    wide[::2, 1::2] = X
+    reversed_rows = np.asfortranarray(X[::-1])[::-1]
+    out = [np.ascontiguousarray(X), np.asfortranarray(X), wide[::2, 1::2], reversed_rows]
+    assert [a.flags.c_contiguous for a in out] == [True, X.shape[1] == 1 or len(X) == 1,
+                                                   False, False]
+    assert out[1].flags.f_contiguous
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(fits(split="hist"), st.data())
+def test_predictions_do_not_depend_on_the_matrix_layout(case, data):
+    table, params, X = case
+    n_features = X.shape[1]
+    linear = LinearModel(table.feature_names, data.draw(FLOATS),
+                         data.draw(hnp.arrays(np.float64, n_features, elements=FLOATS)), 0.5, 1.0)
+    for model in (fit_gbdt(table, params), linear):
+        want = model.predict_rows(X)
+        for view in layouts(X):
+            assert_same_bits(model.predict_rows(view), want)
