@@ -379,7 +379,6 @@ def _gbdt_params(cfg: dict, growth: str) -> GbdtParams:
         min_gain=float(g["min_gain"]),
         reg_lambda=float(g["lambda"]),
         seed=_integral(g["seed"]),
-        split="hist",
     )
 
 

@@ -9,7 +9,7 @@ leaf is split first, until the tree has ``max_leaves`` leaves (the growth
 policies of XGBoost; leafwise is LightGBM's default); the children of the
 split that brings it there are not searched, since none of them is split.
 A node's residuals are summed once, for its value and its search's G.
-Both split searches score a cut with the regularized gain
+Split search scores a cut with the regularized gain
 
     G_L^2/(n_L + lambda) + G_R^2/(n_R + lambda) - G^2/(n + lambda)
 
@@ -19,37 +19,20 @@ ensemble prediction is base_score + learning_rate * sum of leaf values.
 Training is deterministic for a fixed table, parameter set, and row order.
 Ties between cuts break to the lower feature index, then the lower cut.
 
-``split="exact"`` searches every gap between distinct sorted values. Each
-feature column is sorted once per fit, as in the exact greedy algorithm
-over presorted column blocks (Chen & Guestrin, KDD 2016, 4.1). The result
-is an ``(F+1, n)`` index buffer in a data-partition layout (LightGBM, Ke
-et al., NeurIPS 2017): row f lists the row ids in ascending order of
-feature f, ties by row id, and the last row is ``arange(n)``. Every tree
-works on a copy of it in which each node owns a column slice ``[lo, hi)``.
-Splitting a node stably moves its left rows to the front of its slice in
-every buffer row, so each node's block stays sorted per feature, its last
-row lists its rows in ascending order, and split search scans a node
-without sorting anything. A feature whose values never repeat in the
-table never repeats in a node, so split search compares adjacent sorted
-values only for features with ties; in the others every adjacent pair is
-a candidate threshold. Splitting a node reads no column: the node's rows
-in order of the split feature send a prefix left, whose length a binary
-search finds.
-
-``split="hist"`` searches cuts between at most 255 bins per feature, as
-XGBoost ``hist`` and LightGBM train by default. Each feature is binned
-once per fit: one bin per distinct value when there are at most 255,
-otherwise quantile bins whose upper edges are table values. The codes are
-an ``(n, F)`` ``uint8`` array. A node's histogram holds the residual sum
-and the row count of every (feature, bin); a cut after bin b is scored
-from the prefix sums over bins. Every tree's root holds every row, so its
-counts are taken once per fit and only its residual sums once per tree,
-one column at a time. Only the smaller child of a split has its
-histogram built from its rows; the larger one's is its parent's minus
-the smaller's, and a child that will not be searched gets none. The
-threshold of a cut is the midpoint of the largest table value in bin b
-and the smallest one in the node's next non-empty bin, so when every
-distinct value has its own bin the thresholds are those of exact search.
+Split search runs over at most 255 bins per feature, as XGBoost ``hist``
+and LightGBM train by default. Each feature is binned once per fit: one
+bin per distinct value when there are at most 255, otherwise quantile bins
+whose upper edges are table values. The codes are an ``(n, F)`` ``uint8``
+array. A node's histogram holds the residual sum and the row count of
+every (feature, bin); a cut after bin b is scored from the prefix sums
+over bins. Every tree's root holds every row, so its counts are taken once
+per fit and only its residual sums once per tree, one column at a time.
+Only the smaller child of a split has its histogram built from its rows;
+the larger one's is its parent's minus the smaller's, and a child that
+will not be searched gets none. The threshold of a cut is the midpoint of
+the largest table value in bin b and the smallest one in the node's next
+non-empty bin, so when every distinct value has its own bin the thresholds
+are those of exact greedy search over every gap between distinct values.
 Each tree holds one array of row ids in which each node owns a slice, in
 ascending order; a split moves that one array.
 """
@@ -81,7 +64,6 @@ __all__ = [
 
 MODEL_FORMAT = "gbdt-model"
 MODEL_VERSION = 1
-SPLITS = ("exact", "hist")
 MAX_BINS = 255  # per feature, so that a bin code fits a uint8
 
 
@@ -96,12 +78,11 @@ class GbdtParams:
     ``growth`` picks the order in which the grower splits open leaves:
     "depthwise" is level order, capped by ``max_depth`` (None = unbounded);
     "leafwise" is largest gain first, capped by ``max_leaves``. Each cap
-    applies to its own growth only. ``split`` picks the split search (see
-    the module doc): "exact" over every distinct value, the reference and
-    the default here, or "hist" over at most 255 bins per feature, which
-    every fit of the command-line pipeline uses. Model documents
-    record ``split`` only for "hist". ``seed`` is recorded in the model
-    document but unused: training has no random step.
+    applies to its own growth only. ``seed`` is recorded in the model
+    document but unused: training has no random step. Documents record
+    ``"split": "hist"``, the one split search (see the module doc); one
+    that records "exact", or no split as earlier versions wrote, still
+    loads, since prediction does not depend on how the trees were found.
     """
 
     n_trees: int = 100
@@ -113,7 +94,6 @@ class GbdtParams:
     min_gain: float = 0.0
     reg_lambda: float = 1.0
     seed: int = 0
-    split: str = "exact"
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -132,11 +112,9 @@ class GbdtParams:
             raise ValueError("min_gain must be >= 0")
         if not (self.reg_lambda >= 0):
             raise ValueError("lambda must be >= 0")
-        if self.split not in SPLITS:
-            raise ValueError("split must be 'exact' or 'hist'")
 
     def to_doc(self) -> dict:
-        doc = {
+        return {
             "n_trees": self.n_trees,
             "learning_rate": self.learning_rate,
             "growth": self.growth,
@@ -146,13 +124,13 @@ class GbdtParams:
             "min_gain": self.min_gain,
             "lambda": self.reg_lambda,
             "seed": self.seed,
+            "split": "hist",
         }
-        if self.split != "exact":  # exact documents keep their bytes
-            doc["split"] = self.split
-        return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "GbdtParams":
+        if doc.get("split", "hist") not in ("exact", "hist"):
+            raise ValueError("split must be 'exact' or 'hist'")
         return cls(
             n_trees=int(doc["n_trees"]),
             learning_rate=float(doc["learning_rate"]),
@@ -163,17 +141,16 @@ class GbdtParams:
             min_gain=float(doc["min_gain"]),
             reg_lambda=float(doc["lambda"]),
             seed=int(doc["seed"]),
-            split=doc.get("split", "exact"),
         )
 
 
 class Split(NamedTuple):
-    """A node's best cut; ``last_bin`` is the last bin sent left (hist search only)."""
+    """A node's best cut; ``last_bin`` is the last bin of the fit's binning sent left."""
 
     feature: int
     threshold: float
     gain: float
-    last_bin: int = -1
+    last_bin: int
 
 
 class _Histogram(NamedTuple):
@@ -277,61 +254,38 @@ def best_split(
     residuals: np.ndarray,
     node_rows: np.ndarray,
     params: GbdtParams,
-    order: np.ndarray | None = None,
-    tied: list[int] | None = None,
-    histogram: _Histogram | None = None,
+    histogram: _Histogram,
     total: float | None = None,
 ) -> Split | None:
-    """The best split of a node's rows, by exact greedy search or from bins.
+    """The best cut between the non-empty bins of a node's ``histogram``.
 
-    Exact search scores every midpoint between distinct values of every
-    feature. ``order`` is an optional ``(F, m)`` block whose row f lists the
-    node's rows in ascending order of feature f, ties by row id; without it
-    the rows are sorted here (stably, ties by position in ``node_rows``).
-    ``tied`` lists the features whose values may repeat among the rows
-    (None: every feature). Only those need their sorted values compared:
-    in any other feature every adjacent pair of sorted rows is a candidate.
-
-    With the node's ``histogram`` the search scores the cuts between its
-    non-empty bins instead (see the module doc) and reads neither
-    ``features``, ``order`` nor ``tied``. ``total`` is the sum of the
-    node's residuals in ``node_rows`` order, if the caller has it.
+    ``features`` is the fit's table, which the histogram bins, and
+    ``node_rows`` the node's rows in it: of both, the search reads only the
+    number of rows. ``total`` is the sum of the node's residuals in
+    ``node_rows`` order; when None it is summed from ``residuals``. With
+    ``reg_lambda`` 0, a cut before the first or after the last non-empty
+    bin divides by 0 and is then ruled out: the caller ignores those
+    warnings, as :func:`fit_gbdt` does once per fit.
 
     Returns None when the best gain does not exceed ``min_gain`` or every
-    candidate would violate ``min_samples_leaf``. Ties break to the lower
-    feature index, then the lower threshold.
+    cut would violate ``min_samples_leaf``. Ties break to the lower feature
+    index, then the lower bin.
     """
-    rows = np.asarray(node_rows)
-    m = len(rows)
-    if m < 2 * params.min_samples_leaf:
-        return None
-    # G in node_rows order: summing in sorted order moves gains by an ulp
+    m = len(node_rows)
     if total is None:
-        total = float(residuals[rows].sum())
-    if histogram is not None:
-        return _best_cut(histogram, total, m, params)
-
-    if order is None:
-        order = rows[np.argsort(features[rows], axis=0, kind="stable")].T
-    n_features = features.shape[1]
-    prefix = residuals[order]
-    np.cumsum(prefix, axis=1, out=prefix)
-    gains = _gains(prefix[:, :-1], np.arange(1, m), total, m, params.reg_lambda)
-    # rule out a threshold between equal values, or one that leaves a child
-    # fewer than min_samples_leaf rows
-    for f in range(n_features) if tied is None else tied:
-        xs = features[order[f], f]
-        np.putmask(gains[f], ~(xs[1:] > xs[:-1]), -np.inf)
-    gains[:, :params.min_samples_leaf - 1] = -np.inf
-    gains[:, m - params.min_samples_leaf:] = -np.inf
-    at = np.argmax(gains, axis=1)  # first max per feature = lowest threshold
-    feature_gain = gains[np.arange(n_features), at]
-    f = int(np.argmax(feature_gain))  # first max = lowest feature index
-    gain = float(feature_gain[f])
-    if not (gain > params.min_gain):  # also None when no candidate was valid
+        total = float(residuals[node_rows].sum())
+    sums, counts, low, high = histogram
+    min_leaf = params.min_samples_leaf
+    n_left = np.cumsum(counts, axis=1)
+    gains = _gains(np.cumsum(sums, axis=1), n_left, total, m, params.reg_lambda)
+    # a cut after bin b needs rows in b and min_samples_leaf on each side
+    np.putmask(gains, (counts == 0) | (n_left < min_leaf) | (n_left > m - min_leaf), -np.inf)
+    f, b = divmod(int(np.argmax(gains)), 256)  # first max: lowest feature, then bin
+    gain = float(gains[f, b])
+    if not (gain > params.min_gain):  # also None when no cut was valid
         return None
-    lo, hi = features[order[f, at[f]], f], features[order[f, at[f] + 1], f]
-    return Split(f, _threshold(lo, hi), gain)
+    upper = b + 1 + int(np.argmax(counts[f, b + 1:] > 0))  # the next non-empty bin
+    return Split(f, _threshold(high[f, b], low[f, upper]), gain, b)
 
 
 def _gains(left: np.ndarray, n_left, total: float, m: int, lam: float) -> np.ndarray:
@@ -351,25 +305,6 @@ def _gains(left: np.ndarray, n_left, total: float, m: int, lam: float) -> np.nda
     return gains
 
 
-def _best_cut(histogram: _Histogram, total: float, m: int, params: GbdtParams) -> Split | None:
-    """Hist search of :func:`best_split` over a node of ``m`` rows."""
-    sums, counts, low, high = histogram
-    min_leaf = params.min_samples_leaf
-    n_left = np.cumsum(counts, axis=1)
-    # with lambda 0, a cut before the first or after the last non-empty bin
-    # divides by 0; the mask below rules those cuts out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = _gains(np.cumsum(sums, axis=1), n_left, total, m, params.reg_lambda)
-    # a cut after bin b needs rows in b and min_samples_leaf on each side
-    np.putmask(gains, (counts == 0) | (n_left < min_leaf) | (n_left > m - min_leaf), -np.inf)
-    f, b = divmod(int(np.argmax(gains)), 256)  # first max: lowest feature, then bin
-    gain = float(gains[f, b])
-    if not (gain > params.min_gain):  # also None when no cut was valid
-        return None
-    upper = b + 1 + int(np.argmax(counts[f, b + 1:] > 0))  # the next non-empty bin
-    return Split(f, _threshold(high[f, b], low[f, upper]), gain, b)
-
-
 def _threshold(lo: np.float64, hi: np.float64) -> float:
     """The cut between the values ``lo < hi``: their midpoint, or ``lo``."""
     threshold = float((lo + hi) / 2)
@@ -385,8 +320,7 @@ class _TreeBuilder:
     """Accumulates nodes in creation order; children follow their parent.
 
     It holds the tree only: a node's rows are its slice of the fit's
-    :class:`_Partition` or :class:`_BinnedPartition`, which the grower
-    tracks next to the node id.
+    :class:`_BinnedPartition`, which the grower tracks next to the node id.
     """
 
     def __init__(self):
@@ -412,70 +346,6 @@ class _TreeBuilder:
             np.array(self.right, dtype=np.int64),
             np.array(self.value, dtype=np.float64),
         )
-
-
-def _presort(features: np.ndarray) -> np.ndarray:
-    """The ``(F+1, n)`` partition buffer of a whole table (see module doc)."""
-    n, n_features = features.shape
-    buf = np.empty((n_features + 1, n), dtype=np.intp)
-    for f in range(n_features):
-        buf[f] = np.argsort(features[:, f], kind="stable")
-    buf[n_features] = np.arange(n)
-    return buf
-
-
-class _Partition:
-    """The fit's presorted buffer and the work copy that each tree splits."""
-
-    def __init__(self, features: np.ndarray):
-        self.features = features
-        self.presorted = _presort(features)
-        # a feature without ties in the table has none in any node
-        self.tied = []
-        for f, order in enumerate(self.presorted[:-1]):
-            xs = features[order, f]
-            if not (xs[1:] > xs[:-1]).all():
-                self.tied.append(f)
-        self.buf = np.empty_like(self.presorted)
-        self.go_left = np.empty(len(features), dtype=bool)  # indexed by row id
-
-    def reset(self) -> "_Partition":
-        """Start a tree: one slice ``[0, n)`` holding the whole table."""
-        np.copyto(self.buf, self.presorted)
-        return self
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        return self.buf[-1, lo:hi]
-
-    def search(self, residuals, lo: int, hi: int, params: GbdtParams,
-               total: float | None = None) -> Split | None:
-        # through the module global, positionally: tracing wraps best_split
-        return best_split(self.features, residuals, self.buf[-1, lo:hi], params,
-                          self.buf[:-1, lo:hi], self.tied, None, total)
-
-    def split(self, lo: int, hi: int, split: Split) -> int:
-        """Stably reorder ``[lo, hi)`` left rows first; returns the boundary."""
-        block = self.buf[:, lo:hi]
-        # the rows in order of the split feature go left up to the first
-        # value above the threshold (NaN sorts last and goes right)
-        order, column = block[split.feature], self.features[:, split.feature]
-        n_left, above = 0, hi - lo
-        while n_left < above:
-            mid = (n_left + above) // 2
-            if column[order[mid]] <= split.threshold:
-                n_left = mid + 1
-            else:
-                above = mid
-        self.go_left[order[:n_left]] = True
-        self.go_left[order[n_left:]] = False
-        go_left = self.go_left[block].ravel()
-        # compress, not boolean indexing: several times faster on int arrays
-        flat = block.ravel()
-        left = flat.compress(go_left)
-        right = flat.compress(~go_left)
-        block[:, :n_left] = left.reshape(len(block), n_left)
-        block[:, n_left:] = right.reshape(len(block), -1)
-        return lo + n_left
 
 
 def _bin_table(features: np.ndarray):
@@ -586,7 +456,7 @@ class _BinnedPartition:
         if hist is None:
             return None
         # through the module global, positionally: tracing wraps best_split
-        split = best_split(self.features, residuals, self.ids[lo:hi], params, None, None,
+        split = best_split(self.features, residuals, self.ids[lo:hi], params,
                            _Histogram(*hist, self.low, self.high), total)
         if split is not None:
             self.open[lo] = hist
@@ -605,8 +475,7 @@ class _BinnedPartition:
         return mid
 
 
-def _grow(part: _Partition | _BinnedPartition, residuals,
-          params) -> tuple[RegressionTree, np.ndarray]:
+def _grow(part: _BinnedPartition, residuals, params) -> tuple[RegressionTree, np.ndarray]:
     """Best-first growth over a heap of open leaves (see the module doc)."""
     depthwise = params.growth == "depthwise"
     max_depth = params.max_depth if depthwise else None
@@ -651,7 +520,7 @@ def fit_gbdt(train: SampleTable, params: GbdtParams | None = None,
     The base score is the mean target; each tree fits the current residuals
     and shifts predictions by learning_rate times its leaf values. Training
     stops early once a tree finds no split and adds nothing. The table is
-    presorted (``params.split == "exact"``) or binned ("hist") once per fit.
+    binned once per fit.
     """
     params = params or GbdtParams()
     if len(train) == 0:
@@ -661,18 +530,20 @@ def fit_gbdt(train: SampleTable, params: GbdtParams | None = None,
 
     base = float(y.mean())
     pred = np.full(len(y), base)
-    part = _Partition(X) if params.split == "exact" else _BinnedPartition(X)
+    part = _BinnedPartition(X)
 
     trees: list[RegressionTree] = []
     rmse = [float(np.sqrt(np.mean((y - pred) ** 2)))]
-    for _ in range(params.n_trees):
-        residuals = y - pred
-        tree, leaf_of_row = _grow(part.reset(), residuals, params)
-        if tree.n_nodes == 1 and tree.value[0] == 0.0:
-            break  # converged: no split and a zero root value changes nothing
-        trees.append(tree)
-        pred = pred + params.learning_rate * tree.value[leaf_of_row]
-        rmse.append(float(np.sqrt(np.mean((y - pred) ** 2))))
+    # best_split's division by 0 under lambda 0 (see there), once per fit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(params.n_trees):
+            residuals = y - pred
+            tree, leaf_of_row = _grow(part.reset(), residuals, params)
+            if tree.n_nodes == 1 and tree.value[0] == 0.0:
+                break  # converged: no split and a zero root value changes nothing
+            trees.append(tree)
+            pred = pred + params.learning_rate * tree.value[leaf_of_row]
+            rmse.append(float(np.sqrt(np.mean((y - pred) ** 2))))
 
     return GbdtModel(base, tuple(trees), params, train.feature_names,
                      tuple(rmse), name)

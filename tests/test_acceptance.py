@@ -169,12 +169,10 @@ def test_criterion_5_gbdt_exact_fit_and_monotonicity(scenario_a, scenario_b):
     y = rng.normal(size=64)
     cells = np.column_stack([np.arange(64), np.zeros(64, dtype=int)])
     table = SampleTable(("a", "b", "c"), cells, X, y)
-    exact = {}
-    for split in ("exact", "hist"):  # both split searches
-        params = GbdtParams(n_trees=1, learning_rate=1.0, reg_lambda=0.0,
-                            max_depth=None, min_samples_leaf=1, split=split)
-        exact[split] = fit_gbdt(table, params).train_rmse[-1]
-        assert exact[split] < 1e-10, f"{split} exact-fit training RMSE {exact[split]:.2e}"
+    params = GbdtParams(n_trees=1, learning_rate=1.0, reg_lambda=0.0,
+                        max_depth=None, min_samples_leaf=1)
+    exact = fit_gbdt(table, params).train_rmse[-1]
+    assert exact < 1e-10, f"exact-fit training RMSE {exact:.2e}"
 
     checked = 0
     for out, _ in (scenario_a, scenario_b):
@@ -184,8 +182,7 @@ def test_criterion_5_gbdt_exact_fit_and_monotonicity(scenario_a, scenario_b):
             assert len(curve) > 1
             assert np.all(np.diff(curve) <= 1e-12), f"{name} loss increased"
             checked += 1
-    print(f"ACCEPTANCE 5: PASS — exact-fit RMSE {exact['exact']:.1e} (exact search), "
-          f"{exact['hist']:.1e} (hist search) < 1e-10; "
+    print(f"ACCEPTANCE 5: PASS — exact-fit RMSE {exact:.1e} < 1e-10; "
           f"{checked} training curves non-increasing")
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from demcorrect import (
     serialize_model,
     split_table,
 )
+from demcorrect.gbdt import _BinnedPartition, _Histogram
 
 
 def table_from(X, y, names=None):
@@ -55,17 +57,26 @@ def split_oracle(X, res, rows, params):
     return best
 
 
+def hist_split(X, res, rows, params):
+    """``best_split`` on the histogram of ``rows``, as the grower calls it."""
+    part = _BinnedPartition(X)
+    rows = np.asarray(rows)
+    hist = _Histogram(*part.build_histogram(res, rows), part.low, part.high)
+    with np.errstate(divide="ignore", invalid="ignore"):  # as fit_gbdt under lambda 0
+        return best_split(X, res, rows, params, hist)
+
+
 class TestBestSplit:
     def test_pure_node_no_split(self):
         X = np.array([[1.0], [2.0], [3.0]])
         res = np.array([2.0, 2.0, 2.0])
-        assert best_split(X, res, np.arange(3), GbdtParams(reg_lambda=0.0)) is None
+        assert hist_split(X, res, np.arange(3), GbdtParams(reg_lambda=0.0)) is None
 
     def test_hand_enumerated_step(self):
         # oracle: 3 candidates; t=2.5 gives 4/2 + 4/2 - 0 = 4
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         res = np.array([-1.0, -1.0, 1.0, 1.0])
-        s = best_split(X, res, np.arange(4), GbdtParams(reg_lambda=0.0))
+        s = hist_split(X, res, np.arange(4), GbdtParams(reg_lambda=0.0))
         assert s.feature == 0
         assert s.threshold == pytest.approx(2.5)
         assert s.gain == pytest.approx(4.0)
@@ -74,22 +85,22 @@ class TestBestSplit:
         x = np.array([1.0, 2.0, 3.0, 4.0])
         X = np.column_stack([x, x])
         res = np.array([-1.0, -1.0, 1.0, 1.0])
-        s = best_split(X, res, np.arange(4), GbdtParams(reg_lambda=0.0))
+        s = hist_split(X, res, np.arange(4), GbdtParams(reg_lambda=0.0))
         assert s.feature == 0
 
     def test_min_samples_leaf_respected(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         res = np.array([-9.0, 1.0, 1.0, 1.0])
-        s = best_split(X, res, np.arange(4), GbdtParams(reg_lambda=0.0, min_samples_leaf=2))
+        s = hist_split(X, res, np.arange(4), GbdtParams(reg_lambda=0.0, min_samples_leaf=2))
         assert s.threshold == pytest.approx(2.5)  # 1.5 and 3.5 are ruled out
 
     def test_min_gain_gate(self):
         X = np.array([[1.0], [2.0]])
         res = np.array([0.0, 1.0])
         p0 = GbdtParams(reg_lambda=0.0, min_gain=0.0)
-        assert best_split(X, res, np.arange(2), p0) is not None
+        assert hist_split(X, res, np.arange(2), p0) is not None
         p_high = GbdtParams(reg_lambda=0.0, min_gain=10.0)
-        assert best_split(X, res, np.arange(2), p_high) is None
+        assert hist_split(X, res, np.arange(2), p_high) is None
 
     def test_matches_exhaustive_oracle(self):
         for seed in range(8):
@@ -98,7 +109,7 @@ class TestBestSplit:
             res = rng.normal(size=25)
             rows = np.sort(rng.choice(25, size=18, replace=False))
             params = GbdtParams(reg_lambda=float(rng.uniform(0, 2)))
-            got = best_split(X, res, rows, params)
+            got = hist_split(X, res, rows, params)
             want = split_oracle(X, res, rows, params)
             assert (got is None) == (want is None)
             if got:
@@ -114,7 +125,7 @@ class TestBestSplit:
         leave one child empty (its value 0/0 under lambda 0)."""
         X = np.array([[lo], [lo], [hi], [hi]])
         res = np.array([-1.0, -1.0, 1.0, 1.0])
-        s = best_split(X, res, np.arange(4), GbdtParams(reg_lambda=0.0))
+        s = hist_split(X, res, np.arange(4), GbdtParams(reg_lambda=0.0))
         assert lo <= s.threshold < hi
         model = fit_gbdt(table_from(X, res),
                          GbdtParams(n_trees=1, learning_rate=1.0, reg_lambda=0.0))
@@ -123,11 +134,20 @@ class TestBestSplit:
     def test_subset_rows_only(self):
         X = np.array([[1.0], [2.0], [100.0], [200.0]])
         res = np.array([0.0, 0.0, -5.0, 5.0])
-        s = best_split(X, res, np.array([2, 3]), GbdtParams(reg_lambda=0.0))
+        s = hist_split(X, res, np.array([2, 3]), GbdtParams(reg_lambda=0.0))
         assert s.threshold == pytest.approx(150.0)
 
 
 class TestFit:
+    def test_lambda_0_fit_warns_of_nothing(self, rng):
+        """Under lambda 0 every search divides by 0 in cuts it rules out;
+        the fit must not let numpy warn of it."""
+        t = table_from(rng.normal(size=(50, 2)), rng.normal(size=50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_gbdt(t, GbdtParams(n_trees=3, growth="leafwise", reg_lambda=0.0))
+        assert len(model.trees) == 3
+
     def test_constant_target_exact(self, rng):
         X = rng.normal(size=(20, 2))
         m = fit_gbdt(table_from(X, np.full(20, 7.0)), GbdtParams(n_trees=5))
@@ -417,18 +437,19 @@ class TestParams:
         assert GbdtParams.from_doc(json.loads(json.dumps(p.to_doc()))) == p
 
     def test_split_written_only_for_hist(self):
-        exact, hist = GbdtParams(), GbdtParams(split="hist")
-        assert "split" not in exact.to_doc()
-        assert hist.to_doc()["split"] == "hist"
-        for p in (exact, hist):
-            assert GbdtParams.from_doc(json.loads(json.dumps(p.to_doc()))) == p
-        with pytest.raises(ValueError, match="split must be 'exact' or 'hist'"):
-            GbdtParams(split="approx")
+        """Every document records the one split search, hist; those of exact
+        search, with "exact" or without the key, read back alike."""
+        p = GbdtParams()
+        doc = json.loads(json.dumps(p.to_doc()))
+        assert doc["split"] == "hist"
+        legacy = {k: v for k, v in doc.items() if k != "split"}
+        for d in (doc, legacy, {**legacy, "split": "exact"}):
+            assert GbdtParams.from_doc(d) == p
 
     @pytest.mark.parametrize("split", ["approx", None, 1])
     def test_unknown_split_refused(self, rng, split):
         t = table_from(rng.normal(size=(20, 2)), rng.normal(size=20))
-        doc = serialize_model(fit_gbdt(t, GbdtParams(n_trees=2, split="hist")))
+        doc = serialize_model(fit_gbdt(t, GbdtParams(n_trees=2)))
         doc["params"]["split"] = split
         with pytest.raises(ModelFormatError, match="split must be 'exact' or 'hist'"):
             deserialize_model(doc)

@@ -1,15 +1,20 @@
-"""Golden digests of fitted GBDT documents.
+"""Golden digests of GBDT documents fitted with exact split search.
 
-Each case fits ``fit_gbdt`` on a seeded table of about 2,000 rows by 11
-features whose values are rounded so that ties are common, then pins the
-sha256 of the canonical JSON of ``serialize_model``. Any change to split
-search, partitioning or leaf arithmetic that moves a single bit of a
-threshold, a leaf value or the training RMSE trace changes the digest.
+Each case fits ``exact_oracle.fit_exact`` on a seeded table of about 2,000
+rows by 11 features whose values are rounded so that ties are common, then
+pins the sha256 of the canonical JSON of ``serialize_model``. Any change to
+the exact reference, or to the grower, leaf arithmetic or document layout
+it shares with the library's histogram search (``test_gbdt_hist_golden.py``),
+that moves a single bit of a threshold, a leaf value or the training RMSE
+trace changes the digest. Exact search was the library's own when these
+pins were taken, and its documents recorded no ``params.split``, so they
+are digested without it.
 
-The first six pins were taken with the per-node sorting split search that
-preceded the presorted engine, so they also witness that the two produce
-byte-identical models. The last two were taken when each growth still had
-its own grower loop, before both moved onto one best-first grower.
+The first six pins were taken with a per-node sorting search like the
+oracle's, before the library presorted each fit's table, so they witness
+that the two produce byte-identical models. The last two were taken when
+each growth still had its own grower loop, before both moved onto one
+best-first grower.
 
 Every column of that table has ties. ``TIE_FREE_CASES`` fit tables whose
 columns are continuous, all of them or some, and ``PREDICTION_PINS`` pin
@@ -25,7 +30,8 @@ import json
 import numpy as np
 import pytest
 
-from demcorrect import GbdtParams, SampleTable, fit_gbdt, serialize_model
+from demcorrect import GbdtParams, SampleTable, serialize_model
+from exact_oracle import fit_exact
 
 N_ROWS = 2000
 N_FEATURES = 11
@@ -73,8 +79,19 @@ def has_ties(column: np.ndarray) -> bool:
 
 
 def model_digest(model) -> str:
-    canon = json.dumps(serialize_model(model), sort_keys=True)
+    return document_digest(serialize_model(model))
+
+
+def document_digest(doc: dict) -> str:
+    canon = json.dumps(doc, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def exact_digest(model) -> str:
+    """The digest of the document as exact search wrote it, without ``split``."""
+    doc = serialize_model(model)
+    del doc["params"]["split"]
+    return document_digest(doc)
 
 
 CASES = {
@@ -147,7 +164,7 @@ def fitted(case: str):
         table, (params, _) = "tied", CASES[case]
     else:
         table, params, _ = TIE_FREE_CASES[case]
-    return fit_gbdt(TABLES[table](), params)
+    return fit_exact(TABLES[table](), params)
 
 
 def held_out(model) -> np.ndarray:
@@ -190,8 +207,8 @@ PREDICTION_PINS = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_model_document_digest(case):
     params, pinned = CASES[case]
-    model = fit_gbdt(golden_table(seed=20240617), params)
-    assert model_digest(model) == pinned
+    model = fit_exact(golden_table(seed=20240617), params)
+    assert exact_digest(model) == pinned
 
 
 def test_tables_tie_as_named():
@@ -203,7 +220,7 @@ def test_tables_tie_as_named():
 
 @pytest.mark.parametrize("case", sorted(TIE_FREE_CASES))
 def test_tie_free_model_document_digest(case):
-    assert model_digest(fitted(case)) == TIE_FREE_CASES[case][2]
+    assert exact_digest(fitted(case)) == TIE_FREE_CASES[case][2]
 
 
 @pytest.mark.parametrize("case", sorted(PREDICTION_PINS))

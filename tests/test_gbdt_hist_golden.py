@@ -5,7 +5,7 @@ with at most 255 distinct values, so one bin per value), no column tied
 (255 quantile bins per column), and a mix of both. Any change to binning,
 histogram building or subtraction, cut scoring or thresholds that moves a
 single bit of a document changes its digest. The pins were taken when the
-hist mode was added.
+hist mode was added beside exact search, which was then the default.
 """
 
 import pytest
@@ -14,8 +14,8 @@ from demcorrect import GbdtParams, fit_gbdt, serialize_model
 from test_gbdt_golden import TABLES, model_digest
 
 GROWTHS = {
-    "depthwise": GbdtParams(n_trees=20, growth="depthwise", max_depth=6, split="hist"),
-    "leafwise": GbdtParams(n_trees=20, growth="leafwise", max_leaves=31, split="hist"),
+    "depthwise": GbdtParams(n_trees=20, growth="depthwise", max_depth=6),
+    "leafwise": GbdtParams(n_trees=20, growth="leafwise", max_leaves=31),
 }
 
 PINS = {

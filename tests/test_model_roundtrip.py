@@ -5,13 +5,14 @@ Each model is written the way the CLI writes it (``json.dumps`` with
 document. The rebuilt model's ``predict_rows`` must equal the fitted
 model's bit for bit, on the training rows, on fresh rows and on rows
 at and next to every split threshold, and rebuilding must not change
-the document. GBDT models are fitted with exact and with histogram split
-search; a hist document records its split mode and reads it back.
+the document. A GBDT document of exact split search, which the library
+no longer runs, still loads and predicts the bits of its model.
 """
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -24,6 +25,7 @@ from demcorrect import (
     fit_gbdt,
     serialize_model,
 )
+from exact_oracle import fit_exact
 
 # a handful of shared values makes ties, and so midpoint thresholds, common
 VALUES = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]),
@@ -49,7 +51,7 @@ def boundary_rows(model, n_features: int) -> np.ndarray:
 
 
 @st.composite
-def fits(draw, split="exact"):
+def fits(draw):
     n = draw(st.integers(2, 40))
     n_features = draw(st.integers(1, 4))
     X = draw(hnp.arrays(np.float64, (n, n_features), elements=VALUES))
@@ -62,7 +64,6 @@ def fits(draw, split="exact"):
         max_leaves=draw(st.integers(2, 8)),
         min_samples_leaf=draw(st.integers(1, 3)),
         reg_lambda=draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 10)),
-        split=split,
     )
     names = tuple(f"f{i}" for i in range(n_features))
     cells = np.column_stack([np.arange(n), np.zeros(n, dtype=int)])
@@ -88,10 +89,22 @@ def test_gbdt_document_roundtrip_predicts_same_bits(case):
     assert_roundtrip(case)
 
 
-@settings(max_examples=100, deadline=None)
-@given(fits(split="hist"))
-def test_hist_gbdt_document_roundtrip_predicts_same_bits(case):
-    assert_roundtrip(case)
+@pytest.mark.parametrize("split", [None, "exact"], ids=["split-absent", "split-exact"])
+@settings(max_examples=50, deadline=None)
+@given(fits())
+def test_exact_gbdt_document_predicts_same_bits(split, case):
+    """Documents of exact search, as earlier versions wrote them: without
+    ``params.split``, or with "exact". Written again, they record "hist"."""
+    table, params, X = case
+    model = fit_exact(table, params)
+    doc = serialize_model(model)
+    del doc["params"]["split"]
+    if split:
+        doc["params"]["split"] = split
+    back = deserialize_model(through_json(doc))
+    X = np.vstack([X, boundary_rows(model, X.shape[1])])
+    assert_same_bits(back.predict_rows(X), model.predict_rows(X))
+    assert serialize_model(back)["params"]["split"] == "hist"
 
 
 @settings(max_examples=200, deadline=None)
@@ -126,7 +139,7 @@ def layouts(X: np.ndarray) -> list[np.ndarray]:
 
 
 @settings(max_examples=100, deadline=None)
-@given(fits(split="hist"), st.data())
+@given(fits(), st.data())
 def test_predictions_do_not_depend_on_the_matrix_layout(case, data):
     table, params, X = case
     n_features = X.shape[1]
