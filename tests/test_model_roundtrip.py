@@ -89,6 +89,15 @@ def test_gbdt_document_roundtrip_predicts_same_bits(case):
     assert_roundtrip(case)
 
 
+@settings(max_examples=100, deadline=None)
+@given(fits())
+def test_hist_gbdt_document_roundtrip_predicts_same_bits(case):
+    """A fitted document records the histogram search it was grown by."""
+    table, params, _ = case
+    assert serialize_model(fit_gbdt(table, params))["params"]["split"] == "hist"
+    assert_roundtrip(case)
+
+
 @pytest.mark.parametrize("split", [None, "exact"], ids=["split-absent", "split-exact"])
 @settings(max_examples=50, deadline=None)
 @given(fits())
