@@ -229,6 +229,9 @@ def resolve_config(args) -> dict:
     if getattr(args, "out", None):
         cfg["paths"]["out_dir"] = args.out
 
+    if not isinstance(cfg["models"], list):
+        raise ConfigError(f"configuration key 'models': must be an array of model names, "
+                          f"got {json.dumps(cfg['models'])}")
     for name in cfg["models"]:
         if name not in MODEL_CHOICES:
             raise ConfigError(
@@ -259,7 +262,7 @@ def _check_values(cfg: dict) -> None:
             probe[section][key] = value
             try:
                 build(probe)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"configuration key '{section}.{key}': {exc}") from None
 
 
@@ -295,23 +298,31 @@ def _integral(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A number config value; a bool or a string is refused rather than
+    converted (``_check_values`` names the key)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _feature_config(cfg: dict) -> FeatureConfig:
     w = cfg["windows"]
-    mvf = float(w["min_valid_fraction"])
+    mvf = _real(w["min_valid_fraction"])
     return FeatureConfig(
         roughness_window=WindowSpec(_integral(w["roughness_radius"]), mvf),
         tpi_window=WindowSpec(_integral(w["tpi_radius"]), mvf),
         vrm_window=WindowSpec(_integral(w["vrm_radius"]), mvf),
         landcover_window=WindowSpec(_integral(w["landcover_radius"]), mvf),
         texture_window=WindowSpec(_integral(w["texture_radius"]), mvf),
-        texture_threshold=float(w["texture_threshold"]),
+        texture_threshold=_real(w["texture_threshold"]),
     )
 
 
 def _sampling_args(cfg: dict) -> tuple[float, float, int, bool]:
     """(rate, train_fraction, seed, stratified), in the ranges the sampling functions take."""
     s = cfg["sampling"]
-    rate, train_fraction = float(s["rate"]), float(s["train_fraction"])
+    rate, train_fraction = _real(s["rate"]), _real(s["train_fraction"])
     if not 0 < rate <= 1:
         raise ValueError("rate must be in (0, 1]")
     if not 0 < train_fraction < 1:
@@ -319,13 +330,15 @@ def _sampling_args(cfg: dict) -> tuple[float, float, int, bool]:
     seed = _integral(s["seed"])
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    return rate, train_fraction, seed, bool(s["stratified"])
+    if not isinstance(s["stratified"], bool):
+        raise ValueError(f"must be true or false, got {json.dumps(s['stratified'])}")
+    return rate, train_fraction, seed, s["stratified"]
 
 
 def _screen_args(cfg: dict) -> tuple[float, float]:
     """(r_abs, vif) thresholds of the collinearity screen."""
     c = cfg["collinearity"]
-    r_abs, vif = float(c["r_abs"]), float(c["vif"])
+    r_abs, vif = _real(c["r_abs"]), _real(c["vif"])
     if math.isnan(r_abs) or math.isnan(vif):
         raise ValueError("threshold must be a number, got NaN")
     return r_abs, vif
@@ -339,11 +352,11 @@ def _bench_args(cfg: dict) -> tuple[dict, int, float | None, ErrorSpec]:
     b = cfg["bench"]
     terrain = {
         "size_exponent": _integral(b["size_exponent"]),
-        "base_height": float(b["base_height"]),
-        "relief_amplitude": float(b["relief_amplitude"]),
-        "roughness_decay": float(b["roughness_decay"]),
+        "base_height": _real(b["base_height"]),
+        "relief_amplitude": _real(b["relief_amplitude"]),
+        "roughness_decay": _real(b["roughness_decay"]),
         "seed": _integral(b["terrain_seed"]),
-        "cellsize": float(b["cellsize"]),
+        "cellsize": _real(b["cellsize"]),
     }
     check_fractal_args(terrain["size_exponent"], terrain["base_height"],
                        terrain["relief_amplitude"], terrain["roughness_decay"],
@@ -351,7 +364,7 @@ def _bench_args(cfg: dict) -> tuple[dict, int, float | None, ErrorSpec]:
     landcover_seed = _integral(b["landcover_seed"])
     fraction = b["noise_fraction"]
     if fraction is not None:
-        fraction = float(fraction)
+        fraction = _real(fraction)
         if not (0 <= fraction < math.inf):
             raise ValueError("noise_fraction must be null, or finite and >= 0")
     try:
@@ -371,13 +384,13 @@ def _gbdt_params(cfg: dict, growth: str) -> GbdtParams:
     g = cfg["gbdt"]
     return GbdtParams(
         n_trees=_integral(g["n_trees"]),
-        learning_rate=float(g["learning_rate"]),
+        learning_rate=_real(g["learning_rate"]),
         growth=growth,
         max_depth=None if g["max_depth"] is None else _integral(g["max_depth"]),
         max_leaves=_integral(g["max_leaves"]),
         min_samples_leaf=_integral(g["min_samples_leaf"]),
-        min_gain=float(g["min_gain"]),
-        reg_lambda=float(g["lambda"]),
+        min_gain=_real(g["min_gain"]),
+        reg_lambda=_real(g["lambda"]),
         seed=_integral(g["seed"]),
     )
 

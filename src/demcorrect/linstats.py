@@ -2,7 +2,9 @@
 
 Pearson correlations and variance inflation factors screen the predictor
 set; variables are dropped highest-VIF-first until every survivor sits
-below the threshold. The linear error model itself is fit by numpy's
+below the threshold. Every VIF is a diagonal entry of the inverse of the
+one Pearson matrix (or of its survivors' block), with no auxiliary
+regressions. The linear error model itself is fit by numpy's
 SVD-based least squares, never by the raw normal equations, and predicts
 one column at a time, so each row's prediction depends on that row alone.
 """
@@ -28,7 +30,7 @@ __all__ = [
     "fit_ols",
 ]
 
-#: Auxiliary R^2 at or above this reports an infinite VIF.
+#: R^2_k at or above this (a VIF of 1e12 or more) reports an infinite VIF.
 _VIF_R2_CEILING = 1.0 - 1e-12
 
 
@@ -45,7 +47,8 @@ class CollinearityReport:
     """Outcome of the multicollinearity screen.
 
     ``vif`` holds the factors computed on the full variable set (inf where
-    a variable is an exact linear combination of the others); ``flagged``
+    a variable is an exact linear combination of the others; the document
+    writes each infinity, thresholds too, as a signed string); ``flagged``
     lists excluded variables in removal order; ``removal_history`` records
     the VIF each had when it was dropped; ``high_corr_pairs`` notes
     surviving pairs whose |r| still meets the correlation threshold.
@@ -66,7 +69,7 @@ class CollinearityReport:
 
     def to_doc(self) -> dict:
         def real(x: float):
-            return "Infinity" if math.isinf(x) else float(x)
+            return ("-Infinity" if x < 0 else "Infinity") if math.isinf(x) else float(x)
 
         return {
             "format": "collinearity-report",
@@ -79,7 +82,7 @@ class CollinearityReport:
             "high_corr_pairs": [
                 {"a": a, "b": b, "r": float(r)} for a, b, r in self.high_corr_pairs
             ],
-            "thresholds": {"r_abs": self.r_abs_threshold, "vif": self.vif_threshold},
+            "thresholds": {"r_abs": real(self.r_abs_threshold), "vif": real(self.vif_threshold)},
         }
 
 
@@ -158,12 +161,6 @@ class LinearModel:
         return model
 
 
-def _check_variance(X: np.ndarray, names) -> None:
-    for k, name in enumerate(names):
-        if np.all(X[:, k] == X[0, k]):
-            raise ZeroVarianceError(f"feature '{name}' has zero variance")
-
-
 def pearson_matrix(table: SampleTable) -> np.ndarray:
     """Sample Pearson correlations between all feature pairs.
 
@@ -177,7 +174,9 @@ def pearson_matrix(table: SampleTable) -> np.ndarray:
     X = table.features
     if len(table) < 2:
         raise EmptyTableError(f"pearson_matrix requires at least 2 rows; have {len(table)}")
-    _check_variance(X, table.feature_names)
+    for k, name in enumerate(table.feature_names):
+        if np.all(X[:, k] == X[0, k]):
+            raise ZeroVarianceError(f"feature '{name}' has zero variance")
     centered = X - X.mean(axis=0)
     norms = np.sqrt((centered * centered).sum(axis=0))
     corr = centered.T @ centered / np.outer(norms, norms)
@@ -186,48 +185,34 @@ def pearson_matrix(table: SampleTable) -> np.ndarray:
     return out
 
 
-def _least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int, float, float]:
-    """Regress y on the columns of X plus an intercept (first coefficient).
-
-    Returns the coefficients, the rank of the design, and the residual and
-    total sums of squares.
-    """
-    design = np.column_stack([np.ones(len(y)), X])
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    return coef, int(rank), float((resid * resid).sum()), float(((y - y.mean()) ** 2).sum())
+def _check_rows(table: SampleTable) -> None:
+    p = table.features.shape[1]
+    if len(table) < p + 1:
+        raise EmptyTableError(f"vif requires more rows than features ({p}); have {len(table)}")
 
 
-def _r_squared(sse: float, sst: float) -> float:
-    return 0.0 if sst == 0 else min(1.0, max(0.0, 1.0 - sse / sst))
-
-
-def _aux_r_squared(X: np.ndarray, k: int) -> float:
-    """R^2 from regressing column k on the remaining columns plus intercept."""
-    _, _, sse, sst = _least_squares(np.delete(X, k, axis=1), X[:, k])
-    return _r_squared(sse, sst)
+def _inflation(R: np.ndarray) -> np.ndarray:
+    """VIFs as the diagonal of R^-1, R a correlation matrix. Eigenvalues
+    are floored at ``len(R) * eps``, so an exactly singular R gives the
+    variables in its dependence the +inf sentinel and the others finite."""
+    w, V = np.linalg.eigh(R)
+    d = (V * V) @ (1.0 / np.maximum(w, len(R) * np.finfo(np.float64).eps))
+    return np.where(d >= 1.0 / (1.0 - _VIF_R2_CEILING), math.inf, np.maximum(1.0, d))
 
 
 def vif(table: SampleTable) -> np.ndarray:
     """Variance inflation factor per feature, 1/(1 - R^2_k).
 
-    R^2_k comes from regressing feature k on all other features with an
-    intercept; exact collinearity reports the +inf sentinel.
+    R^2_k is that of regressing feature k on all other features with an
+    intercept; the factor is computed as the k-th diagonal entry of the
+    inverse Pearson matrix. Exact collinearity reports the +inf sentinel.
 
     Raises:
         EmptyTableError: no more rows than features.
         ZeroVarianceError: a feature column is constant.
     """
-    X = table.features
-    if len(table) < X.shape[1] + 1:
-        raise EmptyTableError(f"vif requires more rows than features ({X.shape[1]}); "
-                              f"have {len(table)}")
-    _check_variance(X, table.feature_names)
-    out = np.empty(X.shape[1])
-    for k in range(X.shape[1]):
-        r2 = _aux_r_squared(X, k)
-        out[k] = math.inf if r2 >= _VIF_R2_CEILING else max(1.0, 1.0 / (1.0 - r2))
-    return out
+    _check_rows(table)
+    return _inflation(pearson_matrix(table))
 
 
 def flag_collinear(
@@ -237,35 +222,33 @@ def flag_collinear(
 ) -> CollinearityReport:
     """Iteratively drop the highest-VIF variable until all pass the threshold.
 
-    Ties go to the variable later in the table's feature order. Surviving
-    pairs with |r| at or above ``r_abs_threshold`` are recorded but not
-    removed. Deterministic for a fixed table and thresholds.
+    Each round's VIFs come from the survivors' block of the one Pearson
+    matrix. Ties go to the variable later in the table's feature order.
+    Surviving pairs with |r| at or above ``r_abs_threshold`` are recorded
+    but not removed. Deterministic for a fixed table and thresholds.
     """
     names = table.feature_names
     pearson = pearson_matrix(table)
-    initial_vif = vif(table)
+    _check_rows(table)
+    initial_vif = vals = _inflation(pearson)
 
-    active = list(names)
+    active = list(range(len(names)))
     history: list[tuple[str, float]] = []
     # an infinite threshold disables removal entirely (even for exact
     # collinearity, whose VIF sentinel is also infinite)
     while len(active) >= 2 and not math.isinf(vif_threshold):
-        vals = vif(table.select_features(active))
         worst = float(np.max(vals))
         if not (worst >= vif_threshold):
             break
         # ties resolve to the later variable in the current (canonical) order
         at = max(i for i, v in enumerate(vals) if v == worst)
-        history.append((active[at], worst))
+        history.append((names[active[at]], worst))
         del active[at]
+        vals = _inflation(pearson[np.ix_(active, active)])
 
-    survivors = set(active)
-    pairs = []
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if names[i] in survivors and names[j] in survivors \
-                    and abs(pearson[i, j]) >= r_abs_threshold:
-                pairs.append((names[i], names[j], float(pearson[i, j])))
+    pairs = [(names[i], names[j], float(pearson[i, j]))
+             for a, i in enumerate(active) for j in active[a + 1:]
+             if abs(pearson[i, j]) >= r_abs_threshold]
 
     return CollinearityReport(
         variable_names=names,
@@ -297,15 +280,17 @@ def fit_ols(train: SampleTable, features=None) -> LinearModel:
     if n <= p + 1:
         raise EmptyTableError(f"need more than {p + 1} rows to fit {p} features; have {n}")
 
-    beta, rank, sse, sst = _least_squares(X, y)
+    design = np.column_stack([np.ones(n), X])
+    beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < p + 1:
-        null = np.linalg.svd(np.column_stack([np.ones(n), X]), full_matrices=False)[2][-1]
+        null = np.linalg.svd(design, full_matrices=False)[2][-1]
         col = int(np.argmax(np.abs(null)))
         label = "intercept" if col == 0 else names[col - 1]
         raise SingularDesignError(
             f"design matrix is rank deficient; column '{label}' is linearly "
             f"dependent on the others"
         )
-    dof = n - p - 1
-    residual_std = math.sqrt(sse / dof) if dof > 0 else 0.0
-    return LinearModel(names, float(beta[0]), beta[1:], _r_squared(sse, sst), residual_std)
+    resid = y - design @ beta
+    sse, sst = float((resid * resid).sum()), float(((y - y.mean()) ** 2).sum())
+    r_squared = 0.0 if sst == 0 else min(1.0, max(0.0, 1.0 - sse / sst))
+    return LinearModel(names, float(beta[0]), beta[1:], r_squared, math.sqrt(sse / (n - p - 1)))

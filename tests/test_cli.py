@@ -1226,6 +1226,11 @@ class TestInputErrors:
         "windows.tpi_radius=1.25", "windows.vrm_radius=true", "windows.landcover_radius=2.5",
         "windows.texture_radius=10.5", "bench.size_exponent=5.5", "bench.terrain_seed=true",
         "bench.landcover_seed=1.5",
+        # a number key refuses a bool, a bool key the string "False", and
+        # models a bare name rather than read it as a list of letters
+        "collinearity.vif=true", "sampling.stratified=False", "models=mlr",
+        # an integer too large for a float
+        "bench.base_height=1" + "0" * 400,
     ])
     def test_out_of_range_value(self, tmp_path, capsys, setting):
         rc = run_cli("bench", "--out", tmp_path, "--set", setting)

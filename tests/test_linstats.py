@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demcorrect import (
     LinearModel,
@@ -54,6 +56,47 @@ def r2_oracle(X, y):
     beta = ols_oracle(X, y)
     resid = y - np.column_stack([np.ones(len(y)), X]) @ beta
     return 1 - (resid @ resid) / (((y - y.mean()) ** 2).sum())
+
+
+def aux_vif_oracle(X):
+    """VIFs by one auxiliary regression per column: column k on the others
+    plus an intercept by ``lstsq``, then 1/(1 - R^2_k), inf from R^2_k at
+    1 - 1e-12, as the screen computed them before it read them off the
+    Pearson matrix."""
+    out = np.empty(X.shape[1])
+    for k in range(X.shape[1]):
+        A = np.column_stack([np.ones(len(X)), np.delete(X, k, axis=1)])
+        y = X[:, k]
+        resid = y - A @ np.linalg.lstsq(A, y, rcond=None)[0]
+        r2 = min(1.0, max(0.0, 1 - (resid @ resid) / ((y - y.mean()) ** 2).sum()))
+        out[k] = math.inf if r2 >= 1 - 1e-12 else max(1.0, 1 / (1 - r2))
+    return out
+
+
+def assert_vifs_close(got, want):
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert got[finite] == pytest.approx(want[finite], rel=1e-9)
+
+
+def assert_screen_matches_oracle(table, vif_threshold=10.0):
+    """The screen's initial VIFs, ``vif`` over each round's survivors, the
+    VIF of each removal and the removal order equal those of the auxiliary
+    regressions, repeated on the survivors' columns each round."""
+    rep = flag_collinear(table, vif_threshold=vif_threshold)
+    X, names = table.features, table.feature_names
+    assert_vifs_close(rep.vif, aux_vif_oracle(X))
+    active, flagged = list(range(len(names))), []
+    while len(active) >= 2:
+        want = aux_vif_oracle(X[:, active])
+        assert_vifs_close(vif(table.select_features([names[k] for k in active])), want)
+        if not want.max() >= vif_threshold:
+            break
+        at = max(i for i, v in enumerate(want) if v == want.max())
+        flagged.append((names[active.pop(at)], want.max()))
+    assert rep.flagged == tuple(n for n, _ in flagged)
+    assert_vifs_close(np.array([v for _, v in rep.removal_history]),
+                      np.array([v for _, v in flagged]))
 
 
 class TestPearson:
@@ -141,14 +184,16 @@ def collinear_table(seed, exact):
 
 
 class TestScreenPins:
-    """sha256 of the canonical JSON of ``flag_collinear(...).to_doc()``,
-    pinned while ``fit_ols`` still solved by scipy's pivoted QR and
-    ``_aux_r_squared`` called ``lstsq`` on its own. A change to the VIF
-    arithmetic that moves one bit of a factor changes the digest."""
+    """sha256 of the canonical JSON of ``flag_collinear(...).to_doc()``.
+    A change to the VIF arithmetic that moves one bit of a factor changes
+    the digest. Re-pinned when the factors came to be read off the inverse
+    Pearson matrix instead of one ``lstsq`` auxiliary regression each: the
+    VIFs moved by at most 3.7e-12 relative (the auxiliary regressions are
+    kept as ``aux_vif_oracle``), the removal order stayed the same."""
 
     PINS = {
-        (20261018, False): "d534f08570d237638ee9cd23b60684e243788170b6f0dfb9a0cee8aeb630be13",
-        (20261019, True): "3da3addd90555ae54c97c11a663585112774dcd9ed6603ff81ab495f47ff7a9c",
+        (20261018, False): "e03365620aa5f6d40ca835c0054c5c333d624f35b1883795f6c24aa0c48a046b",
+        (20261019, True): "3048797a1db5a565ec6d30da536039be1d463710f04941f41d210788aec6315f",
     }
 
     @pytest.mark.parametrize("seed, exact", sorted(PINS))
@@ -157,6 +202,24 @@ class TestScreenPins:
         assert len(doc["flagged"]) == 3 + exact
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         assert digest == self.PINS[seed, exact]
+
+
+@pytest.mark.parametrize("seed, exact", sorted(TestScreenPins.PINS))
+def test_screen_equals_auxiliary_regressions(seed, exact):
+    assert_screen_matches_oracle(collinear_table(seed, exact))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_vif_equals_auxiliary_regressions_on_random_tables(p, seed):
+    """Correlated but well-conditioned columns on scales from 0.01 to 1000,
+    screened at a threshold low enough for several rounds."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2 * p + 5, 200))
+    mix = np.eye(p) + rng.uniform(-0.6, 0.6, size=(p, p))
+    X = rng.normal(size=(n, p)) @ mix * rng.uniform(0.01, 1000, size=p) \
+        + rng.normal(size=p) * 100
+    assert_screen_matches_oracle(table_from(X), vif_threshold=2.0)
 
 
 class TestFlagCollinear:
@@ -216,7 +279,11 @@ class TestFlagCollinear:
         t = table_from(np.column_stack([x, x]), names=("a", "b"))
         doc = flag_collinear(t).to_doc()
         assert "Infinity" in doc["vif"]
-        json.dumps(doc)  # must be valid strict JSON input
+        json.dumps(doc, allow_nan=False)  # must be valid strict JSON input
+        # thresholds take the same sentinels, with their sign
+        doc = flag_collinear(t, r_abs_threshold=-math.inf, vif_threshold=math.inf).to_doc()
+        assert doc["thresholds"] == {"r_abs": "-Infinity", "vif": "Infinity"}
+        json.dumps(doc, allow_nan=False)
 
 
 class TestFitOls:

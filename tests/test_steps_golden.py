@@ -28,7 +28,7 @@ PINS = {
     "abs_error_gbdt-depthwise.asc": "5e99ad9b7920945c63110cff102d437913f05e2545e2fdefa31bd99b748eb0ba",
     "abs_error_gbdt-leafwise.asc": "fab47320fcbceabedd052de9927064b13adf7d4c7f7f5c84139e1065a64a4932",
     "abs_error_mlr.asc": "4c23e7b286757b115fc4616cd0f0f4602a2967d8b1cbdf0cfc08ca5ade422fc1",
-    "collinearity.json": "d9ec5ea17ddbf823a88b87881a03ecb18dac461a972e48746ba9c0883df34492",
+    "collinearity.json": "a3c8ce3675f00f2c187082402f90891a6e5da2887f02dd65d785f2f570818c8e",
     "corrected_gbdt-depthwise.asc": "1cd1ae8d1d43f709db2479693670be7c65923333706356f140fc259300454a20",
     "corrected_gbdt-leafwise.asc": "1ba75dfc96add65a2bc9e43490f3c26a59d4773020e79051e2cfc81dfada3e89",
     "corrected_mlr.asc": "3517561c27d169b1d35adcc3c90c57689abaeab7c012199b762d3629e0337a13",
