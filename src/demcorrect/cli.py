@@ -275,6 +275,19 @@ def _provenance(cfg: dict) -> dict:
     return {"config_digest": config_digest(cfg), "package_version": __version__}
 
 
+def _strict(value):
+    """``value`` with each non-finite float written as the string
+    ``collinearity.json`` gives it ("Infinity", "-Infinity"; "NaN"), so
+    that its document is strict JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("-Infinity" if value < 0 else "Infinity")
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict(item) for item in value]
+    return value
+
+
 def worker_count() -> int:
     """Worker cap from DEMCORRECT_THREADS; defaults to 1 (sequential)."""
     raw = os.environ.get("DEMCORRECT_THREADS")
@@ -798,6 +811,25 @@ def _geometry_text(geo) -> str:
             f"cellsize {float(geo.cellsize)!r}")
 
 
+def _require_on(source: str, grid, against, what: str) -> None:
+    """Refuse ``grid``, read from ``source``, unless it is on the geometry
+    of ``against``, which ``what`` names.
+
+    Raises:
+        GeometryMismatch: names the source and shows both geometries.
+    """
+    if not grid.geometry.matches(against.geometry):
+        raise GeometryMismatch(f"{source} ({_geometry_text(grid.geometry)}) is not on "
+                               f"{what} geometry ({_geometry_text(against.geometry)})")
+
+
+def _grid_on(cfg: dict, key: str, against, what: str) -> Grid:
+    """The grid of ``paths.<key>``, refused unless on ``against``'s geometry."""
+    grid = load_grid(_require_path(cfg, key))
+    _require_on(f"paths.{key} '{cfg['paths'][key]}'", grid, against, what)
+    return grid
+
+
 def _correct_step(models: dict, stack: StackRows, dem: Grid, reference: Grid | None,
                   out: Path, sources: tuple[str, str]) -> None:
     """Write each model's predicted error, corrected DEM and, given a
@@ -821,11 +853,9 @@ def _correct_step(models: dict, stack: StackRows, dem: Grid, reference: Grid | N
                 raise ModelFormatError(
                     f"'{path}' names feature layer '{feature}', which the feature "
                     f"stack lacks (layers: {', '.join(stack.names)})")
-    for source, grid, against, what in ((sources[0], dem, stack, "the feature stack's"),
-                                        (sources[1], reference, dem, "the DEM's")):
-        if grid is not None and not grid.geometry.matches(against.geometry):
-            raise GeometryMismatch(f"{source} ({_geometry_text(grid.geometry)}) is not on "
-                                   f"{what} geometry ({_geometry_text(against.geometry)})")
+    _require_on(sources[0], dem, stack, "the feature stack's")
+    if reference is not None:
+        _require_on(sources[1], reference, dem, "the DEM's")
     kinds = ("predicted_error", "corrected", "abs_error")[:2 if reference is None else 3]
     for name, (model, path) in models.items():
         # a value that overflows is refused by its check, not warned of
@@ -888,10 +918,13 @@ def cmd_features(cfg: dict) -> int:
 def _load_train_split(cfg: dict) -> tuple[Path, SampleTable]:
     out = _out_dir(cfg)
     stack = _load_stack(out)
+    dem = _grid_on(cfg, "dem", stack, "the feature stack's")
     # the two grids go once differenced, before the strata are read
-    target = difference(load_grid(_require_path(cfg, "dem")),
-                        load_grid(_require_path(cfg, "reference")))
-    train, _ = _split_step(cfg, stack, target, _optional_grid(cfg, "strata"))
+    target = difference(dem, _grid_on(cfg, "reference", dem, "the DEM's"))
+    del dem
+    strata = _grid_on(cfg, "strata", stack, "the feature stack's") \
+        if cfg["paths"].get("strata") else None
+    train, _ = _split_step(cfg, stack, target, strata)
     return out, train
 
 
@@ -1030,7 +1063,7 @@ def cmd_bench(cfg: dict) -> int:
         report_test = _evaluate_step(cfg, ref_test, original, corrected, land.strata, out,
                                      "report_test")
 
-    _write_json(out / "resolved_config.json", {**cfg, "provenance": _provenance(cfg)})
+    _write_json(out / "resolved_config.json", _strict({**cfg, "provenance": _provenance(cfg)}))
     t_end = time.perf_counter()
 
     print(f"bench complete in {t_end - t0:.1f} s "

@@ -235,10 +235,12 @@ def read_ascii_grid(source: str | TextIO) -> Grid:
     """Parse an ESRI ASCII grid from a string or text stream.
 
     The six header lines (see :func:`parse_ascii_header`) are followed by
-    ncols*nrows whitespace-separated values in row-major north-first order.
-    A seekable stream is parsed as it is read, so its text is never held
-    whole; should that parse fail, the stream is rewound and parsed as
-    text, which names the faulty line.
+    ncols*nrows whitespace-separated values in row-major north-first order,
+    wrapped over lines in any way. A body whose lines hold one grid row
+    each is parsed by numpy's C reader (:func:`_parse_rows`); any other
+    body by the token loop, which names the line of a fault. A seekable
+    stream is parsed as it is read, so its text is never held whole;
+    should that parse fail, the stream is rewound and parsed as text.
 
     Raises:
         GridParseError: malformed header, non-numeric token, or value-count
@@ -247,20 +249,23 @@ def read_ascii_grid(source: str | TextIO) -> Grid:
     if hasattr(source, "read"):
         if source.seekable():
             start = source.tell()
-            grid = _read_stream(source)
-            if grid is not None:
-                return grid
+            header = _read_header(source)
+            if header is not None:
+                geo, nodata = header
+                values = _parse_rows(source, geo.nrows, geo.ncols, nodata, last=True)
+                if values is not None:
+                    return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata,
+                                values)
             source.seek(start)
         source = source.read()
-    lines = source.splitlines()
+    lines, plain = source.splitlines(), _cut_alike(source)
     del source  # the lines hold a second copy of the text; free the first before parsing
     geo, nodata = parse_ascii_header(lines[:6])
-    expected = geo.ncols * geo.nrows
     body = lines[6:]
-    flat = _bulk_parse(body, expected, nodata)
-    if flat is None:
-        flat = _parse_tokens(body, expected, nodata)
-    return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, flat)
+    values = _parse_rows(iter(body), geo.nrows, geo.ncols, nodata, last=True) if plain else None
+    if values is None:
+        values = _parse_tokens(body, geo.ncols * geo.nrows, nodata)
+    return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, values)
 
 
 def _read_header(stream: TextIO) -> tuple[GridGeometry, float] | None:
@@ -279,43 +284,41 @@ def _read_header(stream: TextIO) -> tuple[GridGeometry, float] | None:
         return None
 
 
-def _read_stream(stream: TextIO) -> Grid | None:
-    """The grid of a stream read line by line, or None where the text parse
-    must decide: a header :func:`_read_header` refuses, or a body
-    :func:`_bulk_parse` refuses."""
-    header = _read_header(stream)
-    if header is None:
-        return None
-    geo, nodata = header
-    flat = _bulk_parse(stream, geo.ncols * geo.nrows, nodata)
-    if flat is None:
-        return None
-    return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, flat)
+def _cut_alike(text: str) -> bool:
+    """True unless ``text`` holds a character other than ``\\n`` and ``\\r``
+    at which ``str.splitlines`` cuts a line and a file read by line does
+    not; numpy's C reader takes the ASCII ones for spaces."""
+    return not any(c in text for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-def _bulk_parse(body, expected: int, nodata: float) -> np.ndarray | None:
-    """The values of ``body`` (body lines, or a stream at the body) from
-    numpy's C reader, or None unless they are ``expected`` values, each
-    finite or ``nodata``.
+def _parse_rows(lines, count: int, ncols: int, nodata: float,
+                last: bool) -> np.ndarray | None:
+    """The next ``count`` rows of ``lines`` (an iterator of body lines, or a
+    stream) from numpy's C reader, or None unless each of the ``count``
+    lines holds one grid row, every value finite or ``nodata``, and, with
+    ``last``, only whitespace follows.
 
     The C reader parses each token with the routine float() uses, so the
-    values are bit-identical; it rejects ragged wrapping and a few
-    spellings float() takes (1_0, non-ASCII digits), which, like every
-    other refusal, are left to the token loop. So is a body without data,
-    as loadtxt would warn on it.
+    values are those of :func:`_parse_tokens`, which is left whatever is
+    refused here: blank lines, wrapped rows, a line :func:`_cut_alike`
+    refuses, a spelling only float() takes (1_0).
     """
-    lines = iter(body)
-    first = next((line for line in lines if line and not line.isspace()), None)
-    if first is None:
+    if count == 0:
+        return np.empty((0, ncols))
+    rows = itertools.takewhile(_cut_alike, itertools.islice(lines, count))
+    first = next(rows, "")
+    if not first.strip():  # loadtxt skips blank lines, and warns on no data
         return None
     try:
-        flat = np.loadtxt(itertools.chain([first], lines), dtype=np.float64, comments=None,
-                          ndmin=1).ravel()
+        block = np.loadtxt(itertools.chain([first], rows), dtype=np.float64, comments=None,
+                           ndmin=2)
     except ValueError:
         return None
-    if flat.size != expected or not (np.isfinite(flat) | (flat == nodata)).all():
+    if block.shape != (count, ncols) or not (np.isfinite(block) | (block == nodata)).all():
         return None
-    return flat
+    if last and any(line.strip() for line in lines):
+        return None
+    return block
 
 
 def _parse_tokens(body: list[str], expected: int, nodata: float) -> np.ndarray:
@@ -423,18 +426,14 @@ class GridReader:
 
     The header is parsed when the reader is made, so that a geometry can
     be refused before any body line is read. ``rows`` then parses the lines
-    it has not read yet with numpy's C reader, the parse
-    :func:`read_ascii_grid` makes, and holds the rows it returns: a call
-    that starts at or after the previous call's start, and stops at or
-    after its stop, reuses the rows the two share and reads on from there.
-    Any other call rereads the body from its first line.
-
-    A block is parsed this way only where its lines hold one grid row
-    each: no blank line, no row wrapped over several lines, every value
-    finite or the nodata sentinel, and only whitespace after the last row.
-    Otherwise the reader parses the whole file with :func:`load_grid`,
-    which raises its error, naming the line, or returns the grid whose
-    rows the reader serves from then on; only then is a whole grid held.
+    it has not read yet by the rule of :func:`read_ascii_grid`
+    (:func:`_parse_rows`) and holds the rows it returns: a call that starts
+    at or after the previous call's start, and stops at or after its stop,
+    reuses the rows the two share and reads on from there. Any other call
+    rereads the body from its first line. Where the rule refuses a block,
+    the reader parses the whole file with :func:`load_grid`, which raises
+    its error, naming the line, or returns the grid whose rows the reader
+    serves from then on; only then is a whole grid held.
     """
 
     def __init__(self, path):
@@ -485,7 +484,8 @@ class GridReader:
                 self._held = np.empty((0, self.ncols))
                 self._first = self._next = 0
             with _naming(self.path):
-                new = self._read(stop - self._next)
+                new = _parse_rows(self._fh, stop - self._next, self.ncols, self.nodata,
+                                  last=stop == self.nrows)
             if new is not None:
                 kept = self._held[start - self._first:]
                 new = new[max(start - self._next, 0):]
@@ -494,27 +494,6 @@ class GridReader:
                 return self._held
             self._read_whole()
         return self._grid.values[start:stop]
-
-    def _read(self, count: int) -> np.ndarray | None:
-        """The next ``count`` rows, or None unless their lines hold one grid
-        row each (and, after the last row, only whitespace follows)."""
-        if count == 0:
-            return np.empty((0, self.ncols))
-        lines = itertools.islice(self._fh, count)
-        first = next(lines, "")
-        if not first.strip():  # loadtxt skips blank lines, and warns on no data
-            return None
-        try:
-            block = np.loadtxt(itertools.chain([first], lines), dtype=np.float64,
-                               comments=None, ndmin=2)
-        except ValueError:
-            return None
-        if block.shape != (count, self.ncols) \
-                or not (np.isfinite(block) | (block == self.nodata)).all():
-            return None
-        if self._next + count == self.nrows and any(line.strip() for line in self._fh):
-            return None
-        return block
 
 
 def save_grid(grid: Grid, path) -> None:

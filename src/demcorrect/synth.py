@@ -220,6 +220,13 @@ def synth_landcover(dem: Grid, seed: int = 0) -> LandcoverSet:
     )
 
 
+def _number(value, what: str, cast=float):
+    """``cast(value)``, refusing a bool: JSON ``true`` is no number."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {str(value).lower()}")
+    return cast(value)
+
+
 def _reject_unknown_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
     unknown = [key for key in doc if key not in known]
     if unknown:
@@ -261,8 +268,8 @@ class NonlinearTerm:
     def from_doc(cls, doc: dict) -> "NonlinearTerm":
         _reject_unknown_keys(doc, ("feature", "kind", "amplitude", "scale", "feature2"),
                              "nonlinear term")
-        return cls(doc["feature"], doc["kind"], float(doc["amplitude"]),
-                   float(doc.get("scale", 1.0)), doc.get("feature2"))
+        return cls(doc["feature"], doc["kind"], _number(doc["amplitude"], "amplitude"),
+                   _number(doc.get("scale", 1.0), "scale"), doc.get("feature2"))
 
 
 @dataclass(frozen=True)
@@ -309,10 +316,11 @@ class ErrorSpec:
         _reject_unknown_keys(doc, ("linear_terms", "nonlinear_terms", "noise_std", "seed"),
                              "error spec")
         return cls(
-            {str(k): float(v) for k, v in doc.get("linear_terms", {}).items()},
+            {str(k): _number(v, f"linear term '{k}'")
+             for k, v in doc.get("linear_terms", {}).items()},
             tuple(NonlinearTerm.from_doc(t) for t in doc.get("nonlinear_terms", [])),
-            float(doc.get("noise_std", 0.0)),
-            int(doc.get("seed", 0)),
+            _number(doc.get("noise_std", 0.0), "noise_std"),
+            _number(doc.get("seed", 0), "seed", int),
         )
 
 

@@ -486,6 +486,25 @@ class TestBench:
         assert names == sorted(p.name for p in (tmp_path / "whole").iterdir())
         assert not [n for n in names if n.endswith(".partial")]
 
+    def test_documents_are_strict_json(self, tmp_path):
+        """An infinite threshold is written as the string "Infinity" in every
+        document, the resolved configuration included."""
+        def refuse(name):
+            raise AssertionError(f"{path.name} holds {name}, which strict JSON has not")
+
+        out = tmp_path / "bench"
+        assert run_cli(*self.bench_args(out), "--set", "collinearity.vif=Infinity") == 0
+        docs = sorted(out.glob("*.json"))
+        assert "resolved_config.json" in {path.name for path in docs}
+        for path in docs:
+            doc = json.loads(path.read_text(), parse_constant=refuse)
+            if path.name == "resolved_config.json":
+                assert doc["collinearity"]["vif"] == "Infinity"
+                cfg = resolve_config(SimpleNamespace(set=["collinearity.vif=Infinity",
+                                                          *self.bench_args(out)[4::2]],
+                                                     out=str(out)))
+                assert doc["provenance"]["config_digest"] == cli.config_digest(cfg)
+
     def test_report_text_has_five_strata_rows(self, tmp_path):
         out = tmp_path / "bench"
         run_cli(*self.bench_args(out))
@@ -1237,6 +1256,21 @@ class TestInputErrors:
         self.assert_input_error(rc, capsys, f"configuration key '{setting.split('=')[0]}': ")
 
     @pytest.mark.parametrize("setting, needle", [
+        ("bench.error_spec.linear_terms.slope=true", "linear term 'slope' must be a number"),
+        ('bench.error_spec.nonlinear_terms=[{"feature": "slope", "kind": "sine", '
+         '"amplitude": true}]', "amplitude must be a number"),
+        ('bench.error_spec.nonlinear_terms=[{"feature": "slope", "kind": "sine", '
+         '"amplitude": 1, "scale": false}]', "scale must be a number"),
+        ("bench.error_spec.noise_std=true", "noise_std must be a number"),
+        ("bench.error_spec.seed=false", "seed must be a number"),
+    ], ids=["coefficient", "amplitude", "scale", "noise_std", "seed"])
+    def test_error_spec_refuses_a_bool(self, tmp_path, capsys, setting, needle):
+        """JSON true and false are no numbers, though float() takes them."""
+        rc = run_cli("bench", "--out", tmp_path, "--set", setting)
+        self.assert_input_error(rc, capsys, f"configuration key 'bench.error_spec': {needle}, "
+                                            "got ")
+
+    @pytest.mark.parametrize("setting, needle", [
         ("bench.error_spec.slope=5",
          "configuration key 'bench.error_spec': unknown error spec key 'slope'"),
         ("bench.error_spec.linear_terms.slope.x=5",
@@ -1257,6 +1291,26 @@ class TestInputErrors:
         rc = run_cli("bench", "--out", tmp_path, "--model", "mlr",
                      "--set", "bench.size_exponent=5", *overrides)
         self.assert_input_error(rc, capsys, needle)
+
+    @pytest.mark.parametrize("step", ["diagnose", "train"])
+    @pytest.mark.parametrize("key, against", [
+        ("dem", "the feature stack's"), ("reference", "the DEM's"),
+        ("strata", "the feature stack's"),
+    ], ids=["dem", "reference", "strata"])
+    def test_split_input_off_geometry(self, workspace, capsys, step, key, against):
+        """An input moved by half a cell after ``features`` is refused before
+        any differencing or sampling, naming its key, its file and both
+        geometries."""
+        cfg_path, tmp = workspace
+        run_cli("features", "--config", cfg_path)
+        grid = load_grid(tmp / f"{key}.asc")
+        save_grid(Grid(grid.ncols, grid.nrows, grid.xll, grid.yll + 15.0, grid.cellsize,
+                       grid.nodata, grid.values), tmp / f"{key}.asc")
+        capsys.readouterr()
+        self.assert_input_error(run_cli(step, "--config", cfg_path), capsys,
+                                f"error: paths.{key} '{tmp / f'{key}.asc'}' (33 x 33, xll 0.0, "
+                                f"yll 15.0, cellsize 30.0) is not on {against} geometry "
+                                "(33 x 33, xll 0.0, yll 0.0, cellsize 30.0)\n")
 
     def test_non_integer_strata_label(self, workspace, capsys):
         cfg_path, tmp = workspace

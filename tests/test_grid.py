@@ -3,6 +3,7 @@ import io
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -510,3 +511,42 @@ class TestBulkReader:
         assert back.values.tobytes() == (g.values + 0.0).tobytes()
         one = make_grid([[2.5]])
         assert read_ascii_grid(write_ascii_grid(one)).values.tolist() == [[2.5]]
+
+
+def _takes_token_loop(text: str, height: int = 1, halo: int = 0) -> tuple[bool, bool]:
+    """Whether ``read_ascii_grid(text)`` reaches ``_parse_tokens``, and
+    whether the row-block reader over the text in a file falls back to
+    ``load_grid``; either may end in a parse error."""
+    tokens, whole = [], []
+    parse_tokens, load_grid = grid_module._parse_tokens, grid_module.load_grid
+    with mock.patch.object(grid_module, "_parse_tokens",
+                           lambda *args: tokens.append(1) or parse_tokens(*args)):
+        _outcome(lambda: read_ascii_grid(text).values)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(grid_module, "load_grid", lambda p: whole.append(p) or load_grid(p)):
+        path = Path(tmp) / "g.asc"
+        path.write_text(text, encoding="ascii", newline="")
+        _outcome(lambda: _read_by_blocks(path, height, halo))
+    return bool(tokens), bool(whole)
+
+
+class TestOneParseRule:
+    """Whole grids and row blocks take numpy's C reader for the same bodies."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(ascii_bodies().filter(lambda case: case[0].isascii()), st.integers(1, 4),
+           st.integers(0, 2))
+    def test_text_and_blocks_agree(self, case, height, halo):
+        text_loop, block_loop = _takes_token_loop(case[0], height, halo)
+        assert text_loop == block_loop
+
+    @pytest.mark.parametrize("body, loop", [
+        ("1 2 3 4\n5 6 7 8\n", False),
+        ("1 2\n3 4\n5 6\n7 8\n", True),
+        ("1 2 3\n4 5 6\n7 8\n", True),
+        ("1 2 3 4\n5 6\x0c7 8\n", True),
+    ], ids=["rows", "uniform-wrap", "ragged-wrap", "form-feed"])
+    def test_wrapped_bodies(self, body, loop):
+        text = SIMPLE.replace("ncols 2", "ncols 4").replace("1 2\n3 4\n", body)
+        assert read_ascii_grid(text).values.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
+        assert _takes_token_loop(text) == (loop, loop)
