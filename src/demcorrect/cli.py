@@ -55,6 +55,7 @@ from .gbdt import (
 from .grid import (
     Grid,
     GeometryMismatch,
+    GridGeometry,
     GridParseError,
     GridReader,
     GridRows,
@@ -96,7 +97,6 @@ from .terrain import (
     FeatureConfig,
     FeatureStack,
     MaskValueError,
-    StackRows,
     WindowSpec,
     build_feature_stack,
     layer_templates,
@@ -239,6 +239,12 @@ def resolve_config(args) -> dict:
             )
     if not cfg["models"]:
         raise ConfigError("at least one model must be selected")
+    # null leaves an input unset; the output directory must be named
+    for key, value in cfg["paths"].items():
+        if not (isinstance(value, str) or value is None and key != "out_dir"):
+            kind = "a string" if key == "out_dir" else "null or a string"
+            raise ConfigError(f"configuration key 'paths.{key}': must be {kind}, "
+                              f"got {json.dumps(value)}")
     _check_values(cfg)
     return cfg
 
@@ -629,86 +635,71 @@ def _read_manifest(path: Path) -> tuple[list[dict], dict | None]:
     return entries, record
 
 
-class _StackFile:
-    """The layers of a digest-checked ``features_stack.npy``, read a block of
-    rows at a time (a :class:`~demcorrect.terrain.StackRows`).
+class _Slab:
+    """One layer's slab of a ``features_stack.npy``, read a block of rows at
+    a time (a :class:`~demcorrect.grid.GridRows`).
 
-    ``rows`` seeks to the block in each named layer's slab and reads it
-    into a buffer that the next call reuses. The file is not mapped:
-    ``ru_maxrss`` counts every page a map touches, so a map would cost as
-    much as reading the layers whole.
+    ``rows`` seeks to the block and reads it into a buffer that the next
+    call reuses. The file is not mapped: ``ru_maxrss`` counts every page a
+    map touches, so a map would cost as much as reading the layers whole.
     """
 
-    def __init__(self, path: Path, start: int, names, geometries, nodata):
-        self.path, self._start = path, start
-        self.names, self.geometry, self.nodata = tuple(names), geometries[0], tuple(nodata)
+    def __init__(self, path: Path, offset: int, geometry: GridGeometry, nodata: float):
+        self.path, self._offset, self.geometry, self.nodata = path, offset, geometry, nodata
+        self.ncols, self.nrows = geometry.ncols, geometry.nrows
+        self.xll, self.yll, self.cellsize = geometry.xll, geometry.yll, geometry.cellsize
         self._buffer = np.empty(0, dtype="<f8")
 
-    @classmethod
-    def open(cls, path: Path, sha256: str, names, layers) -> "_StackFile | None":
-        """The reader of ``path``, or None unless it and each ``(file,
-        sha256)`` of ``layers`` still have the recorded sha256 and every
-        layer header agrees with the array's shape.
-
-        Raises:
-            GeometryMismatch: a layer is not on the first layer's geometry.
-        """
-        if not path.is_file() or _sha256_file(path) != sha256:
-            return None
-        with open(path, "rb") as fh:
-            version = np.lib.format.read_magic(fh)
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-            start = fh.tell()
-        if (version, len(shape), fortran, dtype) != ((1, 0), 3, False, np.dtype("<f8")) \
-                or shape[0] != len(names) \
-                or path.stat().st_size != start + 8 * shape[0] * shape[1] * shape[2]:
-            return None
-        geometries, nodata = [], []
-        for fpath, digest in layers:
-            if _sha256_file(fpath) != digest:
-                return None
-            with open(fpath, encoding="ascii") as fh:
-                geo, sentinel = parse_ascii_header(list(itertools.islice(fh, 6)))
-            if shape[1:] != (geo.nrows, geo.ncols):
-                return None
-            geometries.append(geo)
-            nodata.append(sentinel)
-        for name, geo in zip(names, geometries):
-            if not geo.matches(geometries[0]):
-                raise GeometryMismatch(f"layer '{name}' is not on the stack geometry")
-        return cls(path, start, names, geometries, nodata)
-
-    def rows(self, start: int, stop: int, names=None) -> tuple[np.ndarray, ...]:
-        order = range(len(self.names)) if names is None else [self._index(n) for n in names]
-        nrows, ncols = self.geometry.nrows, self.geometry.ncols
-        size = (stop - start) * ncols
-        if self._buffer.size < len(order) * size:
-            self._buffer = np.empty(len(order) * size, dtype="<f8")
-        blocks = []
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        size = (stop - start) * self.ncols
+        if self._buffer.size < size:
+            self._buffer = np.empty(size, dtype="<f8")
+        block = self._buffer[:size]
         with open(self.path, "rb") as fh:
-            for k, i in enumerate(order):
-                block = self._buffer[k * size:(k + 1) * size]
-                fh.seek(self._start + (i * nrows + start) * ncols * 8)
-                if fh.readinto(block) != block.nbytes:
-                    raise ConfigError(f"'{self.path}' changed while it was read")
-                blocks.append(block.reshape(stop - start, ncols))
-        return tuple(blocks)
-
-    def _index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"no feature layer named '{name}'") from None
+            fh.seek(self._offset + start * self.ncols * 8)
+            if fh.readinto(block) != block.nbytes:
+                raise ConfigError(f"'{self.path}' changed while it was read")
+        return block.reshape(stop - start, self.ncols)
 
 
-def _load_stack(out: Path) -> StackRows:
+def _binary_stack(path: Path, sha256: str, names, layers) -> FeatureStack | None:
+    """The layers of ``path`` as :class:`_Slab` s, or None unless it and
+    each ``(file, sha256)`` of ``layers`` still have the recorded sha256
+    and every layer header agrees with the array's shape.
+
+    Raises:
+        GeometryMismatch: a layer is not on the first layer's geometry.
+    """
+    if not path.is_file() or _sha256_file(path) != sha256:
+        return None
+    with open(path, "rb") as fh:
+        version = np.lib.format.read_magic(fh)
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+        start = fh.tell()
+    if (version, len(shape), fortran, dtype) != ((1, 0), 3, False, np.dtype("<f8")) \
+            or shape[0] != len(names) \
+            or path.stat().st_size != start + 8 * shape[0] * shape[1] * shape[2]:
+        return None
+    slabs = []
+    for i, (fpath, digest) in enumerate(layers):
+        if _sha256_file(fpath) != digest:
+            return None
+        with open(fpath, encoding="ascii") as fh:
+            geo, nodata = parse_ascii_header(list(itertools.islice(fh, 6)))
+        if shape[1:] != (geo.nrows, geo.ncols):
+            return None
+        slabs.append(_Slab(path, start + 8 * i * shape[1] * shape[2], geo, nodata))
+    return FeatureStack(names, slabs)
+
+
+def _load_stack(out: Path) -> FeatureStack:
     """The manifest's layers, each bit-identical to parsing its ``.asc`` file.
 
     When the binary copy and every layer's ``.asc`` file still have the
     sha256 the manifest records, the layers are read from the copy a block
-    of rows at a time (:class:`_StackFile`). Otherwise (no record, a stale
-    or truncated copy, an edited layer) every ``.asc`` file is parsed into
-    a :class:`FeatureStack`, so the ASCII rasters stay authoritative.
+    of rows at a time (:func:`_binary_stack`). Otherwise (no record, a stale
+    or truncated copy, an edited layer) every ``.asc`` file is parsed whole,
+    so the ASCII rasters stay authoritative.
     """
     entries, record = _read_manifest(out / _MANIFEST_FILE)
     names = [entry["name"] for entry in entries]
@@ -718,9 +709,9 @@ def _load_stack(out: Path) -> StackRows:
             raise ConfigError(f"feature layer '{fpath}' named by the manifest does not exist")
     stack = None
     if record is not None:
-        stack = _StackFile.open(out / record["file"], record["sha256"], names,
-                                [(fpath, entry["sha256"]) for fpath, entry in zip(paths, entries)])
-    return stack or FeatureStack(tuple(names), tuple(load_grid(fpath) for fpath in paths))
+        stack = _binary_stack(out / record["file"], record["sha256"], names,
+                              [(fpath, entry["sha256"]) for fpath, entry in zip(paths, entries)])
+    return stack or FeatureStack(names, [load_grid(fpath) for fpath in paths])
 
 
 def _model_doc_path(out: Path, name: str) -> Path:
@@ -757,7 +748,7 @@ def _features_step(cfg: dict, dem: GridRows, bare: GridRows, urban: GridRows, fo
     write.write_manifest(cfg)
 
 
-def _split_step(cfg: dict, stack: StackRows, target: Grid,
+def _split_step(cfg: dict, stack: FeatureStack, target: Grid,
                 strata: Grid | None) -> tuple[SampleTable, SampleTable]:
     """The (train, test) split of the sampled cells; the target is dem - reference."""
     rate, train_fraction, seed, stratified = _sampling_args(cfg)
@@ -830,7 +821,7 @@ def _grid_on(cfg: dict, key: str, against, what: str) -> Grid:
     return grid
 
 
-def _correct_step(models: dict, stack: StackRows, dem: Grid, reference: Grid | None,
+def _correct_step(models: dict, stack: FeatureStack, dem: Grid, reference: Grid | None,
                   out: Path, sources: tuple[str, str]) -> None:
     """Write each model's predicted error, corrected DEM and, given a
     reference, absolute error, for {name: (model, document path)}.
@@ -1050,7 +1041,7 @@ def cmd_bench(cfg: dict) -> int:
 
     _correct_step(models, stack, original, reference, out,
                   (f"'{out / 'original.asc'}'", f"'{out / 'reference.asc'}'"))
-    del stack  # and its block buffer, before the reports
+    del stack  # and its block buffers, before the reports
     t_correct = time.perf_counter()
 
     with contextlib.ExitStack() as files:

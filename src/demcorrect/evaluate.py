@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import GeometryMismatch, Grid, GridRows, check_values, distinct_values
 from .sampling import NO_STRATUM, EmptyTableError, check_labels, label_faults, label_values
-from .terrain import StackRows, row_blocks
+from .terrain import FeatureStack, row_blocks
 
 __all__ = [
     "Metrics",
@@ -81,7 +81,7 @@ def pct_rmse_reduction(before: float, after: float) -> float:
     return 100.0 * (before - after) / before
 
 
-def predict_error_grid(model, stack: StackRows,
+def predict_error_grid(model, stack: FeatureStack,
                        sink: Callable[[int, np.ndarray], None] | None = None) -> Grid | None:
     """Per-cell predicted elevation error from any model with predict_rows.
 

@@ -128,9 +128,10 @@ class Grid:
 
 
 class GridRows(Protocol):
-    """What :func:`~demcorrect.terrain.build_feature_stack` and
-    :func:`~demcorrect.evaluate.build_report` read of an input grid: its
-    header, and its values a block of rows at a time.
+    """What :func:`~demcorrect.terrain.build_feature_stack`,
+    :func:`~demcorrect.evaluate.build_report` and each layer of a
+    :class:`~demcorrect.terrain.FeatureStack` read of a grid: its header,
+    and its values a block of rows at a time.
 
     ``rows(start, stop)`` returns rows ``start:stop`` as a
     ``(stop - start, ncols)`` array that the caller must not write. A

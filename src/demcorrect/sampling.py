@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GeometryMismatch, Grid, distinct_values
-from .terrain import StackRows, row_blocks
+from .terrain import FeatureStack, row_blocks
 
 __all__ = ["SampleTable", "EmptyTableError", "StrataLabelError", "extract_samples",
            "split_table"]
@@ -170,7 +170,7 @@ class SampleTable:
 
 
 def extract_samples(
-    stack: StackRows,
+    stack: FeatureStack,
     target: Grid,
     strata: Grid | None = None,
     rate: float = 1.0,

@@ -8,6 +8,7 @@ can be scored against a ground truth it is guaranteed to possess.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -221,9 +222,12 @@ def synth_landcover(dem: Grid, seed: int = 0) -> LandcoverSet:
 
 
 def _number(value, what: str, cast=float):
-    """``cast(value)``, refusing a bool: JSON ``true`` is no number."""
-    if isinstance(value, bool):
-        raise ValueError(f"{what} must be a number, got {str(value).lower()}")
+    """``cast(value)`` of a JSON number. A bool or a string is refused, as
+    is a fraction where ``cast`` is int, rather than converted or truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {json.dumps(value)}")
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
     return cast(value)
 
 
@@ -344,6 +348,7 @@ def inject_error(dem: Grid, stack: FeatureStack, spec: ErrorSpec,
 
     With ``noise_fraction``, the noise std is that fraction of the std of
     the true error the terms alone give, in place of ``spec.noise_std``.
+    The layers the spec references must be :class:`Grid` s.
 
     Raises:
         KeyError: the spec references a feature the stack does not hold.

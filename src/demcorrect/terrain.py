@@ -32,7 +32,6 @@ import contextlib
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
@@ -45,7 +44,6 @@ __all__ = [
     "FeatureConfig",
     "FeatureStack",
     "MaskValueError",
-    "StackRows",
     "row_blocks",
     "slope",
     "aspect",
@@ -108,37 +106,18 @@ class FeatureConfig:
             raise ValueError("texture_threshold must be >= 0")
 
 
-class StackRows(Protocol):
-    """What sampling and prediction read of a feature stack: its layer
-    names, its geometry (the first layer's), each layer's nodata sentinel,
-    and rows of the layers.
+@dataclass(frozen=True, eq=False)
+class FeatureStack:
+    """Named predictor layers on one geometry, each a :class:`GridRows`.
 
-    ``rows(start, stop, names)`` returns rows ``start:stop`` of the named
-    layers (every layer when None), in that order, as
-    ``(stop - start, ncols)`` arrays that the caller must not write; the
-    next call may overwrite them. :class:`FeatureStack` holds the layers
-    in memory; the CLI also reads them a block at a time from its binary
-    copy of the stack.
+    Sampling and prediction read a stack a block of rows at a time
+    (:meth:`rows`), so a layer may be a :class:`Grid` held in memory or a
+    reader of its file; the CLI also reads the layers from its binary copy
+    of the stack.
     """
 
     names: tuple[str, ...]
-
-    @property
-    def geometry(self) -> GridGeometry: ...
-
-    @property
-    def nodata(self) -> tuple[float, ...]: ...
-
-    def rows(self, start: int, stop: int,
-             names: Sequence[str] | None = None) -> tuple[np.ndarray, ...]: ...
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureStack:
-    """Named, geometry-aligned predictor layers held in memory (a :class:`StackRows`)."""
-
-    names: tuple[str, ...]
-    layers: tuple[Grid, ...]
+    layers: tuple[GridRows, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -161,7 +140,7 @@ class FeatureStack:
     def nodata(self) -> tuple[float, ...]:
         return tuple(layer.nodata for layer in self.layers)
 
-    def layer(self, name: str) -> Grid:
+    def layer(self, name: str) -> GridRows:
         try:
             return self.layers[self.names.index(name)]
         except ValueError:
@@ -169,8 +148,12 @@ class FeatureStack:
 
     def rows(self, start: int, stop: int,
              names: Sequence[str] | None = None) -> tuple[np.ndarray, ...]:
+        """Rows ``start:stop`` of the named layers (every layer when None),
+        in that order, each from its layer's ``rows``: ``(stop - start,
+        ncols)`` arrays that the caller must not write, and that the next
+        call may overwrite."""
         layers = self.layers if names is None else [self.layer(name) for name in names]
-        return tuple(layer.values[start:stop] for layer in layers)
+        return tuple(layer.rows(start, stop) for layer in layers)
 
 
 # ---------------------------------------------------------------------------

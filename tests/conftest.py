@@ -1,9 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import demcorrect.cli as cli
-from demcorrect import FeatureStack, Grid, load_grid
+from demcorrect import FeatureStack, Grid, GridReader, load_grid
 
 NODATA = -9999.0
 
@@ -35,14 +37,17 @@ def write_stack(stack, cfg, out):
     return write.write_manifest(cfg)
 
 
+@contextlib.contextmanager
 def stack_backings(stack, tmp):
-    """``stack`` as each backing of the stack interface serves it, paired
+    """``stack`` as each backing of a :class:`FeatureStack` serves it, paired
     with the in-memory stack an oracle should read.
 
     ``memory`` is the stack itself; ``binary`` reads the digest-checked
     ``features_stack.npy`` a block at a time; ``fallback`` is the parsed
-    ``.asc`` files of a copy without it. The two file backings serve what
-    was written, in which -0.0 has become 0.0.
+    ``.asc`` files of a copy without it; ``readers`` parses those files a
+    block at a time through :class:`GridReader` s, which are closed on
+    leaving the ``with`` block. The file backings serve what was written,
+    in which -0.0 has become 0.0.
     """
     dirs = {}
     for kind in ("binary", "fallback"):
@@ -53,8 +58,14 @@ def stack_backings(stack, tmp):
     written = FeatureStack(stack.names, tuple(load_grid(dirs["binary"] / f"feature_{name}.asc")
                                               for name in stack.names))
     binary, fallback = cli._load_stack(dirs["binary"]), cli._load_stack(dirs["fallback"])
-    assert isinstance(binary, cli._StackFile) and isinstance(fallback, FeatureStack)
-    return {"memory": (stack, stack), "binary": (written, binary), "fallback": (written, fallback)}
+    assert all(isinstance(layer, cli._Slab) for layer in binary.layers)
+    assert all(isinstance(layer, Grid) for layer in fallback.layers)
+    with contextlib.ExitStack() as files:
+        readers = FeatureStack(stack.names, tuple(
+            files.enter_context(GridReader(dirs["fallback"] / f"feature_{name}.asc"))
+            for name in stack.names))
+        yield {"memory": (stack, stack), "binary": (written, binary),
+               "fallback": (written, fallback), "readers": (written, readers)}
 
 
 @st.composite

@@ -22,6 +22,7 @@ from demcorrect import (
     STRATUM_NAMES,
     FeatureStack,
     GbdtParams,
+    GeometryMismatch,
     Grid,
     GridReader,
     LinearModel,
@@ -138,13 +139,14 @@ class TestConfig:
     def test_integral_float_accepted(self):
         class Args:
             config = None
-            set = ["gbdt.n_trees=3.0"]
+            set = ["gbdt.n_trees=3.0", "bench.error_spec.seed=2.0"]
             model = None
             seed = None
             out = None
 
         cfg = resolve_config(Args())
         assert cli._gbdt_params(cfg, "depthwise").n_trees == 3
+        assert cli._bench_args(cfg)[3].seed == 2
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.delenv("DEMCORRECT_THREADS", raising=False)
@@ -370,6 +372,20 @@ class TestFeatureStackFile:
             assert values.tobytes() == ref.values.tobytes()
             assert (loaded.geometry, nodata) == (ref.geometry, ref.nodata)
 
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "parsed"])
+    def test_layer_off_the_stack_geometry_refused(self, tmp_path, binary):
+        """Both paths refuse a stack whose layer headers disagree, naming
+        the layer: the binary one once its slabs make a ``FeatureStack``."""
+        a = make_grid(np.ones((2, 3)), cellsize=30.0)
+        b = make_grid(np.ones((2, 3)), cellsize=30.0, xll=15.0)
+        with cli._StackWriter(tmp_path, ("a", "b"), (a, b)) as write:
+            write(0, [a.values, b.values])
+        write.write_manifest(cli.DEFAULT_CONFIG)
+        if not binary:
+            (tmp_path / "features_stack.npy").unlink()
+        with pytest.raises(GeometryMismatch, match="^layer 'b' is not on the stack geometry$"):
+            cli._load_stack(tmp_path)
+
 
 class TestPipeline:
     def test_full_chain(self, workspace, capsys):
@@ -556,9 +572,9 @@ class TestStepMemory:
     """Tracemalloc peaks of sampling and of the ``correct`` step, reading the
     stack from its binary copy, and of the ``features`` and ``evaluate``
     steps, reading their ASCII inputs through :class:`GridReader`, against
-    the bounds the README's "Memory" section states. The inputs (stack
-    reader, DEM, reference, strata; the readers, with their headers parsed)
-    are made before tracing, but not the stack reader's block buffer; h and
+    the bounds the README's "Memory" section states. The inputs (the stack
+    of slabs, DEM, reference, strata; the readers, with their headers parsed)
+    are made before tracing, but not the stack's block buffers; h and
     w are the grid's rows and columns, B = ``terrain.BLOCK_ROWS``, H = 11
     the feature build's halo, F the stack's layers and m a model's features.
 
@@ -584,11 +600,14 @@ class TestStepMemory:
             np.lib.format.read_magic(fh)
             np.lib.format.read_array_header_1_0(fh)
             start = fh.tell()
-        geometries = [layer.geometry for layer in stack.layers]
+        size = 8 * dem.nrows * dem.ncols
 
         def open_reader():
-            """A reader with no block buffer yet, so that a test traces its own."""
-            return cli._StackFile(path, start, stack.names, geometries, stack.nodata)
+            """A stack of slabs with no block buffers yet, so that a test
+            traces its own."""
+            return FeatureStack(stack.names, [
+                cli._Slab(path, start + i * size, layer.geometry, layer.nodata)
+                for i, layer in enumerate(stack.layers)])
 
         rng = np.random.default_rng(5)
         reference = dem.with_values(np.where(dem.valid_mask(), dem.values - rng.normal(
@@ -741,9 +760,9 @@ class TestBenchMemory:
         """At 129², the traced live memory when ``bench`` enters
         ``_train_step`` is at most 7 grids of 8*h*w bytes (the reference,
         the DEM, three masks, the strata and one for smaller objects), the
-        stack reader's block buffer of 8*F*B*w bytes and the k sampled rows,
+        stack's block buffers of 8*F*B*w bytes and the k sampled rows,
         k*(8*F + 32) bytes. When it enters ``_evaluate_step`` the block
-        buffer is gone and no corrected DEM is held. Holding the assembled
+        buffers are gone and no corrected DEM is held. Holding the assembled
         stack, and then the corrected DEMs, took 17.8 and 18.9 grids at rate
         0.25 against 14.3 and 9.0 now."""
         # an untraced run first imports what bench needs
@@ -1269,6 +1288,40 @@ class TestInputErrors:
         rc = run_cli("bench", "--out", tmp_path, "--set", setting)
         self.assert_input_error(rc, capsys, f"configuration key 'bench.error_spec': {needle}, "
                                             "got ")
+
+    @pytest.mark.parametrize("setting, needle", [
+        ("bench.error_spec.seed=2.5", "seed must be an integer, got 2.5"),
+        ("bench.error_spec.seed=NaN", "seed must be an integer, got NaN"),
+        ('bench.error_spec.seed="2"', 'seed must be a number, got "2"'),
+        ('bench.error_spec.linear_terms.slope="5"',
+         'linear term \'slope\' must be a number, got "5"'),
+        ('bench.error_spec.noise_std="0"', 'noise_std must be a number, got "0"'),
+        ('bench.error_spec.nonlinear_terms=[{"feature": "slope", "kind": "sine", '
+         '"amplitude": "1"}]', 'amplitude must be a number, got "1"'),
+        ('bench.error_spec.nonlinear_terms=[{"feature": "slope", "kind": "sine", '
+         '"amplitude": 1, "scale": [2]}]', "scale must be a number, got [2]"),
+    ], ids=["seed-fraction", "seed-nan", "seed-string", "coefficient-string",
+            "noise_std-string", "amplitude-string", "scale-array"])
+    def test_error_spec_refuses_what_config_numbers_refuse(self, tmp_path, capsys, setting,
+                                                           needle):
+        """The spec's numbers refuse a string, and its seed a fraction, as
+        the other configuration keys do, rather than convert or truncate."""
+        rc = run_cli("bench", "--out", tmp_path, "--set", setting)
+        self.assert_input_error(rc, capsys, f"configuration key 'bench.error_spec': {needle}")
+
+    @pytest.mark.parametrize("key, raw", [
+        (key, raw) for key in sorted(cli.DEFAULT_CONFIG["paths"])
+        for raw in ("5", "2.5", "true", "NaN", '["a.asc"]', '{"file": "a.asc"}')
+    ] + [("out_dir", "null")])
+    def test_paths_refuse_what_is_no_string(self, tmp_path, monkeypatch, capsys, key, raw):
+        """Each ``paths.*`` value is null or a string, the output directory
+        a string; anything else is named before any file is opened."""
+        monkeypatch.chdir(tmp_path)
+        rc = run_cli("features", "--set", f"paths.{key}={raw}")
+        kind = "a string" if key == "out_dir" else "null or a string"
+        self.assert_input_error(rc, capsys, f"configuration key 'paths.{key}': must be {kind}, "
+                                            f"got {json.dumps(json.loads(raw))}")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("setting, needle", [
         ("bench.error_spec.slope=5",

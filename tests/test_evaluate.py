@@ -232,8 +232,8 @@ class TestBlockedPredict:
     @given(predict_cases(), st.integers(1, 32))
     def test_equals_the_whole_grid_oracle(self, case, block_rows):
         stack, model = case
-        with tempfile.TemporaryDirectory() as tmp:
-            for backing, (plain, read) in stack_backings(stack, Path(tmp)).items():
+        with tempfile.TemporaryDirectory() as tmp, stack_backings(stack, Path(tmp)) as backings:
+            for backing, (plain, read) in backings.items():
                 want = predict_error_grid_oracle(model, plain)
                 got, blocks = [], []
                 with mock.patch.object(terrain, "BLOCK_ROWS", block_rows):

@@ -184,8 +184,8 @@ class TestBlockedExtract:
            st.integers(0, 3))
     def test_equals_the_whole_grid_oracle(self, case, block_rows, rate, seed):
         stack, target, strata = case
-        with tempfile.TemporaryDirectory() as tmp:
-            for backing, (plain, read) in stack_backings(stack, Path(tmp)).items():
+        with tempfile.TemporaryDirectory() as tmp, stack_backings(stack, Path(tmp)) as backings:
+            for backing, (plain, read) in backings.items():
                 want = outcome(extract_samples_oracle, plain, target, strata, rate, seed)
                 with mock.patch.object(terrain, "BLOCK_ROWS", block_rows):
                     got = outcome(extract_samples, read, target, strata, rate, seed)
