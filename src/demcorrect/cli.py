@@ -90,6 +90,7 @@ from .synth import (
     check_fractal_args,
     fractal_dem,
     inject_error,
+    json_number,
     synth_landcover,
 )
 from .terrain import (
@@ -308,45 +309,28 @@ def worker_count() -> int:
     return n
 
 
-def _integral(value) -> int:
-    """An integer config value; 2.0 passes, but a bool or 2.5 is refused
-    rather than truncated (``_check_values`` names the key)."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"must be an integer, got {json.dumps(value)}")
-    return int(value)
-
-
-def _real(value) -> float:
-    """A number config value; a bool or a string is refused rather than
-    converted (``_check_values`` names the key)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"must be a number, got {json.dumps(value)}")
-    return float(value)
-
-
 def _feature_config(cfg: dict) -> FeatureConfig:
     w = cfg["windows"]
-    mvf = _real(w["min_valid_fraction"])
+    mvf = json_number(w["min_valid_fraction"])
     return FeatureConfig(
-        roughness_window=WindowSpec(_integral(w["roughness_radius"]), mvf),
-        tpi_window=WindowSpec(_integral(w["tpi_radius"]), mvf),
-        vrm_window=WindowSpec(_integral(w["vrm_radius"]), mvf),
-        landcover_window=WindowSpec(_integral(w["landcover_radius"]), mvf),
-        texture_window=WindowSpec(_integral(w["texture_radius"]), mvf),
-        texture_threshold=_real(w["texture_threshold"]),
+        roughness_window=WindowSpec(json_number(w["roughness_radius"], cast=int), mvf),
+        tpi_window=WindowSpec(json_number(w["tpi_radius"], cast=int), mvf),
+        vrm_window=WindowSpec(json_number(w["vrm_radius"], cast=int), mvf),
+        landcover_window=WindowSpec(json_number(w["landcover_radius"], cast=int), mvf),
+        texture_window=WindowSpec(json_number(w["texture_radius"], cast=int), mvf),
+        texture_threshold=json_number(w["texture_threshold"]),
     )
 
 
 def _sampling_args(cfg: dict) -> tuple[float, float, int, bool]:
     """(rate, train_fraction, seed, stratified), in the ranges the sampling functions take."""
     s = cfg["sampling"]
-    rate, train_fraction = _real(s["rate"]), _real(s["train_fraction"])
+    rate, train_fraction = json_number(s["rate"]), json_number(s["train_fraction"])
     if not 0 < rate <= 1:
         raise ValueError("rate must be in (0, 1]")
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must be in (0, 1)")
-    seed = _integral(s["seed"])
+    seed = json_number(s["seed"], cast=int)
     if seed < 0:
         raise ValueError("seed must be >= 0")
     if not isinstance(s["stratified"], bool):
@@ -357,7 +341,7 @@ def _sampling_args(cfg: dict) -> tuple[float, float, int, bool]:
 def _screen_args(cfg: dict) -> tuple[float, float]:
     """(r_abs, vif) thresholds of the collinearity screen."""
     c = cfg["collinearity"]
-    r_abs, vif = _real(c["r_abs"]), _real(c["vif"])
+    r_abs, vif = json_number(c["r_abs"]), json_number(c["vif"])
     if math.isnan(r_abs) or math.isnan(vif):
         raise ValueError("threshold must be a number, got NaN")
     return r_abs, vif
@@ -370,20 +354,20 @@ def _bench_args(cfg: dict) -> tuple[dict, int, float | None, ErrorSpec]:
     """
     b = cfg["bench"]
     terrain = {
-        "size_exponent": _integral(b["size_exponent"]),
-        "base_height": _real(b["base_height"]),
-        "relief_amplitude": _real(b["relief_amplitude"]),
-        "roughness_decay": _real(b["roughness_decay"]),
-        "seed": _integral(b["terrain_seed"]),
-        "cellsize": _real(b["cellsize"]),
+        "size_exponent": json_number(b["size_exponent"], cast=int),
+        "base_height": json_number(b["base_height"]),
+        "relief_amplitude": json_number(b["relief_amplitude"]),
+        "roughness_decay": json_number(b["roughness_decay"]),
+        "seed": json_number(b["terrain_seed"], cast=int),
+        "cellsize": json_number(b["cellsize"]),
     }
     check_fractal_args(terrain["size_exponent"], terrain["base_height"],
                        terrain["relief_amplitude"], terrain["roughness_decay"],
                        terrain["cellsize"])
-    landcover_seed = _integral(b["landcover_seed"])
+    landcover_seed = json_number(b["landcover_seed"], cast=int)
     fraction = b["noise_fraction"]
     if fraction is not None:
-        fraction = _real(fraction)
+        fraction = json_number(fraction)
         if not (0 <= fraction < math.inf):
             raise ValueError("noise_fraction must be null, or finite and >= 0")
     try:
@@ -402,15 +386,15 @@ def _bench_args(cfg: dict) -> tuple[dict, int, float | None, ErrorSpec]:
 def _gbdt_params(cfg: dict, growth: str) -> GbdtParams:
     g = cfg["gbdt"]
     return GbdtParams(
-        n_trees=_integral(g["n_trees"]),
-        learning_rate=_real(g["learning_rate"]),
+        n_trees=json_number(g["n_trees"], cast=int),
+        learning_rate=json_number(g["learning_rate"]),
         growth=growth,
-        max_depth=None if g["max_depth"] is None else _integral(g["max_depth"]),
-        max_leaves=_integral(g["max_leaves"]),
-        min_samples_leaf=_integral(g["min_samples_leaf"]),
-        min_gain=_real(g["min_gain"]),
-        reg_lambda=_real(g["lambda"]),
-        seed=_integral(g["seed"]),
+        max_depth=None if g["max_depth"] is None else json_number(g["max_depth"], cast=int),
+        max_leaves=json_number(g["max_leaves"], cast=int),
+        min_samples_leaf=json_number(g["min_samples_leaf"], cast=int),
+        min_gain=json_number(g["min_gain"]),
+        reg_lambda=json_number(g["lambda"]),
+        seed=json_number(g["seed"], cast=int),
     )
 
 
@@ -640,8 +624,11 @@ class _Slab:
     a time (a :class:`~demcorrect.grid.GridRows`).
 
     ``rows`` seeks to the block and reads it into a buffer that the next
-    call reuses. The file is not mapped: ``ru_maxrss`` counts every page a
-    map touches, so a map would cost as much as reading the layers whole.
+    call reuses, which ``GridRows`` does not allow: a ``_Slab`` is read
+    only through :meth:`~demcorrect.terrain.FeatureStack.rows`, whose
+    callers keep no block past the next call. The file is not mapped:
+    ``ru_maxrss`` counts every page a map touches, so a map would cost as
+    much as reading the layers whole.
     """
 
     def __init__(self, path: Path, offset: int, geometry: GridGeometry, nodata: float):

@@ -221,13 +221,16 @@ def synth_landcover(dem: Grid, seed: int = 0) -> LandcoverSet:
     )
 
 
-def _number(value, what: str, cast=float):
-    """``cast(value)`` of a JSON number. A bool or a string is refused, as
-    is a fraction where ``cast`` is int, rather than converted or truncated."""
+def json_number(value, what: str = "", cast=float):
+    """``cast(value)`` of a JSON number, for the error spec and the
+    configuration's numbers alike. A bool or a string is refused, as is a
+    fraction where ``cast`` is int (2.0 passes), rather than converted or
+    truncated; ``what`` opens the message."""
+    must = f"{what} must" if what else "must"
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {json.dumps(value)}")
+        raise ValueError(f"{must} be a number, got {json.dumps(value)}")
     if cast is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+        raise ValueError(f"{must} be an integer, got {json.dumps(value)}")
     return cast(value)
 
 
@@ -272,8 +275,8 @@ class NonlinearTerm:
     def from_doc(cls, doc: dict) -> "NonlinearTerm":
         _reject_unknown_keys(doc, ("feature", "kind", "amplitude", "scale", "feature2"),
                              "nonlinear term")
-        return cls(doc["feature"], doc["kind"], _number(doc["amplitude"], "amplitude"),
-                   _number(doc.get("scale", 1.0), "scale"), doc.get("feature2"))
+        return cls(doc["feature"], doc["kind"], json_number(doc["amplitude"], "amplitude"),
+                   json_number(doc.get("scale", 1.0), "scale"), doc.get("feature2"))
 
 
 @dataclass(frozen=True)
@@ -320,11 +323,11 @@ class ErrorSpec:
         _reject_unknown_keys(doc, ("linear_terms", "nonlinear_terms", "noise_std", "seed"),
                              "error spec")
         return cls(
-            {str(k): _number(v, f"linear term '{k}'")
+            {str(k): json_number(v, f"linear term '{k}'")
              for k, v in doc.get("linear_terms", {}).items()},
             tuple(NonlinearTerm.from_doc(t) for t in doc.get("nonlinear_terms", [])),
-            _number(doc.get("noise_std", 0.0), "noise_std"),
-            _number(doc.get("seed", 0), "seed", int),
+            json_number(doc.get("noise_std", 0.0), "noise_std"),
+            json_number(doc.get("seed", 0), "seed", int),
         )
 
 

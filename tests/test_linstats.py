@@ -85,10 +85,10 @@ def assert_screen_matches_oracle(table, vif_threshold=10.0):
     VIF of each removal and the removal order equal those of the auxiliary
     regressions, repeated on the survivors' columns each round.
 
-    VIFs within the tolerance of the largest are a tie that rounding
-    breaks either way (two columns have equal VIFs in exact arithmetic,
-    for one), so the screen may remove any of them; the oracle then
-    follows it."""
+    VIFs within the tolerance of the largest count as tied: two columns
+    with equal VIFs in exact arithmetic can differ in the oracle's last
+    bits. Of tied columns the oracle removes the later one, the screen's
+    documented rule."""
     rep = flag_collinear(table, vif_threshold=vif_threshold)
     X, names = table.features, table.feature_names
     assert_vifs_close(rep.vif, aux_vif_oracle(X))
@@ -98,9 +98,7 @@ def assert_screen_matches_oracle(table, vif_threshold=10.0):
         assert_vifs_close(vif(table.select_features([names[k] for k in active])), want)
         if not want.max() >= vif_threshold:
             break
-        tied = [i for i, v in enumerate(want) if v == pytest.approx(want.max(), rel=1e-9)]
-        removed = rep.flagged[len(flagged)] if len(rep.flagged) > len(flagged) else None
-        at = next((i for i in tied if names[active[i]] == removed), tied[-1])
+        at = max(i for i, v in enumerate(want) if v == pytest.approx(want.max(), rel=1e-9))
         flagged.append((names[active.pop(at)], want[at]))
     assert rep.flagged == tuple(n for n, _ in flagged)
     assert_vifs_close(np.array([v for _, v in rep.removal_history]),
@@ -312,6 +310,14 @@ class TestFlagCollinear:
         t = table_from(np.column_stack([x, y, x]), names=("a", "b", "a2"))
         rep = flag_collinear(t)
         assert rep.flagged[0] == "a2"  # a and a2 tie at +inf; later one goes
+
+    def test_finite_tie_removes_later_variable(self, rng):
+        # with two features both VIFs are 1/(1 - r^2): equal, and finite
+        x = rng.normal(size=50)
+        t = table_from(np.column_stack([x, x + rng.normal(size=50) * 0.3]))
+        rep = flag_collinear(t)
+        assert rep.vif[0] == rep.vif[1] and 10 <= rep.vif[0] < math.inf
+        assert rep.flagged == ("f1",)
 
     def test_deterministic(self, rng):
         X = rng.normal(size=(80, 5))
