@@ -187,21 +187,25 @@ def _merge(base: dict, override: dict, path: str = "") -> None:
 
 
 def _apply_override(cfg: dict, dotted: str, raw: str) -> None:
+    """``--set a.b=value`` merges as a config file holding ``{"a": {"b":
+    value}}`` would (:func:`_merge`). Below an opaque key it sets one leaf
+    instead and keeps the rest: the leaf may be new, its parents may not."""
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    *parents, leaf = dotted.split(".")
+    keys = dotted.split(".")
+    if not any(".".join(keys[:depth]) in _OPAQUE_KEYS for depth in range(1, len(keys))):
+        for key in reversed(keys):
+            value = {key: value}
+        _merge(cfg, value)
+        return
     node = cfg
-    opaque = False  # below an opaque key the leaf may be new; its parents may not
-    for depth, key in enumerate(parents, 1):
+    for depth, key in enumerate(keys[:-1], 1):
         if not isinstance(node.get(key), dict):
-            raise ConfigError(f"unknown configuration key '{'.'.join(parents[:depth])}'")
+            raise ConfigError(f"unknown configuration key '{'.'.join(keys[:depth])}'")
         node = node[key]
-        opaque = opaque or ".".join(parents[:depth]) in _OPAQUE_KEYS
-    if not opaque and leaf not in node:
-        raise ConfigError(f"unknown configuration key '{dotted}'")
-    node[leaf] = value
+    node[keys[-1]] = value
 
 
 def resolve_config(args) -> dict:
@@ -953,19 +957,25 @@ def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
 def cmd_evaluate(cfg: dict) -> int:
     out = _out_dir(cfg)
     with contextlib.ExitStack() as files:
-        def read(path: Path) -> GridReader:
-            return files.enter_context(GridReader(path))
+        dem_path = _require_path(cfg, "dem")
+        reference = files.enter_context(GridReader(_require_path(cfg, "reference")))
 
-        dem = read(_require_path(cfg, "dem"))
-        reference = read(_require_path(cfg, "reference"))
+        def read(path: Path, source: str) -> GridReader:
+            """The grid at ``path``, refused unless on the reference's geometry."""
+            grid = files.enter_context(GridReader(path))
+            _require_on(source, grid, reference, "the reference's")
+            return grid
+
+        dem = read(dem_path, f"paths.dem '{cfg['paths']['dem']}'")
         strata_path = _optional_path(cfg, "strata")
-        strata = None if strata_path is None else read(strata_path)
+        strata = None if strata_path is None else \
+            read(strata_path, f"paths.strata '{cfg['paths']['strata']}'")
         corrected = {}
         for name in cfg["models"]:
             cpath = _corrected_path(out, name)
             if not cpath.is_file():
                 raise ConfigError(f"'{cpath}' does not exist (run 'correct' first)")
-            corrected[name] = read(cpath)
+            corrected[name] = read(cpath, f"'{cpath}'")
         report = _evaluate_step(cfg, reference, dem, corrected, strata, out)
     print(report.render_text())
     return 0
@@ -1020,9 +1030,8 @@ def cmd_bench(cfg: dict) -> int:
     t_feat = time.perf_counter()
 
     train, test = _split_step(cfg, stack, difference(original, reference), land.strata)
-    for kind, table in (("train", train), ("test", test)):
-        with open(out / f"samples_{kind}.csv", "w") as fh:
-            table.to_csv(fh)
+    t_sample = time.perf_counter()
+
     models = _train_step(cfg, train, out, _diagnose_step(cfg, train, out))
     t_train = time.perf_counter()
 
@@ -1046,8 +1055,8 @@ def cmd_bench(cfg: dict) -> int:
 
     print(f"bench complete in {t_end - t0:.1f} s "
           f"(generate {t_gen - t0:.1f}, features {t_feat - t_gen:.1f}, "
-          f"train {t_train - t_feat:.1f}, correct {t_correct - t_train:.1f}, "
-          f"evaluate {t_end - t_correct:.1f})")
+          f"sample {t_sample - t_feat:.1f}, train {t_train - t_sample:.1f}, "
+          f"correct {t_correct - t_train:.1f}, evaluate {t_end - t_correct:.1f})")
     print(f"train/test rows: {len(train)}/{len(test)}")
     print(report_test.render_text())
     return 0

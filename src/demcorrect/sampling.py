@@ -143,31 +143,6 @@ class SampleTable:
             ])
         return buf.getvalue() if out is None else None
 
-    @classmethod
-    def from_csv(cls, text: str) -> "SampleTable":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header[:3] != ["row", "col", "stratum"] or header[-1] != "target":
-            raise ValueError("unexpected sample CSV header")
-        names = tuple(header[3:-1])
-        cells, feats, targets, strata = [], [], [], []
-        any_stratum = False
-        for rec in reader:
-            if not rec:
-                continue
-            cells.append((int(rec[0]), int(rec[1])))
-            strata.append(int(rec[2]) if rec[2] != "" else NO_STRATUM)
-            any_stratum = any_stratum or rec[2] != ""
-            feats.append([float(v) for v in rec[3:-1]])
-            targets.append(float(rec[-1]))
-        return cls(
-            names,
-            np.array(cells, dtype=np.int64).reshape(-1, 2),
-            np.array(feats, dtype=np.float64).reshape(-1, len(names)),
-            np.array(targets, dtype=np.float64),
-            np.array(strata, dtype=np.int64) if any_stratum else None,
-        )
-
 
 def extract_samples(
     stack: FeatureStack,

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -455,8 +456,9 @@ class TestBench:
         assert run_cli(*self.bench_args(out)) == 0
         for f in ("report.json", "report.txt", "report_test.json", "report_test.txt",
                   "collinearity.json", "reference.asc", "original.asc",
-                  "true_error.asc", "samples_train.csv", "samples_test.csv"):
+                  "true_error.asc"):
             assert (out / f).is_file(), f
+        assert not list(out.glob("samples_*.csv"))
 
     def test_bench_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "bench"
@@ -752,11 +754,11 @@ class TestBenchInputs:
 
 class TestBenchMemory:
     """``bench`` holds no whole derived layer it does not need, and writes its
-    JSON documents and sample tables without building each as one string,
-    as the README's "Memory" section states."""
+    JSON documents without building each as one string, as the README's
+    "Memory" section states; so does ``SampleTable.to_csv`` a table."""
 
     @pytest.mark.parametrize("rate", [0.25, 1.0])
-    def test_one_stack_when_training(self, tmp_path, monkeypatch, rate):
+    def test_one_stack_when_training(self, tmp_path, monkeypatch, capsys, rate):
         """At 129², the traced live memory when ``bench`` enters
         ``_train_step`` is at most 7 grids of 8*h*w bytes (the reference,
         the DEM, three masks, the strata and one for smaller objects), the
@@ -768,6 +770,7 @@ class TestBenchMemory:
         # an untraced run first imports what bench needs
         run_cli("bench", "--out", tmp_path / "warm", "--set", "bench.size_exponent=5",
                 "--set", "windows.texture_radius=3", "--model", "mlr")
+        capsys.readouterr()
         live = {}
         for step in ("_train_step", "_evaluate_step"):
             def entered(*args, _step=step, _real=getattr(cli, step)):
@@ -783,8 +786,8 @@ class TestBenchMemory:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        k = sum(len((out / f"samples_{kind}.csv").read_text().splitlines()) - 1
-                for kind in ("train", "test"))
+        rows, = re.findall(r"^train/test rows: (\d+)/(\d+)$", capsys.readouterr().out, re.M)
+        k = sum(map(int, rows))
         h = w = 129
         F = len(CANONICAL_FEATURES)
         held = 7 * 8 * h * w + k * (8 * F + 32)
@@ -1213,11 +1216,10 @@ class TestInputErrors:
         self.assert_input_error(run_cli("evaluate", "--config", cfg_path, "--out", taken / "x"),
                                 capsys, f"output directory '{taken / 'x'}': Not a directory")
 
-    @pytest.mark.parametrize("name", ["collinearity.json", "samples_train.csv",
-                                      "feature_slope.asc"])
+    @pytest.mark.parametrize("name", ["collinearity.json", "feature_slope.asc"])
     def test_output_file_is_a_directory(self, tmp_path, capsys, name):
-        """A JSON document, a sample table or a raster that cannot be
-        written; the raster's own temporary file does not stay."""
+        """A JSON document or a raster that cannot be written; the
+        raster's own temporary file does not stay."""
         out = tmp_path / "bench"
         (out / name).mkdir(parents=True)
         rc = run_cli("bench", "--out", out, "--set", "bench.size_exponent=5",
@@ -1335,6 +1337,38 @@ class TestInputErrors:
         rc = run_cli("bench", "--out", tmp_path, "--set", setting)
         self.assert_input_error(rc, capsys, needle)
 
+    @pytest.mark.parametrize("setting, needle", [
+        ("windows=5", "configuration key 'windows' must be an object"),
+        ("gbdt=null", "configuration key 'gbdt' must be an object"),
+        ("paths=5", "configuration key 'paths' must be an object"),
+        ('windows={"bogus": 2}', "unknown configuration key 'windows.bogus'"),
+        ('windows={"tpi_radius": 2}', None),
+    ], ids=["number", "null", "paths", "unknown-key", "merged"])
+    @pytest.mark.parametrize("out", [None, "elsewhere"], ids=["no-out", "out"])
+    def test_set_of_a_section(self, tmp_path, monkeypatch, capsys, setting, needle, out):
+        """``--set`` of a whole section follows the config file's rule: the
+        section must be an object, which merges key by key, and an unknown
+        key is refused. The flag and the file give the same outcome, and a
+        refusal exits 2 before any file is written."""
+        monkeypatch.chdir(tmp_path)
+        key, raw = setting.split("=", 1)
+        Path("config.json").write_text(json.dumps({key: json.loads(raw)}))
+        outcomes = []
+        for args in (SimpleNamespace(set=[setting], out=out),
+                     SimpleNamespace(config="config.json", out=out)):
+            try:
+                outcomes.append(resolve_config(args))
+            except ConfigError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if needle is None:
+            assert outcomes[0]["windows"] == {**cli.DEFAULT_CONFIG["windows"], "tpi_radius": 2}
+            return
+        assert outcomes[0] == needle
+        rc = run_cli("features", "--set", setting, *(("--out", out) if out else ()))
+        self.assert_input_error(rc, capsys, needle)
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("settings, needle", [
         (["sampling.rate=0.01"], "pearson_matrix requires at least 2 rows; have 1"),
         (["sampling.rate=0.6", "sampling.train_fraction=0.99"], "no cell is valid in every grid"),
@@ -1345,23 +1379,37 @@ class TestInputErrors:
                      "--set", "bench.size_exponent=5", *overrides)
         self.assert_input_error(rc, capsys, needle)
 
-    @pytest.mark.parametrize("step", ["diagnose", "train"])
-    @pytest.mark.parametrize("key, against", [
-        ("dem", "the feature stack's"), ("reference", "the DEM's"),
-        ("strata", "the feature stack's"),
-    ], ids=["dem", "reference", "strata"])
-    def test_split_input_off_geometry(self, workspace, capsys, step, key, against):
-        """An input moved by half a cell after ``features`` is refused before
-        any differencing or sampling, naming its key, its file and both
-        geometries."""
+    @pytest.mark.parametrize("key, step, against", [
+        pytest.param(key, step, against, id=f"{key}-{step}")
+        for key, steps, against in (
+            ("dem", ("diagnose", "train"), "the feature stack's"),
+            ("reference", ("diagnose", "train"), "the DEM's"),
+            ("strata", ("diagnose", "train"), "the feature stack's"),
+            ("dem", ("evaluate",), "the reference's"),
+            ("strata", ("evaluate",), "the reference's"),
+            ("corrected", ("evaluate",), "the reference's"))
+        for step in steps])
+    def test_split_input_off_geometry(self, workspace, capsys, key, step, against):
+        """An input moved by half a cell after the step before is refused
+        before any differencing, sampling or scoring, naming its key (or,
+        for a corrected DEM, its file), its file and both geometries."""
         cfg_path, tmp = workspace
         run_cli("features", "--config", cfg_path)
-        grid = load_grid(tmp / f"{key}.asc")
+        if step == "evaluate":
+            for before in ("train", "correct"):
+                run_cli(before, "--config", cfg_path, "--model", "mlr")
+        if key == "corrected":
+            path = tmp / "out" / "corrected_mlr.asc"
+            source = f"'{path}'"
+        else:
+            path = tmp / f"{key}.asc"
+            source = f"paths.{key} '{path}'"
+        grid = load_grid(path)
         save_grid(Grid(grid.ncols, grid.nrows, grid.xll, grid.yll + 15.0, grid.cellsize,
-                       grid.nodata, grid.values), tmp / f"{key}.asc")
+                       grid.nodata, grid.values), path)
         capsys.readouterr()
-        self.assert_input_error(run_cli(step, "--config", cfg_path), capsys,
-                                f"error: paths.{key} '{tmp / f'{key}.asc'}' (33 x 33, xll 0.0, "
+        self.assert_input_error(run_cli(step, "--config", cfg_path, "--model", "mlr"), capsys,
+                                f"error: {source} (33 x 33, xll 0.0, "
                                 f"yll 15.0, cellsize 30.0) is not on {against} geometry "
                                 "(33 x 33, xll 0.0, yll 0.0, cellsize 30.0)\n")
 
