@@ -59,6 +59,7 @@ from .grid import (
     GridParseError,
     GridReader,
     GridRows,
+    InputOverflowError,
     NonFiniteError,
     ascii_header,
     ascii_rows,
@@ -374,10 +375,7 @@ def _bench_args(cfg: dict) -> tuple[dict, int, float | None, ErrorSpec]:
         fraction = json_number(fraction)
         if not (0 <= fraction < math.inf):
             raise ValueError("noise_fraction must be null, or finite and >= 0")
-    try:
-        spec = ErrorSpec.from_doc(b["error_spec"])
-    except (AttributeError, KeyError) as exc:
-        raise ValueError(f"malformed error spec: {type(exc).__name__}: {exc}") from None
+    spec = ErrorSpec.from_doc(b["error_spec"])
     for name in spec.referenced_features():
         if name not in CANONICAL_FEATURES:
             raise ValueError(f"unknown feature '{name}' in error spec "
@@ -419,11 +417,6 @@ def _require_path(cfg: dict, key: str) -> Path:
 
 def _optional_path(cfg: dict, key: str) -> Path | None:
     return _require_path(cfg, key) if cfg["paths"].get(key) else None
-
-
-def _optional_grid(cfg: dict, key: str) -> Grid | None:
-    path = _optional_path(cfg, key)
-    return None if path is None else load_grid(path)
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -888,11 +881,14 @@ def _evaluate_step(cfg: dict, reference: GridRows, dem: GridRows, corrected: dic
 
 
 def cmd_features(cfg: dict) -> int:
+    keys = ("dem", "bare", "urban", "forest")
     with contextlib.ExitStack() as files:
-        dem, bare, urban, forest = (files.enter_context(GridReader(_require_path(cfg, key)))
-                                    for key in ("dem", "bare", "urban", "forest"))
+        dem, *masks = [files.enter_context(GridReader(_require_path(cfg, key))) for key in keys]
+        # every header is read before any geometry is compared
+        for key, mask in zip(keys[1:], masks):
+            _require_on(f"paths.{key} '{cfg['paths'][key]}'", mask, dem, "the DEM's")
         out = _out_dir(cfg)
-        _features_step(cfg, dem, bare, urban, forest, out)
+        _features_step(cfg, dem, *masks, out)
     print(f"wrote {len(CANONICAL_FEATURES)} feature layers to {out}")
     return 0
 
@@ -930,7 +926,7 @@ def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
     out = _out_dir(cfg)
     stack = _load_stack(out)
     dem = load_grid(_require_path(cfg, "dem"))
-    reference = _optional_grid(cfg, "reference")
+    reference = None if (ref := _optional_path(cfg, "reference")) is None else load_grid(ref)
     paths = [Path(p) for p in model_docs] if model_docs else \
         [_model_doc_path(out, name) for name in cfg["models"]]
     models = {}
@@ -1108,6 +1104,7 @@ _INPUT_ERRORS = (
     ConfigError,
     GridParseError,
     GeometryMismatch,
+    InputOverflowError,
     MaskValueError,
     ModelFormatError,
     SingularDesignError,
@@ -1119,19 +1116,10 @@ _INPUT_ERRORS = (
 
 def _run_command(args) -> int:
     cfg = resolve_config(args)
-    if args.command == "features":
-        return cmd_features(cfg)
-    if args.command == "diagnose":
-        return cmd_diagnose(cfg)
-    if args.command == "train":
-        return cmd_train(cfg)
     if args.command == "correct":
         return cmd_correct(cfg, args.model_doc)
-    if args.command == "evaluate":
-        return cmd_evaluate(cfg)
-    if args.command == "bench":
-        return cmd_bench(cfg)
-    raise ConfigError(f"unknown command '{args.command}'")
+    return {"features": cmd_features, "diagnose": cmd_diagnose, "train": cmd_train,
+            "evaluate": cmd_evaluate, "bench": cmd_bench}[args.command](cfg)
 
 
 def main(argv=None) -> int:

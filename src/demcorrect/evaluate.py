@@ -100,12 +100,9 @@ def predict_error_grid(model, stack: FeatureStack,
         ValueError: a prediction is neither finite nor the nodata sentinel.
     """
     names = tuple(model.feature_names)
-    for name in names:
-        if name not in stack.names:
-            raise KeyError(f"no feature layer named '{name}'")
+    layer_nodata = [stack.layer(name).nodata for name in names]
     geo = stack.geometry
     nodata = stack.nodata[0]
-    layer_nodata = [stack.nodata[stack.names.index(name)] for name in names]
     assembled = None
     if sink is None:
         assembled = np.empty((geo.nrows, geo.ncols))

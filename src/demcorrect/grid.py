@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ __all__ = [
     "GridParseError",
     "GeometryMismatch",
     "NonFiniteError",
+    "InputOverflowError",
     "GridRows",
     "GridReader",
     "parse_ascii_header",
@@ -154,7 +156,28 @@ class GridRows(Protocol):
 
 
 class NonFiniteError(ValueError):
-    """A cell of a grid is neither finite nor the nodata sentinel; names the cell."""
+    """A grid cell (``row``, ``col``) is neither finite nor the nodata sentinel."""
+
+    def __init__(self, row: int, col: int):
+        super().__init__(f"non-finite value at cell ({row}, {col}) is not the nodata sentinel")
+        self.row, self.col = row, col
+
+
+class InputOverflowError(ValueError):
+    """A value derived from finite inputs overflows; names it and the cell."""
+
+
+@contextlib.contextmanager
+def overflow_named(what: str, first_row: int = 0):
+    """Raise a :class:`NonFiniteError` from inside (a ``with`` block or a
+    decorated function) as an :class:`InputOverflowError` naming ``what``
+    and the cell, its row counted from ``first_row``; numpy warns of no overflow."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except NonFiniteError as exc:
+        raise InputOverflowError(f"{what} is not finite at cell ({first_row + exc.row}, "
+                                 f"{exc.col}): the input values overflow it") from None
 
 
 def check_values(values: np.ndarray, nodata: float, first_row: int = 0) -> None:
@@ -166,9 +189,8 @@ def check_values(values: np.ndarray, nodata: float, first_row: int = 0) -> None:
     """
     bad = ~(np.isfinite(values) | (values == nodata))
     if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise NonFiniteError(f"non-finite value at cell ({first_row + i}, {j}) "
-                         "is not the nodata sentinel")
+        i, j = np.argwhere(bad)[0].tolist()
+        raise NonFiniteError(first_row + i, j)
 
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
@@ -237,59 +259,34 @@ def read_ascii_grid(source: str | TextIO) -> Grid:
 
     The six header lines (see :func:`parse_ascii_header`) are followed by
     ncols*nrows whitespace-separated values in row-major north-first order,
-    wrapped over lines in any way. A body whose lines hold one grid row
-    each is parsed by numpy's C reader (:func:`_parse_rows`); any other
-    body by the token loop, which names the line of a fault. A seekable
-    stream is parsed as it is read, so its text is never held whole;
-    should that parse fail, the stream is rewound and parsed as text.
+    wrapped over lines in any way. A stream that can seek is read by its
+    own lines; a string, or a stream that cannot, as a file in text mode
+    is, its lines ending at ``\\n``, ``\\r\\n`` or ``\\r``. A body whose
+    lines hold one grid row each is parsed by numpy's C reader
+    (:func:`_parse_rows`); any other body, reread from its first line, by
+    the token loop, which names the line of a fault.
 
     Raises:
         GridParseError: malformed header, non-numeric token, or value-count
             mismatch; the message names the offending line.
     """
-    if hasattr(source, "read"):
-        if source.seekable():
-            start = source.tell()
-            header = _read_header(source)
-            if header is not None:
-                geo, nodata = header
-                values = _parse_rows(source, geo.nrows, geo.ncols, nodata, last=True)
-                if values is not None:
-                    return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata,
-                                values)
-            source.seek(start)
-        source = source.read()
-    lines, plain = source.splitlines(), _cut_alike(source)
-    del source  # the lines hold a second copy of the text; free the first before parsing
-    geo, nodata = parse_ascii_header(lines[:6])
-    body = lines[6:]
-    values = _parse_rows(iter(body), geo.nrows, geo.ncols, nodata, last=True) if plain else None
+    if isinstance(source, str) or not source.seekable():
+        # read as a file in text mode is, from UTF-8: a StringIO holds 4 bytes per character
+        data = (source if isinstance(source, str) else source.read()).encode(errors="surrogatepass")
+        source = io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogatepass", newline=None)
+    geo, nodata = _read_header(source)
+    body = source.tell()
+    values = _parse_rows(source, geo.nrows, geo.ncols, nodata, last=True)
     if values is None:
-        values = _parse_tokens(body, geo.ncols * geo.nrows, nodata)
+        source.seek(body)
+        values = _parse_tokens(source, geo.ncols * geo.nrows, nodata)
     return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, values)
 
 
-def _read_header(stream: TextIO) -> tuple[GridGeometry, float] | None:
-    """The header of a stream read line by line, or None where the text
-    parse must decide: a missing or malformed header line, or one that
-    ``str.splitlines`` would cut elsewhere (at a form feed, say)."""
-    header = []
-    for _ in range(6):
-        line = stream.readline()
-        if line.splitlines() != [line.rstrip("\n")]:
-            return None
-        header.append(line)
-    try:
-        return parse_ascii_header(header)
-    except GridParseError:
-        return None
-
-
-def _cut_alike(text: str) -> bool:
-    """True unless ``text`` holds a character other than ``\\n`` and ``\\r``
-    at which ``str.splitlines`` cuts a line and a file read by line does
-    not; numpy's C reader takes the ASCII ones for spaces."""
-    return not any(c in text for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+def _read_header(stream: TextIO) -> tuple[GridGeometry, float]:
+    """:func:`parse_ascii_header` of the next six lines of ``stream``."""
+    lines = itertools.islice(iter(stream.readline, ""), 6)
+    return parse_ascii_header([line.rstrip("\r\n") for line in lines])
 
 
 def _parse_rows(lines, count: int, ncols: int, nodata: float,
@@ -299,14 +296,14 @@ def _parse_rows(lines, count: int, ncols: int, nodata: float,
     lines holds one grid row, every value finite or ``nodata``, and, with
     ``last``, only whitespace follows.
 
-    The C reader parses each token with the routine float() uses, so the
-    values are those of :func:`_parse_tokens`, which is left whatever is
-    refused here: blank lines, wrapped rows, a line :func:`_cut_alike`
-    refuses, a spelling only float() takes (1_0).
+    The C reader splits a line where ``str.split`` does and parses each
+    token with the routine float() uses, so the values are those of
+    :func:`_parse_tokens`, which is left whatever is refused here: blank
+    lines, wrapped rows, a spelling only float() takes (1_0).
     """
     if count == 0:
         return np.empty((0, ncols))
-    rows = itertools.takewhile(_cut_alike, itertools.islice(lines, count))
+    rows = itertools.islice(lines, count)
     first = next(rows, "")
     if not first.strip():  # loadtxt skips blank lines, and warns on no data
         return None
@@ -322,8 +319,8 @@ def _parse_rows(lines, count: int, ncols: int, nodata: float,
     return block
 
 
-def _parse_tokens(body: list[str], expected: int, nodata: float) -> np.ndarray:
-    """The ``expected`` values of the body lines, one ``float()`` per token.
+def _parse_tokens(body, expected: int, nodata: float) -> np.ndarray:
+    """The ``expected`` values of the body lines, any iterable, one ``float()`` per token.
 
     The reference parse, and the one that names the line of a fault.
 
@@ -440,19 +437,11 @@ class GridReader:
     def __init__(self, path):
         self.path = path
         self._grid: Grid | None = None
-        self._fh = open(path, "r", encoding="ascii")
-        try:
-            with _naming(path):
-                header = _read_header(self._fh)
-        except GridParseError:
-            self.close()
-            raise
-        if header is None:
-            self._read_whole()
-            geo, nodata = self._grid.geometry, self._grid.nodata
-        else:
-            geo, nodata = header
-            self._body = self._fh.tell()
+        with contextlib.ExitStack() as closing, _naming(path):
+            self._fh = closing.enter_context(open(path, "r", encoding="ascii"))
+            geo, nodata = _read_header(self._fh)
+            closing.pop_all()  # the header parsed: the file stays open for the rows
+        self._body = self._fh.tell()
         self.ncols, self.nrows = geo.ncols, geo.nrows
         self.xll, self.yll, self.cellsize = geo.xll, geo.yll, geo.cellsize
         self.nodata = nodata
@@ -473,11 +462,6 @@ class GridReader:
     def close(self) -> None:
         self._fh.close()
 
-    def _read_whole(self) -> None:
-        self.close()
-        self._held = None
-        self._grid = load_grid(self.path)
-
     def rows(self, start: int, stop: int) -> np.ndarray:
         if self._grid is None:
             if start < self._first or stop < self._next:
@@ -493,7 +477,9 @@ class GridReader:
                 self._held = np.concatenate([kept, new]) if len(kept) else new
                 self._first, self._next = start, stop
                 return self._held
-            self._read_whole()
+            self.close()
+            self._held = None
+            self._grid = load_grid(self.path)
         return self._grid.values[start:stop]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Grid, distinct_values
+from .grid import Grid, InputOverflowError, check_values, distinct_values, overflow_named
 from .terrain import FeatureStack, slope
 
 __all__ = [
@@ -46,14 +46,15 @@ def check_fractal_args(size_exponent: int, base_height: float, relief_amplitude:
         raise ValueError("size_exponent must be >= 2")
     if not math.isfinite(base_height):
         raise ValueError("base_height must be finite")
-    if not (0 <= relief_amplitude < math.inf):
-        raise ValueError("relief_amplitude must be finite and >= 0")
+    if not (0 <= 2 * relief_amplitude < math.inf):  # the range of the corners' draws
+        raise ValueError("relief_amplitude must be >= 0 and at most half the largest float")
     if not (0 <= roughness_decay < 1):
         raise ValueError("roughness_decay must be in [0, 1)")
     if not (0 < cellsize < math.inf):
         raise ValueError("cellsize must be finite and strictly positive")
 
 
+@overflow_named("the synthetic terrain")
 def fractal_dem(
     size_exponent: int,
     base_height: float = 300.0,
@@ -188,7 +189,8 @@ def synth_landcover(dem: Grid, seed: int = 0) -> LandcoverSet:
         urban_cells.ravel()[flat] = True
     strata[urban_cells] = 1.0                # urban/industrial
 
-    s = slope(dem)
+    with overflow_named("the terrain's slope"):
+        s = slope(dem)
     s_valid = s.valid_mask()
     steep = np.zeros(z.shape, dtype=bool)
     if s_valid.any():
@@ -234,8 +236,17 @@ def json_number(value, what: str = "", cast=float):
     return cast(value)
 
 
-def _reject_unknown_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
-    unknown = [key for key in doc if key not in known]
+def _typed(value, kind: type, what: str):
+    """``value``, refused unless a JSON object, array or string as ``kind``
+    (dict, list or str) asks; ``what`` opens the message."""
+    if not isinstance(value, kind):
+        name = {dict: "an object", list: "an array", str: "a string"}[kind]
+        raise ValueError(f"{what} must be {name}, got {json.dumps(value)}")
+    return value
+
+
+def _reject_unknown_keys(doc, known: tuple[str, ...], what: str) -> None:
+    unknown = [key for key in _typed(doc, dict, what) if key not in known]
     if unknown:
         raise ValueError(f"unknown {what} key '{unknown[0]}' (keys: {', '.join(known)})")
 
@@ -275,8 +286,12 @@ class NonlinearTerm:
     def from_doc(cls, doc: dict) -> "NonlinearTerm":
         _reject_unknown_keys(doc, ("feature", "kind", "amplitude", "scale", "feature2"),
                              "nonlinear term")
-        return cls(doc["feature"], doc["kind"], json_number(doc["amplitude"], "amplitude"),
-                   json_number(doc.get("scale", 1.0), "scale"), doc.get("feature2"))
+        feature2 = doc.get("feature2")
+        return cls(_typed(doc.get("feature"), str, "feature"),
+                   _typed(doc.get("kind"), str, "kind"),
+                   json_number(doc.get("amplitude"), "amplitude"),
+                   json_number(doc.get("scale", 1.0), "scale"),
+                   None if feature2 is None else _typed(feature2, str, "feature2"))
 
 
 @dataclass(frozen=True)
@@ -324,8 +339,9 @@ class ErrorSpec:
                              "error spec")
         return cls(
             {str(k): json_number(v, f"linear term '{k}'")
-             for k, v in doc.get("linear_terms", {}).items()},
-            tuple(NonlinearTerm.from_doc(t) for t in doc.get("nonlinear_terms", [])),
+             for k, v in _typed(doc.get("linear_terms", {}), dict, "linear_terms").items()},
+            tuple(NonlinearTerm.from_doc(t)
+                  for t in _typed(doc.get("nonlinear_terms", []), list, "nonlinear_terms")),
             json_number(doc.get("noise_std", 0.0), "noise_std"),
             json_number(doc.get("seed", 0), "seed", int),
         )
@@ -339,6 +355,7 @@ class InjectResult:
     spec: ErrorSpec
 
 
+@overflow_named("the injected error")
 def inject_error(dem: Grid, stack: FeatureStack, spec: ErrorSpec,
                  noise_fraction: float | None = None) -> InjectResult:
     """Add a feature-driven error field to the DEM.
@@ -356,6 +373,8 @@ def inject_error(dem: Grid, stack: FeatureStack, spec: ErrorSpec,
     Raises:
         KeyError: the spec references a feature the stack does not hold.
         ValueError: a referenced feature has zero variance.
+        InputOverflowError: the error, its noise std, the degraded DEM or
+            the true error is not finite; names the cell where there is one.
     """
     refs = spec.referenced_features()
     layers = {name: stack.layer(name) for name in refs}
@@ -386,10 +405,14 @@ def inject_error(dem: Grid, stack: FeatureStack, spec: ErrorSpec,
             dh += term.amplitude * (z >= term.scale)
         else:
             dh += term.amplitude * z * standardized[term.feature2]
+    check_values(np.where(valid, dh, 0.0), 0.0)
 
     if noise_fraction is not None:
-        std = float(((dem.values + dh) - dem.values)[valid].std())
-        spec = replace(spec, noise_std=noise_fraction * std)
+        std = noise_fraction * float(((dem.values + dh) - dem.values)[valid].std())
+        if not math.isfinite(std):
+            raise InputOverflowError("the injected error's noise std is not finite: "
+                                     "the input values overflow it")
+        spec = replace(spec, noise_std=std)
     if spec.noise_std > 0:
         rng = np.random.default_rng(spec.seed)
         noise = np.zeros(dem.values.shape)

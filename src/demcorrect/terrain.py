@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GeometryMismatch, Grid, GridGeometry, GridRows
+from .grid import GeometryMismatch, Grid, GridGeometry, GridRows, overflow_named
 
 __all__ = [
     "CANONICAL_FEATURES",
@@ -424,7 +424,9 @@ def build_feature_stack(
     Each input is read once, a sub-grid at a time, top to bottom; each
     mask's rows are checked as they are first read, so that the error
     names the first faulty cell of the first block that holds one, urban
-    mask first, then bare, then forest.
+    mask first, then bare, then forest. A derived layer whose value
+    overflows is refused with an :class:`~demcorrect.grid.InputOverflowError`
+    that names the layer and the cell.
 
     With ``sink``, each block goes to ``sink(first_row, rows)`` as it
     finishes, ``rows`` holding its rows of every layer in canonical order,
@@ -481,14 +483,17 @@ def build_feature_stack(
             args = [Grid(g.ncols, s1 - s0, g.xll, g.yll + (g.nrows - s1) * g.cellsize,
                          g.cellsize, g.nodata, values)
                     for g, values in ((dem, dem_rows), (bare, bare_rows), (forest, forest_rows))]
-            # a copy of the block's rows lets each layer's sub-grid go at once
+
+            def layer(name):
+                # a copy of the block's rows lets the layer's sub-grid go at once
+                with overflow_named(f"feature layer '{name}'", s0):
+                    return jobs[name](*args).values[r0 - s0:r1 - s0].copy()
+
             if pool is None:
-                rows = {name: fn(*args).values[r0 - s0:r1 - s0].copy()
-                        for name, fn in jobs.items()}
+                rows = {name: layer(name) for name in jobs}
             else:
-                futures = {name: pool.submit(fn, *args) for name, fn in jobs.items()}
-                rows = {name: fut.result().values[r0 - s0:r1 - s0].copy()
-                        for name, fut in futures.items()}
+                futures = {name: pool.submit(layer, name) for name in jobs}
+                rows = {name: fut.result() for name, fut in futures.items()}
             rows["elevation"] = dem_rows[r0 - s0:r1 - s0]
             rows["urban"] = urban_rows[r0 - s0:r1 - s0]
             sink(r0, tuple(rows[name] for name in CANONICAL_FEATURES))

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1338,6 +1339,67 @@ class TestInputErrors:
         self.assert_input_error(rc, capsys, needle)
 
     @pytest.mark.parametrize("setting, needle", [
+        ("bench.error_spec=5", "error spec must be an object, got 5"),
+        ("bench.error_spec.linear_terms=5", "linear_terms must be an object, got 5"),
+        ("bench.error_spec.linear_terms=[1]", "linear_terms must be an object, got [1]"),
+        ("bench.error_spec.nonlinear_terms=5", "nonlinear_terms must be an array, got 5"),
+        ("bench.error_spec.nonlinear_terms=[5]", "nonlinear term must be an object, got 5"),
+        ('bench.error_spec.nonlinear_terms=[{"feature": "slope", "amplitude": 1}]',
+         "kind must be a string, got null"),
+        ('bench.error_spec.nonlinear_terms=[{"kind": "sine", "amplitude": 1}]',
+         "feature must be a string, got null"),
+        ('bench.error_spec.nonlinear_terms=[{"feature": 5, "kind": "sine", "amplitude": 1}]',
+         "feature must be a string, got 5"),
+        ('bench.error_spec.nonlinear_terms=[{"feature": "slope", "kind": ["sine"], '
+         '"amplitude": 1}]', 'kind must be a string, got ["sine"]'),
+        ('bench.error_spec.nonlinear_terms=[{"feature": "slope", "kind": "product", '
+         '"amplitude": 1, "feature2": 3}]', "feature2 must be a string, got 3"),
+    ], ids=["spec-number", "linear-number", "linear-array", "nonlinear-number",
+            "term-number", "term-no-kind", "term-no-feature", "feature-number",
+            "kind-array", "feature2-number"])
+    def test_error_spec_field_types(self, tmp_path, capsys, setting, needle):
+        """Each field of the error spec holds its JSON type, or the refusal
+        names the field."""
+        rc = run_cli("bench", "--out", tmp_path, "--set", setting)
+        self.assert_input_error(rc, capsys, f"configuration key 'bench.error_spec': {needle}\n")
+
+    @pytest.mark.parametrize("settings, needle", [
+        (None, "feature layer 'tpi' is not finite at cell (1, 1)"),
+        (["bench.base_height=1e308"], "the terrain's slope is not finite at cell (1, 1)"),
+        (["bench.cellsize=1e-320"], "feature layer 'vrm' is not finite at cell (4, 4)"),
+        (["bench.relief_amplitude=1e308"], "configuration key 'bench.relief_amplitude': "
+         "relief_amplitude must be >= 0 and at most half the largest float"),
+        (["bench.relief_amplitude=5e307", "bench.roughness_decay=0.9"],
+         "the synthetic terrain is not finite at cell (0, 9)"),
+        (['bench.error_spec.linear_terms={"slope": 1e308, "tpi": 1e308}'],
+         "the injected error is not finite at cell "),
+        (['bench.error_spec.linear_terms={"slope": 1e300}'],
+         "the injected error's noise std is not finite"),
+    ], ids=["features-dem", "base_height", "cellsize", "relief_amplitude",
+            "relief-and-decay", "linear-terms", "noise-std"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_input_made_overflow(self, workspace, monkeypatch, capsys, settings, needle,
+                                 workers):
+        """A value that overflows where the inputs make it exits 2, naming
+        the derived layer and cell, or the key, with no numpy warning, at
+        one feature-build worker or two."""
+        cfg_path, tmp = workspace
+        monkeypatch.setenv("DEMCORRECT_THREADS", workers)
+        if settings is None:  # features over a DEM scaled by 1e305
+            dem = load_grid(tmp / "dem.asc")
+            save_grid(dem.with_values(np.where(dem.valid_mask(), dem.values * 1e305,
+                                               dem.nodata)), tmp / "dem.asc")
+            args = ["features", "--config", cfg_path]
+        else:
+            args = ["bench", "--out", tmp / "bench", "--model", "mlr",
+                    "--set", "bench.size_exponent=4"]
+            args += [arg for setting in settings for arg in ("--set", setting)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(*args)
+        self.assert_input_error(rc, capsys, needle)
+
+    @pytest.mark.parametrize("setting, needle", [
         ("windows=5", "configuration key 'windows' must be an object"),
         ("gbdt=null", "configuration key 'gbdt' must be an object"),
         ("paths=5", "configuration key 'paths' must be an object"),
@@ -1382,6 +1444,9 @@ class TestInputErrors:
     @pytest.mark.parametrize("key, step, against", [
         pytest.param(key, step, against, id=f"{key}-{step}")
         for key, steps, against in (
+            ("bare", ("features",), "the DEM's"),
+            ("urban", ("features",), "the DEM's"),
+            ("forest", ("features",), "the DEM's"),
             ("dem", ("diagnose", "train"), "the feature stack's"),
             ("reference", ("diagnose", "train"), "the DEM's"),
             ("strata", ("diagnose", "train"), "the feature stack's"),
@@ -1390,11 +1455,13 @@ class TestInputErrors:
             ("corrected", ("evaluate",), "the reference's"))
         for step in steps])
     def test_split_input_off_geometry(self, workspace, capsys, key, step, against):
-        """An input moved by half a cell after the step before is refused
-        before any differencing, sampling or scoring, naming its key (or,
-        for a corrected DEM, its file), its file and both geometries."""
+        """An input moved by half a cell (after the step before, if any) is
+        refused before any feature build, differencing, sampling or
+        scoring, naming its key (or, for a corrected DEM, its file), its
+        file and both geometries."""
         cfg_path, tmp = workspace
-        run_cli("features", "--config", cfg_path)
+        if step != "features":
+            run_cli("features", "--config", cfg_path)
         if step == "evaluate":
             for before in ("train", "correct"):
                 run_cli(before, "--config", cfg_path, "--model", "mlr")

@@ -325,7 +325,9 @@ def ascii_bodies(draw):
     else:                        # ragged wrapping
         cuts = sorted(draw(st.sets(st.integers(1, max(count - 1, 1)), max_size=count)))
     lines = [tokens[a:b] for a, b in zip([0] + cuts, cuts + [count])]
-    seps = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c"])
+    # breaks that end no line of a file, ASCII ones and, in text only, others
+    seps = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
+                           + draw(st.sampled_from([[], ["\x85", "\u2028", "\u2029"]])))
     body = []
     for line in lines:
         if draw(st.booleans()):
@@ -372,7 +374,8 @@ class TestBulkReader:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _outcome(lambda: read_ascii_grid(text).values)
-        assert got == _outcome(lambda: _parse_tokens(text.splitlines()[6:], expected, nodata))
+        lines = io.StringIO(text, newline=None).readlines()[6:]
+        assert got == _outcome(lambda: _parse_tokens(lines, expected, nodata))
         if not text.isascii():
             return
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
@@ -420,8 +423,8 @@ class TestBulkReader:
     ], ids=["form-feed", "vertical-tab", "crlf", "blank-header-line", "short-header",
             "bad-token", "extra-value", "plain"])
     def test_stream_edge_cases_match_text(self, text):
-        """Header lines str.splitlines would cut elsewhere, and bad bodies,
-        leave the stream to the text parse, errors and all."""
+        """Header lines with a break inside, and bad bodies, read from a
+        stream, seekable or not, as from the text, errors and all."""
         class Pipe(io.StringIO):
             def seekable(self):
                 return False
@@ -544,9 +547,43 @@ class TestOneParseRule:
         ("1 2 3 4\n5 6 7 8\n", False),
         ("1 2\n3 4\n5 6\n7 8\n", True),
         ("1 2 3\n4 5 6\n7 8\n", True),
-        ("1 2 3 4\n5 6\x0c7 8\n", True),
+        ("1 2 3 4\n5 6\x0c7 8\n", False),
     ], ids=["rows", "uniform-wrap", "ragged-wrap", "form-feed"])
     def test_wrapped_bodies(self, body, loop):
         text = SIMPLE.replace("ncols 2", "ncols 4").replace("1 2\n3 4\n", body)
         assert read_ascii_grid(text).values.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
         assert _takes_token_loop(text) == (loop, loop)
+
+
+#: texts where a file's lines and ``str.splitlines`` part ways: a fault
+#: after a break inside a line gets the file's line number, a header line
+#: may hold such a break, and header lines that only such a break
+#: separates are one line; None for the grid of SIMPLE
+_BREAKS = {
+    "body-line-number": (SIMPLE.replace("1 2\n3 4", "1 2\x0b3 x"),
+                         "line 7: non-numeric token 'x'"),
+    "header-value": (SIMPLE.replace("cellsize 1", "cellsize\x0c1"), None),
+    "header-line-end": (SIMPLE.replace("ncols 2\nnrows 2", "ncols 2\x0cnrows 2"),
+                        "line 1: expected '<keyword> <value>', got 'ncols 2\\x0cnrows 2'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BREAKS))
+@pytest.mark.parametrize("how", ["text", "stream", "load_grid", "GridReader"])
+def test_lines_end_only_at_line_ends(tmp_path, how, case):
+    """Every path ends lines at \\n, \\r\\n and \\r only, as a file read in
+    text mode does; other breaks inside a line separate values."""
+    text, message = _BREAKS[case]
+    path = tmp_path / "g.asc"
+    path.write_text(text, encoding="ascii", newline="")
+    read = {
+        "text": lambda: read_ascii_grid(text).values,
+        "stream": lambda: read_ascii_grid(io.StringIO(text)).values,
+        "load_grid": lambda: grid_module.load_grid(path).values,
+        "GridReader": lambda: _read_by_blocks(path, 1, 0),
+    }[how]
+    if message is None:
+        want = read_ascii_grid(SIMPLE).values.tobytes()
+    else:
+        want = message if how in ("text", "stream") else f"'{path}': {message}"
+    assert _outcome(read) == want
