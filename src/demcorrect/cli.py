@@ -562,11 +562,10 @@ class _StackWriter(_PartialFiles):
             "shape": (len(self.names), top.nrows, top.ncols)})
         self._start = binary.tell()
         for fh, template, digest in zip(texts, self.templates, self.digests):
-            self._put(fh, digest, ascii_header(template.geometry, template.nodata))
+            self._put(fh, digest, ascii_header(template.geometry, template.nodata).encode())
 
     @staticmethod
-    def _put(fh, digest, text: str) -> None:
-        data = text.encode("ascii")
+    def _put(fh, digest, data: bytes) -> None:
         fh.write(data)
         digest.update(data)
 
@@ -835,11 +834,10 @@ def _correct_step(models: dict, stack: FeatureStack, dem: Grid, reference: Grid 
     for name, (model, path) in models.items():
         # a value that overflows is refused by its check, not warned of
         with _PartialFiles() as files, np.errstate(over="ignore", invalid="ignore"):
-            fhs = [files.open(out / f"{kind}_{name}.asc", "w", encoding="ascii", newline="\n")
-                   for kind in kinds]
-            fhs[0].write(ascii_header(stack.geometry, stack.nodata[0]))
+            fhs = [files.open(out / f"{kind}_{name}.asc", "wb") for kind in kinds]
+            fhs[0].write(ascii_header(stack.geometry, stack.nodata[0]).encode())
             for fh in fhs[1:]:
-                fh.write(ascii_header(dem.geometry, dem.nodata))
+                fh.write(ascii_header(dem.geometry, dem.nodata).encode())
 
             def write(first, error):
                 rows = slice(first, first + len(error))
@@ -1000,7 +998,13 @@ def _bench_inputs(cfg: dict, out: Path) -> tuple[Grid, Grid, LandcoverSet]:
     templates = dict(zip(CANONICAL_FEATURES, layer_templates(reference, *masks)))
     clean_stack = FeatureStack(tuple(kept), tuple(templates[name].with_values(kept.pop(name))
                                                   for name in tuple(kept)))
-    injected = inject_error(reference, clean_stack, spec, noise_fraction)
+    try:
+        injected = inject_error(reference, clean_stack, spec, noise_fraction)
+    except ZeroVarianceError as exc:
+        raise ConfigError(
+            f"configuration key 'bench.base_height' ({terrain['base_height']!r}), with "
+            f"'bench.relief_amplitude' ({terrain['relief_amplitude']!r}): on the terrain "
+            f"they give, {exc}") from None
 
     save_grid(reference, out / "reference.asc")
     save_grid(injected.degraded, out / "original.asc")

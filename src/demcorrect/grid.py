@@ -209,7 +209,7 @@ def distinct_values(values: np.ndarray) -> np.ndarray:
 
 def _fmt(v: float) -> str:
     """Shortest decimal that reparses to the same float; integral floats bare."""
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
     return repr(float(v))
 
@@ -357,39 +357,244 @@ def ascii_header(geometry: GridGeometry, nodata: float) -> str:
             f"cellsize {_fmt(geometry.cellsize)}\nNODATA_value {_fmt(nodata)}\n")
 
 
-def _texts(values: np.ndarray) -> list[str]:
-    """:func:`_fmt` of each value of the 1-D ``values``."""
-    bare = (values == np.trunc(values)) & (np.abs(values) < 1e16)
-    cells = values.tolist()
-    text = list(map(repr, cells))
-    for j in np.flatnonzero(bare).tolist():
-        text[j] = str(int(cells[j]))
-    return text
+def _split(x):
+    """Dekker's split of ``x`` into a high and a low part of at most 26
+    significant bits each, whose products are exact."""
+    hi = x * 134217729.0 - (x * 134217729.0 - x)
+    return hi, x - hi
 
 
-def ascii_rows(values: np.ndarray) -> str:
-    """Body lines of an ESRI ASCII grid, one per row of ``values``, each
-    ending in a newline; reals carry full roundtrip precision.
+#: 10**k as exact floats (k <= 22) and their halves, and as int64 (k <= 18),
+#: built by Python arithmetic: a numpy loop first run at import maps its code
+#: into every process that imports this module
+_P10 = np.array([float(10 ** k) for k in range(23)])
+_P10_HI, _P10_LO = np.array([_split(x) for x in _P10.tolist()]).T.copy()
+_P10I = np.array([10 ** k for k in range(19)], dtype=np.int64)
+_FRACTION = np.int64((1 << 52) - 1)
+_EXPONENT = np.int64(0x7FF << 52)
+_HALF_ULP = np.int64(53 << 52)
+#: the four ASCII digits of 0..9999, each as one uint32 in memory order
+_DIGITS2 = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_DIGITS2 = np.stack([_DIGITS2.repeat(10), np.tile(_DIGITS2, 10)], axis=1)  # "00".."99"
+_DIGITS4 = np.concatenate([_DIGITS2.repeat(100, axis=0), np.tile(_DIGITS2, (100, 1))],
+                          axis=1).view(np.uint32).ravel()
+#: _KEEP[d] keeps the first d of the 17 digits in bytes 3..19 of a rendering
+_KEEP = np.frombuffer(b"".join(b"\xff" * (3 + d) + bytes(17 - d) for d in range(18)),
+                      np.uint32).reshape(18, 5)
+#: cells formatted together: a constant bound on the kernel's temporaries
+_CHUNK = 4096
+#: a cell's layout group is its kind plus its decimal exponent + 6: integral,
+#: positional real, scientific real with a point, one scientific digit
+_INTEGRAL, _POSITIONAL, _SCIENTIFIC, _ONE_DIGIT, _FALLBACK = 0, 32, 64, 96, 127
 
-    A block with at most one distinct value per 16 cells, such as a mask
-    or a land-cover fraction, formats each distinct value once and looks
-    up every cell's text; the bytes are the same either way.
+
+def _shortest(mag: np.ndarray, exp10: np.ndarray):
+    """repr's digits of each non-integral ``mag`` > 0 whose decimal exponent
+    is ``exp10`` (a hint, -6 to 15): an int64 of 17 digits, the first
+    ``digits`` of them repr's and the rest zeros; ``digits``; and where the
+    arithmetic cannot decide.
+
+    X = mag * 10**(16 - exp10) is held exactly as the int64 D nearest to it
+    plus a float remainder, by Dekker's two-product (10**k is an exact
+    float up to k = 22). A candidate of 17 - k digits is X rounded to a
+    multiple of 10**k. It reads back as ``mag`` iff it is nearer to X than h,
+    half an ulp of ``mag`` scaled as X is; the nearer of the two multiples
+    is the one to try, and the shortest candidate within h is repr's.
+    Undecided: a hint that is off (D outside 10**16..10**17), a power of two
+    (its interval is not symmetric), a distance that rounds to h, two
+    candidates as near, and a rounding up to 10**17.
     """
+    scale = 16 - exp10
+    s = _P10[scale]
+    p = mag * s
+    hi, lo = _split(mag)
+    s_hi, s_lo = _P10_HI[scale], _P10_LO[scale]
+    e = ((hi * s_hi - p) + hi * s_lo + lo * s_hi) + lo * s_lo  # p + e == mag * s exactly
+    whole_e = np.rint(e)
+    r = e - whole_e
+    d17 = p.astype(np.int64)
+    d17 += whole_e.astype(np.int64)
+    bits = mag.view(np.int64)
+    h = ((bits & _EXPONENT) - _HALF_ULP).view(np.float64)  # 2**(exponent - 53)
+    h *= s
+    undecided = (d17 < _P10I[16]) | (d17 >= _P10I[17]) | ((bits & _FRACTION) == 0)
+    n, digits = d17.copy(), np.full(len(mag), 17, np.int64)
+    d, rk, hk, rows = d17, r, h, slice(None)
+    for k in range(1, 17):  # on the cells that took every shorter candidate
+        q = d // _P10I[k]
+        rem = d - q * _P10I[k]
+        below = rem.astype(np.float64)
+        below += rk  # X above the multiple below it, rounded once
+        above = (_P10I[k] - rem).astype(np.float64)
+        above -= rk
+        near = np.minimum(below, above)
+        ok = near < hk  # exactly: a distance that rounds to h is undecided
+        edge = near == hk
+        if k == 1:  # only a step of 10 can hold two candidates within h
+            edge |= ok & (below == above)
+        undecided[rows] |= edge
+        q += (above < below).astype(np.int64)
+        rows = np.flatnonzero(ok) if k == 1 else rows[ok]
+        n[rows] = q[ok] * _P10I[k]
+        digits[rows] = 17 - k
+        if not rows.size:
+            break
+        d, rk, hk = d17[rows], r[rows], h[rows]
+    undecided |= (digits == 17) & (np.abs(r) == 0.5)
+    undecided |= n >= _P10I[17]
+    return n, digits, undecided
+
+
+def _frames(values: np.ndarray) -> np.ndarray:
+    """The text of each value of the 1-D ``values`` as a row of a uint8
+    matrix, padded with zero bytes, and a last column left free.
+
+    Each text is :func:`_fmt`'s. An integral value below 1e16 is its
+    integer. A real gets repr's shortest digits from :func:`_shortest`,
+    laid out positionally from 1e-4 up and in scientific notation below,
+    down to 1e-6. The cells are sorted by layout group (kind and decimal
+    exponent), so that each group's digits are copied into place by slices.
+    The cells the arithmetic cannot decide, and those outside its range,
+    are formatted by :func:`_fmt`.
+    """
+    count = len(values)
+    with np.errstate(all="ignore"):  # log10(0), and casts of cells out of range
+        mag = np.abs(values)
+        exp10 = np.log10(mag)
+        exp10 = np.floor(exp10, out=exp10).astype(np.int64)
+        whole = (values == np.trunc(values)) & (mag < 1e16)
+        n = np.zeros(count, np.int64)
+        digits = np.zeros(count, np.int64)
+        fallback = np.zeros(count, bool)
+        at = np.flatnonzero(whole)
+        if at.size:
+            ints = mag[at].astype(np.int64)
+            e = np.minimum(np.maximum(exp10[at], 0), 15)  # the hint may be one off
+            e += ints >= _P10I[e + 1]
+            e -= (ints < _P10I[e]) & (e > 0)
+            exp10[at], n[at], digits[at] = e, ints * _P10I[16 - e], e + 1
+        reals = slice(None) if not at.size else np.flatnonzero(~whole)
+        e = exp10[reals]
+        if e.size:
+            outside = (e < -6) | (e > 15)
+            e = np.minimum(np.maximum(e, -6, out=e), 15, out=e)
+            n[reals], digits[reals], undecided = _shortest(mag[reals], e)
+            exp10[reals], fallback[reals] = e, undecided | outside
+    key = exp10.astype(np.int8)  # the layout group, from the kinds' differences
+    key += _POSITIONAL + 6
+    key -= whole.view(np.int8) * np.int8(_POSITIONAL - _INTEGRAL)
+    scientific = key < _POSITIONAL + 2
+    scientific &= ~whole
+    key += scientific.view(np.int8) * np.int8(_SCIENTIFIC - _POSITIONAL)
+    scientific &= digits == 1
+    key += scientific.view(np.int8) * np.int8(_ONE_DIGIT - _SCIENTIFIC)
+    key[fallback] = _FALLBACK
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key.take(order), np.arange(_FALLBACK + 1))
+    present = np.flatnonzero(bounds[1:] > bounds[:-1])
+
+    # the digits of n, in sorted order: one, then four groups of four
+    n = n.take(order)
+    g0 = n // _P10I[16]
+    n -= g0 * _P10I[16]
+    top = n // _P10I[8]
+    n -= top * _P10I[8]
+    rendered = np.empty((count, 5), np.uint32)
+    rendered[:, 0] = _DIGITS4.take(g0, mode="clip")
+    for col, part in ((1, top), (3, n)):
+        high = part // 10000
+        rendered[:, col] = _DIGITS4.take(high, mode="clip")
+        rendered[:, col + 1] = _DIGITS4.take(part - high * 10000, mode="clip")
+    rendered &= _KEEP.take(digits.take(order), axis=0, mode="clip")
+    rendered = rendered.view(np.uint8)[:, 3:]
+
+    # one frame for all cells: sign, integer digits (units in column iw),
+    # point and fraction digits, exponent, free column
+    kinds, exps = present & ~31, (present & 31) - 6
+    iw = max(1, int((exps + 1)[kinds < _SCIENTIFIC].max(initial=0)))
+    fw = int(np.where(kinds == _POSITIONAL, 16 - exps,
+                      np.where(kinds == _SCIENTIFIC, 16, 0)).max(initial=0))
+    width = 1 + iw + (1 + fw if fw else 0) + 4 * bool((kinds >= _SCIENTIFIC).any())
+    spilled = np.flatnonzero(fallback)
+    texts = [_fmt(v).encode() for v in values[spilled].tolist()]
+    width = max([width] + [len(text) for text in texts])
+    out = np.zeros((count, width + 1), np.uint8)
+    np.multiply(values.take(order) < 0, np.uint8(ord("-")), out=out[:, 0])
+    for group in present.tolist():
+        rows = slice(bounds[group], bounds[group + 1])
+        kind, e = group & ~31, (group & 31) - 6
+        frame, digit = out[rows], rendered[rows]
+        if kind >= _SCIENTIFIC:
+            frame[:, iw] = digit[:, 0]
+            if kind == _SCIENTIFIC:
+                frame[:, iw + 1] = ord(".")
+                frame[:, iw + 2:iw + 18] = digit[:, 1:]
+            frame[:, width - 4:width] = np.frombuffer(b"e-0%d" % -e, np.uint8)
+        elif e >= 0:
+            frame[:, iw - e:iw + 1] = digit[:, :e + 1]
+            if kind == _POSITIONAL:
+                frame[:, iw + 1] = ord(".")
+                frame[:, iw + 2:iw + 18 - e] = digit[:, e + 1:]
+        else:
+            frame[:, iw:iw + 1 - e] = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
+            frame[:, iw + 1 - e:iw + 18 - e] = digit
+    inverse = np.empty(count, np.intp)
+    inverse[order] = np.arange(count)
+    out = out.view(f"V{width + 1}").ravel().take(inverse).view(np.uint8)
+    out = out.reshape(count, width + 1)
+    for row, text in zip(spilled.tolist(), texts):
+        out[row] = 0
+        out[row, :len(text)] = np.frombuffer(text, np.uint8)
+    return out
+
+
+def _few_values(values: np.ndarray) -> np.ndarray | None:
+    """The distinct values of ``values``, ascending, if there is at most one
+    per 16 cells. Every 8th cell is looked at first: if they hold more
+    than that many distinct values, so does the block, which is then not
+    sorted whole."""
+    if 16 * len(distinct_values(values.reshape(-1)[::8])) > values.size:
+        return None
     distinct = distinct_values(values)
-    if 16 * len(distinct) <= values.size:
-        table = np.array(_texts(distinct), dtype=object)
-        lines = [" ".join(table.take(np.searchsorted(distinct, row)).tolist())
-                 for row in values]
-    else:
-        del distinct  # nearly a copy of the block: not held while its rows are formatted
-        lines = [" ".join(_texts(row)) for row in values]
-    lines.append("")
-    return "\n".join(lines)
+    return distinct if 16 * len(distinct) <= values.size else None
+
+
+def ascii_rows(values: np.ndarray) -> bytes:
+    """Body lines of an ESRI ASCII grid, one per row of ``values``, each
+    ending in a newline, as ASCII bytes; reals carry full roundtrip
+    precision. Each cell reads as :func:`_fmt` formats it.
+
+    The cells are formatted by :func:`_frames` a whole number of rows and
+    about :data:`_CHUNK` cells at a time, so the working set beyond the
+    text is a constant. A block with at most one distinct value per 16
+    cells, such as a mask or a land-cover fraction, formats each distinct
+    value once and takes every cell's frame from them.
+    """
+    distinct = _few_values(values)
+    if distinct is not None:
+        table = _frames(distinct)
+        table = table.view(f"V{table.shape[1]}").ravel()
+    ncols = values.shape[1]
+    step = max(1, _CHUNK // ncols) * ncols
+    ends = np.full(step, ord(" "), np.uint8)
+    ends[ncols - 1::ncols] = ord("\n")
+    flat = values.reshape(-1)
+    parts = []
+    for start in range(0, flat.size, step):
+        cells = flat[start:start + step]
+        if distinct is None:
+            frames = _frames(cells)
+        else:
+            frames = table.take(np.searchsorted(distinct, cells)).view(np.uint8)
+            frames = frames.reshape(len(cells), -1)
+        frames[:, -1] = ends[:len(cells)]
+        parts.append(frames.tobytes().translate(None, b"\0"))
+    return b"".join(parts)
 
 
 def write_ascii_grid(grid: Grid) -> str:
     """Render a grid as ESRI ASCII text; reals carry full roundtrip precision."""
-    return ascii_header(grid.geometry, grid.nodata) + ascii_rows(grid.values)
+    return ascii_header(grid.geometry, grid.nodata) + ascii_rows(grid.values).decode("ascii")
 
 
 @contextlib.contextmanager

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import Grid, InputOverflowError, check_values, distinct_values, overflow_named
+from .linstats import ZeroVarianceError
 from .terrain import FeatureStack, slope
 
 __all__ = [
@@ -372,7 +373,8 @@ def inject_error(dem: Grid, stack: FeatureStack, spec: ErrorSpec,
 
     Raises:
         KeyError: the spec references a feature the stack does not hold.
-        ValueError: a referenced feature has zero variance.
+        ZeroVarianceError: a referenced feature is constant where it and
+            the DEM are valid; names the feature.
         InputOverflowError: the error, its noise std, the degraded DEM or
             the true error is not finite; names the cell where there is one.
     """
@@ -391,7 +393,8 @@ def inject_error(dem: Grid, stack: FeatureStack, spec: ErrorSpec,
         mean = vals.mean()
         std = vals.std()
         if std == 0:
-            raise ValueError(f"feature '{name}' has zero variance; cannot standardize")
+            raise ZeroVarianceError(f"feature '{name}' has zero variance; the error spec "
+                                    "cannot standardize it")
         standardized[name] = (layer.values - mean) / std
 
     dh = np.zeros(dem.values.shape)

@@ -1399,6 +1399,16 @@ class TestInputErrors:
             rc = run_cli(*args)
         self.assert_input_error(rc, capsys, needle)
 
+    def test_zero_variance_feature(self, tmp_path, capsys):
+        """Heights so large that every slope rounds to 0 leave the error
+        spec's slope term nothing to standardize: the refusal names the
+        feature and the key."""
+        rc = run_cli("bench", "--out", tmp_path, "--model", "mlr", "--set",
+                     "bench.size_exponent=4", "--set", "bench.base_height=1e200")
+        self.assert_input_error(rc, capsys, "configuration key 'bench.base_height' (1e+200), "
+                                "with 'bench.relief_amplitude' (120.0): on the terrain they "
+                                "give, feature 'slope' has zero variance")
+
     @pytest.mark.parametrize("setting, needle", [
         ("windows=5", "configuration key 'windows' must be an object"),
         ("gbdt=null", "configuration key 'gbdt' must be an object"),

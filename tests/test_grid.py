@@ -1,5 +1,7 @@
 import hashlib
 import io
+import math
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -21,8 +23,11 @@ from demcorrect import (
     read_ascii_grid,
     write_ascii_grid,
 )
+import demcorrect.cli as cli
 import demcorrect.grid as grid_module
 from demcorrect.grid import _fmt, _parse_tokens, ascii_rows, parse_ascii_header
+from demcorrect.synth import ErrorSpec, fractal_dem, inject_error, synth_landcover
+from demcorrect.terrain import build_feature_stack
 from conftest import NODATA, make_grid
 
 SIMPLE = "\n".join([
@@ -241,12 +246,107 @@ def low_cardinality_blocks(draw):
     return draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(pool)))
 
 
+def _each_cell_alone(values: np.ndarray) -> bytes:
+    """The oracle of ``ascii_rows``: each cell formatted by ``_fmt`` alone,
+    the cells of a row joined by spaces, each row ended by a newline."""
+    return "".join(" ".join(_fmt(v) for v in row) + "\n" for row in values.tolist()).encode()
+
+
 @settings(max_examples=300, deadline=None)
 @given(low_cardinality_blocks())
 def test_rows_are_each_cell_formatted_alone(values):
     """``ascii_rows`` writes what formatting each cell by itself gives."""
-    want = "".join(" ".join(_fmt(v) for v in row) + "\n" for row in values.tolist())
-    assert ascii_rows(values) == want
+    assert ascii_rows(values) == _each_cell_alone(values)
+
+
+def _finite(bits: int) -> float:
+    """The float64 of a 64-bit pattern, made finite by clearing the top
+    exponent bit of an infinity or a NaN."""
+    if (bits >> 52) & 0x7FF == 0x7FF:
+        bits ^= 1 << 62
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: cells of every kind for the kernel: any finite bit pattern (most lie
+#: outside its range), one with a binary exponent in or near that range
+#: (2**-24 to 2**54), and a short decimal of 1 to 18 digits
+_KERNEL_CELLS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_finite),
+    st.builds(lambda sign, exponent, fraction: _finite(sign << 63 | exponent << 52 | fraction),
+              st.integers(0, 1), st.integers(1023 - 24, 1023 + 54), st.integers(0, 2**52 - 1)),
+    st.builds(lambda digits, shift: digits / 10**shift,
+              st.integers(-10**18, 10**18), st.integers(0, 24)),
+    _CELLS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 40)),
+                  elements=_KERNEL_CELLS, unique=True))
+def test_kernel_cells_are_each_formatted_alone(values):
+    """A block of distinct cells goes through the arithmetic kernel, which
+    must write what formatting each cell by itself gives, in any layout of
+    rows."""
+    assert ascii_rows(values) == _each_cell_alone(values)
+
+
+def _around(x: float, ulps: int = 2) -> list[float]:
+    """``x`` and its ``ulps`` nearest floats on either side."""
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(ulps):
+            y = float(np.nextafter(y, toward))
+            out.append(y)
+    return out
+
+
+#: cells at the edges of the kernel's arithmetic: powers of two (their
+#: rounding interval is lopsided), 2**53 and its neighbours, both sides of
+#: the ranges' ends (1e-6, 1e-4, 1e16) and of the powers of ten between,
+#: decimals that round up to the next power of ten, 16-digit decimals
+#: beyond 2**53, values of 1 to 17 digits, signed zeros, subnormals and
+#: the sentinels of ``grids``
+_KERNEL_EDGES = sorted({
+    *(2.0**k for k in range(-26, 60)),
+    float(2**53 - 1), float(2**53), float(2**53 + 2), 2.0**53 + 0.5, 2.0**52 + 0.5,
+    *(x for power in range(-7, 18) for x in _around(10.0**power)),
+    *_around(1e-4, 8), *_around(1e-6, 8), *_around(1e16, 8),
+    9.9999999999999995, 9.999999999999998, 0.99999999999999995, 0.9999999999999999,
+    99.99999999999999, 999999999999999.9, 9.999999999999999e-05, 9.99999999999999e-07,
+    0.9750356939584321, 0.1 + 0.2, 1 / 3, 2 / 3, 0.3, 5e-05, 1.5e-06,
+    *(float("1.2345678901234567"[:2 + digits]) for digits in range(17)),
+    *(float(f"0.{'0' * zeros}12345678901234567") for zeros in range(6)),
+    0.0, 5e-324, 1e-320, 2.2250738585072014e-308, float(np.nextafter(2.2250738585072014e-308, 0)),
+    -9999.0, -3.4028234663852886e+38, 1e16, 123456789012.5, 0.5, 0.25, 0.125,
+})
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_kernel_edges_are_each_formatted_alone(sign):
+    """Each edge cell, in a row of them and alone, reads as ``_fmt`` gives it."""
+    row = sign * np.array([_KERNEL_EDGES])
+    assert ascii_rows(row) == _each_cell_alone(row)
+    for cell in row.reshape(-1, 1, 1):
+        assert ascii_rows(cell) == _each_cell_alone(cell), cell
+
+
+def test_fallback_is_rare(monkeypatch):
+    """Of the eleven feature layers of a 129² fractal DEM, and of the
+    degraded DEM and true error its default error spec injects, at most 1%
+    of the cells are left to ``_fmt``, the fallback for the cells the
+    kernel's arithmetic cannot decide."""
+    dem = fractal_dem(7, seed=7)
+    land = synth_landcover(dem, seed=11)
+    stack = build_feature_stack(dem, land.bare, land.urban, land.forest)
+    spec = ErrorSpec.from_doc(cli.DEFAULT_CONFIG["bench"]["error_spec"])
+    injected = inject_error(dem, stack, spec, cli.DEFAULT_CONFIG["bench"]["noise_fraction"])
+    spilled = []
+    monkeypatch.setattr(grid_module, "_fmt", lambda v: spilled.append(v) or _fmt(v))
+    for grid in (*stack.layers, injected.degraded, injected.true_dh):
+        spilled.clear()
+        assert ascii_rows(grid.values) == _each_cell_alone(grid.values)
+        assert len(spilled) <= 0.01 * grid.values.size, len(spilled)
 
 
 class TestHeader:
