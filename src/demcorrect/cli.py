@@ -29,6 +29,7 @@ import argparse
 import contextlib
 import copy
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -557,9 +558,7 @@ class _StackWriter(_PartialFiles):
                        [_STACK_FILE, *(f"feature_{name}.asc" for name in self.names)]]
         binary, *texts = self._files
         top = self.templates[0]
-        np.lib.format.write_array_header_1_0(binary, {
-            "descr": "<f8", "fortran_order": False,
-            "shape": (len(self.names), top.nrows, top.ncols)})
+        binary.write(_npy_header((len(self.names), top.nrows, top.ncols)))
         self._start = binary.tell()
         for fh, template, digest in zip(texts, self.templates, self.digests):
             self._put(fh, digest, ascii_header(template.geometry, template.nodata).encode())
@@ -615,16 +614,45 @@ def _read_manifest(path: Path) -> tuple[list[dict], dict | None]:
     return entries, record
 
 
+def _npy_header(shape: tuple) -> bytes:
+    """The .npy (version 1.0) header of a little-endian float64 C-order
+    array of ``shape``, the layout of every binary copy."""
+    fh = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return fh.getvalue()
+
+
+def _npy_start(path: Path, sha256: str, shape: tuple) -> int | None:
+    """Where the data of the binary copy ``path`` start, or None unless it
+    still has the recorded ``sha256`` and is a version 1.0 ``.npy`` file of
+    a little-endian float64 C-order array of ``shape``, and nothing more."""
+    if not path.is_file() or _sha256_file(path) != sha256:
+        return None
+    with open(path, "rb") as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            header = np.lib.format.read_array_header_1_0(fh)
+        except ValueError:
+            return None
+        start = fh.tell()
+    if (version, header) != ((1, 0), (shape, False, np.dtype("<f8"))) \
+            or path.stat().st_size != start + 8 * math.prod(shape):
+        return None
+    return start
+
+
 class _Slab:
-    """One layer's slab of a ``features_stack.npy``, read a block of rows at
-    a time (a :class:`~demcorrect.grid.GridRows`).
+    """One 2-D slab of a checked binary copy (:func:`_npy_start`), read a
+    block of rows at a time (a :class:`~demcorrect.grid.GridRows`): a layer
+    of ``features_stack.npy``, or a copy of an input grid.
 
     ``rows`` seeks to the block and reads it into a buffer that the next
-    call reuses, which ``GridRows`` does not allow: a ``_Slab`` is read
-    only through :meth:`~demcorrect.terrain.FeatureStack.rows`, whose
-    callers keep no block past the next call. The file is not mapped:
-    ``ru_maxrss`` counts every page a map touches, so a map would cost as
-    much as reading the layers whole.
+    call reuses, which ``GridRows`` does not allow: each caller of a
+    ``_Slab`` (:meth:`~demcorrect.terrain.FeatureStack.rows`,
+    :func:`~demcorrect.evaluate.build_report`) keeps no block past the
+    next call. The file is not mapped: ``ru_maxrss`` counts every page a
+    map touches, so a map would cost as much as reading the grid whole.
     """
 
     def __init__(self, path: Path, offset: int, geometry: GridGeometry, nodata: float):
@@ -646,33 +674,29 @@ class _Slab:
 
 
 def _binary_stack(path: Path, sha256: str, names, layers) -> FeatureStack | None:
-    """The layers of ``path`` as :class:`_Slab` s, or None unless it and
-    each ``(file, sha256)`` of ``layers`` still have the recorded sha256
-    and every layer header agrees with the array's shape.
+    """The layers of ``path`` as :class:`_Slab` s, or None unless each
+    ``(file, sha256)`` of ``layers`` still has the recorded sha256, every
+    layer header gives the first's shape, and ``path`` passes
+    :func:`_npy_start` for ``sha256`` and the shape of the layers.
 
     Raises:
         GeometryMismatch: a layer is not on the first layer's geometry.
     """
-    if not path.is_file() or _sha256_file(path) != sha256:
-        return None
-    with open(path, "rb") as fh:
-        version = np.lib.format.read_magic(fh)
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-        start = fh.tell()
-    if (version, len(shape), fortran, dtype) != ((1, 0), 3, False, np.dtype("<f8")) \
-            or shape[0] != len(names) \
-            or path.stat().st_size != start + 8 * shape[0] * shape[1] * shape[2]:
-        return None
-    slabs = []
-    for i, (fpath, digest) in enumerate(layers):
+    headers = []
+    for fpath, digest in layers:
         if _sha256_file(fpath) != digest:
             return None
         with open(fpath, encoding="ascii") as fh:
-            geo, nodata = parse_ascii_header(list(itertools.islice(fh, 6)))
-        if shape[1:] != (geo.nrows, geo.ncols):
-            return None
-        slabs.append(_Slab(path, start + 8 * i * shape[1] * shape[2], geo, nodata))
-    return FeatureStack(names, slabs)
+            headers.append(parse_ascii_header(list(itertools.islice(fh, 6))))
+    if not headers:
+        return None
+    shape = (headers[0][0].nrows, headers[0][0].ncols)
+    start = _npy_start(path, sha256, (len(names), *shape))
+    if start is None or any((geo.nrows, geo.ncols) != shape for geo, _ in headers):
+        return None
+    size = 8 * math.prod(shape)
+    return FeatureStack(names, [_Slab(path, start + i * size, geo, nodata)
+                                for i, (geo, nodata) in enumerate(headers)])
 
 
 def _load_stack(out: Path) -> FeatureStack:
@@ -695,6 +719,62 @@ def _load_stack(out: Path) -> FeatureStack:
         stack = _binary_stack(out / record["file"], record["sha256"], names,
                               [(fpath, entry["sha256"]) for fpath, entry in zip(paths, entries)])
     return stack or FeatureStack(names, [load_grid(fpath) for fpath in paths])
+
+
+#: binary copies of the ASCII grids that the step commands read, under the
+#: output directory: ``<sha256>.npy`` holds the parsed values of the file
+#: whose sha256 names it (laid out as :func:`_npy_header` says), and
+#: ``<sha256>.sha256`` the copy's own sha256. They only spare a later
+#: step the parse, so deleting them is always safe.
+_COPIES = Path("grids", "v1")
+
+
+def _read_grid(path: Path, out: Path,
+               files: contextlib.ExitStack | None = None) -> Grid | GridRows:
+    """The grid of the ESRI ASCII file ``path``, bit-identical to parsing
+    it: whole, as :func:`load_grid` returns it, or, given ``files``, a block
+    of rows at a time (a :class:`GridRows` that ``files`` closes), as a
+    :class:`GridReader` serves it.
+
+    The values come from the copy ``out/grids/v1/<sha256 of path>.npy``
+    when it passes :func:`_npy_start` for the sha256 recorded beside it and
+    the shape that the file's header gives. Otherwise the file is parsed,
+    and a whole parse writes the copy (:class:`_PartialFiles`) if the
+    file's sha256 is the same after the parse as before. The geometry, the
+    nodata sentinel and every refusal come from the file itself.
+    """
+    digest = _sha256_file(path)
+    npy = out / _COPIES / f"{digest}.npy"
+    record = npy.with_suffix(".sha256")
+    with contextlib.ExitStack() as closing:
+        reader = closing.enter_context(GridReader(path))
+        try:
+            recorded = record.read_text(encoding="ascii").strip()
+        except (OSError, UnicodeDecodeError):  # no record, or none that was written here
+            recorded = ""
+        start = _npy_start(npy, recorded, (reader.nrows, reader.ncols)) if recorded else None
+        if start is not None:
+            slab = _Slab(npy, start, reader.geometry, reader.nodata)
+            if files is not None:
+                return slab
+            return Grid(reader.ncols, reader.nrows, reader.xll, reader.yll, reader.cellsize,
+                        reader.nodata, slab.rows(0, reader.nrows))
+        if files is not None:
+            files.enter_context(closing.pop_all())
+            return reader
+    grid = load_grid(path)
+    if _sha256_file(path) == digest:
+        header = _npy_header(grid.values.shape)
+        data = np.ascontiguousarray(grid.values, dtype="<f8").data
+        npy_digest = hashlib.sha256(header)
+        npy_digest.update(data)
+        npy.parent.mkdir(parents=True, exist_ok=True)
+        with _PartialFiles() as written:
+            binary = written.open(npy, "wb")
+            binary.write(header)
+            binary.write(data)
+            written.open(record, "w").write(npy_digest.hexdigest() + "\n")
+    return grid
 
 
 def _model_doc_path(out: Path, name: str) -> Path:
@@ -797,10 +877,16 @@ def _require_on(source: str, grid, against, what: str) -> None:
                                f"{what} geometry ({_geometry_text(against.geometry)})")
 
 
-def _grid_on(cfg: dict, key: str, against, what: str) -> Grid:
-    """The grid of ``paths.<key>``, refused unless on ``against``'s geometry."""
-    grid = load_grid(_require_path(cfg, key))
-    _require_on(f"paths.{key} '{cfg['paths'][key]}'", grid, against, what)
+def _source(cfg: dict, key: str) -> str:
+    """How a refusal names the input ``paths.<key>``: its key and its file."""
+    return f"paths.{key} '{cfg['paths'][key]}'"
+
+
+def _grid_on(cfg: dict, key: str, against, what: str, out: Path) -> Grid:
+    """The grid of ``paths.<key>`` (:func:`_read_grid`), refused unless on
+    ``against``'s geometry."""
+    grid = _read_grid(_require_path(cfg, key), out)
+    _require_on(_source(cfg, key), grid, against, what)
     return grid
 
 
@@ -881,26 +967,41 @@ def _evaluate_step(cfg: dict, reference: GridRows, dem: GridRows, corrected: dic
 def cmd_features(cfg: dict) -> int:
     keys = ("dem", "bare", "urban", "forest")
     with contextlib.ExitStack() as files:
-        dem, *masks = [files.enter_context(GridReader(_require_path(cfg, key))) for key in keys]
+        dem, *masks = [_read_grid(_require_path(cfg, key), Path(cfg["paths"]["out_dir"]), files)
+                       for key in keys]
         # every header is read before any geometry is compared
         for key, mask in zip(keys[1:], masks):
-            _require_on(f"paths.{key} '{cfg['paths'][key]}'", mask, dem, "the DEM's")
+            _require_on(_source(cfg, key), mask, dem, "the DEM's")
         out = _out_dir(cfg)
-        _features_step(cfg, dem, *masks, out)
+        try:
+            _features_step(cfg, dem, *masks, out)
+        except MaskValueError as exc:  # what the feature build calls "<key> mask"
+            key = exc.what.removesuffix(" mask")
+            raise MaskValueError(f"{_source(cfg, key)}: {exc}", exc.what) from None
     print(f"wrote {len(CANONICAL_FEATURES)} feature layers to {out}")
     return 0
+
+
+@contextlib.contextmanager
+def _label_faults_named(cfg: dict):
+    """Name ``paths.strata`` and its file in a strata label refused inside."""
+    try:
+        yield
+    except StrataLabelError as exc:
+        raise StrataLabelError(f"{_source(cfg, 'strata')}: {exc}") from None
 
 
 def _load_train_split(cfg: dict) -> tuple[Path, SampleTable]:
     out = _out_dir(cfg)
     stack = _load_stack(out)
-    dem = _grid_on(cfg, "dem", stack, "the feature stack's")
+    dem = _grid_on(cfg, "dem", stack, "the feature stack's", out)
     # the two grids go once differenced, before the strata are read
-    target = difference(dem, _grid_on(cfg, "reference", dem, "the DEM's"))
+    target = difference(dem, _grid_on(cfg, "reference", dem, "the DEM's", out))
     del dem
-    strata = _grid_on(cfg, "strata", stack, "the feature stack's") \
+    strata = _grid_on(cfg, "strata", stack, "the feature stack's", out) \
         if cfg["paths"].get("strata") else None
-    train, _ = _split_step(cfg, stack, target, strata)
+    with _label_faults_named(cfg):
+        train, _ = _split_step(cfg, stack, target, strata)
     return out, train
 
 
@@ -923,8 +1024,9 @@ def cmd_train(cfg: dict) -> int:
 def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
     out = _out_dir(cfg)
     stack = _load_stack(out)
-    dem = load_grid(_require_path(cfg, "dem"))
-    reference = None if (ref := _optional_path(cfg, "reference")) is None else load_grid(ref)
+    dem = _read_grid(_require_path(cfg, "dem"), out)
+    reference = None if (ref := _optional_path(cfg, "reference")) is None else \
+        _read_grid(ref, out)
     paths = [Path(p) for p in model_docs] if model_docs else \
         [_model_doc_path(out, name) for name in cfg["models"]]
     models = {}
@@ -942,7 +1044,7 @@ def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
                                    f"'{models[name][1]}'")
         models[name] = (model, path)
     _correct_step(models, stack, dem, reference, out,
-                  tuple(f"paths.{key} '{cfg['paths'][key]}'" for key in ("dem", "reference")))
+                  (_source(cfg, "dem"), _source(cfg, "reference")))
     for name in models:
         print(f"corrected DEM with {name}")
     return 0
@@ -952,25 +1054,25 @@ def cmd_evaluate(cfg: dict) -> int:
     out = _out_dir(cfg)
     with contextlib.ExitStack() as files:
         dem_path = _require_path(cfg, "dem")
-        reference = files.enter_context(GridReader(_require_path(cfg, "reference")))
+        reference = _read_grid(_require_path(cfg, "reference"), out, files)
 
-        def read(path: Path, source: str) -> GridReader:
+        def read(path: Path, source: str) -> GridRows:
             """The grid at ``path``, refused unless on the reference's geometry."""
-            grid = files.enter_context(GridReader(path))
+            grid = _read_grid(path, out, files)
             _require_on(source, grid, reference, "the reference's")
             return grid
 
-        dem = read(dem_path, f"paths.dem '{cfg['paths']['dem']}'")
+        dem = read(dem_path, _source(cfg, "dem"))
         strata_path = _optional_path(cfg, "strata")
-        strata = None if strata_path is None else \
-            read(strata_path, f"paths.strata '{cfg['paths']['strata']}'")
+        strata = None if strata_path is None else read(strata_path, _source(cfg, "strata"))
         corrected = {}
         for name in cfg["models"]:
             cpath = _corrected_path(out, name)
             if not cpath.is_file():
                 raise ConfigError(f"'{cpath}' does not exist (run 'correct' first)")
             corrected[name] = read(cpath, f"'{cpath}'")
-        report = _evaluate_step(cfg, reference, dem, corrected, strata, out)
+        with _label_faults_named(cfg):
+            report = _evaluate_step(cfg, reference, dem, corrected, strata, out)
     print(report.render_text())
     return 0
 

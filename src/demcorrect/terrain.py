@@ -357,19 +357,24 @@ def vrm(dem: Grid, w: WindowSpec) -> Grid:
 
 
 class MaskValueError(ValueError):
-    """A land-cover mask holds a value other than 0, 1 or nodata; names the cell."""
+    """A land-cover mask holds a value other than 0, 1 or nodata; names the
+    cell, and ``what`` names the mask."""
+
+    def __init__(self, message: str, what: str | None = None):
+        super().__init__(message)
+        self.what = what
 
 
 def _require_binary(values: np.ndarray, nodata: float, what: str, first_row: int = 0) -> None:
     """Check that ``values``, rows ``first_row`` onward of a mask, hold only
-    0, 1 or ``nodata``; the error names the first cell that does not."""
+    0, 1 or ``nodata``; the error names ``what`` and the first cell that
+    does not."""
     bad = ~((values == 0) | (values == 1) | (values == nodata))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise MaskValueError(
             f"{what} must hold only 0, 1 or nodata; found {float(values[i, j])!r} at cell "
-            f"({first_row + i}, {j})"
-        )
+            f"({first_row + i}, {j})", what)
 
 
 def focal_fraction(mask: Grid, w: WindowSpec) -> Grid:

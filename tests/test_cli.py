@@ -228,7 +228,8 @@ class TestFeatures:
 
     @pytest.mark.parametrize("mask", ["bare", "urban", "forest"])
     def test_mask_fault_names_the_mask(self, workspace, capsys, mask):
-        """The message names the faulty mask and prints the value as a float."""
+        """The message names the faulty mask, its key and file, and prints
+        the value as a float."""
         cfg_path, tmp = workspace
         grid = load_grid(tmp / f"{mask}.asc")
         values = grid.values.copy()
@@ -236,8 +237,8 @@ class TestFeatures:
         save_grid(grid.with_values(values), tmp / f"{mask}.asc")
         assert run_cli("features", "--config", cfg_path) == 2
         err = capsys.readouterr().err
-        assert err == (f"error: {mask} mask must hold only 0, 1 or nodata; "
-                       "found 0.5 at cell (5, 7)\n"), err
+        assert err == (f"error: paths.{mask} '{tmp / mask}.asc': {mask} mask must hold only "
+                       "0, 1 or nodata; found 0.5 at cell (5, 7)\n"), err
 
 
 class TestStreamedWriter:
@@ -556,9 +557,12 @@ class TestOnePipeline:
         for cmd in ("features", "diagnose", "train", "correct", "evaluate"):
             assert run_cli(cmd, "--config", cfg_path, "--out", steps, *sets) == 0, cmd
 
-        written = sorted(p.name for p in steps.iterdir())
+        written = sorted(p.name for p in steps.iterdir() if p.is_file())
         # manifest, stack, 11 layers, collinearity, 3 x (model + 3 rasters), report
         assert len(written) == 1 + 1 + 11 + 1 + 3 * 4 + 2
+        # and a copy and its digest record of each grid read whole: DEM,
+        # reference and strata
+        assert sorted(p.suffix for p in steps.glob("grids/v1/*")) == [".npy"] * 3 + [".sha256"] * 3
         for name in written:
             if name.endswith(".json"):
                 assert self.without_provenance(steps / name) == \
@@ -574,7 +578,8 @@ class TestOnePipeline:
 class TestStepMemory:
     """Tracemalloc peaks of sampling and of the ``correct`` step, reading the
     stack from its binary copy, and of the ``features`` and ``evaluate``
-    steps, reading their ASCII inputs through :class:`GridReader`, against
+    steps, reading their ASCII inputs through :class:`GridReader` (and, for
+    ``evaluate``, from the inputs' binary copies too), against
     the bounds the README's "Memory" section states. The inputs (the stack
     of slabs, DEM, reference, strata; the readers, with their headers parsed)
     are made before tracing, but not the stack's block buffers; h and
@@ -681,6 +686,22 @@ class TestStepMemory:
         with contextlib.ExitStack() as files:
             ref, dem, strata, *corrected = (files.enter_context(GridReader(grid_files[key]))
                                             for key in ("reference", "dem", "strata", "a", "b"))
+            report, peak = self.traced(build_report, ref, dem, dict(zip("ab", corrected)), strata,
+                                       stratum_names=STRATUM_NAMES)
+        n, M = report.overall.before.n, len(corrected)
+        bound = 8 * n * (M + 3) + 16 * terrain.BLOCK_ROWS * ref.ncols * (M + 3)
+        assert 0.5 * bound <= peak <= bound, (peak, bound)
+
+    def test_evaluate_from_copies_within_the_stated_bound(self, grid_files, tmp_path):
+        """The same bound holds where each input is read from its binary
+        copy (``out/grids/v1``) a block at a time."""
+        keys = ("reference", "dem", "strata", "a", "b")
+        for key in keys:
+            cli._read_grid(grid_files[key], tmp_path)  # a whole read writes the copy
+        with contextlib.ExitStack() as files:
+            ref, dem, strata, *corrected = (cli._read_grid(grid_files[key], tmp_path, files)
+                                            for key in keys)
+            assert all(isinstance(rows, cli._Slab) for rows in (ref, dem, strata, *corrected))
             report, peak = self.traced(build_report, ref, dem, dict(zip("ab", corrected)), strata,
                                        stratum_names=STRATUM_NAMES)
         n, M = report.overall.before.n, len(corrected)
@@ -870,12 +891,12 @@ class TestImportPath:
         steps = ("features", "diagnose", "train", "correct", "evaluate")
         for step in steps:
             assert run_cli(step, "--config", cfg_path) == 0, step
-        want = {p.name: p.read_bytes() for p in out.iterdir()}
+        want = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
         shutil.rmtree(out)
         for step in steps:
             proc = self.python(self.BLOCKED, step, "--config", cfg_path)
             assert proc.returncode == 0, (step, proc.stderr)
-        got = {p.name: p.read_bytes() for p in out.iterdir()}
+        got = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
         assert sorted(got) == sorted(want)
         for name in want:
             assert got[name] == want[name], name
@@ -1489,6 +1510,30 @@ class TestInputErrors:
                                 f"error: {source} (33 x 33, xll 0.0, "
                                 f"yll 15.0, cellsize 30.0) is not on {against} geometry "
                                 "(33 x 33, xll 0.0, yll 0.0, cellsize 30.0)\n")
+
+    @pytest.mark.parametrize("key, step", [
+        ("bare", "features"), ("urban", "features"), ("forest", "features"),
+        ("strata", "diagnose"), ("strata", "train"), ("strata", "evaluate")])
+    def test_label_faults_name_their_source(self, workspace, capsys, key, step):
+        """A mask cell of 2, or a strata label of 2.5, written after the
+        steps before ``step``, is refused naming its key and file."""
+        cfg_path, tmp = workspace
+        earlier = {"features": (), "diagnose": ("features",), "train": ("features",),
+                   "evaluate": ("features", "train", "correct")}[step]
+        for before in earlier:
+            assert run_cli(before, "--config", cfg_path, "--model", "mlr") == 0, before
+        path = tmp / f"{key}.asc"
+        grid = load_grid(path)
+        values = grid.values.copy()
+        values[4, 6] = 2.5 if key == "strata" else 2.0
+        save_grid(grid.with_values(values), path)
+        capsys.readouterr()
+        if key == "strata":
+            fault = "strata grid must hold integer labels; cell (4, 6) holds 2.5"
+        else:
+            fault = f"{key} mask must hold only 0, 1 or nodata; found 2.0 at cell (4, 6)"
+        self.assert_input_error(run_cli(step, "--config", cfg_path, "--model", "mlr"), capsys,
+                                f"error: paths.{key} '{path}': {fault}\n")
 
     def test_non_integer_strata_label(self, workspace, capsys):
         cfg_path, tmp = workspace

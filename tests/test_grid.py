@@ -259,6 +259,23 @@ def test_rows_are_each_cell_formatted_alone(values):
     assert ascii_rows(values) == _each_cell_alone(values)
 
 
+@pytest.mark.parametrize("multipliers", ["hash", "search"])
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_CELLS, min_size=1, max_size=200), st.data())
+def test_indexer_finds_each_cell(multipliers, pool, data):
+    """``_indexer`` gives each cell its index in the distinct values, as a
+    binary search does (-0.0 and 0.0 alike): by its hash table when one of
+    the multipliers separates the values, else by the search, which a zero
+    multiplier forces."""
+    distinct = grid_module.distinct_values(np.array(pool))
+    cells = data.draw(hnp.arrays(np.float64, st.integers(1, 300), elements=st.sampled_from(pool)))
+    zero = np.zeros(1, np.uint64)
+    with mock.patch.object(grid_module, "_MULTIPLIERS",
+                           zero if multipliers == "search" else grid_module._MULTIPLIERS):
+        index = grid_module._indexer(distinct)
+    assert index(cells).tolist() == np.searchsorted(distinct, cells).tolist()
+
+
 def _finite(bits: int) -> float:
     """The float64 of a 64-bit pattern, made finite by clearing the top
     exponent bit of an infinity or a NaN."""

@@ -1,12 +1,13 @@
 """Golden digests of what ``diagnose``, ``train``, ``correct`` and
-``evaluate`` write.
+``evaluate`` write, the binary copies of their input grids included.
 
 A seeded stack of eleven random layers is written through the
 ``features`` writer, with its manifest, beside a seeded DEM, reference
 and strata grid. The four step commands then run on it with all three
-models and 5 trees, and every file they write is pinned. The stack is
-made without ``terrain``, so a change to how the layers are derived
-cannot move these pins. The grid is taller than one row block, so the
+models and 5 trees, and every file they write is pinned, those under
+``grids/`` too: each copy is named by its ASCII file's sha256. The
+stack is made without ``terrain``, so a change to how the layers are
+derived cannot move these pins. The grid is taller than one row block, so the
 pins cover sampling and prediction across a block boundary.
 
 The output directory and the input paths are relative, as they enter
@@ -40,6 +41,20 @@ PINS = {
     "predicted_error_mlr.asc": "15bf6157ec3377e189051c429a10803257aa97f5fef1259c7687280e58b0ca17",
     "report.json": "8fee8e74602476e05bd810e23c74131ad45224d2ae4ed8e6c4531f6914ca609a",
     "report.txt": "794723b81fff9906ef838651d8249438caed21985aa402d90127bbcc376273e4",
+    # the binary copies of the strata, DEM and reference grids, each named by
+    # its ASCII file's sha256, and their digest records
+    "grids/v1/0e026cbf639e6af419829732dcbcb12682269c02ac97fe0b8d89888688b3de66.npy":
+        "a45b8379bc1fc8b2c7b02fbe7340d477119dd5b21d3da9fccd1c4ef1088c934a",
+    "grids/v1/0e026cbf639e6af419829732dcbcb12682269c02ac97fe0b8d89888688b3de66.sha256":
+        "a3b0751d2cd5793f1d790588f04ffe84c41359ed0b502f638414015ffecb77d1",
+    "grids/v1/32c297064286a653793bfaa6bad42fd06b1700724c427362d599a2ef89084a33.npy":
+        "f58cd7f67df7e3ecd5c4440e338c8e0dcad5851bace02edacdb527446e54c86b",
+    "grids/v1/32c297064286a653793bfaa6bad42fd06b1700724c427362d599a2ef89084a33.sha256":
+        "d3b7bf42e6939b83a4056962c511be5989af709e22424721191dd92a97e5c113",
+    "grids/v1/9fc4d34c6de4049decc5b59fa8d3ea919e461de7d7b5c4574023a27dbf506ada.npy":
+        "e32ac0cfe93f7d7ef418d9953b327e7a4fc6d98e28320eb03603728b18be5010",
+    "grids/v1/9fc4d34c6de4049decc5b59fa8d3ea919e461de7d7b5c4574023a27dbf506ada.sha256":
+        "a4ac3a4393a8c63c7beb7659b17108ce6adb6208aed55cd1d31b8f023a1f6c35",
 }
 
 
@@ -85,6 +100,6 @@ def test_step_outputs_match_pins(tmp_path, monkeypatch):
     inputs = {path.name for path in out.iterdir()}
     for step in ("diagnose", "train", "correct", "evaluate"):
         assert main([step, "--config", "config.json", "--out", "out"]) == 0, step
-    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-           for path in sorted(out.iterdir()) if path.name not in inputs}
+    got = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(out.rglob("*")) if path.is_file() and path.name not in inputs}
     assert got == PINS
