@@ -3,7 +3,7 @@
 Subcommands wire the library into the correction workflow:
 
     features  -> the eleven predictor rasters, a checksummed manifest and
-                 a binary copy of the layers that later steps read
+                 a binary copy of each layer that later steps read
     diagnose  -> Pearson/VIF collinearity report on the training split
     train     -> model documents (MLR on the features that survive that
                  same screen, GBDTs on all eleven)
@@ -30,7 +30,6 @@ import contextlib
 import copy
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
@@ -67,7 +66,6 @@ from .grid import (
     check_values,
     difference,
     load_grid,
-    parse_ascii_header,
     save_grid,
 )
 from .linstats import (
@@ -487,10 +485,12 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-#: binary copy of the feature layers: a little-endian float64 (layers, nrows,
-#: ncols) .npy array in manifest order, which only spares later steps the
-#: ASCII parse
-_STACK_FILE = "features_stack.npy"
+#: binary copies of parsed ASCII grids, under the output directory:
+#: ``<sha256>.npy`` holds the parsed values of the file whose sha256 names
+#: it (laid out as :func:`_npy_header` says), and ``<sha256>.sha256`` the
+#: copy's own sha256; one per feature layer, and one per input grid read
+#: whole (:func:`_read_grid`). Deleting them is always safe.
+_COPIES = Path("grids", "v1")
 _MANIFEST_FILE = "features_manifest.json"
 
 
@@ -501,13 +501,17 @@ class _PartialFiles:
     earlier run's files stay as they were."""
 
     def __init__(self):
-        self._opened: list = []  # (path, its temporary path, file)
+        self._opened: list = []  # [path, its temporary path, file]
 
     def open(self, path: Path, *args, **kwargs):
         """``open`` the temporary file that is to take the name ``path``."""
         partial = path.with_name(path.name + ".partial")
-        self._opened.append((path, partial, open(partial, *args, **kwargs)))
+        self._opened.append([path, partial, open(partial, *args, **kwargs)])
         return self._opened[-1][2]
+
+    def rename(self, fh, path: Path) -> None:
+        """Have the file that ``fh`` writes take the name ``path`` instead."""
+        next(entry for entry in self._opened if entry[2] is fh)[0] = path
 
     def __enter__(self):
         return self
@@ -524,96 +528,6 @@ class _PartialFiles:
                 partial.unlink(missing_ok=True)
 
 
-class _StackWriter(_PartialFiles):
-    """Writes the ``feature_<name>.asc`` files and the binary copy from row
-    blocks, top to bottom: ``writer(first_row, rows)`` takes a block's rows
-    of every layer, as the ``sink`` of :func:`build_feature_stack` does.
-
-    ``templates`` give each layer's geometry and nodata sentinel. Each
-    ``.asc`` file is hashed as it is written, and the binary copy takes each
-    block at its offset in the layer's slab. The files are opened at the
-    first block, under temporary names (:class:`_PartialFiles`), so a build
-    refused at any block leaves no new file.
-    """
-
-    def __init__(self, out: Path, names, templates):
-        super().__init__()
-        self.out, self.names, self.templates = out, tuple(names), tuple(templates)
-        self.digests = [hashlib.sha256() for _ in self.names]
-        self._files: list = []
-
-    def __call__(self, first: int, rows) -> None:
-        if not self._files:
-            self._open()
-        binary, *texts = self._files
-        nrows, ncols = self.templates[0].nrows, self.templates[0].ncols
-        for i, (values, fh, digest) in enumerate(zip(rows, texts, self.digests)):
-            self._put(fh, digest, ascii_rows(values))
-            binary.seek(self._start + (i * nrows + first) * ncols * 8)
-            # + 0.0 turns -0.0 into the 0.0 that parsing the written "0" gives
-            binary.write(np.ascontiguousarray(values + 0.0, dtype="<f8").data)
-
-    def _open(self) -> None:
-        self._files = [self.open(self.out / name, "wb") for name in
-                       [_STACK_FILE, *(f"feature_{name}.asc" for name in self.names)]]
-        binary, *texts = self._files
-        top = self.templates[0]
-        binary.write(_npy_header((len(self.names), top.nrows, top.ncols)))
-        self._start = binary.tell()
-        for fh, template, digest in zip(texts, self.templates, self.digests):
-            self._put(fh, digest, ascii_header(template.geometry, template.nodata).encode())
-
-    @staticmethod
-    def _put(fh, digest, data: bytes) -> None:
-        fh.write(data)
-        digest.update(data)
-
-    def write_manifest(self, cfg: dict) -> dict:
-        """Write ``features_manifest.json`` once the files are closed."""
-        manifest = {
-            "format": "feature-manifest",
-            "version": 1,
-            "layers": [{"name": name, "file": f"feature_{name}.asc", "sha256": d.hexdigest()}
-                       for name, d in zip(self.names, self.digests)],
-            "stack": {"file": _STACK_FILE, "sha256": _sha256_file(self.out / _STACK_FILE)},
-            "windows": dict(cfg["windows"]),
-            "provenance": _provenance(cfg),
-        }
-        _write_json(self.out / _MANIFEST_FILE, manifest)
-        return manifest
-
-
-def _read_manifest(path: Path) -> tuple[list[dict], dict | None]:
-    """The manifest's layer records and its stack record (None if absent).
-
-    Raises:
-        ConfigError: a key :func:`_load_stack` reads is missing or holds the
-            wrong type; names the manifest.
-    """
-    kinds = {list: "an array", dict: "an object", str: "a string"}
-
-    def field(doc, key, kind, where):
-        value = doc.get(key) if isinstance(doc, dict) else None
-        if not isinstance(value, kind):
-            raise ConfigError(f"'{path}': {where}'{key}' is missing or not {kinds[kind]}")
-        return value
-
-    manifest = _read_json(path)
-    entries = field(manifest, "layers", list, "")
-    names = set()
-    for i, entry in enumerate(entries):
-        for key in ("name", "file", "sha256"):
-            field(entry, key, str, f"layers[{i}].")
-        if entry["name"] in names:
-            raise ConfigError(f"'{path}': layers[{i}] repeats the layer name '{entry['name']}'")
-        names.add(entry["name"])
-    record = manifest.get("stack")
-    if record is not None:
-        for key in ("file", "sha256"):
-            field(record, key, str, "stack.")
-    return entries, record
-
-
 def _npy_header(shape: tuple) -> bytes:
     """The .npy (version 1.0) header of a little-endian float64 C-order
     array of ``shape``, the layout of every binary copy."""
@@ -623,29 +537,132 @@ def _npy_header(shape: tuple) -> bytes:
     return fh.getvalue()
 
 
+class _CopyWriter:
+    """One binary copy under ``out/grids/v1``, written into ``files``
+    (:class:`_PartialFiles`) as ``<stem>.npy``: the header of ``shape``,
+    then each block of rows, top to bottom, exactly as it is given, hashed
+    as it is written. :meth:`finish` names it ``<sha256>.npy``, for the
+    sha256 of the ASCII file it copies, beside its record
+    ``<sha256>.sha256``; files with the same bytes share one copy."""
+
+    def __init__(self, files: _PartialFiles, out: Path, stem: str, shape: tuple):
+        self._files, self._dir, self._stem = files, out / _COPIES, stem
+        self._dir.mkdir(parents=True, exist_ok=True)
+        self._fh = files.open(self._dir / f"{stem}.npy", "wb")
+        self._fh.write(header := _npy_header(shape))
+        self._digest = hashlib.sha256(header)
+
+    def write(self, rows: np.ndarray) -> None:
+        data = np.ascontiguousarray(rows, dtype="<f8").data
+        self._fh.write(data)
+        self._digest.update(data)
+
+    def finish(self, sha256: str) -> None:
+        npy = self._dir / f"{sha256}.npy"
+        record = self._files.open(self._dir / f"{self._stem}.sha256", "w")
+        record.write(self._digest.hexdigest() + "\n")
+        self._files.rename(self._fh, npy)
+        self._files.rename(record, npy.with_suffix(".sha256"))
+
+
+class _StackWriter(_PartialFiles):
+    """Writes the ``feature_<name>.asc`` files and their binary copies
+    (:class:`_CopyWriter`) from row blocks, top to bottom: ``writer(first_row,
+    rows)`` takes a block's rows of every layer, as the ``sink`` of
+    :func:`build_feature_stack` does.
+
+    ``templates`` give each layer's geometry and nodata sentinel. Each
+    ``.asc`` file is hashed as it is written, and its copy is named by that
+    sha256 once the last block is in. The files are opened at the first
+    block, under temporary names (:class:`_PartialFiles`), so a build
+    refused at any block leaves no new file.
+    """
+
+    def __init__(self, out: Path, names, templates):
+        super().__init__()
+        self.out, self.names, self.templates = out, tuple(names), tuple(templates)
+        self.digests = [hashlib.sha256() for _ in self.names]
+        self._texts, self._copies = [], []
+
+    def __call__(self, first: int, rows) -> None:
+        if not self._texts:
+            self._open()
+        for values, fh, digest, copy in zip(rows, self._texts, self.digests, self._copies):
+            fh.write(text := ascii_rows(values))
+            digest.update(text)
+            # + 0.0 turns -0.0 into the 0.0 that parsing the written "0" gives
+            copy.write(values + 0.0)
+        if first + len(rows[0]) == self.templates[0].nrows:  # the digests are final
+            for copy, digest in zip(self._copies, self.digests):
+                copy.finish(digest.hexdigest())
+
+    def _open(self) -> None:
+        for name, template, digest in zip(self.names, self.templates, self.digests):
+            self._texts.append(self.open(self.out / f"feature_{name}.asc", "wb"))
+            self._texts[-1].write(header := ascii_header(template.geometry,
+                                                         template.nodata).encode())
+            digest.update(header)
+            self._copies.append(_CopyWriter(self, self.out, f"feature_{name}",
+                                            (template.nrows, template.ncols)))
+
+    def write_manifest(self, cfg: dict) -> dict:
+        """Write ``features_manifest.json`` once the files are closed."""
+        manifest = {
+            "format": "feature-manifest",
+            "version": 1,
+            "layers": [{"name": name, "file": f"feature_{name}.asc", "sha256": d.hexdigest()}
+                       for name, d in zip(self.names, self.digests)],
+            "windows": dict(cfg["windows"]),
+            "provenance": _provenance(cfg),
+        }
+        _write_json(self.out / _MANIFEST_FILE, manifest)
+        return manifest
+
+
+def _read_manifest(path: Path) -> list[dict]:
+    """The manifest's layer records. A ``stack`` record, which earlier
+    versions wrote, is not read.
+
+    Raises:
+        ConfigError: a key :func:`_load_stack` reads is missing or holds the
+            wrong type; names the manifest.
+    """
+    kinds = {list: "an array", str: "a string"}
+
+    def field(doc, key, kind, where):
+        value = doc.get(key) if isinstance(doc, dict) else None
+        if not isinstance(value, kind):
+            raise ConfigError(f"'{path}': {where}'{key}' is missing or not {kinds[kind]}")
+        return value
+
+    entries = field(_read_json(path), "layers", list, "")
+    names = set()
+    for i, entry in enumerate(entries):
+        for key in ("name", "file", "sha256"):
+            field(entry, key, str, f"layers[{i}].")
+        if entry["name"] in names:
+            raise ConfigError(f"'{path}': layers[{i}] repeats the layer name '{entry['name']}'")
+        names.add(entry["name"])
+    return entries
+
+
 def _npy_start(path: Path, sha256: str, shape: tuple) -> int | None:
     """Where the data of the binary copy ``path`` start, or None unless it
-    still has the recorded ``sha256`` and is a version 1.0 ``.npy`` file of
-    a little-endian float64 C-order array of ``shape``, and nothing more."""
-    if not path.is_file() or _sha256_file(path) != sha256:
+    still has the recorded ``sha256`` and holds the header that
+    :func:`_npy_header` writes for ``shape``, then the float64 values of
+    that shape, and nothing more."""
+    header = _npy_header(shape)
+    if not path.is_file() or path.stat().st_size != len(header) + 8 * math.prod(shape) \
+            or _sha256_file(path) != sha256:
         return None
     with open(path, "rb") as fh:
-        try:
-            version = np.lib.format.read_magic(fh)
-            header = np.lib.format.read_array_header_1_0(fh)
-        except ValueError:
-            return None
-        start = fh.tell()
-    if (version, header) != ((1, 0), (shape, False, np.dtype("<f8"))) \
-            or path.stat().st_size != start + 8 * math.prod(shape):
-        return None
-    return start
+        return len(header) if fh.read(len(header)) == header else None
 
 
 class _Slab:
-    """One 2-D slab of a checked binary copy (:func:`_npy_start`), read a
-    block of rows at a time (a :class:`~demcorrect.grid.GridRows`): a layer
-    of ``features_stack.npy``, or a copy of an input grid.
+    """A checked binary copy (:func:`_npy_start`) of a feature layer or an
+    input grid, read a block of rows at a time (a
+    :class:`~demcorrect.grid.GridRows`).
 
     ``rows`` seeks to the block and reads it into a buffer that the next
     call reuses, which ``GridRows`` does not allow: each caller of a
@@ -673,60 +690,23 @@ class _Slab:
         return block.reshape(stop - start, self.ncols)
 
 
-def _binary_stack(path: Path, sha256: str, names, layers) -> FeatureStack | None:
-    """The layers of ``path`` as :class:`_Slab` s, or None unless each
-    ``(file, sha256)`` of ``layers`` still has the recorded sha256, every
-    layer header gives the first's shape, and ``path`` passes
-    :func:`_npy_start` for ``sha256`` and the shape of the layers.
+def _load_stack(out: Path, files: contextlib.ExitStack) -> FeatureStack:
+    """The manifest's layers, each read a block of rows at a time as
+    :func:`_read_grid` serves it: from the binary copy of its ``.asc`` file,
+    or by parsing the file (a :class:`GridReader` that ``files`` closes).
 
     Raises:
         GeometryMismatch: a layer is not on the first layer's geometry.
     """
-    headers = []
-    for fpath, digest in layers:
-        if _sha256_file(fpath) != digest:
-            return None
-        with open(fpath, encoding="ascii") as fh:
-            headers.append(parse_ascii_header(list(itertools.islice(fh, 6))))
-    if not headers:
-        return None
-    shape = (headers[0][0].nrows, headers[0][0].ncols)
-    start = _npy_start(path, sha256, (len(names), *shape))
-    if start is None or any((geo.nrows, geo.ncols) != shape for geo, _ in headers):
-        return None
-    size = 8 * math.prod(shape)
-    return FeatureStack(names, [_Slab(path, start + i * size, geo, nodata)
-                                for i, (geo, nodata) in enumerate(headers)])
-
-
-def _load_stack(out: Path) -> FeatureStack:
-    """The manifest's layers, each bit-identical to parsing its ``.asc`` file.
-
-    When the binary copy and every layer's ``.asc`` file still have the
-    sha256 the manifest records, the layers are read from the copy a block
-    of rows at a time (:func:`_binary_stack`). Otherwise (no record, a stale
-    or truncated copy, an edited layer) every ``.asc`` file is parsed whole,
-    so the ASCII rasters stay authoritative.
-    """
-    entries, record = _read_manifest(out / _MANIFEST_FILE)
-    names = [entry["name"] for entry in entries]
-    paths = [out / entry["file"] for entry in entries]
-    for fpath in paths:
-        if not fpath.is_file():
-            raise ConfigError(f"feature layer '{fpath}' named by the manifest does not exist")
-    stack = None
-    if record is not None:
-        stack = _binary_stack(out / record["file"], record["sha256"], names,
-                              [(fpath, entry["sha256"]) for fpath, entry in zip(paths, entries)])
-    return stack or FeatureStack(names, [load_grid(fpath) for fpath in paths])
-
-
-#: binary copies of the ASCII grids that the step commands read, under the
-#: output directory: ``<sha256>.npy`` holds the parsed values of the file
-#: whose sha256 names it (laid out as :func:`_npy_header` says), and
-#: ``<sha256>.sha256`` the copy's own sha256. They only spare a later
-#: step the parse, so deleting them is always safe.
-_COPIES = Path("grids", "v1")
+    entries = _read_manifest(out / _MANIFEST_FILE)
+    layers = []
+    for entry in entries:
+        path = out / entry["file"]
+        if not path.is_file():
+            raise ConfigError(f"feature layer '{path}' named by the manifest does not exist")
+        layers.append(_read_grid(path, out, files))
+        _require_on(f"feature layer '{path}'", layers[-1], layers[0], "the feature stack's")
+    return FeatureStack([entry["name"] for entry in entries], layers)
 
 
 def _read_grid(path: Path, out: Path,
@@ -739,17 +719,16 @@ def _read_grid(path: Path, out: Path,
     The values come from the copy ``out/grids/v1/<sha256 of path>.npy``
     when it passes :func:`_npy_start` for the sha256 recorded beside it and
     the shape that the file's header gives. Otherwise the file is parsed,
-    and a whole parse writes the copy (:class:`_PartialFiles`) if the
-    file's sha256 is the same after the parse as before. The geometry, the
-    nodata sentinel and every refusal come from the file itself.
+    and a whole parse writes the copy (:class:`_CopyWriter`) if the file's
+    sha256 is the same after the parse as before. The geometry, the nodata
+    sentinel and every refusal come from the file itself.
     """
     digest = _sha256_file(path)
     npy = out / _COPIES / f"{digest}.npy"
-    record = npy.with_suffix(".sha256")
     with contextlib.ExitStack() as closing:
         reader = closing.enter_context(GridReader(path))
         try:
-            recorded = record.read_text(encoding="ascii").strip()
+            recorded = npy.with_suffix(".sha256").read_text(encoding="ascii").strip()
         except (OSError, UnicodeDecodeError):  # no record, or none that was written here
             recorded = ""
         start = _npy_start(npy, recorded, (reader.nrows, reader.ncols)) if recorded else None
@@ -764,16 +743,10 @@ def _read_grid(path: Path, out: Path,
             return reader
     grid = load_grid(path)
     if _sha256_file(path) == digest:
-        header = _npy_header(grid.values.shape)
-        data = np.ascontiguousarray(grid.values, dtype="<f8").data
-        npy_digest = hashlib.sha256(header)
-        npy_digest.update(data)
-        npy.parent.mkdir(parents=True, exist_ok=True)
         with _PartialFiles() as written:
-            binary = written.open(npy, "wb")
-            binary.write(header)
-            binary.write(data)
-            written.open(record, "w").write(npy_digest.hexdigest() + "\n")
+            copy = _CopyWriter(written, out, digest, grid.values.shape)
+            copy.write(grid.values)
+            copy.finish(digest)
     return grid
 
 
@@ -819,14 +792,19 @@ def _split_step(cfg: dict, stack: FeatureStack, target: Grid,
     return split_table(table, train_fraction=train_fraction, seed=seed, stratified=stratified)
 
 
-def _screen(cfg: dict, train: SampleTable) -> CollinearityReport:
-    """The Pearson/VIF screen whose survivors the MLR is fit on."""
+def _screen(cfg: dict, train: SampleTable, out: Path) -> CollinearityReport:
+    """The Pearson/VIF screen whose survivors the MLR is fit on; a feature
+    constant over ``train`` is refused naming its layer's file in ``out``."""
     r_abs, vif = _screen_args(cfg)
-    return flag_collinear(train, r_abs_threshold=r_abs, vif_threshold=vif)
+    try:
+        return flag_collinear(train, r_abs_threshold=r_abs, vif_threshold=vif)
+    except ZeroVarianceError as exc:
+        raise ZeroVarianceError(f"'{out / f'feature_{exc.feature}.asc'}': {exc}",
+                                exc.feature) from None
 
 
 def _diagnose_step(cfg: dict, train: SampleTable, out: Path) -> CollinearityReport:
-    report = _screen(cfg, train)
+    report = _screen(cfg, train, out)
     doc = report.to_doc()
     doc["provenance"] = _provenance(cfg)
     _write_json(out / "collinearity.json", doc)
@@ -845,7 +823,7 @@ def _train_step(cfg: dict, train: SampleTable, out: Path,
     for name in cfg["models"]:
         if name == "mlr":
             if screen is None:
-                screen = _screen(cfg, train)
+                screen = _screen(cfg, train, out)
             model = replace(fit_ols(train, screen.kept), name="mlr")
             doc = model.to_doc()
             doc["excluded_features"] = list(screen.flagged)
@@ -993,15 +971,20 @@ def _label_faults_named(cfg: dict):
 
 def _load_train_split(cfg: dict) -> tuple[Path, SampleTable]:
     out = _out_dir(cfg)
-    stack = _load_stack(out)
-    dem = _grid_on(cfg, "dem", stack, "the feature stack's", out)
-    # the two grids go once differenced, before the strata are read
-    target = difference(dem, _grid_on(cfg, "reference", dem, "the DEM's", out))
-    del dem
-    strata = _grid_on(cfg, "strata", stack, "the feature stack's", out) \
-        if cfg["paths"].get("strata") else None
-    with _label_faults_named(cfg):
-        train, _ = _split_step(cfg, stack, target, strata)
+    with contextlib.ExitStack() as files:
+        stack = _load_stack(out, files)
+        dem = _grid_on(cfg, "dem", stack, "the feature stack's", out)
+        # the two grids go once differenced, before the strata are read
+        target = difference(dem, _grid_on(cfg, "reference", dem, "the DEM's", out))
+        del dem
+        strata = _grid_on(cfg, "strata", stack, "the feature stack's", out) \
+            if cfg["paths"].get("strata") else None
+        with _label_faults_named(cfg):
+            try:
+                train, _ = _split_step(cfg, stack, target, strata)
+            except EmptyTableError as exc:  # the cells are the layers and DEM - reference
+                raise EmptyTableError(f"'{out / _MANIFEST_FILE}', {_source(cfg, 'dem')} and "
+                                      f"{_source(cfg, 'reference')}: {exc}") from None
     return out, train
 
 
@@ -1023,28 +1006,29 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
     out = _out_dir(cfg)
-    stack = _load_stack(out)
-    dem = _read_grid(_require_path(cfg, "dem"), out)
-    reference = None if (ref := _optional_path(cfg, "reference")) is None else \
-        _read_grid(ref, out)
-    paths = [Path(p) for p in model_docs] if model_docs else \
-        [_model_doc_path(out, name) for name in cfg["models"]]
-    models = {}
-    for path in paths:
-        model, doc = _load_model(path)
-        name = doc.get("model_name", path.stem)
-        # the name becomes part of three file names
-        if not isinstance(name, str) or not name:
-            raise ModelFormatError(f"'{path}': model_name must be a non-empty string, "
-                                   f"got {json.dumps(name)}")
-        if any(sep in name for sep in (os.sep, os.altsep) if sep):
-            raise ModelFormatError(f"'{path}': model_name '{name}' holds a path separator")
-        if name in models:
-            raise ModelFormatError(f"'{path}': model_name '{name}' is also that of "
-                                   f"'{models[name][1]}'")
-        models[name] = (model, path)
-    _correct_step(models, stack, dem, reference, out,
-                  (_source(cfg, "dem"), _source(cfg, "reference")))
+    with contextlib.ExitStack() as files:
+        stack = _load_stack(out, files)
+        dem = _read_grid(_require_path(cfg, "dem"), out)
+        reference = None if (ref := _optional_path(cfg, "reference")) is None else \
+            _read_grid(ref, out)
+        paths = [Path(p) for p in model_docs] if model_docs else \
+            [_model_doc_path(out, name) for name in cfg["models"]]
+        models = {}
+        for path in paths:
+            model, doc = _load_model(path)
+            name = doc.get("model_name", path.stem)
+            # the name becomes part of three file names
+            if not isinstance(name, str) or not name:
+                raise ModelFormatError(f"'{path}': model_name must be a non-empty string, "
+                                       f"got {json.dumps(name)}")
+            if any(sep in name for sep in (os.sep, os.altsep) if sep):
+                raise ModelFormatError(f"'{path}': model_name '{name}' holds a path separator")
+            if name in models:
+                raise ModelFormatError(f"'{path}': model_name '{name}' is also that of "
+                                       f"'{models[name][1]}'")
+            models[name] = (model, path)
+        _correct_step(models, stack, dem, reference, out,
+                      (_source(cfg, "dem"), _source(cfg, "reference")))
     for name in models:
         print(f"corrected DEM with {name}")
     return 0
@@ -1128,17 +1112,18 @@ def cmd_bench(cfg: dict) -> int:
     t_gen = time.perf_counter()
 
     _features_step(cfg, original, land.bare, land.urban, land.forest, out)
-    stack = _load_stack(out)
-    t_feat = time.perf_counter()
+    with contextlib.ExitStack() as files:
+        stack = _load_stack(out, files)
+        t_feat = time.perf_counter()
 
-    train, test = _split_step(cfg, stack, difference(original, reference), land.strata)
-    t_sample = time.perf_counter()
+        train, test = _split_step(cfg, stack, difference(original, reference), land.strata)
+        t_sample = time.perf_counter()
 
-    models = _train_step(cfg, train, out, _diagnose_step(cfg, train, out))
-    t_train = time.perf_counter()
+        models = _train_step(cfg, train, out, _diagnose_step(cfg, train, out))
+        t_train = time.perf_counter()
 
-    _correct_step(models, stack, original, reference, out,
-                  (f"'{out / 'original.asc'}'", f"'{out / 'reference.asc'}'"))
+        _correct_step(models, stack, original, reference, out,
+                      (f"'{out / 'original.asc'}'", f"'{out / 'reference.asc'}'"))
     del stack  # and its block buffers, before the reports
     t_correct = time.perf_counter()
 

@@ -669,8 +669,10 @@ class GridReader:
     it has not read yet by the rule of :func:`read_ascii_grid`
     (:func:`_parse_rows`) and holds the rows it returns: a call that starts
     at or after the previous call's start, and stops at or after its stop,
-    reuses the rows the two share and reads on from there. Any other call
-    rereads the body from its first line. Where the rule refuses a block,
+    reuses the rows the two share and reads on from there; rows that it
+    skips are parsed as well, ``stop - start`` at a time, so that their
+    faults are found, but not held. Any other call rereads the body from
+    its first line. Where the rule refuses a block,
     the reader parses the whole file with :func:`load_grid`, which raises
     its error, naming the line, or returns the grid whose rows the reader
     serves from then on; only then is a whole grid held.
@@ -705,17 +707,18 @@ class GridReader:
         self._fh.close()
 
     def rows(self, start: int, stop: int) -> np.ndarray:
+        if self._grid is None and (start < self._first or stop < self._next):
+            self._fh.seek(self._body)
+            self._held = np.empty((0, self.ncols))
+            self._first = self._next = 0
+        while self._grid is None and self._next < start:
+            self.rows(self._next, self._next + max(stop - start, 1))
         if self._grid is None:
-            if start < self._first or stop < self._next:
-                self._fh.seek(self._body)
-                self._held = np.empty((0, self.ncols))
-                self._first = self._next = 0
             with _naming(self.path):
                 new = _parse_rows(self._fh, stop - self._next, self.ncols, self.nodata,
                                   last=stop == self.nrows)
             if new is not None:
                 kept = self._held[start - self._first:]
-                new = new[max(start - self._next, 0):]
                 self._held = np.concatenate([kept, new]) if len(kept) else new
                 self._first, self._next = start, stop
                 return self._held

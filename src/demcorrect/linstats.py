@@ -35,7 +35,11 @@ _VIF_R2_CEILING = 1.0 - 1e-12
 
 
 class ZeroVarianceError(ValueError):
-    """A feature column is constant; names the feature."""
+    """A feature column is constant; names the feature (``feature``)."""
+
+    def __init__(self, message: str, feature: str):
+        super().__init__(message)
+        self.feature = feature
 
 
 class SingularDesignError(ValueError):
@@ -176,7 +180,7 @@ def pearson_matrix(table: SampleTable) -> np.ndarray:
         raise EmptyTableError(f"pearson_matrix requires at least 2 rows; have {len(table)}")
     for k, name in enumerate(table.feature_names):
         if np.all(X[:, k] == X[0, k]):
-            raise ZeroVarianceError(f"feature '{name}' has zero variance")
+            raise ZeroVarianceError(f"feature '{name}' has zero variance", name)
     centered = X - X.mean(axis=0)
     norms = np.sqrt((centered * centered).sum(axis=0))
     corr = centered.T @ centered / np.outer(norms, norms)

@@ -394,7 +394,7 @@ def inject_error(dem: Grid, stack: FeatureStack, spec: ErrorSpec,
         std = vals.std()
         if std == 0:
             raise ZeroVarianceError(f"feature '{name}' has zero variance; the error spec "
-                                    "cannot standardize it")
+                                    "cannot standardize it", name)
         standardized[name] = (layer.values - mean) / std
 
     dh = np.zeros(dem.values.shape)

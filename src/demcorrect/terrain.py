@@ -112,8 +112,8 @@ class FeatureStack:
 
     Sampling and prediction read a stack a block of rows at a time
     (:meth:`rows`), so a layer may be a :class:`Grid` held in memory or a
-    reader of its file; the CLI also reads the layers from its binary copy
-    of the stack.
+    reader of its file; the CLI reads each layer from the binary copy of
+    its file, or parses the file a block at a time.
     """
 
     names: tuple[str, ...]

@@ -1,4 +1,5 @@
 import contextlib
+import shutil
 
 import numpy as np
 import pytest
@@ -42,30 +43,28 @@ def stack_backings(stack, tmp):
     """``stack`` as each backing of a :class:`FeatureStack` serves it, paired
     with the in-memory stack an oracle should read.
 
-    ``memory`` is the stack itself; ``binary`` reads the digest-checked
-    ``features_stack.npy`` a block at a time; ``fallback`` is the parsed
-    ``.asc`` files of a copy without it; ``readers`` parses those files a
-    block at a time through :class:`GridReader` s, which are closed on
-    leaving the ``with`` block. The file backings serve what was written,
-    in which -0.0 has become 0.0.
+    ``memory`` is the stack itself; ``binary`` reads each layer from the
+    digest-checked binary copy that the ``features`` writer made of it
+    (``grids/v1``), a block at a time; ``readers`` parses the ``.asc``
+    files of a directory without those copies a block at a time, through
+    :class:`GridReader` s, which are closed on leaving the ``with`` block.
+    Both are stacks as ``cli._load_stack`` reads them. The file backings
+    serve what was written, in which -0.0 has become 0.0.
     """
     dirs = {}
-    for kind in ("binary", "fallback"):
+    for kind in ("binary", "readers"):
         dirs[kind] = tmp / kind
         dirs[kind].mkdir()
         write_stack(stack, cli.DEFAULT_CONFIG, dirs[kind])
-    (dirs["fallback"] / "features_stack.npy").unlink()
+    shutil.rmtree(dirs["readers"] / "grids")
     written = FeatureStack(stack.names, tuple(load_grid(dirs["binary"] / f"feature_{name}.asc")
                                               for name in stack.names))
-    binary, fallback = cli._load_stack(dirs["binary"]), cli._load_stack(dirs["fallback"])
-    assert all(isinstance(layer, cli._Slab) for layer in binary.layers)
-    assert all(isinstance(layer, Grid) for layer in fallback.layers)
     with contextlib.ExitStack() as files:
-        readers = FeatureStack(stack.names, tuple(
-            files.enter_context(GridReader(dirs["fallback"] / f"feature_{name}.asc"))
-            for name in stack.names))
+        binary, readers = (cli._load_stack(dirs[kind], files) for kind in ("binary", "readers"))
+        assert all(isinstance(layer, cli._Slab) for layer in binary.layers)
+        assert all(isinstance(layer, GridReader) for layer in readers.layers)
         yield {"memory": (stack, stack), "binary": (written, binary),
-               "fallback": (written, fallback), "readers": (written, readers)}
+               "readers": (written, readers)}
 
 
 @st.composite
@@ -74,7 +73,8 @@ def random_stacks(draw, max_rows=12, max_cols=9):
     and holes, and a target grid on the same geometry.
 
     Holes cover none, some or all of a grid; values are integral or carry
-    3 or 12 decimals, and include -0.0 where they round to zero.
+    3 or 12 decimals, and include -0.0 where they round to zero. A layer's
+    sentinel may be -0.0, which its ``.asc`` file writes as 0.
     """
     h, w = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -87,6 +87,6 @@ def random_stacks(draw, max_rows=12, max_cols=9):
     layers = []
     for _ in range(draw(st.integers(1, 4))):
         values = np.round(rng.normal(size=(h, w)) * 10, draw(st.sampled_from([0, 3, 12])))
-        layers.append(holed(values, draw(st.sampled_from([NODATA, 0.0, 7.0]))))
+        layers.append(holed(values, draw(st.sampled_from([NODATA, 0.0, -0.0, 7.0]))))
     stack = FeatureStack(tuple(f"f{i}" for i in range(len(layers))), tuple(layers))
     return stack, holed(rng.normal(size=(h, w)), NODATA)

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import demcorrect.cli as cli
+import demcorrect.grid as grid_module
 from demcorrect import (
     CANONICAL_FEATURES,
     STRATUM_NAMES,
@@ -45,7 +46,7 @@ from demcorrect import (
 from demcorrect.cli import ConfigError, main, resolve_config, worker_count
 import demcorrect.terrain as terrain
 from demcorrect.terrain import layer_templates
-from conftest import NODATA, make_grid, write_stack
+from conftest import NODATA, make_grid, random_stacks, write_stack
 
 
 @pytest.fixture
@@ -77,6 +78,11 @@ def workspace(tmp_path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def files_under(out: Path) -> dict:
+    """The bytes of every file under ``out``, by its path relative to ``out``."""
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
 class TestConfig:
@@ -179,18 +185,20 @@ class TestFeatures:
         assert "missing_mask.asc" in capsys.readouterr().err
 
     def test_rerun_identical_checksums(self, workspace):
+        """A rerun writes the same manifest, which records no binary copy,
+        and the same copy of each layer, named by the layer's sha256."""
         cfg_path, tmp = workspace
+        out = tmp / "out"
         run_cli("features", "--config", cfg_path)
-        m1 = (tmp / "out" / "features_manifest.json").read_text()
-        stack1 = (tmp / "out" / "features_stack.npy").read_bytes()
+        m1 = (out / "features_manifest.json").read_text()
+        copies = {p.name: p.read_bytes() for p in out.glob("grids/v1/*")}
         run_cli("features", "--config", cfg_path)
-        m2 = (tmp / "out" / "features_manifest.json").read_text()
-        assert m1 == m2
-        assert json.loads(m1)["stack"] == {
-            "file": "features_stack.npy",
-            "sha256": hashlib.sha256(stack1).hexdigest(),
-        }
-        assert (tmp / "out" / "features_stack.npy").read_bytes() == stack1
+        assert (out / "features_manifest.json").read_text() == m1
+        manifest = json.loads(m1)
+        assert "stack" not in manifest
+        assert set(copies) == {layer["sha256"] + suffix for layer in manifest["layers"]
+                               for suffix in (".npy", ".sha256")}
+        assert {p.name: p.read_bytes() for p in out.glob("grids/v1/*")} == copies
 
     def test_flat_dem_zero_slope_layer(self, workspace):
         cfg_path, tmp = workspace
@@ -211,7 +219,7 @@ class TestFeatures:
         cfg_path, tmp = workspace
         out = tmp / "out"
         assert run_cli("features", "--config", cfg_path) == 0
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        before = files_under(out)
         dem = load_grid(tmp / "dem.asc")
         save_grid(dem.with_values(np.where(dem.valid_mask(), dem.values + 1.0, dem.nodata)),
                   tmp / "dem.asc")
@@ -224,7 +232,7 @@ class TestFeatures:
         assert run_cli("features", "--config", cfg_path) == 2
         err = capsys.readouterr().err
         assert "bare mask must hold only 0, 1 or nodata; found 2.0 at cell (32, 3)" in err, err
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert files_under(out) == before
 
     @pytest.mark.parametrize("mask", ["bare", "urban", "forest"])
     def test_mask_fault_names_the_mask(self, workspace, capsys, mask):
@@ -267,10 +275,9 @@ class TestStreamedWriter:
                                     sink=write)
         write.write_manifest(cfg)
         write_stack(build_feature_stack(*grids, cli._feature_config(cfg)), cfg, whole)
-        names = sorted(p.name for p in whole.iterdir())
-        assert names == sorted(p.name for p in streamed.iterdir()) and len(names) == 13
-        for name in names:
-            assert (streamed / name).read_bytes() == (whole / name).read_bytes(), name
+        files = files_under(whole)
+        assert len([name for name in files if "grids" not in name.parts]) == 12
+        assert len(files) > 12 and files_under(streamed) == files
         assert (whole / "feature_pct_bare.asc").read_text().splitlines()[2] == "xllcorner 1e-10"
 
 
@@ -296,71 +303,88 @@ def test_write_json_writes_what_dumps_returns(doc):
 
 
 class TestFeatureStackFile:
-    """``features_stack.npy`` spares later steps the ASCII parse, never changing a bit."""
+    """The binary copy of each feature layer (``grids/v1``) spares later
+    steps the layer's ASCII parse, never changing a bit."""
 
     OUTPUTS = ("collinearity.json", "model_mlr.json", "model_gbdt-depthwise.json",
                "model_gbdt-leafwise.json", "corrected_mlr.asc",
                "corrected_gbdt-depthwise.asc", "predicted_error_mlr.asc",
                "abs_error_gbdt-leafwise.asc")
+    LAYERS = sorted(f"feature_{name}.asc" for name in CANONICAL_FEATURES)
 
     def run_steps(self, cfg_path, out):
         for cmd in ("diagnose", "train", "correct"):
             assert run_cli(cmd, "--config", cfg_path) == 0, cmd
         return {f: (out / f).read_bytes() for f in self.OUTPUTS}
 
+    @staticmethod
+    def layer_copies(out):
+        """The binary copy of each feature layer, by the layer's file name."""
+        return {path.name: out / "grids" / "v1" / f"{cli._sha256_file(path)}.npy"
+                for path in out.glob("feature_*.asc")}
+
     @pytest.fixture
     def parsed(self, monkeypatch):
-        """Names of the feature layers parsed from ASCII by the CLI."""
+        """The name of the file of each ASCII parse: one entry for a whole
+        parse, one for each block a ``GridReader`` parses."""
         names = []
-        real = cli.load_grid
+        real = grid_module._parse_rows
 
-        def counting(path):
-            if path.name.startswith("feature_"):
-                names.append(path.name)
-            return real(path)
+        def counting(lines, *args, **kwargs):
+            names.append(Path(lines.name).name)
+            return real(lines, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "load_grid", counting)
+        monkeypatch.setattr(grid_module, "_parse_rows", counting)
         return names
 
     @pytest.fixture
     def parsed_outputs(self, workspace):
-        """Step outputs with every feature layer parsed from ASCII."""
+        """Step outputs from a directory without the layers' copies, whose
+        layers the steps parse from ASCII (but the elevation layer once
+        ``diagnose`` has copied the DEM, which has its bytes)."""
         cfg_path, tmp = workspace
         out = tmp / "out"
         run_cli("features", "--config", cfg_path)
-        (out / "features_stack.npy").unlink()
+        shutil.rmtree(out / "grids")
         return self.run_steps(cfg_path, out)
 
     def test_steps_skip_the_parse_with_the_same_outputs(self, workspace, parsed_outputs,
                                                         parsed):
         cfg_path, tmp = workspace
         run_cli("features", "--config", cfg_path)
+        parsed.clear()
         assert self.run_steps(cfg_path, tmp / "out") == parsed_outputs
-        assert parsed == []
+        assert not [name for name in parsed if name.startswith("feature_")], parsed
 
     @pytest.mark.parametrize("damage", ["truncated", "stale"])
     def test_bad_stack_file_falls_back_to_parsing(self, workspace, parsed_outputs,
                                                   parsed, damage):
+        """A truncated layer copy, or one whose values no longer match its
+        record, is parsed past: each layer is parsed from its ``.asc``."""
         cfg_path, tmp = workspace
         out = tmp / "out"
         run_cli("features", "--config", cfg_path)
-        path = out / "features_stack.npy"
-        if damage == "truncated":
-            path.write_bytes(path.read_bytes()[:-8])
-        else:
-            np.save(path, np.zeros_like(np.load(path)))
+        for path in self.layer_copies(out).values():
+            if damage == "truncated":
+                path.write_bytes(path.read_bytes()[:-8])
+            else:
+                np.save(path, np.zeros_like(np.load(path)))
+        parsed.clear()
         assert self.run_steps(cfg_path, out) == parsed_outputs
-        assert len(parsed) == 3 * 11
+        assert sorted({name for name in parsed if name.startswith("feature_")}) == self.LAYERS
 
-    def test_manifest_without_stack_record_loads(self, workspace, parsed_outputs, parsed):
+    def test_manifest_with_a_stack_record_loads(self, workspace, parsed_outputs, parsed):
+        """The ``stack`` record that earlier versions wrote into the
+        manifest is not read."""
         cfg_path, tmp = workspace
         out = tmp / "out"
         run_cli("features", "--config", cfg_path)
         manifest = json.loads((out / "features_manifest.json").read_text())
-        del manifest["stack"]
+        manifest["stack"] = {"file": "features_stack.npy", "sha256": "0" * 64}
         (out / "features_manifest.json").write_text(json.dumps(manifest))
+        parsed.clear()
         assert self.run_steps(cfg_path, out) == parsed_outputs
-        assert len(parsed) == 3 * 11
+        assert not [name for name in parsed if name.startswith("feature_")], parsed
 
     def test_loaded_layers_bit_identical_to_parsed(self, tmp_path, parsed):
         vals = np.array([[-0.0, NODATA, 1e16, 9999999999999998.0],
@@ -368,26 +392,90 @@ class TestFeatureStackFile:
         stack = FeatureStack(("a", "b"), (make_grid(vals, cellsize=30.0, xll=-7.5),
                                           make_grid(-vals[::-1], cellsize=30.0, xll=-7.5)))
         write_stack(stack, cli.DEFAULT_CONFIG, tmp_path)
-        loaded = cli._load_stack(tmp_path)
-        assert parsed == []
-        for name, values, nodata in zip(loaded.names, loaded.rows(0, 2), loaded.nodata):
-            ref = load_grid(tmp_path / f"feature_{name}.asc")
-            assert values.tobytes() == ref.values.tobytes()
-            assert (loaded.geometry, nodata) == (ref.geometry, ref.nodata)
+        with contextlib.ExitStack() as files:
+            loaded = cli._load_stack(tmp_path, files)
+            assert parsed == []
+            assert all(isinstance(layer, cli._Slab) for layer in loaded.layers)
+            for name, values, nodata in zip(loaded.names, loaded.rows(0, 2), loaded.nodata):
+                ref = load_grid(tmp_path / f"feature_{name}.asc")
+                assert values.tobytes() == ref.values.tobytes()
+                assert (loaded.geometry, nodata) == (ref.geometry, ref.nodata)
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "parsed"])
     def test_layer_off_the_stack_geometry_refused(self, tmp_path, binary):
-        """Both paths refuse a stack whose layer headers disagree, naming
-        the layer: the binary one once its slabs make a ``FeatureStack``."""
+        """A layer whose header is off the first layer's geometry is refused,
+        read from its copy or parsed, naming its file and both geometries."""
         a = make_grid(np.ones((2, 3)), cellsize=30.0)
         b = make_grid(np.ones((2, 3)), cellsize=30.0, xll=15.0)
         with cli._StackWriter(tmp_path, ("a", "b"), (a, b)) as write:
             write(0, [a.values, b.values])
         write.write_manifest(cli.DEFAULT_CONFIG)
         if not binary:
-            (tmp_path / "features_stack.npy").unlink()
-        with pytest.raises(GeometryMismatch, match="^layer 'b' is not on the stack geometry$"):
-            cli._load_stack(tmp_path)
+            shutil.rmtree(tmp_path / "grids")
+        message = (f"feature layer '{tmp_path / 'feature_b.asc'}' (3 x 2, xll 15.0, yll 0.0, "
+                   "cellsize 30.0) is not on the feature stack's geometry (3 x 2, xll 0.0, "
+                   "yll 0.0, cellsize 30.0)")
+        with contextlib.ExitStack() as files, \
+                pytest.raises(GeometryMismatch, match=f"^{re.escape(message)}$"):
+            cli._load_stack(tmp_path, files)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_stacks(), st.integers(1, 5))
+    def test_copies_hold_the_parse_of_their_files(self, case, block_rows):
+        """Every copy the ``features`` writer makes, from blocks of any
+        height, holds the bits of ``load_grid`` of its layer's ``.asc`` file
+        (where -0.0 has become 0.0, and a -0.0 sentinel is written as 0),
+        under a record of its own sha256: so it may serve any file with
+        those bytes, such as the DEM."""
+        stack, _ = case
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            with cli._StackWriter(out, stack.names, stack.layers) as write:
+                for first in range(0, stack.geometry.nrows, block_rows):
+                    write(first, [layer.values[first:first + block_rows]
+                                  for layer in stack.layers])
+            for name, npy in self.layer_copies(out).items():
+                assert np.load(npy).tobytes() == load_grid(out / name).values.tobytes(), name
+                assert npy.with_suffix(".sha256").read_text() == cli._sha256_file(npy) + "\n"
+            assert not list(out.rglob("*.partial"))
+
+    def test_layers_with_equal_bytes_share_one_copy(self, workspace):
+        """All-zero bare and forest masks make equal percentage layers: one
+        copy serves both, and no temporary file stays."""
+        cfg_path, tmp = workspace
+        for mask in ("bare", "forest"):
+            grid = load_grid(tmp / f"{mask}.asc")
+            save_grid(grid.with_values(np.where(grid.valid_mask(), 0.0, grid.nodata)),
+                      tmp / f"{mask}.asc")
+        assert run_cli("features", "--config", cfg_path) == 0
+        out = tmp / "out"
+        copies = self.layer_copies(out)
+        assert (out / "feature_pct_bare.asc").read_bytes() == \
+            (out / "feature_pct_forest.asc").read_bytes()
+        assert copies["feature_pct_bare.asc"] == copies["feature_pct_forest.asc"]
+        assert sorted(out.glob("grids/v1/*.npy")) == sorted(set(copies.values()))
+        assert len(list(out.glob("grids/v1/*.sha256"))) == len(set(copies.values())) == 10
+        assert not list(out.rglob("*.partial"))
+        for name, npy in copies.items():
+            assert np.load(npy).tobytes() == load_grid(out / name).values.tobytes(), name
+
+    def test_diagnose_reads_the_dem_from_the_elevation_copy(self, tmp_path, parsed):
+        """On the grids that ``bench`` writes, the elevation layer has the
+        DEM's bytes, so ``diagnose`` reads the DEM from the layer's copy
+        and parses only the reference and the strata."""
+        bench = tmp_path / "bench"
+        assert run_cli("bench", "--out", bench, "--set", "bench.size_exponent=5",
+                       "--set", "windows.texture_radius=3", "--model", "mlr") == 0
+        cfg_path = tmp_path / "steps.json"
+        cfg_path.write_text(json.dumps({"paths": {
+            key: str(bench / f"{stem}.asc") for key, stem in TestOnePipeline.INPUTS.items()}}))
+        steps = tmp_path / "steps"
+        assert run_cli("features", "--config", cfg_path, "--out", steps) == 0
+        assert (steps / "feature_elevation.asc").read_bytes() == \
+            (bench / "original.asc").read_bytes()
+        parsed.clear()
+        assert run_cli("diagnose", "--config", cfg_path, "--out", steps) == 0
+        assert parsed == ["reference.asc", "strata.asc"]
 
 
 class TestPipeline:
@@ -558,11 +646,13 @@ class TestOnePipeline:
             assert run_cli(cmd, "--config", cfg_path, "--out", steps, *sets) == 0, cmd
 
         written = sorted(p.name for p in steps.iterdir() if p.is_file())
-        # manifest, stack, 11 layers, collinearity, 3 x (model + 3 rasters), report
-        assert len(written) == 1 + 1 + 11 + 1 + 3 * 4 + 2
-        # and a copy and its digest record of each grid read whole: DEM,
-        # reference and strata
-        assert sorted(p.suffix for p in steps.glob("grids/v1/*")) == [".npy"] * 3 + [".sha256"] * 3
+        # manifest, 11 layers, collinearity, 3 x (model + 3 rasters), report
+        assert len(written) == 1 + 11 + 1 + 3 * 4 + 2
+        # and a copy and its digest record of each layer, and of each grid
+        # read whole: the DEM, which has the elevation layer's bytes and so
+        # its copy, the reference and the strata
+        assert sorted(p.suffix for p in steps.glob("grids/v1/*")) == \
+            [".npy"] * (11 + 2) + [".sha256"] * (11 + 2)
         for name in written:
             if name.endswith(".json"):
                 assert self.without_provenance(steps / name) == \
@@ -577,16 +667,19 @@ class TestOnePipeline:
 
 class TestStepMemory:
     """Tracemalloc peaks of sampling and of the ``correct`` step, reading the
-    stack from its binary copy, and of the ``features`` and ``evaluate``
+    stack as ``cli._load_stack`` does, from the layers' binary copies and,
+    at 513², from a directory without them, parsing the ``.asc`` layers
+    through :class:`GridReader`; and of the ``features`` and ``evaluate``
     steps, reading their ASCII inputs through :class:`GridReader` (and, for
-    ``evaluate``, from the inputs' binary copies too), against
-    the bounds the README's "Memory" section states. The inputs (the stack
-    of slabs, DEM, reference, strata; the readers, with their headers parsed)
-    are made before tracing, but not the stack's block buffers; h and
-    w are the grid's rows and columns, B = ``terrain.BLOCK_ROWS``, H = 11
-    the feature build's halo, F the stack's layers and m a model's features.
+    ``evaluate``, from the inputs' binary copies too), against the bounds
+    the README's "Memory" section states. The inputs (the stack of slabs or
+    readers, DEM, reference, strata; the readers, with their headers
+    parsed) are made before tracing, but not the stack's blocks; h and w
+    are the grid's rows and columns, B = ``terrain.BLOCK_ROWS``, H = 11 the
+    feature build's halo, F the stack's layers and m a model's features.
 
-    - sampling k of n eligible cells: 8*B*w*(F + 5) + k*(9*F + 32) bytes,
+    - sampling k of n eligible cells: 8*B*w*(F + 5) + k*(9*F + 32) bytes
+      from the copies, 8*B*w*(2*F + 5) + k*(9*F + 32) from the readers,
       plus 8*n where numpy draws by a tail shuffle (k > n/50, n > 10,000);
     - correcting with one model: 8*B*w*(2*m + 9) bytes;
     - building the features: 8*w*(35*B + 40*H) + 32*w*(3*B + 4*H);
@@ -596,38 +689,36 @@ class TestStepMemory:
     The whole-grid code held every layer: 88 bytes per cell before either.
     """
 
-    @pytest.fixture(scope="class", params=[9, 10], ids=["513", "1025"])
-    def inputs(self, request, tmp_path_factory):
-        dem = fractal_dem(request.param, seed=7)
+    @staticmethod
+    def make_inputs(exponent, tmp, copies=True):
+        """The feature layers written into ``tmp`` through the ``features``
+        writer, with their copies unless ``copies`` is false, and the DEM,
+        a reference and the strata."""
+        dem = fractal_dem(exponent, seed=7)
         land = synth_landcover(dem, seed=11)
-        stack = build_feature_stack(dem, land.bare, land.urban, land.forest)
-        tmp = tmp_path_factory.mktemp(f"memory{request.param}")
-        path = tmp / "features_stack.npy"
-        np.save(path, np.stack([layer.values for layer in stack.layers]))
-        with open(path, "rb") as fh:
-            np.lib.format.read_magic(fh)
-            np.lib.format.read_array_header_1_0(fh)
-            start = fh.tell()
-        size = 8 * dem.nrows * dem.ncols
-
-        def open_reader():
-            """A stack of slabs with no block buffers yet, so that a test
-            traces its own."""
-            return FeatureStack(stack.names, [
-                cli._Slab(path, start + i * size, layer.geometry, layer.nodata)
-                for i, layer in enumerate(stack.layers)])
-
+        write_stack(build_feature_stack(dem, land.bare, land.urban, land.forest),
+                    cli.DEFAULT_CONFIG, tmp)
+        if not copies:
+            shutil.rmtree(tmp / "grids")
         rng = np.random.default_rng(5)
         reference = dem.with_values(np.where(dem.valid_mask(), dem.values - rng.normal(
             size=dem.values.shape), dem.nodata))
-        return open_reader, dem, reference, land.strata, tmp
+        return dem, reference, land.strata, tmp
+
+    @pytest.fixture(scope="class", params=[9, 10], ids=["513", "1025"])
+    def inputs(self, request, tmp_path_factory):
+        return self.make_inputs(request.param, tmp_path_factory.mktemp(f"memory{request.param}"))
+
+    @pytest.fixture(scope="class")
+    def copyless(self, tmp_path_factory):
+        return self.make_inputs(9, tmp_path_factory.mktemp("copyless"), copies=False)
 
     @pytest.fixture(scope="class")
     def grid_files(self, inputs):
         """The ASCII files the ``features`` and ``evaluate`` steps read: the
         DEM, its masks, reference and strata, and two corrected DEMs with
         holes of their own."""
-        _, dem, reference, strata, tmp = inputs
+        dem, reference, strata, tmp = inputs
         land = synth_landcover(dem, seed=11)
         rng = np.random.default_rng(3)
         grids = {"dem": dem, "bare": land.bare, "urban": land.urban, "forest": land.forest,
@@ -650,26 +741,53 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
 
+    def traced_sampling(self, inputs, rate, kind):
+        """The traced peak of sampling the stack of ``inputs``, which
+        ``_load_stack`` serves as ``kind`` layers, and its bound."""
+        dem, reference, strata, out = inputs
+        target = difference(dem, reference)
+        with contextlib.ExitStack() as files:
+            stack = cli._load_stack(out, files)
+            assert all(isinstance(layer, kind) for layer in stack.layers)
+            table, peak = self.traced(extract_samples, stack, target, strata, rate=rate, seed=42)
+        n, k = round(len(table) / rate), len(table)
+        F, w = len(stack.names), dem.ncols
+        # a reader parses each block into a new array, and the gather pass
+        # holds the block before it while the next is parsed
+        held = F if kind is cli._Slab else 2 * F
+        bound = 8 * terrain.BLOCK_ROWS * w * (held + 5) + k * (9 * F + 32) + 8 * n * (k > n / 50)
+        return peak, bound
+
+    def traced_correct(self, inputs, kind):
+        dem, reference, _, out = inputs
+        with contextlib.ExitStack() as files:
+            stack = cli._load_stack(out, files)
+            assert all(isinstance(layer, kind) for layer in stack.layers)
+            names = stack.names[:10]
+            model = LinearModel(names, 0.5, np.linspace(-1, 1, len(names)), 0.0, 0.0)
+            _, peak = self.traced(cli._correct_step, {"mlr": (model, out / "model_mlr.json")},
+                                  stack, dem, reference, out, ("the DEM", "the reference"))
+        return peak, 8 * terrain.BLOCK_ROWS * dem.ncols * (2 * len(names) + 9)
+
     @pytest.mark.parametrize("rate", [0.01, 0.25])
     def test_sampling_within_the_stated_bound(self, inputs, rate):
-        open_reader, dem, reference, strata, _ = inputs
-        reader = open_reader()
-        target = difference(dem, reference)
-        table, peak = self.traced(extract_samples, reader, target, strata, rate=rate, seed=42)
-        n, k = round(len(table) / rate), len(table)
-        F, w = len(reader.names), dem.ncols
-        bound = 8 * terrain.BLOCK_ROWS * w * (F + 5) + k * (9 * F + 32) + 8 * n * (k > n / 50)
+        peak, bound = self.traced_sampling(inputs, rate, cli._Slab)
         # the claim is the upper bound; the floor shows the blocks were traced
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
+    @pytest.mark.parametrize("rate", [1e-5, 0.01, 0.25])
+    def test_sampling_over_readers_within_the_stated_bound(self, copyless, rate):
+        """At 1e-5 the two drawn cells leave most blocks unread by the
+        gather pass: a reader parses the rows it skips a block at a time."""
+        peak, bound = self.traced_sampling(copyless, rate, GridReader)
+        assert 0.5 * bound <= peak <= bound, (peak, bound)
+
     def test_correct_within_the_stated_bound(self, inputs):
-        open_reader, dem, reference, _, tmp = inputs
-        reader = open_reader()
-        names = reader.names[:10]
-        model = LinearModel(names, 0.5, np.linspace(-1, 1, len(names)), 0.0, 0.0)
-        _, peak = self.traced(cli._correct_step, {"mlr": (model, tmp / "model_mlr.json")},
-                              reader, dem, reference, tmp, ("the DEM", "the reference"))
-        bound = 8 * terrain.BLOCK_ROWS * dem.ncols * (2 * len(names) + 9)
+        peak, bound = self.traced_correct(inputs, cli._Slab)
+        assert 0.5 * bound <= peak <= bound, (peak, bound)
+
+    def test_correct_over_readers_within_the_stated_bound(self, copyless):
+        peak, bound = self.traced_correct(copyless, GridReader)
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
     def test_features_within_the_stated_bound(self, grid_files):
@@ -1534,6 +1652,29 @@ class TestInputErrors:
             fault = f"{key} mask must hold only 0, 1 or nodata; found 2.0 at cell (4, 6)"
         self.assert_input_error(run_cli(step, "--config", cfg_path, "--model", "mlr"), capsys,
                                 f"error: paths.{key} '{path}': {fault}\n")
+
+    @pytest.mark.parametrize("fault", ["empty-table", "zero-variance"])
+    @pytest.mark.parametrize("step", ["diagnose", "train"])
+    def test_sample_faults_name_their_source(self, workspace, capsys, fault, step):
+        """A sample table left empty (a reference of nodata only) is refused
+        naming the manifest and the DEM's and reference's keys and files; a
+        feature constant over the training rows (a flat DEM), naming its
+        layer's file."""
+        cfg_path, tmp = workspace
+        out = tmp / "out"
+        if fault == "empty-table":
+            ref = load_grid(tmp / "reference.asc")
+            save_grid(ref.with_values(np.full_like(ref.values, ref.nodata)), tmp / "reference.asc")
+            message = (f"'{out / 'features_manifest.json'}', paths.dem '{tmp / 'dem.asc'}' and "
+                       f"paths.reference '{tmp / 'reference.asc'}': no cell has all features "
+                       "and the target valid")
+        else:
+            save_grid(fractal_dem(5, relief_amplitude=0.0), tmp / "dem.asc")
+            message = f"'{out / 'feature_elevation.asc'}': feature 'elevation' has zero variance"
+        assert run_cli("features", "--config", cfg_path) == 0
+        capsys.readouterr()
+        self.assert_input_error(run_cli(step, "--config", cfg_path, "--model", "mlr"), capsys,
+                                f"error: {message}\n")
 
     def test_non_integer_strata_label(self, workspace, capsys):
         cfg_path, tmp = workspace

@@ -579,6 +579,30 @@ class TestBulkReader:
                 assert reader.rows(start, stop).tobytes() == g.values[start:stop].tobytes()
             assert reader._grid is None  # never parsed whole by load_grid
 
+    def test_reader_parses_skipped_rows_a_block_at_a_time(self, tmp_path, monkeypatch):
+        """Rows between two calls are parsed, no more of them at once than
+        the later call asks for, and not held; a fault among them is
+        refused, naming its line."""
+        g = make_grid(np.arange(60.0).reshape(12, 5))
+        path = tmp_path / "g.asc"
+        grid_module.save_grid(g, path)
+        counts = []
+        real = grid_module._parse_rows
+        monkeypatch.setattr(grid_module, "_parse_rows", lambda lines, count, *args, **kwargs:
+                            counts.append(count) or real(lines, count, *args, **kwargs))
+        with GridReader(path) as reader:
+            for start, stop in ((0, 2), (7, 9), (11, 12)):
+                assert reader.rows(start, stop).tobytes() == g.values[start:stop].tobytes()
+                assert len(reader._held) == stop - start
+        assert max(counts) == 2 and sum(counts) == 12
+        lines = path.read_text().splitlines(keepends=True)
+        lines[10] = lines[10].replace(" ", " x ", 1)  # body row 4
+        path.write_text("".join(lines))
+        with GridReader(path) as reader, \
+                pytest.raises(GridParseError, match="line 11: non-numeric token 'x'"):
+            reader.rows(0, 2)
+            reader.rows(7, 9)
+
     @pytest.mark.parametrize("body, message", [
         ("1 2\n3 4\n", None),
         ("1 2 3\n4\n", None),

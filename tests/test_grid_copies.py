@@ -1,4 +1,5 @@
-"""The binary copies of the step commands' input grids (``out/grids/v1``).
+"""The binary copies of the feature layers and of the step commands' input
+grids (``out/grids/v1``).
 
 A grid read through ``cli._read_grid`` must have the bits of a parse of
 its ASCII file, whether its copy is missing, present, damaged or stale,
@@ -178,11 +179,14 @@ def edit_dem() -> None:
                                  "edited"])
 def test_damaged_copies_are_parsed_past(inputs, how):
     """Before each of ``train``, ``correct`` and ``evaluate``, every intact
-    copy is damaged: those of the DEM, reference and strata that
-    ``diagnose`` and ``train`` write, and those of the DEM and reference
-    that ``correct`` writes again. (For ``edited``, the DEM file is edited
-    instead, once, after ``diagnose`` made its copy.) The steps must write
-    what they write when each step finds no copy at all."""
+    copy is damaged: before ``train``, those of the eleven layers that
+    ``features`` writes, the DEM's among them (the elevation layer has the
+    DEM's bytes), and those of the reference and strata that ``diagnose``
+    writes; then those of the DEM, reference and strata that ``train``
+    writes again, and those of the DEM and reference that ``correct``
+    writes again. (For ``edited``, the DEM file is edited instead, once,
+    after ``diagnose`` read it.) The steps must write what they write when
+    each step finds no copy at all."""
     want = inputs("copyless")
     for step in STEPS:
         if step == "train" and how == "edited":
@@ -195,7 +199,7 @@ def test_damaged_copies_are_parsed_past(inputs, how):
             edit_dem()
         elif step in ("train", "correct", "evaluate") and how != "edited":
             copies = [npy for npy in Path("out/grids/v1").glob("*.npy") if intact(npy)]
-            assert len(copies) == (2 if step == "evaluate" else 3)
+            assert len(copies) == {"train": 11 + 2, "correct": 3, "evaluate": 2}[step]
             for npy in copies:
                 damage(npy, how)
                 assert not intact(npy)
@@ -214,7 +218,8 @@ def test_faulty_body_refused_beside_a_copy_of_its_earlier_bytes(inputs, capsys, 
     inputs("faulty")
     for earlier in ("features", "diagnose", "train", "correct"):
         run_step(earlier)
-    assert len(list(Path("out/grids/v1").glob("*.npy"))) == 3
+    # the layers', the DEM's among them, and the reference's and strata's
+    assert len(list(Path("out/grids/v1").glob("*.npy"))) == 11 + 2
     lines = Path("dem.asc").read_text().splitlines(keepends=True)
     lines[9] = lines[9].replace(" ", " x ", 1)
     Path("dem.asc").write_text("".join(lines))

@@ -2,13 +2,14 @@
 ``evaluate`` write, the binary copies of their input grids included.
 
 A seeded stack of eleven random layers is written through the
-``features`` writer, with its manifest, beside a seeded DEM, reference
-and strata grid. The four step commands then run on it with all three
-models and 5 trees, and every file they write is pinned, those under
-``grids/`` too: each copy is named by its ASCII file's sha256. The
-stack is made without ``terrain``, so a change to how the layers are
-derived cannot move these pins. The grid is taller than one row block, so the
-pins cover sampling and prediction across a block boundary.
+``features`` writer, with its manifest and the layers' binary copies,
+beside a seeded DEM, reference and strata grid. The four step commands
+then run on it with all three models and 5 trees, and every file they
+write is pinned, those under ``grids/`` too: each copy is named by its
+ASCII file's sha256. The stack is made without ``terrain``, so a change
+to how the layers are derived cannot move these pins. The grid is taller
+than one row block, so the pins cover sampling and prediction across a
+block boundary.
 
 The output directory and the input paths are relative, as they enter
 the provenance digests.
@@ -97,9 +98,9 @@ def test_step_outputs_match_pins(tmp_path, monkeypatch):
     out = tmp_path / "out"
     out.mkdir()
     write_stack(stack, DEFAULT_CONFIG, out)
-    inputs = {path.name for path in out.iterdir()}
+    inputs = set(out.rglob("*"))
     for step in ("diagnose", "train", "correct", "evaluate"):
         assert main([step, "--config", "config.json", "--out", "out"]) == 0, step
     got = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-           for path in sorted(out.rglob("*")) if path.is_file() and path.name not in inputs}
+           for path in sorted(out.rglob("*")) if path.is_file() and path not in inputs}
     assert got == PINS
