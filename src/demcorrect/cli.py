@@ -543,10 +543,14 @@ class _CopyWriter:
     then each block of rows, top to bottom, exactly as it is given, hashed
     as it is written. :meth:`finish` names it ``<sha256>.npy``, for the
     sha256 of the ASCII file it copies, beside its record
-    ``<sha256>.sha256``; files with the same bytes share one copy."""
+    ``<sha256>.sha256``; files with the same bytes share one copy.
+
+    It keeps no reference to ``files``, which may hold it (as
+    :class:`_StackWriter` does): a cycle would keep the closed files alive
+    until the garbage collector runs."""
 
     def __init__(self, files: _PartialFiles, out: Path, stem: str, shape: tuple):
-        self._files, self._dir, self._stem = files, out / _COPIES, stem
+        self._dir, self._stem = out / _COPIES, stem
         self._dir.mkdir(parents=True, exist_ok=True)
         self._fh = files.open(self._dir / f"{stem}.npy", "wb")
         self._fh.write(header := _npy_header(shape))
@@ -557,12 +561,13 @@ class _CopyWriter:
         self._fh.write(data)
         self._digest.update(data)
 
-    def finish(self, sha256: str) -> None:
+    def finish(self, files: _PartialFiles, sha256: str) -> None:
+        """``files`` is the :class:`_PartialFiles` that ``__init__`` was given."""
         npy = self._dir / f"{sha256}.npy"
-        record = self._files.open(self._dir / f"{self._stem}.sha256", "w")
+        record = files.open(self._dir / f"{self._stem}.sha256", "w")
         record.write(self._digest.hexdigest() + "\n")
-        self._files.rename(self._fh, npy)
-        self._files.rename(record, npy.with_suffix(".sha256"))
+        files.rename(self._fh, npy)
+        files.rename(record, npy.with_suffix(".sha256"))
 
 
 class _StackWriter(_PartialFiles):
@@ -594,7 +599,7 @@ class _StackWriter(_PartialFiles):
             copy.write(values + 0.0)
         if first + len(rows[0]) == self.templates[0].nrows:  # the digests are final
             for copy, digest in zip(self._copies, self.digests):
-                copy.finish(digest.hexdigest())
+                copy.finish(self, digest.hexdigest())
 
     def _open(self) -> None:
         for name, template, digest in zip(self.names, self.templates, self.digests):
@@ -746,7 +751,7 @@ def _read_grid(path: Path, out: Path,
         with _PartialFiles() as written:
             copy = _CopyWriter(written, out, digest, grid.values.shape)
             copy.write(grid.values)
-            copy.finish(digest)
+            copy.finish(written, digest)
     return grid
 
 
