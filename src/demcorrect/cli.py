@@ -29,7 +29,6 @@ import argparse
 import contextlib
 import copy
 import hashlib
-import io
 import json
 import math
 import os
@@ -55,7 +54,6 @@ from .gbdt import (
 from .grid import (
     Grid,
     GeometryMismatch,
-    GridGeometry,
     GridParseError,
     GridReader,
     GridRows,
@@ -65,7 +63,6 @@ from .grid import (
     ascii_rows,
     check_values,
     difference,
-    load_grid,
     save_grid,
 )
 from .linstats import (
@@ -83,6 +80,7 @@ from .sampling import (
     extract_samples,
     split_table,
 )
+from .store import CopyWriter, PartialFiles, read_grid, sha256_file
 from .synth import (
     STRATUM_NAMES,
     ErrorSpec,
@@ -477,110 +475,17 @@ def _read_json(path: Path, what: str = "") -> dict:
         raise ConfigError(f"{what}'{path}' is not valid JSON: {exc}") from None
 
 
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-#: binary copies of parsed ASCII grids, under the output directory:
-#: ``<sha256>.npy`` holds the parsed values of the file whose sha256 names
-#: it (laid out as :func:`_npy_header` says), and ``<sha256>.sha256`` the
-#: copy's own sha256; one per feature layer, and one per input grid read
-#: whole (:func:`_read_grid`). Deleting them is always safe.
-_COPIES = Path("grids", "v1")
 _MANIFEST_FILE = "features_manifest.json"
 
 
-class _PartialFiles:
-    """Files written under temporary ``<name>.partial`` names, which take
-    their own names when the ``with`` block ends without an exception and
-    are removed otherwise. So a refused write leaves no new file, and an
-    earlier run's files stay as they were."""
-
-    def __init__(self):
-        self._opened: list = []  # [path, its temporary path, file]
-
-    def open(self, path: Path, *args, **kwargs):
-        """``open`` the temporary file that is to take the name ``path``."""
-        partial = path.with_name(path.name + ".partial")
-        self._opened.append([path, partial, open(partial, *args, **kwargs)])
-        return self._opened[-1][2]
-
-    def rename(self, fh, path: Path) -> None:
-        """Have the file that ``fh`` writes take the name ``path`` instead."""
-        next(entry for entry in self._opened if entry[2] is fh)[0] = path
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *exc) -> None:
-        for *_, fh in self._opened:
-            fh.close()
-        try:
-            if exc_type is None:
-                for path, partial, _ in self._opened:
-                    os.replace(partial, path)
-        finally:  # after a refused write, or a name that cannot be replaced
-            for _, partial, _ in self._opened:
-                partial.unlink(missing_ok=True)
-
-
-def _npy_header(shape: tuple) -> bytes:
-    """The .npy (version 1.0) header of a little-endian float64 C-order
-    array of ``shape``, the layout of every binary copy."""
-    fh = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
-    return fh.getvalue()
-
-
-class _CopyWriter:
-    """One binary copy under ``out/grids/v1``, written into ``files``
-    (:class:`_PartialFiles`) as ``<stem>.npy``: the header of ``shape``,
-    then each block of rows, top to bottom, exactly as it is given, hashed
-    as it is written. :meth:`finish` names it ``<sha256>.npy``, for the
-    sha256 of the ASCII file it copies, beside its record
-    ``<sha256>.sha256``; files with the same bytes share one copy.
-
-    It keeps no reference to ``files``, which may hold it (as
-    :class:`_StackWriter` does): a cycle would keep the closed files alive
-    until the garbage collector runs."""
-
-    def __init__(self, files: _PartialFiles, out: Path, stem: str, shape: tuple):
-        self._dir, self._stem = out / _COPIES, stem
-        self._dir.mkdir(parents=True, exist_ok=True)
-        self._fh = files.open(self._dir / f"{stem}.npy", "wb")
-        self._fh.write(header := _npy_header(shape))
-        self._digest = hashlib.sha256(header)
-
-    def write(self, rows: np.ndarray) -> None:
-        data = np.ascontiguousarray(rows, dtype="<f8").data
-        self._fh.write(data)
-        self._digest.update(data)
-
-    def finish(self, files: _PartialFiles, sha256: str) -> None:
-        """``files`` is the :class:`_PartialFiles` that ``__init__`` was given."""
-        npy = self._dir / f"{sha256}.npy"
-        record = files.open(self._dir / f"{self._stem}.sha256", "w")
-        record.write(self._digest.hexdigest() + "\n")
-        files.rename(self._fh, npy)
-        files.rename(record, npy.with_suffix(".sha256"))
-
-
-class _StackWriter(_PartialFiles):
+class _StackWriter(PartialFiles):
     """Writes the ``feature_<name>.asc`` files and their binary copies
-    (:class:`_CopyWriter`) from row blocks, top to bottom: ``writer(first_row,
+    (:class:`CopyWriter`) from row blocks, top to bottom: ``writer(first_row,
     rows)`` takes a block's rows of every layer, as the ``sink`` of
-    :func:`build_feature_stack` does.
-
-    ``templates`` give each layer's geometry and nodata sentinel. Each
-    ``.asc`` file is hashed as it is written, and its copy is named by that
-    sha256 once the last block is in. The files are opened at the first
-    block, under temporary names (:class:`_PartialFiles`), so a build
-    refused at any block leaves no new file.
+    :func:`build_feature_stack` does. ``templates`` give each layer's
+    geometry and nodata sentinel. The files are opened at the first block,
+    under temporary names, so a build refused at any block leaves no new
+    file; each copy is named once its ``.asc`` file's sha256 is final.
     """
 
     def __init__(self, out: Path, names, templates):
@@ -607,7 +512,7 @@ class _StackWriter(_PartialFiles):
             self._texts[-1].write(header := ascii_header(template.geometry,
                                                          template.nodata).encode())
             digest.update(header)
-            self._copies.append(_CopyWriter(self, self.out, f"feature_{name}",
+            self._copies.append(CopyWriter(self, self.out, f"feature_{name}",
                                             (template.nrows, template.ncols)))
 
     def write_manifest(self, cfg: dict) -> dict:
@@ -651,54 +556,9 @@ def _read_manifest(path: Path) -> list[dict]:
     return entries
 
 
-def _npy_start(path: Path, sha256: str, shape: tuple) -> int | None:
-    """Where the data of the binary copy ``path`` start, or None unless it
-    still has the recorded ``sha256`` and holds the header that
-    :func:`_npy_header` writes for ``shape``, then the float64 values of
-    that shape, and nothing more."""
-    header = _npy_header(shape)
-    if not path.is_file() or path.stat().st_size != len(header) + 8 * math.prod(shape) \
-            or _sha256_file(path) != sha256:
-        return None
-    with open(path, "rb") as fh:
-        return len(header) if fh.read(len(header)) == header else None
-
-
-class _Slab:
-    """A checked binary copy (:func:`_npy_start`) of a feature layer or an
-    input grid, read a block of rows at a time (a
-    :class:`~demcorrect.grid.GridRows`).
-
-    ``rows`` seeks to the block and reads it into a buffer that the next
-    call reuses, which ``GridRows`` does not allow: each caller of a
-    ``_Slab`` (:meth:`~demcorrect.terrain.FeatureStack.rows`,
-    :func:`~demcorrect.evaluate.build_report`) keeps no block past the
-    next call. The file is not mapped: ``ru_maxrss`` counts every page a
-    map touches, so a map would cost as much as reading the grid whole.
-    """
-
-    def __init__(self, path: Path, offset: int, geometry: GridGeometry, nodata: float):
-        self.path, self._offset, self.geometry, self.nodata = path, offset, geometry, nodata
-        self.ncols, self.nrows = geometry.ncols, geometry.nrows
-        self.xll, self.yll, self.cellsize = geometry.xll, geometry.yll, geometry.cellsize
-        self._buffer = np.empty(0, dtype="<f8")
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        size = (stop - start) * self.ncols
-        if self._buffer.size < size:
-            self._buffer = np.empty(size, dtype="<f8")
-        block = self._buffer[:size]
-        with open(self.path, "rb") as fh:
-            fh.seek(self._offset + start * self.ncols * 8)
-            if fh.readinto(block) != block.nbytes:
-                raise ConfigError(f"'{self.path}' changed while it was read")
-        return block.reshape(stop - start, self.ncols)
-
-
 def _load_stack(out: Path, files: contextlib.ExitStack) -> FeatureStack:
-    """The manifest's layers, each read a block of rows at a time as
-    :func:`_read_grid` serves it: from the binary copy of its ``.asc`` file,
-    or by parsing the file (a :class:`GridReader` that ``files`` closes).
+    """The manifest's layers, each read a block of rows at a time from its
+    copy or by parsing it (:func:`read_grid`; ``files`` closes the readers).
 
     Raises:
         GeometryMismatch: a layer is not on the first layer's geometry.
@@ -709,50 +569,9 @@ def _load_stack(out: Path, files: contextlib.ExitStack) -> FeatureStack:
         path = out / entry["file"]
         if not path.is_file():
             raise ConfigError(f"feature layer '{path}' named by the manifest does not exist")
-        layers.append(_read_grid(path, out, files))
+        layers.append(read_grid(path, out, files))
         _require_on(f"feature layer '{path}'", layers[-1], layers[0], "the feature stack's")
     return FeatureStack([entry["name"] for entry in entries], layers)
-
-
-def _read_grid(path: Path, out: Path,
-               files: contextlib.ExitStack | None = None) -> Grid | GridRows:
-    """The grid of the ESRI ASCII file ``path``, bit-identical to parsing
-    it: whole, as :func:`load_grid` returns it, or, given ``files``, a block
-    of rows at a time (a :class:`GridRows` that ``files`` closes), as a
-    :class:`GridReader` serves it.
-
-    The values come from the copy ``out/grids/v1/<sha256 of path>.npy``
-    when it passes :func:`_npy_start` for the sha256 recorded beside it and
-    the shape that the file's header gives. Otherwise the file is parsed,
-    and a whole parse writes the copy (:class:`_CopyWriter`) if the file's
-    sha256 is the same after the parse as before. The geometry, the nodata
-    sentinel and every refusal come from the file itself.
-    """
-    digest = _sha256_file(path)
-    npy = out / _COPIES / f"{digest}.npy"
-    with contextlib.ExitStack() as closing:
-        reader = closing.enter_context(GridReader(path))
-        try:
-            recorded = npy.with_suffix(".sha256").read_text(encoding="ascii").strip()
-        except (OSError, UnicodeDecodeError):  # no record, or none that was written here
-            recorded = ""
-        start = _npy_start(npy, recorded, (reader.nrows, reader.ncols)) if recorded else None
-        if start is not None:
-            slab = _Slab(npy, start, reader.geometry, reader.nodata)
-            if files is not None:
-                return slab
-            return Grid(reader.ncols, reader.nrows, reader.xll, reader.yll, reader.cellsize,
-                        reader.nodata, slab.rows(0, reader.nrows))
-        if files is not None:
-            files.enter_context(closing.pop_all())
-            return reader
-    grid = load_grid(path)
-    if _sha256_file(path) == digest:
-        with _PartialFiles() as written:
-            copy = _CopyWriter(written, out, digest, grid.values.shape)
-            copy.write(grid.values)
-            copy.finish(written, digest)
-    return grid
 
 
 def _model_doc_path(out: Path, name: str) -> Path:
@@ -789,8 +608,8 @@ def _features_step(cfg: dict, dem: GridRows, bare: GridRows, urban: GridRows, fo
     write.write_manifest(cfg)
 
 
-def _split_step(cfg: dict, stack: FeatureStack, target: Grid,
-                strata: Grid | None) -> tuple[SampleTable, SampleTable]:
+def _split_step(cfg: dict, stack: FeatureStack, target: GridRows,
+                strata: GridRows | None) -> tuple[SampleTable, SampleTable]:
     """The (train, test) split of the sampled cells; the target is dem - reference."""
     rate, train_fraction, seed, stratified = _sampling_args(cfg)
     table = extract_samples(stack, target, strata, rate=rate, seed=seed)
@@ -865,24 +684,22 @@ def _source(cfg: dict, key: str) -> str:
     return f"paths.{key} '{cfg['paths'][key]}'"
 
 
-def _grid_on(cfg: dict, key: str, against, what: str, out: Path) -> Grid:
-    """The grid of ``paths.<key>`` (:func:`_read_grid`), refused unless on
+def _grid_on(cfg: dict, key: str, against, what: str, out: Path,
+             files: contextlib.ExitStack | None = None) -> GridRows:
+    """The grid of ``paths.<key>`` (:func:`read_grid`), refused unless on
     ``against``'s geometry."""
-    grid = _read_grid(_require_path(cfg, key), out)
+    grid = read_grid(_require_path(cfg, key), out, files)
     _require_on(_source(cfg, key), grid, against, what)
     return grid
 
 
-def _correct_step(models: dict, stack: FeatureStack, dem: Grid, reference: Grid | None,
+def _correct_step(models: dict, stack: FeatureStack, dem: GridRows, reference: GridRows | None,
                   out: Path, sources: tuple[str, str]) -> None:
     """Write each model's predicted error, corrected DEM and, given a
-    reference, absolute error, for {name: (model, document path)}.
-
-    The three rasters are written a block of rows at a time, as the
-    predictions arrive, and take their names once a model's are complete
-    (:class:`_PartialFiles`). Every input is checked before the first file
-    opens. ``sources`` say where the DEM and the reference come from, for
-    the refusals.
+    reference, absolute error, for {name: (model, document path)}, a block
+    of rows at a time, as the predictions arrive; they take their names once
+    a model's are complete. Every input is checked before the first file
+    opens; ``sources`` name the DEM and the reference in refusals.
 
     Raises:
         ModelFormatError: a document names a feature layer the stack lacks,
@@ -902,18 +719,19 @@ def _correct_step(models: dict, stack: FeatureStack, dem: Grid, reference: Grid 
     kinds = ("predicted_error", "corrected", "abs_error")[:2 if reference is None else 3]
     for name, (model, path) in models.items():
         # a value that overflows is refused by its check, not warned of
-        with _PartialFiles() as files, np.errstate(over="ignore", invalid="ignore"):
+        with PartialFiles() as files, np.errstate(over="ignore", invalid="ignore"):
             fhs = [files.open(out / f"{kind}_{name}.asc", "wb") for kind in kinds]
             fhs[0].write(ascii_header(stack.geometry, stack.nodata[0]).encode())
             for fh in fhs[1:]:
                 fh.write(ascii_header(dem.geometry, dem.nodata).encode())
 
             def write(first, error):
-                rows = slice(first, first + len(error))
-                fixed = corrected_values(dem.values[rows], dem.nodata, error, stack.nodata[0])
+                last = first + len(error)
+                fixed = corrected_values(dem.rows(first, last), dem.nodata, error,
+                                         stack.nodata[0])
                 blocks = [fixed]
                 if reference is not None:
-                    blocks.append(abs_error_values(fixed, dem.nodata, reference.values[rows],
+                    blocks.append(abs_error_values(fixed, dem.nodata, reference.rows(first, last),
                                                    reference.nodata))
                 for block in blocks:
                     check_values(block, dem.nodata, first)
@@ -930,7 +748,7 @@ def _correct_step(models: dict, stack: FeatureStack, dem: Grid, reference: Grid 
 def _evaluate_step(cfg: dict, reference: GridRows, dem: GridRows, corrected: dict,
                    strata: GridRows | None, out: Path, stem: str = "report"):
     """Write ``<stem>.json`` and ``<stem>.txt``; model digests come from the documents."""
-    digests = {name: _sha256_file(path) for name in corrected
+    digests = {name: sha256_file(path) for name in corrected
                if (path := _model_doc_path(out, name)).is_file()}
     report = build_report(reference, dem, corrected, strata,
                           stratum_names=STRATUM_NAMES if strata is not None else None,
@@ -950,7 +768,7 @@ def _evaluate_step(cfg: dict, reference: GridRows, dem: GridRows, corrected: dic
 def cmd_features(cfg: dict) -> int:
     keys = ("dem", "bare", "urban", "forest")
     with contextlib.ExitStack() as files:
-        dem, *masks = [_read_grid(_require_path(cfg, key), Path(cfg["paths"]["out_dir"]), files)
+        dem, *masks = [read_grid(_require_path(cfg, key), Path(cfg["paths"]["out_dir"]), files)
                        for key in keys]
         # every header is read before any geometry is compared
         for key, mask in zip(keys[1:], masks):
@@ -966,12 +784,22 @@ def cmd_features(cfg: dict) -> int:
 
 
 @contextlib.contextmanager
-def _label_faults_named(cfg: dict):
-    """Name ``paths.strata`` and its file in a strata label refused inside."""
+def _named(kind: type, *sources: str):
+    """Name the ``sources`` (files, configuration keys) in a ``kind`` error raised inside."""
     try:
         yield
-    except StrataLabelError as exc:
-        raise StrataLabelError(f"{_source(cfg, 'strata')}: {exc}") from None
+    except kind as exc:
+        listed = " and ".join([", ".join(sources[:-1]), sources[-1]] if sources[1:] else sources)
+        raise kind(f"{listed}: {exc}") from None
+
+
+def _key(cfg: dict, section: str, key: str) -> str:
+    return f"configuration key '{section}.{key}' ({float(cfg[section][key])!r})"
+
+
+def _sample_sources(cfg: dict, out: Path) -> tuple[str, str, str]:
+    """Where the sampled cells come from: the layers, and DEM - reference."""
+    return f"'{out / _MANIFEST_FILE}'", _source(cfg, "dem"), _source(cfg, "reference")
 
 
 def _load_train_split(cfg: dict) -> tuple[Path, SampleTable]:
@@ -979,23 +807,19 @@ def _load_train_split(cfg: dict) -> tuple[Path, SampleTable]:
     with contextlib.ExitStack() as files:
         stack = _load_stack(out, files)
         dem = _grid_on(cfg, "dem", stack, "the feature stack's", out)
-        # the two grids go once differenced, before the strata are read
         target = difference(dem, _grid_on(cfg, "reference", dem, "the DEM's", out))
-        del dem
         strata = _grid_on(cfg, "strata", stack, "the feature stack's", out) \
             if cfg["paths"].get("strata") else None
-        with _label_faults_named(cfg):
-            try:
-                train, _ = _split_step(cfg, stack, target, strata)
-            except EmptyTableError as exc:  # the cells are the layers and DEM - reference
-                raise EmptyTableError(f"'{out / _MANIFEST_FILE}', {_source(cfg, 'dem')} and "
-                                      f"{_source(cfg, 'reference')}: {exc}") from None
+        with _named(StrataLabelError, _source(cfg, "strata")), \
+                _named(EmptyTableError, *_sample_sources(cfg, out)):
+            train, _ = _split_step(cfg, stack, target, strata)
     return out, train
 
 
 def cmd_diagnose(cfg: dict) -> int:
     out, train = _load_train_split(cfg)
-    report = _diagnose_step(cfg, train, out)
+    with _named(EmptyTableError, *_sample_sources(cfg, out), _key(cfg, "sampling", "rate")):
+        report = _diagnose_step(cfg, train, out)
     flagged = ", ".join(report.flagged) or "none"
     print(f"collinearity screen over {len(train)} training samples; excluded: {flagged}")
     return 0
@@ -1003,7 +827,9 @@ def cmd_diagnose(cfg: dict) -> int:
 
 def cmd_train(cfg: dict) -> int:
     out, train = _load_train_split(cfg)
-    for name, (model, _) in _train_step(cfg, train, out).items():
+    with _named(EmptyTableError, *_sample_sources(cfg, out), _key(cfg, "sampling", "rate")):
+        models = _train_step(cfg, train, out)
+    for name, (model, _) in models.items():
         print(f"trained {name} on {len(train)} rows "
               f"({len(model.feature_names)} features)")
     return 0
@@ -1013,9 +839,9 @@ def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
     out = _out_dir(cfg)
     with contextlib.ExitStack() as files:
         stack = _load_stack(out, files)
-        dem = _read_grid(_require_path(cfg, "dem"), out)
+        dem = read_grid(_require_path(cfg, "dem"), out)
         reference = None if (ref := _optional_path(cfg, "reference")) is None else \
-            _read_grid(ref, out)
+            read_grid(ref, out)
         paths = [Path(p) for p in model_docs] if model_docs else \
             [_model_doc_path(out, name) for name in cfg["models"]]
         models = {}
@@ -1032,8 +858,7 @@ def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
                 raise ModelFormatError(f"'{path}': model_name '{name}' is also that of "
                                        f"'{models[name][1]}'")
             models[name] = (model, path)
-        _correct_step(models, stack, dem, reference, out,
-                      (_source(cfg, "dem"), _source(cfg, "reference")))
+        _correct_step(models, stack, dem, reference, out, _sample_sources(cfg, out)[1:])
     for name in models:
         print(f"corrected DEM with {name}")
     return 0
@@ -1042,25 +867,21 @@ def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
 def cmd_evaluate(cfg: dict) -> int:
     out = _out_dir(cfg)
     with contextlib.ExitStack() as files:
-        dem_path = _require_path(cfg, "dem")
-        reference = _read_grid(_require_path(cfg, "reference"), out, files)
-
-        def read(path: Path, source: str) -> GridRows:
-            """The grid at ``path``, refused unless on the reference's geometry."""
-            grid = _read_grid(path, out, files)
-            _require_on(source, grid, reference, "the reference's")
-            return grid
-
-        dem = read(dem_path, _source(cfg, "dem"))
-        strata_path = _optional_path(cfg, "strata")
-        strata = None if strata_path is None else read(strata_path, _source(cfg, "strata"))
+        _require_path(cfg, "dem")  # a missing DEM is named before any read
+        reference = read_grid(_require_path(cfg, "reference"), out, files)
+        dem = _grid_on(cfg, "dem", reference, "the reference's", out, files)
+        strata = _grid_on(cfg, "strata", reference, "the reference's", out, files) \
+            if cfg["paths"].get("strata") else None
         corrected = {}
         for name in cfg["models"]:
             cpath = _corrected_path(out, name)
             if not cpath.is_file():
                 raise ConfigError(f"'{cpath}' does not exist (run 'correct' first)")
-            corrected[name] = read(cpath, f"'{cpath}'")
-        with _label_faults_named(cfg):
+            corrected[name] = read_grid(cpath, out, files)
+            _require_on(f"'{cpath}'", corrected[name], reference, "the reference's")
+        with _named(StrataLabelError, _source(cfg, "strata")), _named(
+                EmptyTableError, _source(cfg, "reference"), _source(cfg, "dem"),
+                *(f"'{_corrected_path(out, name)}'" for name in corrected)):
             report = _evaluate_step(cfg, reference, dem, corrected, strata, out)
     print(report.render_text())
     return 0
@@ -1124,11 +945,13 @@ def cmd_bench(cfg: dict) -> int:
         train, test = _split_step(cfg, stack, difference(original, reference), land.strata)
         t_sample = time.perf_counter()
 
-        models = _train_step(cfg, train, out, _diagnose_step(cfg, train, out))
+        sources = (f"'{out / 'original.asc'}'", f"'{out / 'reference.asc'}'")
+        with _named(EmptyTableError, f"'{out / _MANIFEST_FILE}'", *sources,
+                    _key(cfg, "sampling", "rate")):
+            models = _train_step(cfg, train, out, _diagnose_step(cfg, train, out))
         t_train = time.perf_counter()
 
-        _correct_step(models, stack, original, reference, out,
-                      (f"'{out / 'original.asc'}'", f"'{out / 'reference.asc'}'"))
+        _correct_step(models, stack, original, reference, out, sources)
     del stack  # and its block buffers, before the reports
     t_correct = time.perf_counter()
 
@@ -1139,8 +962,10 @@ def cmd_bench(cfg: dict) -> int:
         test_mask = np.zeros((reference.nrows, reference.ncols), dtype=bool)
         test_mask[test.cells[:, 0], test.cells[:, 1]] = True
         ref_test = reference.with_values(np.where(test_mask, reference.values, reference.nodata))
-        report_test = _evaluate_step(cfg, ref_test, original, corrected, land.strata, out,
-                                     "report_test")
+        with _named(EmptyTableError, "the held-out cells of " + _key(cfg, "sampling", "rate"),
+                    _key(cfg, "sampling", "train_fraction")):
+            report_test = _evaluate_step(cfg, ref_test, original, corrected, land.strata, out,
+                                         "report_test")
 
     _write_json(out / "resolved_config.json", _strict({**cfg, "provenance": _provenance(cfg)}))
     t_end = time.perf_counter()

@@ -15,7 +15,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Protocol, TextIO
+from typing import Callable, Protocol, TextIO
 
 import numpy as np
 
@@ -130,17 +130,13 @@ class Grid:
 
 
 class GridRows(Protocol):
-    """What :func:`~demcorrect.terrain.build_feature_stack`,
-    :func:`~demcorrect.evaluate.build_report` and each layer of a
-    :class:`~demcorrect.terrain.FeatureStack` read of a grid: its header,
-    and its values a block of rows at a time.
-
-    ``rows(start, stop)`` returns rows ``start:stop`` as a
+    """What every step reads of a grid: its header, and its values a block
+    of rows at a time. ``rows(start, stop)`` returns rows ``start:stop`` as a
     ``(stop - start, ncols)`` array that the caller must not write. A
-    :class:`Grid` slices the values it holds; a :class:`GridReader` reads
-    the rows from its file, fastest when each call starts at or after the
-    previous call's start and ends at or after its stop.
-    """
+    :class:`Grid` slices the values it holds, a :class:`GridReader` parses
+    them from its file, fastest when each call starts and stops at or after
+    the previous call's, a :class:`difference` computes them, and a
+    :class:`~demcorrect.store.Slab` reads them from a binary copy."""
 
     ncols: int
     nrows: int
@@ -194,6 +190,8 @@ def check_values(values: np.ndarray, nodata: float, first_row: int = 0) -> None:
 
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+#: rows that :func:`read_ascii_grid` hands a sink at a time
+_SINK_ROWS = 64
 
 
 def distinct_values(values: np.ndarray) -> np.ndarray:
@@ -254,7 +252,8 @@ def parse_ascii_header(lines) -> tuple[GridGeometry, float]:
     return geometry, header["nodata_value"]
 
 
-def read_ascii_grid(source: str | TextIO) -> Grid:
+def read_ascii_grid(source: str | TextIO,
+                    sink: Callable[[int, np.ndarray], None] | None = None) -> Grid | None:
     """Parse an ESRI ASCII grid from a string or text stream.
 
     The six header lines (see :func:`parse_ascii_header`) are followed by
@@ -266,6 +265,9 @@ def read_ascii_grid(source: str | TextIO) -> Grid:
     (:func:`_parse_rows`); any other body, reread from its first line, by
     the token loop, which names the line of a fault.
 
+    With ``sink``, the rows go to ``sink(first_row, rows)`` as they are
+    parsed, ``_SINK_ROWS`` at a time (the rest at once from the token loop).
+
     Raises:
         GridParseError: malformed header, non-numeric token, or value-count
             mismatch; the message names the offending line.
@@ -276,11 +278,19 @@ def read_ascii_grid(source: str | TextIO) -> Grid:
         source = io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogatepass", newline=None)
     geo, nodata = _read_header(source)
     body = source.tell()
-    values = _parse_rows(source, geo.nrows, geo.ncols, nodata, last=True)
-    if values is None:
-        source.seek(body)
-        values = _parse_tokens(source, geo.ncols * geo.nrows, nodata)
-    return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, values)
+    step = geo.nrows if sink is None else _SINK_ROWS
+    for first in range(0, geo.nrows, step):
+        stop = min(first + step, geo.nrows)
+        values = _parse_rows(source, stop - first, geo.ncols, nodata, last=stop == geo.nrows)
+        if values is None:
+            source.seek(body)
+            values = _parse_tokens(source, geo.ncols * geo.nrows, nodata)
+            values = values.reshape(geo.nrows, geo.ncols)[first:]
+        if sink is None:
+            return Grid(geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize, nodata, values)
+        sink(first, values)
+        if len(values) > step:  # the token loop's rows, to the last
+            break
 
 
 def _read_header(stream: TextIO) -> tuple[GridGeometry, float]:
@@ -649,33 +659,31 @@ def _naming(path):
                              path) from None
 
 
-def load_grid(path) -> Grid:
-    """The grid of an ESRI ASCII file, read whole.
+def load_grid(path, sink: Callable[[int, np.ndarray], None] | None = None) -> Grid | None:
+    """The grid of an ESRI ASCII file, read whole, or given ``sink``, its
+    rows handed to ``sink`` a block at a time (:func:`read_ascii_grid`).
 
     Raises:
         GridParseError: as :func:`read_ascii_grid`, or the file is not
             ASCII text; the message names the file.
     """
     with _naming(path), open(path, "r", encoding="ascii") as fh:
-        return read_ascii_grid(fh)
+        return read_ascii_grid(fh, sink)
 
 
-class GridReader:
+class GridReader(contextlib.AbstractContextManager):
     """The rows of an ESRI ASCII grid file, parsed a block at a time (a
     :class:`GridRows`); values and errors are those of :func:`load_grid`.
 
     The header is parsed when the reader is made, so that a geometry can
-    be refused before any body line is read. ``rows`` then parses the lines
-    it has not read yet by the rule of :func:`read_ascii_grid`
-    (:func:`_parse_rows`) and holds the rows it returns: a call that starts
-    at or after the previous call's start, and stops at or after its stop,
-    reuses the rows the two share and reads on from there; rows that it
-    skips are parsed as well, ``stop - start`` at a time, so that their
-    faults are found, but not held. Any other call rereads the body from
-    its first line. Where the rule refuses a block,
-    the reader parses the whole file with :func:`load_grid`, which raises
-    its error, naming the line, or returns the grid whose rows the reader
-    serves from then on; only then is a whole grid held.
+    be refused before any body line is read. ``rows`` parses the lines it
+    has not read yet by the rule of :func:`read_ascii_grid` and holds the
+    rows it returns: a call that starts and stops at or after the previous
+    call's reuses the rows the two share; rows it skips are parsed, so that
+    their faults are found, ``stop - start`` at a time, and dropped. Any
+    other call rereads the body from its first line. Where the rule refuses
+    a block, the whole file is parsed by :func:`load_grid`, which raises
+    its error or gives the grid whose rows the reader then serves.
     """
 
     def __init__(self, path):
@@ -686,19 +694,12 @@ class GridReader:
             geo, nodata = _read_header(self._fh)
             closing.pop_all()  # the header parsed: the file stays open for the rows
         self._body = self._fh.tell()
-        self.ncols, self.nrows = geo.ncols, geo.nrows
-        self.xll, self.yll, self.cellsize = geo.xll, geo.yll, geo.cellsize
-        self.nodata = nodata
+        self.geometry, self.nodata = geo, nodata
+        self.ncols, self.nrows, self.xll, self.yll, self.cellsize = \
+            geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize
         # rows _first:_next, those of the last call; the file is at row _next
         self._held = np.empty((0, self.ncols))
         self._first = self._next = 0
-
-    @property
-    def geometry(self) -> GridGeometry:
-        return GridGeometry(self.ncols, self.nrows, self.xll, self.yll, self.cellsize)
-
-    def __enter__(self) -> "GridReader":
-        return self
 
     def __exit__(self, *exc) -> None:
         self.close()
@@ -733,14 +734,24 @@ def save_grid(grid: Grid, path) -> None:
         fh.write(write_ascii_grid(grid))
 
 
-def difference(a: Grid, b: Grid) -> Grid:
-    """Per-cell ``a - b``; nodata in either input propagates.
+class difference:
+    """Per-cell ``a - b`` of two :class:`GridRows`, a ``GridRows`` on ``a``'s
+    header; nodata in either input propagates. Each ``rows`` call
+    differences those rows into a new array: no whole grid is held.
 
     Raises:
         GeometryMismatch: the two grids are not on the same geometry.
     """
-    if not a.geometry.matches(b.geometry):
-        raise GeometryMismatch(f"cannot difference grids on {a.geometry} vs {b.geometry}")
-    both = a.valid_mask() & b.valid_mask()
-    out = np.where(both, a.values - b.values, a.nodata)
-    return a.with_values(out)
+
+    def __init__(self, a: GridRows, b: GridRows):
+        if not a.geometry.matches(b.geometry):
+            raise GeometryMismatch(f"cannot difference grids on {a.geometry} vs {b.geometry}")
+        self._a, self._b, self.geometry, self.nodata = a, b, a.geometry, a.nodata
+        self.ncols, self.nrows, self.xll, self.yll, self.cellsize = \
+            a.ncols, a.nrows, a.xll, a.yll, a.cellsize
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        a, b = self._a.rows(start, stop), self._b.rows(start, stop)
+        block = np.where((a != self.nodata) & (b != self._b.nodata), a - b, self.nodata)
+        check_values(block, self.nodata, start)
+        return block

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GeometryMismatch, Grid, distinct_values
+from .grid import GeometryMismatch, GridRows, distinct_values
 from .terrain import FeatureStack, row_blocks
 
 __all__ = ["SampleTable", "EmptyTableError", "StrataLabelError", "extract_samples",
@@ -146,8 +146,8 @@ class SampleTable:
 
 def extract_samples(
     stack: FeatureStack,
-    target: Grid,
-    strata: Grid | None = None,
+    target: GridRows,
+    strata: GridRows | None = None,
     rate: float = 1.0,
     seed: int = 0,
 ) -> SampleTable:
@@ -157,10 +157,10 @@ def extract_samples(
     every eligible cell), deterministic for a fixed seed. Row order follows
     row-major cell order after selection.
 
-    The stack is read twice, a block of ``terrain.BLOCK_ROWS`` rows at a
-    time: once to count the eligible cells of each block, which is all the
-    draw needs, and once to gather the drawn cells. Beyond the table, a
-    block of every layer and the draw are held, never a whole layer.
+    Every grid is read twice, a block of ``terrain.BLOCK_ROWS`` rows at a
+    time: once to count each block's eligible cells, which is all the draw
+    needs, and once to gather the drawn cells. Beyond the table, a block of
+    every grid and the draw are held, never a whole grid.
 
     Raises:
         GeometryMismatch: target or strata not on the stack geometry.
@@ -176,20 +176,20 @@ def extract_samples(
         raise GeometryMismatch("strata grid is not on the stack geometry")
 
     def eligible(r0, r1):
-        """The block's rows of every layer, and its cells valid in the
-        target and every layer."""
-        layers = stack.rows(r0, r1)
-        valid = target.values[r0:r1] != target.nodata
+        """The block's rows of every layer and of the target, and its cells
+        valid in the target and every layer."""
+        layers, targets = stack.rows(r0, r1), target.rows(r0, r1)
+        valid = targets != target.nodata
         for values, nodata in zip(layers, stack.nodata):
             valid &= values != nodata
-        return layers, valid
+        return layers, targets, valid
 
     blocks = row_blocks(geo.nrows)
     counts, faults = [], None
     for r0, r1 in blocks:
-        counts.append(np.count_nonzero(eligible(r0, r1)[1]))
+        counts.append(np.count_nonzero(eligible(r0, r1)[2]))
         if strata is not None:
-            faults = label_faults(strata.values[r0:r1], strata.nodata, r0, faults)
+            faults = label_faults(strata.rows(r0, r1), strata.nodata, r0, faults)
     total = sum(counts)
     if total == 0:
         raise EmptyTableError("no cell has all features and the target valid")
@@ -213,7 +213,7 @@ def extract_samples(
     for (r0, r1), n in zip(blocks, counts):
         lo, hi = (0, n) if drawn is None else np.searchsorted(drawn, (seen, seen + n))
         if hi > lo:
-            layers, valid = eligible(r0, r1)
+            layers, block, valid = eligible(r0, r1)
             picked = np.flatnonzero(valid)
             if drawn is not None:
                 picked = picked[drawn[lo:hi] - seen]
@@ -223,10 +223,11 @@ def extract_samples(
             cells[rows, 0] += r0
             for j, values in enumerate(layers):
                 features[rows, j] = values.reshape(-1)[picked]
-            targets[rows] = target.values[r0:r1].reshape(-1)[picked]
+            targets[rows] = block.reshape(-1)[picked]
             if labels is not None:
-                labels[rows] = label_values(strata.values[r0:r1].reshape(-1)[picked],
+                labels[rows] = label_values(strata.rows(r0, r1).reshape(-1)[picked],
                                             strata.nodata)
+            del layers, block, valid  # before the next block is read
         seen += n
 
     return SampleTable(stack.names, cells, features, targets, labels)

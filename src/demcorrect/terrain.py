@@ -108,13 +108,10 @@ class FeatureConfig:
 
 @dataclass(frozen=True, eq=False)
 class FeatureStack:
-    """Named predictor layers on one geometry, each a :class:`GridRows`.
-
-    Sampling and prediction read a stack a block of rows at a time
-    (:meth:`rows`), so a layer may be a :class:`Grid` held in memory or a
-    reader of its file; the CLI reads each layer from the binary copy of
-    its file, or parses the file a block at a time.
-    """
+    """Named predictor layers on one geometry, each a :class:`GridRows`,
+    read a block of rows at a time (:meth:`rows`): a :class:`Grid` held in
+    memory, a :class:`~demcorrect.grid.GridReader` of the layer's file, or a
+    :class:`~demcorrect.store.Slab` of its binary copy."""
 
     names: tuple[str, ...]
     layers: tuple[GridRows, ...]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 import demcorrect.cli as cli
+import demcorrect.store as store
 from demcorrect import FeatureStack, Grid, GridReader, load_grid
 
 NODATA = -9999.0
@@ -61,7 +62,7 @@ def stack_backings(stack, tmp):
                                               for name in stack.names))
     with contextlib.ExitStack() as files:
         binary, readers = (cli._load_stack(dirs[kind], files) for kind in ("binary", "readers"))
-        assert all(isinstance(layer, cli._Slab) for layer in binary.layers)
+        assert all(isinstance(layer, store.Slab) for layer in binary.layers)
         assert all(isinstance(layer, GridReader) for layer in readers.layers)
         yield {"memory": (stack, stack), "binary": (written, binary),
                "readers": (written, readers)}

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import demcorrect.cli as cli
 import demcorrect.grid as grid_module
+import demcorrect.store as store
 from demcorrect import (
     CANONICAL_FEATURES,
     STRATUM_NAMES,
@@ -320,7 +321,7 @@ class TestFeatureStackFile:
     @staticmethod
     def layer_copies(out):
         """The binary copy of each feature layer, by the layer's file name."""
-        return {path.name: out / "grids" / "v1" / f"{cli._sha256_file(path)}.npy"
+        return {path.name: out / "grids" / "v1" / f"{store.sha256_file(path)}.npy"
                 for path in out.glob("feature_*.asc")}
 
     @pytest.fixture
@@ -395,7 +396,7 @@ class TestFeatureStackFile:
         with contextlib.ExitStack() as files:
             loaded = cli._load_stack(tmp_path, files)
             assert parsed == []
-            assert all(isinstance(layer, cli._Slab) for layer in loaded.layers)
+            assert all(isinstance(layer, store.Slab) for layer in loaded.layers)
             for name, values, nodata in zip(loaded.names, loaded.rows(0, 2), loaded.nodata):
                 ref = load_grid(tmp_path / f"feature_{name}.asc")
                 assert values.tobytes() == ref.values.tobytes()
@@ -436,7 +437,7 @@ class TestFeatureStackFile:
                                   for layer in stack.layers])
             for name, npy in self.layer_copies(out).items():
                 assert np.load(npy).tobytes() == load_grid(out / name).values.tobytes(), name
-                assert npy.with_suffix(".sha256").read_text() == cli._sha256_file(npy) + "\n"
+                assert npy.with_suffix(".sha256").read_text() == store.sha256_file(npy) + "\n"
             assert not list(out.rglob("*.partial"))
 
     def test_layers_with_equal_bytes_share_one_copy(self, workspace):
@@ -459,16 +460,22 @@ class TestFeatureStackFile:
         for name, npy in copies.items():
             assert np.load(npy).tobytes() == load_grid(out / name).values.tobytes(), name
 
-    def test_diagnose_reads_the_dem_from_the_elevation_copy(self, tmp_path, parsed):
-        """On the grids that ``bench`` writes, the elevation layer has the
-        DEM's bytes, so ``diagnose`` reads the DEM from the layer's copy
-        and parses only the reference and the strata."""
+    @staticmethod
+    def bench_grids(tmp_path) -> Path:
+        """A configuration of the step commands over a small ``bench``'s grids."""
         bench = tmp_path / "bench"
         assert run_cli("bench", "--out", bench, "--set", "bench.size_exponent=5",
                        "--set", "windows.texture_radius=3", "--model", "mlr") == 0
         cfg_path = tmp_path / "steps.json"
         cfg_path.write_text(json.dumps({"paths": {
             key: str(bench / f"{stem}.asc") for key, stem in TestOnePipeline.INPUTS.items()}}))
+        return cfg_path
+
+    def test_diagnose_reads_the_dem_from_the_elevation_copy(self, tmp_path, parsed):
+        """On the grids that ``bench`` writes, the elevation layer has the
+        DEM's bytes, so ``diagnose`` reads the DEM from the layer's copy
+        and parses only the reference and the strata."""
+        cfg_path, bench = self.bench_grids(tmp_path), tmp_path / "bench"
         steps = tmp_path / "steps"
         assert run_cli("features", "--config", cfg_path, "--out", steps) == 0
         assert (steps / "feature_elevation.asc").read_bytes() == \
@@ -476,6 +483,26 @@ class TestFeatureStackFile:
         parsed.clear()
         assert run_cli("diagnose", "--config", cfg_path, "--out", steps) == 0
         assert parsed == ["reference.asc", "strata.asc"]
+
+
+    def test_each_step_parses_what_it_finds_no_copy_of(self, tmp_path, parsed):
+        """The five steps over a ``bench``'s grids, into a new directory:
+        ``features`` parses its four inputs; ``diagnose`` the reference and
+        the strata (the DEM has the elevation layer's bytes, and so its
+        copy), keeping a copy of each; ``train`` and ``correct`` nothing;
+        ``evaluate`` the corrected DEM, which it streams without a copy.
+        So ``grids/v1`` ends with the 11 layers' copies and those two."""
+        cfg_path, steps = self.bench_grids(tmp_path), tmp_path / "steps"
+        want = {"features": {"original.asc", "mask_bare.asc", "mask_urban.asc",
+                             "mask_forest.asc"},
+                "diagnose": {"reference.asc", "strata.asc"}, "train": set(), "correct": set(),
+                "evaluate": {"corrected_mlr.asc"}}
+        for step, names in want.items():
+            parsed.clear()
+            assert run_cli(step, "--config", cfg_path, "--out", steps, "--model", "mlr") == 0
+            assert set(parsed) == names, step
+        assert len(list(steps.glob("grids/v1/*.npy"))) == 13
+        assert len(list(steps.glob("grids/v1/*.sha256"))) == 13
 
 
 class TestPipeline:
@@ -649,8 +676,8 @@ class TestOnePipeline:
         # manifest, 11 layers, collinearity, 3 x (model + 3 rasters), report
         assert len(written) == 1 + 11 + 1 + 3 * 4 + 2
         # and a copy and its digest record of each layer, and of each grid
-        # read whole: the DEM, which has the elevation layer's bytes and so
-        # its copy, the reference and the strata
+        # read with a copy kept: the DEM, which has the elevation layer's
+        # bytes and so its copy, the reference and the strata
         assert sorted(p.suffix for p in steps.glob("grids/v1/*")) == \
             [".npy"] * (11 + 2) + [".sha256"] * (11 + 2)
         for name in written:
@@ -745,17 +772,14 @@ class TestStepMemory:
         """The traced peak of sampling the stack of ``inputs``, which
         ``_load_stack`` serves as ``kind`` layers, and its bound."""
         dem, reference, strata, out = inputs
-        target = difference(dem, reference)
+        target = dem.with_values(difference(dem, reference).rows(0, dem.nrows))
         with contextlib.ExitStack() as files:
             stack = cli._load_stack(out, files)
             assert all(isinstance(layer, kind) for layer in stack.layers)
             table, peak = self.traced(extract_samples, stack, target, strata, rate=rate, seed=42)
         n, k = round(len(table) / rate), len(table)
         F, w = len(stack.names), dem.ncols
-        # a reader parses each block into a new array, and the gather pass
-        # holds the block before it while the next is parsed
-        held = F if kind is cli._Slab else 2 * F
-        bound = 8 * terrain.BLOCK_ROWS * w * (held + 5) + k * (9 * F + 32) + 8 * n * (k > n / 50)
+        bound = 8 * terrain.BLOCK_ROWS * w * (F + 5) + k * (9 * F + 32) + 8 * n * (k > n / 50)
         return peak, bound
 
     def traced_correct(self, inputs, kind):
@@ -769,9 +793,42 @@ class TestStepMemory:
                                   stack, dem, reference, out, ("the DEM", "the reference"))
         return peak, 8 * terrain.BLOCK_ROWS * dem.ncols * (2 * len(names) + 9)
 
+    @pytest.mark.parametrize("step", ["diagnose", "train", "correct"])
+    def test_step_reads_within_the_stated_bound(self, inputs, grid_files, step):
+        """``_load_train_split`` (``diagnose`` parsing the reference and
+        the strata into copies, ``train`` reading those) and ``cmd_correct``
+        (reading the DEM and reference from their copies), over the stack
+        read from the layers' copies: each input a block at a time."""
+        dem, _, _, out = inputs
+        cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+        cfg["paths"].update({key: str(grid_files[key]) for key in ("dem", "reference", "strata")},
+                            out_dir=str(out))
+        cfg["sampling"]["rate"], cfg["models"] = 0.01, ["mlr"]
+        for key in ("dem", "reference", "strata"):
+            npy = out / store.COPIES / f"{store.sha256_file(grid_files[key])}.npy"
+            if step == "diagnose" and key != "dem":  # the DEM has the elevation layer's copy
+                npy.unlink(missing_ok=True)
+            else:
+                store.read_grid(grid_files[key], out)
+        F, w, B = len(CANONICAL_FEATURES), dem.ncols, terrain.BLOCK_ROWS
+        if step == "correct":
+            names = CANONICAL_FEATURES[:10]
+            model = LinearModel(names, 0.5, np.linspace(-1, 1, len(names)), 0.0, 0.0)
+            (out / "model_mlr.json").write_text(json.dumps(model.to_doc()))
+            _, peak = self.traced(cli.cmd_correct, cfg)
+            # the correct step's bound, and a block of the DEM and of the reference
+            bound = 8 * B * w * (2 * len(names) + 11)
+        else:
+            (_, train), peak = self.traced(cli._load_train_split, cfg)
+            k = round(len(train) / 0.8)  # the sampled rows, before the split
+            # sampling's bound, with the DEM's, reference's and strata's blocks
+            # and the target's, and the table again for its two sides
+            bound = 8 * B * w * (F + 10) + 2 * k * (9 * F + 32)
+        assert 0.5 * bound <= peak <= bound, (peak, bound)
+
     @pytest.mark.parametrize("rate", [0.01, 0.25])
     def test_sampling_within_the_stated_bound(self, inputs, rate):
-        peak, bound = self.traced_sampling(inputs, rate, cli._Slab)
+        peak, bound = self.traced_sampling(inputs, rate, store.Slab)
         # the claim is the upper bound; the floor shows the blocks were traced
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
@@ -783,7 +840,7 @@ class TestStepMemory:
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
     def test_correct_within_the_stated_bound(self, inputs):
-        peak, bound = self.traced_correct(inputs, cli._Slab)
+        peak, bound = self.traced_correct(inputs, store.Slab)
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
     def test_correct_over_readers_within_the_stated_bound(self, copyless):
@@ -815,11 +872,11 @@ class TestStepMemory:
         copy (``out/grids/v1``) a block at a time."""
         keys = ("reference", "dem", "strata", "a", "b")
         for key in keys:
-            cli._read_grid(grid_files[key], tmp_path)  # a whole read writes the copy
+            store.read_grid(grid_files[key], tmp_path)  # a read without files writes the copy
         with contextlib.ExitStack() as files:
-            ref, dem, strata, *corrected = (cli._read_grid(grid_files[key], tmp_path, files)
+            ref, dem, strata, *corrected = (store.read_grid(grid_files[key], tmp_path, files)
                                             for key in keys)
-            assert all(isinstance(rows, cli._Slab) for rows in (ref, dem, strata, *corrected))
+            assert all(isinstance(rows, store.Slab) for rows in (ref, dem, strata, *corrected))
             report, peak = self.traced(build_report, ref, dem, dict(zip("ab", corrected)), strata,
                                        stratum_names=STRATUM_NAMES)
         n, M = report.overall.before.n, len(corrected)
@@ -1581,14 +1638,20 @@ class TestInputErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("settings, needle", [
-        (["sampling.rate=0.01"], "pearson_matrix requires at least 2 rows; have 1"),
-        (["sampling.rate=0.6", "sampling.train_fraction=0.99"], "no cell is valid in every grid"),
+        (["sampling.rate=0.01"], "'{out}/features_manifest.json', '{out}/original.asc', "
+         "'{out}/reference.asc' and configuration key 'sampling.rate' (0.01): "
+         "pearson_matrix requires at least 2 rows; have 1"),
+        (["sampling.rate=0.6", "sampling.train_fraction=0.99"], "the held-out cells of "
+         "configuration key 'sampling.rate' (0.6) and configuration key "
+         "'sampling.train_fraction' (0.99): no cell is valid in every grid"),
     ], ids=["one-training-row", "empty-test-split"])
     def test_too_few_sampled_rows(self, tmp_path, capsys, settings, needle):
+        """``bench`` names its own inputs and the keys that left too few
+        training rows for the screen, or no held-out cell to report on."""
         overrides = [arg for s in settings for arg in ("--set", s)]
         rc = run_cli("bench", "--out", tmp_path, "--model", "mlr",
                      "--set", "bench.size_exponent=5", *overrides)
-        self.assert_input_error(rc, capsys, needle)
+        self.assert_input_error(rc, capsys, f"error: {needle.format(out=tmp_path)}\n")
 
     @pytest.mark.parametrize("key, step, against", [
         pytest.param(key, step, against, id=f"{key}-{step}")
@@ -1653,16 +1716,25 @@ class TestInputErrors:
         self.assert_input_error(run_cli(step, "--config", cfg_path, "--model", "mlr"), capsys,
                                 f"error: paths.{key} '{path}': {fault}\n")
 
-    @pytest.mark.parametrize("fault", ["empty-table", "zero-variance"])
+    @pytest.mark.parametrize("fault", ["empty-table", "zero-variance", "one-training-row"])
     @pytest.mark.parametrize("step", ["diagnose", "train"])
     def test_sample_faults_name_their_source(self, workspace, capsys, fault, step):
         """A sample table left empty (a reference of nodata only) is refused
         naming the manifest and the DEM's and reference's keys and files; a
         feature constant over the training rows (a flat DEM), naming its
-        layer's file."""
+        layer's file; too few training rows for the screen (a rate that
+        samples one cell), naming the manifest, the keys and files of the
+        DEM and reference, and the rate's key."""
         cfg_path, tmp = workspace
         out = tmp / "out"
-        if fault == "empty-table":
+        if fault == "one-training-row":
+            cfg = json.loads(cfg_path.read_text())
+            cfg["sampling"]["rate"] = 1e-9
+            cfg_path.write_text(json.dumps(cfg))
+            message = (f"'{out / 'features_manifest.json'}', paths.dem '{tmp / 'dem.asc'}', "
+                       f"paths.reference '{tmp / 'reference.asc'}' and configuration key "
+                       "'sampling.rate' (1e-09): pearson_matrix requires at least 2 rows; have 1")
+        elif fault == "empty-table":
             ref = load_grid(tmp / "reference.asc")
             save_grid(ref.with_values(np.full_like(ref.values, ref.nodata)), tmp / "reference.asc")
             message = (f"'{out / 'features_manifest.json'}', paths.dem '{tmp / 'dem.asc'}' and "
@@ -1675,6 +1747,25 @@ class TestInputErrors:
         capsys.readouterr()
         self.assert_input_error(run_cli(step, "--config", cfg_path, "--model", "mlr"), capsys,
                                 f"error: {message}\n")
+
+    def test_empty_report_names_its_grids(self, workspace, capsys):
+        """A reference of nodata only, written after ``correct``, leaves
+        ``evaluate`` no cell to score: it names the reference, the DEM and
+        each corrected DEM."""
+        cfg_path, tmp = workspace
+        for before in ("features", "train", "correct"):
+            assert run_cli(before, "--config", cfg_path, "--model", "mlr",
+                           "--model", "gbdt-depthwise") == 0, before
+        ref = load_grid(tmp / "reference.asc")
+        save_grid(ref.with_values(np.full_like(ref.values, ref.nodata)), tmp / "reference.asc")
+        capsys.readouterr()
+        out = tmp / "out"
+        self.assert_input_error(
+            run_cli("evaluate", "--config", cfg_path, "--model", "mlr", "--model",
+                    "gbdt-depthwise"), capsys,
+            f"error: paths.reference '{tmp / 'reference.asc'}', paths.dem '{tmp / 'dem.asc'}', "
+            f"'{out / 'corrected_mlr.asc'}' and '{out / 'corrected_gbdt-depthwise.asc'}': "
+            "no cell is valid in every grid\n")
 
     def test_non_integer_strata_label(self, workspace, capsys):
         cfg_path, tmp = workspace

@@ -116,7 +116,7 @@ class TestCorrectionOps:
     def test_oracle_cancellation_bit_exact(self, rng):
         ref = make_grid(300 + rng.normal(size=(6, 6)) * 15)
         dem = make_grid(ref.values + rng.normal(size=(6, 6)) * 4)
-        corrected = apply_correction(dem, difference(dem, ref))
+        corrected = apply_correction(dem, dem.with_values(difference(dem, ref).rows(0, 6)))
         assert np.array_equal(corrected.values, ref.values)
 
     def test_nodata_propagates(self):

@@ -151,18 +151,18 @@ class TestGridInvariants:
 class TestDifference:
     def test_self_difference_zero(self):
         g = make_grid([[5, 7], [1, 2]])
-        assert np.array_equal(difference(g, g).values, np.zeros((2, 2)))
+        assert np.array_equal(difference(g, g).rows(0, 2), np.zeros((2, 2)))
 
     def test_arithmetic(self):
         a = make_grid([[105.0]])
         b = make_grid([[100.0]])
-        assert difference(a, b).values[0, 0] == 5.0
+        assert difference(a, b).rows(0, 1)[0, 0] == 5.0
 
     def test_nodata_propagates(self):
         a = make_grid([[NODATA, 3]])
         b = make_grid([[1, NODATA]])
-        d = difference(a, b)
-        assert d.values[0, 0] == NODATA and d.values[0, 1] == NODATA
+        d = difference(a, b).rows(0, 1)
+        assert d[0, 0] == NODATA and d[0, 1] == NODATA
 
     def test_geometry_mismatch(self):
         a = make_grid([[1]])
@@ -176,8 +176,8 @@ class TestDifference:
         bv = 300.0 + rng.normal(size=(6, 6)) * 20
         av = bv + rng.normal(size=(6, 6)) * 5
         a, b = make_grid(av), make_grid(bv)
-        d = difference(a, b)
-        assert np.array_equal(d.values + b.values, a.values)
+        d = difference(a, b).rows(0, 6)
+        assert np.array_equal(d + b.values, a.values)
 
 
 class TestRoundtripProperty:
@@ -683,6 +683,36 @@ class TestOneParseRule:
     def test_text_and_blocks_agree(self, case, height, halo):
         text_loop, block_loop = _takes_token_loop(case[0], height, halo)
         assert text_loop == block_loop
+
+    @settings(max_examples=300, deadline=None)
+    @given(ascii_bodies(), st.integers(1, 4))
+    def test_sink_gets_the_rows_of_the_whole_parse(self, case, height):
+        """Handed to a sink ``height`` rows at a time, top to bottom, a
+        file's rows are those of its whole parse, or its refusal."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.asc"
+            path.write_bytes(case[0].encode(errors="surrogatepass"))
+            blocks = []
+
+            def sink(first, rows):
+                assert first == sum(map(len, blocks)) and 0 < len(rows)
+                blocks.append(rows.copy())
+
+            with mock.patch.object(grid_module, "_SINK_ROWS", height):
+                got = _outcome(lambda: grid_module.load_grid(path, sink)
+                               or np.concatenate(blocks))
+            assert got == _outcome(lambda: grid_module.load_grid(path).values)
+
+    def test_sink_gets_the_rest_from_the_token_loop(self, tmp_path, monkeypatch):
+        """Blocks that the C reader takes go to the sink as they are parsed;
+        from the first it refuses (a wrapped row), the rest go at once."""
+        path = tmp_path / "g.asc"
+        path.write_text(SIMPLE.replace("nrows 2", "nrows 4")
+                        .replace("1 2\n3 4\n", "1 2\n3 4\n5\n6\n7 8\n"))
+        got = []
+        monkeypatch.setattr(grid_module, "_SINK_ROWS", 1)
+        grid_module.load_grid(path, lambda first, rows: got.append((first, rows.tolist())))
+        assert got == [(0, [[1, 2]]), (1, [[3, 4]]), (2, [[5, 6], [7, 8]])]
 
     @pytest.mark.parametrize("body, loop", [
         ("1 2 3 4\n5 6 7 8\n", False),

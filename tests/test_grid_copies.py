@@ -1,7 +1,7 @@
 """The binary copies of the feature layers and of the step commands' input
 grids (``out/grids/v1``).
 
-A grid read through ``cli._read_grid`` must have the bits of a parse of
+A grid read through ``store.read_grid`` must have the bits of a parse of
 its ASCII file, whether its copy is missing, present, damaged or stale,
 and every step output must be what a run without copies writes.
 """
@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import demcorrect.cli as cli
+import demcorrect.store as store
 from demcorrect import (
     GridParseError,
     GridReader,
@@ -55,15 +56,17 @@ def outcome(read):
     return (grid.geometry, grid.nodata), values.tobytes()
 
 
-def whole(path, out):
-    grid = cli._read_grid(path, out)
-    return grid, grid.values
+def kept(path, out, height, halo):
+    """The blocks of the read that keeps a copy, which it serves."""
+    rows = store.read_grid(path, out)
+    assert isinstance(rows, store.Slab)
+    return rows, by_blocks(rows, height, halo)
 
 
-def blocks(path, out, height, halo, kind=None):
+def blocks(path, out, height, halo, kind):
     with contextlib.ExitStack() as files:
-        rows = cli._read_grid(path, out, files)
-        assert kind is None or isinstance(rows, kind)
+        rows = store.read_grid(path, out, files)
+        assert isinstance(rows, kind)
         return rows, by_blocks(rows, height, halo)
 
 
@@ -76,8 +79,8 @@ def parsed_blocks(path, height, halo):
 @given(st.one_of(grids().map(write_ascii_grid), ascii_bodies().map(lambda case: case[0])),
        st.integers(1, 4), st.integers(0, 2))
 def test_copies_give_the_bits_of_the_parse(text, height, halo):
-    """Whole and in blocks, a read without a copy and a read from the copy
-    that the whole read wrote give what ``load_grid`` and ``GridReader``
+    """In blocks, a read that parses, a read that keeps a copy, and reads
+    from the copy that it wrote give what ``load_grid`` and ``GridReader``
     give: the same header and bits (-0.0 included), or the same refusal.
     A refused file gets no copy."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -87,14 +90,37 @@ def test_copies_give_the_bits_of_the_parse(text, height, halo):
         want_blocks = outcome(lambda: parsed_blocks(path, height, halo))
         assert want_blocks == want
         assert outcome(lambda: blocks(path, out, height, halo, GridReader)) == want
-        assert outcome(lambda: whole(path, out)) == want
+        assert outcome(lambda: kept(path, out, height, halo)) == want
         copies = sorted(p.suffix for p in out.glob("grids/v1/*"))
         if isinstance(want, str):
             assert copies == []
             return
         assert copies == [".npy", ".sha256"]
-        assert outcome(lambda: whole(path, out)) == want
-        assert outcome(lambda: blocks(path, out, height, halo, cli._Slab)) == want
+        assert outcome(lambda: kept(path, out, height, halo)) == want
+        assert outcome(lambda: blocks(path, out, height, halo, store.Slab)) == want
+
+
+def test_file_changed_while_parsed_into_a_copy_is_refused(tmp_path, monkeypatch):
+    """A file whose bytes change while the read that keeps a copy parses
+    it is refused, naming it, and gets no copy; read again, it is parsed
+    into a copy of its new bytes."""
+    path, out = tmp_path / "grid.asc", tmp_path / "out"
+    save_grid(fractal_dem(4, seed=1), path)
+    real = store.load_grid
+
+    def edited_meanwhile(where, sink):
+        real(where, sink)
+        path.write_bytes(path.read_bytes() + b"\n")
+
+    monkeypatch.setattr(store, "load_grid", edited_meanwhile)
+    with pytest.raises(GridParseError, match=f"^'{path}': changed while it was read$"):
+        store.read_grid(path, out)
+    assert not list(out.rglob("*.*"))
+    monkeypatch.setattr(store, "load_grid", real)
+    rows = store.read_grid(path, out)
+    assert rows.rows(0, 17).tobytes() == load_grid(path).values.tobytes()
+    assert sorted(p.name for p in out.rglob("*.*")) == \
+        [f"{store.sha256_file(path)}.npy", f"{store.sha256_file(path)}.sha256"]
 
 
 @pytest.fixture
@@ -143,14 +169,12 @@ def rewrite(npy: Path, values: np.ndarray, descr: str = "<f8") -> None:
         np.lib.format.write_array_header_1_0(
             fh, {"descr": descr, "fortran_order": False, "shape": data.shape})
         fh.write(data.tobytes())
-    npy.with_suffix(".sha256").write_text(cli._sha256_file(npy) + "\n")
+    npy.with_suffix(".sha256").write_text(store.sha256_file(npy) + "\n")
 
 
 def intact(npy: Path) -> bool:
     """Whether the copy ``npy`` of a 33x33 grid passes its checks."""
-    record = npy.with_suffix(".sha256")
-    return record.is_file() and \
-        cli._npy_start(npy, record.read_text().strip(), (33, 33)) is not None
+    return store._npy_start(npy, (33, 33)) is not None
 
 
 def damage(npy: Path, how: str) -> None:
@@ -205,7 +229,7 @@ def test_damaged_copies_are_parsed_past(inputs, how):
                 assert not intact(npy)
         run_step(step)
         if step in ("train", "correct") and how != "edited":
-            # each grid read whole was parsed, and its copy written anew
+            # each grid read with a copy kept was parsed, and its copy written anew
             assert sum(intact(npy) for npy in copies) == (3 if step == "train" else 2)
     assert outputs(got) == outputs(want)
     assert not list(got.rglob("*.partial"))
