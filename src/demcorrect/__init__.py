@@ -10,7 +10,6 @@ from .grid import (
     Grid,
     GridGeometry,
     GridParseError,
-    GridReader,
     difference,
     load_grid,
     read_ascii_grid,

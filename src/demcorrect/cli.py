@@ -55,7 +55,6 @@ from .grid import (
     Grid,
     GeometryMismatch,
     GridParseError,
-    GridReader,
     GridRows,
     InputOverflowError,
     NonFiniteError,
@@ -80,7 +79,7 @@ from .sampling import (
     extract_samples,
     split_table,
 )
-from .store import CopyWriter, PartialFiles, read_grid, sha256_file
+from .store import CopyWriter, PartialFiles, read_grid, read_header, sha256_file
 from .synth import (
     STRATUM_NAMES,
     ErrorSpec,
@@ -556,22 +555,23 @@ def _read_manifest(path: Path) -> list[dict]:
     return entries
 
 
-def _load_stack(out: Path, files: contextlib.ExitStack) -> FeatureStack:
+def _load_stack(out: Path) -> FeatureStack:
     """The manifest's layers, each read a block of rows at a time from its
-    copy or by parsing it (:func:`read_grid`; ``files`` closes the readers).
+    copy (:func:`read_grid`), once every layer's header is checked.
 
     Raises:
         GeometryMismatch: a layer is not on the first layer's geometry.
     """
     entries = _read_manifest(out / _MANIFEST_FILE)
-    layers = []
-    for entry in entries:
-        path = out / entry["file"]
+    paths, geometries = [out / entry["file"] for entry in entries], []
+    for path in paths:
         if not path.is_file():
             raise ConfigError(f"feature layer '{path}' named by the manifest does not exist")
-        layers.append(read_grid(path, out, files))
-        _require_on(f"feature layer '{path}'", layers[-1], layers[0], "the feature stack's")
-    return FeatureStack([entry["name"] for entry in entries], layers)
+        geometries.append(read_header(path)[0])
+        _require_on(f"feature layer '{path}'", geometries[-1], geometries[0],
+                    "the feature stack's")
+    return FeatureStack([entry["name"] for entry in entries],
+                        [read_grid(path, out) for path in paths])
 
 
 def _model_doc_path(out: Path, name: str) -> Path:
@@ -667,16 +667,22 @@ def _geometry_text(geo) -> str:
             f"cellsize {float(geo.cellsize)!r}")
 
 
-def _require_on(source: str, grid, against, what: str) -> None:
-    """Refuse ``grid``, read from ``source``, unless it is on the geometry
-    of ``against``, which ``what`` names.
+def _require_on(source: str, geometry, against, what: str) -> None:
+    """Refuse the grid ``source`` unless its ``geometry`` matches
+    ``against``, the geometry that ``what`` names.
 
     Raises:
         GeometryMismatch: names the source and shows both geometries.
     """
-    if not grid.geometry.matches(against.geometry):
-        raise GeometryMismatch(f"{source} ({_geometry_text(grid.geometry)}) is not on "
-                               f"{what} geometry ({_geometry_text(against.geometry)})")
+    if not geometry.matches(against):
+        raise GeometryMismatch(f"{source} ({_geometry_text(geometry)}) is not on "
+                               f"{what} geometry ({_geometry_text(against)})")
+
+
+def _header_on(source: str, path: Path, against, what: str) -> Path:
+    """``path``, once the geometry in its header passes :func:`_require_on`."""
+    _require_on(source, read_header(path)[0], against, what)
+    return path
 
 
 def _source(cfg: dict, key: str) -> str:
@@ -684,12 +690,11 @@ def _source(cfg: dict, key: str) -> str:
     return f"paths.{key} '{cfg['paths'][key]}'"
 
 
-def _grid_on(cfg: dict, key: str, against, what: str, out: Path,
-             files: contextlib.ExitStack | None = None) -> GridRows:
+def _grid_on(cfg: dict, key: str, against: GridRows, what: str, out: Path) -> GridRows:
     """The grid of ``paths.<key>`` (:func:`read_grid`), refused unless on
     ``against``'s geometry."""
-    grid = read_grid(_require_path(cfg, key), out, files)
-    _require_on(_source(cfg, key), grid, against, what)
+    grid = read_grid(_require_path(cfg, key), out)
+    _require_on(_source(cfg, key), grid.geometry, against.geometry, what)
     return grid
 
 
@@ -697,8 +702,9 @@ def _correct_step(models: dict, stack: FeatureStack, dem: GridRows, reference: G
                   out: Path, sources: tuple[str, str]) -> None:
     """Write each model's predicted error, corrected DEM and, given a
     reference, absolute error, for {name: (model, document path)}, a block
-    of rows at a time, as the predictions arrive; they take their names once
-    a model's are complete. Every input is checked before the first file
+    of rows at a time, as the predictions arrive, and the corrected DEM's
+    binary copy, which ``evaluate`` reads; they take their names once a
+    model's are complete. Every input is checked before the first file
     opens; ``sources`` name the DEM and the reference in refusals.
 
     Raises:
@@ -713,9 +719,9 @@ def _correct_step(models: dict, stack: FeatureStack, dem: GridRows, reference: G
                 raise ModelFormatError(
                     f"'{path}' names feature layer '{feature}', which the feature "
                     f"stack lacks (layers: {', '.join(stack.names)})")
-    _require_on(sources[0], dem, stack, "the feature stack's")
+    _require_on(sources[0], dem.geometry, stack.geometry, "the feature stack's")
     if reference is not None:
-        _require_on(sources[1], reference, dem, "the DEM's")
+        _require_on(sources[1], reference.geometry, dem.geometry, "the DEM's")
     kinds = ("predicted_error", "corrected", "abs_error")[:2 if reference is None else 3]
     for name, (model, path) in models.items():
         # a value that overflows is refused by its check, not warned of
@@ -723,7 +729,9 @@ def _correct_step(models: dict, stack: FeatureStack, dem: GridRows, reference: G
             fhs = [files.open(out / f"{kind}_{name}.asc", "wb") for kind in kinds]
             fhs[0].write(ascii_header(stack.geometry, stack.nodata[0]).encode())
             for fh in fhs[1:]:
-                fh.write(ascii_header(dem.geometry, dem.nodata).encode())
+                fh.write(header := ascii_header(dem.geometry, dem.nodata).encode())
+            digest = hashlib.sha256(header)  # of the corrected DEM, which names its copy
+            copy = CopyWriter(files, out, f"corrected_{name}", (dem.nrows, dem.ncols))
 
             def write(first, error):
                 last = first + len(error)
@@ -736,13 +744,18 @@ def _correct_step(models: dict, stack: FeatureStack, dem: GridRows, reference: G
                 for block in blocks:
                     check_values(block, dem.nodata, first)
                 for fh, block in zip(fhs, [error, *blocks]):
-                    fh.write(ascii_rows(block))
+                    fh.write(text := ascii_rows(block))
+                    if block is fixed:
+                        digest.update(text)
+                fixed += 0.0  # -0.0 becomes the 0.0 that parsing the written "0" gives
+                copy.write(fixed)
 
             try:
                 predict_error_grid(model, stack, sink=write)
             except NonFiniteError as exc:
                 raise ModelFormatError(f"'{path}': the model's correction overflows: "
                                        f"{exc}") from None
+            copy.finish(files, digest.hexdigest())
 
 
 def _evaluate_step(cfg: dict, reference: GridRows, dem: GridRows, corrected: dict,
@@ -767,13 +780,17 @@ def _evaluate_step(cfg: dict, reference: GridRows, dem: GridRows, corrected: dic
 
 def cmd_features(cfg: dict) -> int:
     keys = ("dem", "bare", "urban", "forest")
-    with contextlib.ExitStack() as files:
-        dem, *masks = [read_grid(_require_path(cfg, key), Path(cfg["paths"]["out_dir"]), files)
-                       for key in keys]
-        # every header is read before any geometry is compared
-        for key, mask in zip(keys[1:], masks):
-            _require_on(_source(cfg, key), mask, dem, "the DEM's")
-        out = _out_dir(cfg)
+    paths, geometries = [], []
+    for key in keys:
+        paths.append(_require_path(cfg, key))
+        geometries.append(read_header(paths[-1])[0])
+    # every header is read before any geometry is compared
+    for key, geometry in zip(keys[1:], geometries[1:]):
+        _require_on(_source(cfg, key), geometry, geometries[0], "the DEM's")
+    out = _out_dir(cfg)
+    # the inputs' copies stay only if the layers are written
+    with PartialFiles() as copies:
+        dem, *masks = [read_grid(path, out, copies) for path in paths]
         try:
             _features_step(cfg, dem, *masks, out)
         except MaskValueError as exc:  # what the feature build calls "<key> mask"
@@ -804,15 +821,14 @@ def _sample_sources(cfg: dict, out: Path) -> tuple[str, str, str]:
 
 def _load_train_split(cfg: dict) -> tuple[Path, SampleTable]:
     out = _out_dir(cfg)
-    with contextlib.ExitStack() as files:
-        stack = _load_stack(out, files)
-        dem = _grid_on(cfg, "dem", stack, "the feature stack's", out)
-        target = difference(dem, _grid_on(cfg, "reference", dem, "the DEM's", out))
-        strata = _grid_on(cfg, "strata", stack, "the feature stack's", out) \
-            if cfg["paths"].get("strata") else None
-        with _named(StrataLabelError, _source(cfg, "strata")), \
-                _named(EmptyTableError, *_sample_sources(cfg, out)):
-            train, _ = _split_step(cfg, stack, target, strata)
+    stack = _load_stack(out)
+    dem = _grid_on(cfg, "dem", stack, "the feature stack's", out)
+    target = difference(dem, _grid_on(cfg, "reference", dem, "the DEM's", out))
+    strata = _grid_on(cfg, "strata", stack, "the feature stack's", out) \
+        if cfg["paths"].get("strata") else None
+    with _named(StrataLabelError, _source(cfg, "strata")), \
+            _named(EmptyTableError, *_sample_sources(cfg, out)):
+        train, _ = _split_step(cfg, stack, target, strata)
     return out, train
 
 
@@ -837,28 +853,27 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
     out = _out_dir(cfg)
-    with contextlib.ExitStack() as files:
-        stack = _load_stack(out, files)
-        dem = read_grid(_require_path(cfg, "dem"), out)
-        reference = None if (ref := _optional_path(cfg, "reference")) is None else \
-            read_grid(ref, out)
-        paths = [Path(p) for p in model_docs] if model_docs else \
-            [_model_doc_path(out, name) for name in cfg["models"]]
-        models = {}
-        for path in paths:
-            model, doc = _load_model(path)
-            name = doc.get("model_name", path.stem)
-            # the name becomes part of three file names
-            if not isinstance(name, str) or not name:
-                raise ModelFormatError(f"'{path}': model_name must be a non-empty string, "
-                                       f"got {json.dumps(name)}")
-            if any(sep in name for sep in (os.sep, os.altsep) if sep):
-                raise ModelFormatError(f"'{path}': model_name '{name}' holds a path separator")
-            if name in models:
-                raise ModelFormatError(f"'{path}': model_name '{name}' is also that of "
-                                       f"'{models[name][1]}'")
-            models[name] = (model, path)
-        _correct_step(models, stack, dem, reference, out, _sample_sources(cfg, out)[1:])
+    stack = _load_stack(out)
+    dem = read_grid(_require_path(cfg, "dem"), out)
+    reference = None if (ref := _optional_path(cfg, "reference")) is None else \
+        read_grid(ref, out)
+    paths = [Path(p) for p in model_docs] if model_docs else \
+        [_model_doc_path(out, name) for name in cfg["models"]]
+    models = {}
+    for path in paths:
+        model, doc = _load_model(path)
+        name = doc.get("model_name", path.stem)
+        # the name becomes part of three file names
+        if not isinstance(name, str) or not name:
+            raise ModelFormatError(f"'{path}': model_name must be a non-empty string, "
+                                   f"got {json.dumps(name)}")
+        if any(sep in name for sep in (os.sep, os.altsep) if sep):
+            raise ModelFormatError(f"'{path}': model_name '{name}' holds a path separator")
+        if name in models:
+            raise ModelFormatError(f"'{path}': model_name '{name}' is also that of "
+                                   f"'{models[name][1]}'")
+        models[name] = (model, path)
+    _correct_step(models, stack, dem, reference, out, _sample_sources(cfg, out)[1:])
     for name in models:
         print(f"corrected DEM with {name}")
     return 0
@@ -866,23 +881,25 @@ def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
 
 def cmd_evaluate(cfg: dict) -> int:
     out = _out_dir(cfg)
-    with contextlib.ExitStack() as files:
-        _require_path(cfg, "dem")  # a missing DEM is named before any read
-        reference = read_grid(_require_path(cfg, "reference"), out, files)
-        dem = _grid_on(cfg, "dem", reference, "the reference's", out, files)
-        strata = _grid_on(cfg, "strata", reference, "the reference's", out, files) \
-            if cfg["paths"].get("strata") else None
-        corrected = {}
-        for name in cfg["models"]:
-            cpath = _corrected_path(out, name)
-            if not cpath.is_file():
-                raise ConfigError(f"'{cpath}' does not exist (run 'correct' first)")
-            corrected[name] = read_grid(cpath, out, files)
-            _require_on(f"'{cpath}'", corrected[name], reference, "the reference's")
-        with _named(StrataLabelError, _source(cfg, "strata")), _named(
-                EmptyTableError, _source(cfg, "reference"), _source(cfg, "dem"),
-                *(f"'{_corrected_path(out, name)}'" for name in corrected)):
-            report = _evaluate_step(cfg, reference, dem, corrected, strata, out)
+    _require_path(cfg, "dem")  # a missing DEM is named before any read
+    against = read_header(ref_path := _require_path(cfg, "reference"))[0]
+    keys = ("dem", "strata") if cfg["paths"].get("strata") else ("dem",)
+    paths = {key: _header_on(_source(cfg, key), _require_path(cfg, key), against,
+                             "the reference's") for key in keys}
+    corrected = {}
+    for name in cfg["models"]:
+        cpath = _corrected_path(out, name)
+        if not cpath.is_file():
+            raise ConfigError(f"'{cpath}' does not exist (run 'correct' first)")
+        corrected[name] = _header_on(f"'{cpath}'", cpath, against, "the reference's")
+    # every header is checked before any grid is read
+    reference, dem = read_grid(ref_path, out), read_grid(paths["dem"], out)
+    strata = read_grid(paths["strata"], out) if "strata" in paths else None
+    corrected = {name: read_grid(path, out) for name, path in corrected.items()}
+    with _named(StrataLabelError, _source(cfg, "strata")), _named(
+            EmptyTableError, _source(cfg, "reference"), _source(cfg, "dem"),
+            *(f"'{_corrected_path(out, name)}'" for name in corrected)):
+        report = _evaluate_step(cfg, reference, dem, corrected, strata, out)
     print(report.render_text())
     return 0
 
@@ -938,34 +955,31 @@ def cmd_bench(cfg: dict) -> int:
     t_gen = time.perf_counter()
 
     _features_step(cfg, original, land.bare, land.urban, land.forest, out)
-    with contextlib.ExitStack() as files:
-        stack = _load_stack(out, files)
-        t_feat = time.perf_counter()
+    stack = _load_stack(out)
+    t_feat = time.perf_counter()
 
-        train, test = _split_step(cfg, stack, difference(original, reference), land.strata)
-        t_sample = time.perf_counter()
+    train, test = _split_step(cfg, stack, difference(original, reference), land.strata)
+    t_sample = time.perf_counter()
 
-        sources = (f"'{out / 'original.asc'}'", f"'{out / 'reference.asc'}'")
-        with _named(EmptyTableError, f"'{out / _MANIFEST_FILE}'", *sources,
-                    _key(cfg, "sampling", "rate")):
-            models = _train_step(cfg, train, out, _diagnose_step(cfg, train, out))
-        t_train = time.perf_counter()
+    sources = (f"'{out / 'original.asc'}'", f"'{out / 'reference.asc'}'")
+    with _named(EmptyTableError, f"'{out / _MANIFEST_FILE}'", *sources,
+                _key(cfg, "sampling", "rate")):
+        models = _train_step(cfg, train, out, _diagnose_step(cfg, train, out))
+    t_train = time.perf_counter()
 
-        _correct_step(models, stack, original, reference, out, sources)
+    _correct_step(models, stack, original, reference, out, sources)
     del stack  # and its block buffers, before the reports
     t_correct = time.perf_counter()
 
-    with contextlib.ExitStack() as files:
-        corrected = {name: files.enter_context(GridReader(_corrected_path(out, name)))
-                     for name in models}
-        _evaluate_step(cfg, reference, original, corrected, land.strata, out)
-        test_mask = np.zeros((reference.nrows, reference.ncols), dtype=bool)
-        test_mask[test.cells[:, 0], test.cells[:, 1]] = True
-        ref_test = reference.with_values(np.where(test_mask, reference.values, reference.nodata))
-        with _named(EmptyTableError, "the held-out cells of " + _key(cfg, "sampling", "rate"),
-                    _key(cfg, "sampling", "train_fraction")):
-            report_test = _evaluate_step(cfg, ref_test, original, corrected, land.strata, out,
-                                         "report_test")
+    corrected = {name: read_grid(_corrected_path(out, name), out) for name in models}
+    _evaluate_step(cfg, reference, original, corrected, land.strata, out)
+    test_mask = np.zeros((reference.nrows, reference.ncols), dtype=bool)
+    test_mask[test.cells[:, 0], test.cells[:, 1]] = True
+    ref_test = reference.with_values(np.where(test_mask, reference.values, reference.nodata))
+    with _named(EmptyTableError, "the held-out cells of " + _key(cfg, "sampling", "rate"),
+                _key(cfg, "sampling", "train_fraction")):
+        report_test = _evaluate_step(cfg, ref_test, original, corrected, land.strata, out,
+                                     "report_test")
 
     _write_json(out / "resolved_config.json", _strict({**cfg, "provenance": _provenance(cfg)}))
     t_end = time.perf_counter()

@@ -27,7 +27,6 @@ __all__ = [
     "NonFiniteError",
     "InputOverflowError",
     "GridRows",
-    "GridReader",
     "parse_ascii_header",
     "read_ascii_grid",
     "ascii_header",
@@ -133,10 +132,9 @@ class GridRows(Protocol):
     """What every step reads of a grid: its header, and its values a block
     of rows at a time. ``rows(start, stop)`` returns rows ``start:stop`` as a
     ``(stop - start, ncols)`` array that the caller must not write. A
-    :class:`Grid` slices the values it holds, a :class:`GridReader` parses
-    them from its file, fastest when each call starts and stops at or after
-    the previous call's, a :class:`difference` computes them, and a
-    :class:`~demcorrect.store.Slab` reads them from a binary copy."""
+    :class:`Grid` slices the values it holds, a :class:`difference` computes
+    them, and a :class:`~demcorrect.store.Slab` reads them from a binary
+    copy, the one way a step reads a grid file."""
 
     ncols: int
     nrows: int
@@ -669,64 +667,6 @@ def load_grid(path, sink: Callable[[int, np.ndarray], None] | None = None) -> Gr
     """
     with _naming(path), open(path, "r", encoding="ascii") as fh:
         return read_ascii_grid(fh, sink)
-
-
-class GridReader(contextlib.AbstractContextManager):
-    """The rows of an ESRI ASCII grid file, parsed a block at a time (a
-    :class:`GridRows`); values and errors are those of :func:`load_grid`.
-
-    The header is parsed when the reader is made, so that a geometry can
-    be refused before any body line is read. ``rows`` parses the lines it
-    has not read yet by the rule of :func:`read_ascii_grid` and holds the
-    rows it returns: a call that starts and stops at or after the previous
-    call's reuses the rows the two share; rows it skips are parsed, so that
-    their faults are found, ``stop - start`` at a time, and dropped. Any
-    other call rereads the body from its first line. Where the rule refuses
-    a block, the whole file is parsed by :func:`load_grid`, which raises
-    its error or gives the grid whose rows the reader then serves.
-    """
-
-    def __init__(self, path):
-        self.path = path
-        self._grid: Grid | None = None
-        with contextlib.ExitStack() as closing, _naming(path):
-            self._fh = closing.enter_context(open(path, "r", encoding="ascii"))
-            geo, nodata = _read_header(self._fh)
-            closing.pop_all()  # the header parsed: the file stays open for the rows
-        self._body = self._fh.tell()
-        self.geometry, self.nodata = geo, nodata
-        self.ncols, self.nrows, self.xll, self.yll, self.cellsize = \
-            geo.ncols, geo.nrows, geo.xll, geo.yll, geo.cellsize
-        # rows _first:_next, those of the last call; the file is at row _next
-        self._held = np.empty((0, self.ncols))
-        self._first = self._next = 0
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        if self._grid is None and (start < self._first or stop < self._next):
-            self._fh.seek(self._body)
-            self._held = np.empty((0, self.ncols))
-            self._first = self._next = 0
-        while self._grid is None and self._next < start:
-            self.rows(self._next, self._next + max(stop - start, 1))
-        if self._grid is None:
-            with _naming(self.path):
-                new = _parse_rows(self._fh, stop - self._next, self.ncols, self.nodata,
-                                  last=stop == self.nrows)
-            if new is not None:
-                kept = self._held[start - self._first:]
-                self._held = np.concatenate([kept, new]) if len(kept) else new
-                self._first, self._next = start, stop
-                return self._held
-            self.close()
-            self._held = None
-            self._grid = load_grid(self.path)
-        return self._grid.values[start:stop]
 
 
 def save_grid(grid: Grid, path) -> None:

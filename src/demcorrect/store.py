@@ -14,16 +14,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridGeometry, GridParseError, GridReader, GridRows, load_grid
+from .grid import GridGeometry, GridParseError, _naming, _read_header, load_grid
 
 COPIES = Path("grids", "v1")
 
 
 def sha256_file(path: Path) -> str:
+    """The sha256 of the file ``path``, read 1 MiB at a time into one buffer."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    chunk = memoryview(bytearray(1 << 20))
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(chunk):
+            digest.update(chunk[:size])
     return digest.hexdigest()
 
 
@@ -31,10 +33,12 @@ class PartialFiles(contextlib.AbstractContextManager):
     """Files written under temporary ``<name>.partial`` names, which take
     their own names when the ``with`` block ends without an exception and
     are removed otherwise. So a refused write leaves no new file, and an
-    earlier run's files stay as they were."""
+    earlier run's files stay as they were. Files written under their own
+    names may be :meth:`adopt` ed, to be removed with the others."""
 
     def __init__(self):
         self._opened: list = []  # [path, its temporary path, file]
+        self._adopted: list = []
 
     def open(self, path: Path, *args, **kwargs):
         """``open`` the temporary file that is to take the name ``path``."""
@@ -46,16 +50,25 @@ class PartialFiles(contextlib.AbstractContextManager):
         """Have the file that ``fh`` writes take the name ``path`` instead."""
         next(entry for entry in self._opened if entry[2] is fh)[0] = path
 
+    def adopt(self, *paths: Path) -> None:
+        """Have the files ``paths``, written under their own names, removed
+        if the temporary files are."""
+        self._adopted.extend(paths)
+
     def __exit__(self, exc_type, *exc) -> None:
         for *_, fh in self._opened:
             fh.close()
+        named = False
         try:
             if exc_type is None:
                 for path, partial, _ in self._opened:
                     os.replace(partial, path)
+                named = True
         finally:  # after a refused write, or a name that cannot be replaced
             for _, partial, _ in self._opened:
                 partial.unlink(missing_ok=True)
+            for path in self._adopted if not named else ():
+                path.unlink(missing_ok=True)
 
 
 def _npy_header(shape: tuple) -> bytes:
@@ -138,23 +151,26 @@ class Slab:
         return block.reshape(stop - start, self.ncols)
 
 
-def read_grid(path: Path, out: Path, files: contextlib.ExitStack | None = None) -> GridRows:
-    """The grid of the ESRI ASCII file ``path``, a block of rows at a time,
-    bit-identical to parsing it: a :class:`Slab` of the copy named by its
-    sha256 if that passes :func:`_npy_start`. Otherwise, given ``files``, a
-    :class:`GridReader` that ``files`` closes; without, a ``Slab`` of the
-    copy written as the file is parsed, a block of rows at a time, unless
-    its sha256 changed meanwhile. The geometry, the nodata sentinel and
-    every refusal come from the file; a refused file gets no copy."""
+def read_header(path: Path) -> tuple[GridGeometry, float]:
+    """The geometry and nodata sentinel of the ESRI ASCII file ``path``,
+    from its header alone; refusals name the file."""
+    with _naming(path), open(path, "r", encoding="ascii") as fh:
+        return _read_header(fh)
+
+
+def read_grid(path: Path, out: Path, copies: PartialFiles | None = None) -> Slab:
+    """The grid of the ESRI ASCII file ``path``, bit-identical to parsing
+    it, as a :class:`Slab`: of the copy named by its sha256 if that passes
+    :func:`_npy_start`, or else of the copy written as the file is parsed a
+    block of rows at a time, unless its sha256 changed meanwhile. The
+    geometry, the nodata sentinel and every refusal come from the file; a
+    refused file gets no copy. Given ``copies``, a copy written here is
+    :meth:`~PartialFiles.adopt` ed by it, and so removed if its files are."""
     digest = sha256_file(path)
+    geometry, nodata = read_header(path)
+    shape = (geometry.nrows, geometry.ncols)
     npy = out / COPIES / f"{digest}.npy"
-    with contextlib.ExitStack() as closing:
-        reader = closing.enter_context(GridReader(path))
-        shape = (reader.nrows, reader.ncols)
-        start = _npy_start(npy, shape)
-        if start is None and files is not None:
-            files.enter_context(closing.pop_all())
-            return reader
+    start = _npy_start(npy, shape)
     if start is None:
         with PartialFiles() as written:
             copy = CopyWriter(written, out, digest, shape)
@@ -162,5 +178,7 @@ def read_grid(path: Path, out: Path, files: contextlib.ExitStack | None = None) 
             if sha256_file(path) != digest:
                 raise GridParseError(None, "changed while it was read", path)
             copy.finish(written, digest)
+        if copies is not None:
+            copies.adopt(npy, npy.with_suffix(".sha256"))
         start = len(_npy_header(shape))
-    return Slab(npy, start, reader.geometry, reader.nodata)
+    return Slab(npy, start, geometry, nodata)

@@ -22,8 +22,8 @@ runs past the window, and nothing is carried from one block to the next.
 
 The inputs are read through :class:`~demcorrect.grid.GridRows`: a
 :class:`~demcorrect.grid.Grid` held in memory, or a
-:class:`~demcorrect.grid.GridReader` that parses a block of rows of an
-ASCII file at a time.
+:class:`~demcorrect.store.Slab` that reads a block of rows of an ASCII
+file's binary copy at a time.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class FeatureConfig:
 class FeatureStack:
     """Named predictor layers on one geometry, each a :class:`GridRows`,
     read a block of rows at a time (:meth:`rows`): a :class:`Grid` held in
-    memory, a :class:`~demcorrect.grid.GridReader` of the layer's file, or a
-    :class:`~demcorrect.store.Slab` of its binary copy."""
+    memory, or a :class:`~demcorrect.store.Slab` of the binary copy of the
+    layer's file."""
 
     names: tuple[str, ...]
     layers: tuple[GridRows, ...]

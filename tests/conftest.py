@@ -1,5 +1,4 @@
 import contextlib
-import shutil
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import strategies as st
 
 import demcorrect.cli as cli
 import demcorrect.store as store
-from demcorrect import FeatureStack, Grid, GridReader, load_grid
+from demcorrect import FeatureStack, Grid, load_grid
 
 NODATA = -9999.0
 
@@ -46,26 +45,15 @@ def stack_backings(stack, tmp):
 
     ``memory`` is the stack itself; ``binary`` reads each layer from the
     digest-checked binary copy that the ``features`` writer made of it
-    (``grids/v1``), a block at a time; ``readers`` parses the ``.asc``
-    files of a directory without those copies a block at a time, through
-    :class:`GridReader` s, which are closed on leaving the ``with`` block.
-    Both are stacks as ``cli._load_stack`` reads them. The file backings
-    serve what was written, in which -0.0 has become 0.0.
+    (``grids/v1``), a block at a time, as ``cli._load_stack`` reads a stack.
+    It serves what was written, in which -0.0 has become 0.0.
     """
-    dirs = {}
-    for kind in ("binary", "readers"):
-        dirs[kind] = tmp / kind
-        dirs[kind].mkdir()
-        write_stack(stack, cli.DEFAULT_CONFIG, dirs[kind])
-    shutil.rmtree(dirs["readers"] / "grids")
-    written = FeatureStack(stack.names, tuple(load_grid(dirs["binary"] / f"feature_{name}.asc")
+    write_stack(stack, cli.DEFAULT_CONFIG, tmp)
+    written = FeatureStack(stack.names, tuple(load_grid(tmp / f"feature_{name}.asc")
                                               for name in stack.names))
-    with contextlib.ExitStack() as files:
-        binary, readers = (cli._load_stack(dirs[kind], files) for kind in ("binary", "readers"))
-        assert all(isinstance(layer, store.Slab) for layer in binary.layers)
-        assert all(isinstance(layer, GridReader) for layer in readers.layers)
-        yield {"memory": (stack, stack), "binary": (written, binary),
-               "readers": (written, readers)}
+    binary = cli._load_stack(tmp)
+    assert all(isinstance(layer, store.Slab) for layer in binary.layers)
+    yield {"memory": (stack, stack), "binary": (written, binary)}
 
 
 @st.composite

@@ -1,4 +1,3 @@
-import contextlib
 import copy
 import hashlib
 import json
@@ -28,7 +27,6 @@ from demcorrect import (
     GbdtParams,
     GeometryMismatch,
     Grid,
-    GridReader,
     LinearModel,
     SampleTable,
     build_feature_stack,
@@ -187,7 +185,8 @@ class TestFeatures:
 
     def test_rerun_identical_checksums(self, workspace):
         """A rerun writes the same manifest, which records no binary copy,
-        and the same copy of each layer, named by the layer's sha256."""
+        and the same copy of each layer and of each input, named by its
+        file's sha256."""
         cfg_path, tmp = workspace
         out = tmp / "out"
         run_cli("features", "--config", cfg_path)
@@ -197,7 +196,9 @@ class TestFeatures:
         assert (out / "features_manifest.json").read_text() == m1
         manifest = json.loads(m1)
         assert "stack" not in manifest
-        assert set(copies) == {layer["sha256"] + suffix for layer in manifest["layers"]
+        digests = {layer["sha256"] for layer in manifest["layers"]} | {
+            store.sha256_file(tmp / f"{key}.asc") for key in ("dem", "bare", "urban", "forest")}
+        assert set(copies) == {digest + suffix for digest in digests
                                for suffix in (".npy", ".sha256")}
         assert {p.name: p.read_bytes() for p in out.glob("grids/v1/*")} == copies
 
@@ -326,8 +327,8 @@ class TestFeatureStackFile:
 
     @pytest.fixture
     def parsed(self, monkeypatch):
-        """The name of the file of each ASCII parse: one entry for a whole
-        parse, one for each block a ``GridReader`` parses."""
+        """The name of the file of each ASCII parse: one entry for each block
+        of rows parsed (a grid of at most ``grid._SINK_ROWS`` rows is one)."""
         names = []
         real = grid_module._parse_rows
 
@@ -341,8 +342,7 @@ class TestFeatureStackFile:
     @pytest.fixture
     def parsed_outputs(self, workspace):
         """Step outputs from a directory without the layers' copies, whose
-        layers the steps parse from ASCII (but the elevation layer once
-        ``diagnose`` has copied the DEM, which has its bytes)."""
+        layers ``diagnose`` parses from ASCII into copies."""
         cfg_path, tmp = workspace
         out = tmp / "out"
         run_cli("features", "--config", cfg_path)
@@ -393,19 +393,19 @@ class TestFeatureStackFile:
         stack = FeatureStack(("a", "b"), (make_grid(vals, cellsize=30.0, xll=-7.5),
                                           make_grid(-vals[::-1], cellsize=30.0, xll=-7.5)))
         write_stack(stack, cli.DEFAULT_CONFIG, tmp_path)
-        with contextlib.ExitStack() as files:
-            loaded = cli._load_stack(tmp_path, files)
-            assert parsed == []
-            assert all(isinstance(layer, store.Slab) for layer in loaded.layers)
-            for name, values, nodata in zip(loaded.names, loaded.rows(0, 2), loaded.nodata):
-                ref = load_grid(tmp_path / f"feature_{name}.asc")
-                assert values.tobytes() == ref.values.tobytes()
-                assert (loaded.geometry, nodata) == (ref.geometry, ref.nodata)
+        loaded = cli._load_stack(tmp_path)
+        assert parsed == []
+        assert all(isinstance(layer, store.Slab) for layer in loaded.layers)
+        for name, values, nodata in zip(loaded.names, loaded.rows(0, 2), loaded.nodata):
+            ref = load_grid(tmp_path / f"feature_{name}.asc")
+            assert values.tobytes() == ref.values.tobytes()
+            assert (loaded.geometry, nodata) == (ref.geometry, ref.nodata)
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "parsed"])
     def test_layer_off_the_stack_geometry_refused(self, tmp_path, binary):
         """A layer whose header is off the first layer's geometry is refused,
-        read from its copy or parsed, naming its file and both geometries."""
+        with or without the layers' copies, naming its file and both
+        geometries; without them, before any layer is parsed into a copy."""
         a = make_grid(np.ones((2, 3)), cellsize=30.0)
         b = make_grid(np.ones((2, 3)), cellsize=30.0, xll=15.0)
         with cli._StackWriter(tmp_path, ("a", "b"), (a, b)) as write:
@@ -416,9 +416,9 @@ class TestFeatureStackFile:
         message = (f"feature layer '{tmp_path / 'feature_b.asc'}' (3 x 2, xll 15.0, yll 0.0, "
                    "cellsize 30.0) is not on the feature stack's geometry (3 x 2, xll 0.0, "
                    "yll 0.0, cellsize 30.0)")
-        with contextlib.ExitStack() as files, \
-                pytest.raises(GeometryMismatch, match=f"^{re.escape(message)}$"):
-            cli._load_stack(tmp_path, files)
+        with pytest.raises(GeometryMismatch, match=f"^{re.escape(message)}$"):
+            cli._load_stack(tmp_path)
+        assert (tmp_path / "grids").exists() == binary
 
     @settings(max_examples=60, deadline=None)
     @given(random_stacks(), st.integers(1, 5))
@@ -442,7 +442,8 @@ class TestFeatureStackFile:
 
     def test_layers_with_equal_bytes_share_one_copy(self, workspace):
         """All-zero bare and forest masks make equal percentage layers: one
-        copy serves both, and no temporary file stays."""
+        copy serves both layers, and one both masks; no temporary file
+        stays."""
         cfg_path, tmp = workspace
         for mask in ("bare", "forest"):
             grid = load_grid(tmp / f"{mask}.asc")
@@ -454,8 +455,12 @@ class TestFeatureStackFile:
         assert (out / "feature_pct_bare.asc").read_bytes() == \
             (out / "feature_pct_forest.asc").read_bytes()
         assert copies["feature_pct_bare.asc"] == copies["feature_pct_forest.asc"]
-        assert sorted(out.glob("grids/v1/*.npy")) == sorted(set(copies.values()))
-        assert len(list(out.glob("grids/v1/*.sha256"))) == len(set(copies.values())) == 10
+        masks = {out / "grids" / "v1" / f"{store.sha256_file(tmp / f'{mask}.asc')}.npy"
+                 for mask in ("bare", "forest")}
+        assert len(masks) == 1
+        assert sorted(out.glob("grids/v1/*.npy")) == sorted(set(copies.values()) | masks)
+        assert len(set(copies.values())) == 10
+        assert len(list(out.glob("grids/v1/*.sha256"))) == 10 + 1
         assert not list(out.rglob("*.partial"))
         for name, npy in copies.items():
             assert np.load(npy).tobytes() == load_grid(out / name).values.tobytes(), name
@@ -485,24 +490,66 @@ class TestFeatureStackFile:
         assert parsed == ["reference.asc", "strata.asc"]
 
 
-    def test_each_step_parses_what_it_finds_no_copy_of(self, tmp_path, parsed):
-        """The five steps over a ``bench``'s grids, into a new directory:
-        ``features`` parses its four inputs; ``diagnose`` the reference and
-        the strata (the DEM has the elevation layer's bytes, and so its
-        copy), keeping a copy of each; ``train`` and ``correct`` nothing;
-        ``evaluate`` the corrected DEM, which it streams without a copy.
-        So ``grids/v1`` ends with the 11 layers' copies and those two."""
-        cfg_path, steps = self.bench_grids(tmp_path), tmp_path / "steps"
-        want = {"features": {"original.asc", "mask_bare.asc", "mask_urban.asc",
-                             "mask_forest.asc"},
+    def assert_steps_parse(self, cfg_path, steps, parsed, dem: str) -> None:
+        """The five steps, into ``steps``: ``features`` parses its four
+        inputs into copies, ``diagnose`` the reference and the strata;
+        ``train``, ``correct`` and ``evaluate`` nothing, ``evaluate`` reading
+        the copy of the corrected DEM that ``correct`` wrote."""
+        want = {"features": {dem, "mask_bare.asc", "mask_urban.asc", "mask_forest.asc"},
                 "diagnose": {"reference.asc", "strata.asc"}, "train": set(), "correct": set(),
-                "evaluate": {"corrected_mlr.asc"}}
+                "evaluate": set()}
         for step, names in want.items():
             parsed.clear()
             assert run_cli(step, "--config", cfg_path, "--out", steps, "--model", "mlr") == 0
             assert set(parsed) == names, step
-        assert len(list(steps.glob("grids/v1/*.npy"))) == 13
-        assert len(list(steps.glob("grids/v1/*.sha256"))) == 13
+
+    def test_each_step_parses_what_it_finds_no_copy_of(self, tmp_path, parsed):
+        """Over a ``bench``'s grids, the DEM has the elevation layer's bytes
+        and the urban mask the urban layer's, so each shares its copy:
+        ``grids/v1`` ends with the 11 layers' copies and those of the bare
+        and forest masks, the reference, the strata and the corrected DEM."""
+        cfg_path, steps = self.bench_grids(tmp_path), tmp_path / "steps"
+        self.assert_steps_parse(cfg_path, steps, parsed, "original.asc")
+        assert len(list(steps.glob("grids/v1/*.npy"))) == 11 + 5
+        assert len(list(steps.glob("grids/v1/*.sha256"))) == 11 + 5
+
+    def test_no_step_after_features_parses_the_dem(self, tmp_path, parsed):
+        """A DEM with the values of a ``bench``'s but other bytes (its lines
+        end in CRLF) has a copy of its own, which ``features`` writes and
+        every later step reads."""
+        cfg_path, steps = self.bench_grids(tmp_path), tmp_path / "steps"
+        dem = tmp_path / "dem.asc"
+        dem.write_bytes((tmp_path / "bench" / "original.asc").read_bytes()
+                        .replace(b"\n", b"\r\n"))
+        cfg = json.loads(cfg_path.read_text())
+        cfg["paths"]["dem"] = str(dem)
+        cfg_path.write_text(json.dumps(cfg))
+        self.assert_steps_parse(cfg_path, steps, parsed, "dem.asc")
+        assert len(list(steps.glob("grids/v1/*.npy"))) == 11 + 6
+        assert (steps / "grids" / "v1" / f"{store.sha256_file(dem)}.npy").is_file()
+
+
+    def test_step_outputs_do_not_depend_on_the_grid_copies(self, tmp_path):
+        """The five steps over a small ``bench``'s grids; then each step
+        again, in turn, with ``grids/`` deleted before it. Every file
+        outside ``grids/`` keeps its bytes, and the steps rebuild the same
+        copies, with the same bytes."""
+        cfg_path, steps = self.bench_grids(tmp_path), tmp_path / "steps"
+        for step in self.STEPS:
+            assert run_cli(step, "--config", cfg_path, "--out", steps, "--model", "mlr") == 0
+        first = files_under(steps)
+        rebuilt = {}
+        for step in self.STEPS:
+            shutil.rmtree(steps / "grids")
+            assert run_cli(step, "--config", cfg_path, "--out", steps, "--model", "mlr") == 0
+            files = files_under(steps)
+            rebuilt.update((path, data) for path, data in files.items() if path.parts[0] == "grids")
+            assert {path: data for path, data in files.items() if path.parts[0] != "grids"} == \
+                {path: data for path, data in first.items() if path.parts[0] != "grids"}, step
+        assert rebuilt == {path: data for path, data in first.items() if path.parts[0] == "grids"}
+        assert len(rebuilt) == 2 * (11 + 5)
+
+    STEPS = ("features", "diagnose", "train", "correct", "evaluate")
 
 
 class TestPipeline:
@@ -676,10 +723,11 @@ class TestOnePipeline:
         # manifest, 11 layers, collinearity, 3 x (model + 3 rasters), report
         assert len(written) == 1 + 11 + 1 + 3 * 4 + 2
         # and a copy and its digest record of each layer, and of each grid
-        # read with a copy kept: the DEM, which has the elevation layer's
-        # bytes and so its copy, the reference and the strata
+        # read: the DEM and the urban mask, which have the elevation and
+        # urban layers' bytes and so their copies, the bare and forest masks,
+        # the reference, the strata and the three corrected DEMs
         assert sorted(p.suffix for p in steps.glob("grids/v1/*")) == \
-            [".npy"] * (11 + 2) + [".sha256"] * (11 + 2)
+            [".npy"] * (11 + 7) + [".sha256"] * (11 + 7)
         for name in written:
             if name.endswith(".json"):
                 assert self.without_provenance(steps / name) == \
@@ -693,70 +741,71 @@ class TestOnePipeline:
 
 
 class TestStepMemory:
-    """Tracemalloc peaks of sampling and of the ``correct`` step, reading the
-    stack as ``cli._load_stack`` does, from the layers' binary copies and,
-    at 513², from a directory without them, parsing the ``.asc`` layers
-    through :class:`GridReader`; and of the ``features`` and ``evaluate``
-    steps, reading their ASCII inputs through :class:`GridReader` (and, for
-    ``evaluate``, from the inputs' binary copies too), against the bounds
-    the README's "Memory" section states. The inputs (the stack of slabs or
-    readers, DEM, reference, strata; the readers, with their headers
-    parsed) are made before tracing, but not the stack's blocks; h and w
-    are the grid's rows and columns, B = ``terrain.BLOCK_ROWS``, H = 11 the
-    feature build's halo, F the stack's layers and m a model's features.
+    """Tracemalloc peaks of the steps against the bounds the README's
+    "Memory" section states, each grid file read as the steps read it: a
+    ``store.Slab`` of its binary copy, a block of rows at a time. h and w
+    are the grid's rows and columns, B = ``terrain.BLOCK_ROWS`` the rows of
+    a block read and C = ``grid._SINK_ROWS`` those of a chunk parsed into a
+    copy, H = 11 the feature build's halo, F the stack's layers and m a
+    model's features; k of n eligible cells are sampled.
 
-    - sampling k of n eligible cells: 8*B*w*(F + 5) + k*(9*F + 32) bytes
-      from the copies, 8*B*w*(2*F + 5) + k*(9*F + 32) from the readers,
-      plus 8*n where numpy draws by a tail shuffle (k > n/50, n > 10,000);
-    - correcting with one model: 8*B*w*(2*m + 9) bytes;
-    - building the features: 8*w*(35*B + 40*H) + 32*w*(3*B + 4*H);
-    - evaluating M corrected grids, n cells valid in every grid:
-      8*n*(M + 3) + 16*B*w*(M + 3).
+    - sampling: 8*B*w*(F + 5) + k*(9*F + 32) bytes, plus 8*n where numpy
+      draws by a tail shuffle (k > n/50, n > 10,000);
+    - ``diagnose`` and ``train``, their reads and sampling:
+      8*B*w*(F + 10) + 2*k*(9*F + 32); parsing a file into its copy, C
+      rows at a time, takes about 20*C*w bytes and the 1 MiB buffer of its
+      sha256, less than either at these sizes;
+    - correcting with one model: 8*B*w*(2*m + 9); the ``correct`` step,
+      with the DEM's and the reference's blocks: 8*B*w*(2*m + 11);
+    - building the features: 8*w*(35*B + 40*H) + 32*w*(3*B + 4*H), of
+      which the four inputs' slab buffers take 32*w*(B + 2*H);
+    - evaluating M corrected grids, n cells valid in every grid and s in
+      the largest stratum: 8*n*(M + 3) + 8*s*(M + 2) + 16*B*w*(M + 3).
 
-    The whole-grid code held every layer: 88 bytes per cell before either.
+    The inputs, and the copies of every grid file, are made once per
+    module; a ``Slab`` is made before tracing, its buffer is not. The
+    whole-grid code held every layer: 88 bytes per cell before either.
     """
 
-    @staticmethod
-    def make_inputs(exponent, tmp, copies=True):
-        """The feature layers written into ``tmp`` through the ``features``
-        writer, with their copies unless ``copies`` is false, and the DEM,
-        a reference and the strata."""
-        dem = fractal_dem(exponent, seed=7)
+    MODELS = ("mlr", "gbdt-depthwise")  # of the corrected DEMs that evaluate scores
+
+    @pytest.fixture(scope="module", params=[9, 10], ids=["513", "1025"])
+    def inputs(self, request, tmp_path_factory):
+        """The feature layers written into a new directory through the
+        ``features`` writer, with their copies, and the DEM, a reference
+        and the strata."""
+        tmp = tmp_path_factory.mktemp(f"memory{request.param}")
+        dem = fractal_dem(request.param, seed=7)
         land = synth_landcover(dem, seed=11)
         write_stack(build_feature_stack(dem, land.bare, land.urban, land.forest),
                     cli.DEFAULT_CONFIG, tmp)
-        if not copies:
-            shutil.rmtree(tmp / "grids")
         rng = np.random.default_rng(5)
         reference = dem.with_values(np.where(dem.valid_mask(), dem.values - rng.normal(
             size=dem.values.shape), dem.nodata))
         return dem, reference, land.strata, tmp
 
-    @pytest.fixture(scope="class", params=[9, 10], ids=["513", "1025"])
-    def inputs(self, request, tmp_path_factory):
-        return self.make_inputs(request.param, tmp_path_factory.mktemp(f"memory{request.param}"))
-
-    @pytest.fixture(scope="class")
-    def copyless(self, tmp_path_factory):
-        return self.make_inputs(9, tmp_path_factory.mktemp("copyless"), copies=False)
-
-    @pytest.fixture(scope="class")
+    @pytest.fixture(scope="module")
     def grid_files(self, inputs):
-        """The ASCII files the ``features`` and ``evaluate`` steps read: the
-        DEM, its masks, reference and strata, and two corrected DEMs with
-        holes of their own."""
+        """The ASCII files the steps read, with their copies: the DEM, its
+        masks, reference and strata, and, as ``evaluate`` finds them in its
+        own output directory, two corrected DEMs with holes of their own."""
         dem, reference, strata, tmp = inputs
         land = synth_landcover(dem, seed=11)
         rng = np.random.default_rng(3)
         grids = {"dem": dem, "bare": land.bare, "urban": land.urban, "forest": land.forest,
                  "reference": reference, "strata": strata}
-        for name in ("a", "b"):
+        for name in self.MODELS:
             keep = dem.valid_mask() & (rng.random(dem.values.shape) > 0.05)
             grids[name] = dem.with_values(np.where(
                 keep, dem.values - rng.normal(size=dem.values.shape), dem.nodata))
         paths = {name: tmp / f"{name}.asc" for name in grids}
+        (tmp / "evaluate").mkdir()
+        paths.update({name: tmp / "evaluate" / f"corrected_{name}.asc" for name in self.MODELS})
         for name, grid in grids.items():
             save_grid(grid, paths[name])
+            store.read_grid(paths[name], paths[name].parent)
+        for key in ("reference", "dem", "strata"):
+            store.read_grid(paths[key], tmp / "evaluate")
         return paths
 
     @staticmethod
@@ -768,30 +817,12 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
 
-    def traced_sampling(self, inputs, rate, kind):
-        """The traced peak of sampling the stack of ``inputs``, which
-        ``_load_stack`` serves as ``kind`` layers, and its bound."""
-        dem, reference, strata, out = inputs
-        target = dem.with_values(difference(dem, reference).rows(0, dem.nrows))
-        with contextlib.ExitStack() as files:
-            stack = cli._load_stack(out, files)
-            assert all(isinstance(layer, kind) for layer in stack.layers)
-            table, peak = self.traced(extract_samples, stack, target, strata, rate=rate, seed=42)
-        n, k = round(len(table) / rate), len(table)
-        F, w = len(stack.names), dem.ncols
-        bound = 8 * terrain.BLOCK_ROWS * w * (F + 5) + k * (9 * F + 32) + 8 * n * (k > n / 50)
-        return peak, bound
-
-    def traced_correct(self, inputs, kind):
-        dem, reference, _, out = inputs
-        with contextlib.ExitStack() as files:
-            stack = cli._load_stack(out, files)
-            assert all(isinstance(layer, kind) for layer in stack.layers)
-            names = stack.names[:10]
-            model = LinearModel(names, 0.5, np.linspace(-1, 1, len(names)), 0.0, 0.0)
-            _, peak = self.traced(cli._correct_step, {"mlr": (model, out / "model_mlr.json")},
-                                  stack, dem, reference, out, ("the DEM", "the reference"))
-        return peak, 8 * terrain.BLOCK_ROWS * dem.ncols * (2 * len(names) + 9)
+    @staticmethod
+    def config(grid_files, out, keys, **settings):
+        cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+        cfg["paths"].update({key: str(grid_files[key]) for key in keys}, out_dir=str(out))
+        cfg.update(settings)
+        return cfg
 
     @pytest.mark.parametrize("step", ["diagnose", "train", "correct"])
     def test_step_reads_within_the_stated_bound(self, inputs, grid_files, step):
@@ -800,10 +831,8 @@ class TestStepMemory:
         (reading the DEM and reference from their copies), over the stack
         read from the layers' copies: each input a block at a time."""
         dem, _, _, out = inputs
-        cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
-        cfg["paths"].update({key: str(grid_files[key]) for key in ("dem", "reference", "strata")},
-                            out_dir=str(out))
-        cfg["sampling"]["rate"], cfg["models"] = 0.01, ["mlr"]
+        cfg = self.config(grid_files, out, ("dem", "reference", "strata"), models=["mlr"])
+        cfg["sampling"]["rate"] = 0.01
         for key in ("dem", "reference", "strata"):
             npy = out / store.COPIES / f"{store.sha256_file(grid_files[key])}.npy"
             if step == "diagnose" and key != "dem":  # the DEM has the elevation layer's copy
@@ -826,61 +855,70 @@ class TestStepMemory:
             bound = 8 * B * w * (F + 10) + 2 * k * (9 * F + 32)
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
+    def traced_sampling(self, inputs, rate):
+        """The traced peak of sampling the stack of ``inputs`` as
+        ``_load_stack`` serves it, and its bound."""
+        dem, reference, strata, out = inputs
+        target = dem.with_values(difference(dem, reference).rows(0, dem.nrows))
+        stack = cli._load_stack(out)
+        assert all(isinstance(layer, store.Slab) for layer in stack.layers)
+        table, peak = self.traced(extract_samples, stack, target, strata, rate=rate, seed=42)
+        n, k = round(len(table) / rate), len(table)
+        F, w = len(stack.names), dem.ncols
+        bound = 8 * terrain.BLOCK_ROWS * w * (F + 5) + k * (9 * F + 32) + 8 * n * (k > n / 50)
+        return peak, bound
+
     @pytest.mark.parametrize("rate", [0.01, 0.25])
     def test_sampling_within_the_stated_bound(self, inputs, rate):
-        peak, bound = self.traced_sampling(inputs, rate, store.Slab)
+        peak, bound = self.traced_sampling(inputs, rate)
         # the claim is the upper bound; the floor shows the blocks were traced
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
-    @pytest.mark.parametrize("rate", [1e-5, 0.01, 0.25])
-    def test_sampling_over_readers_within_the_stated_bound(self, copyless, rate):
-        """At 1e-5 the two drawn cells leave most blocks unread by the
-        gather pass: a reader parses the rows it skips a block at a time."""
-        peak, bound = self.traced_sampling(copyless, rate, GridReader)
-        assert 0.5 * bound <= peak <= bound, (peak, bound)
-
     def test_correct_within_the_stated_bound(self, inputs):
-        peak, bound = self.traced_correct(inputs, store.Slab)
+        dem, reference, _, out = inputs
+        stack = cli._load_stack(out)
+        names = stack.names[:10]
+        model = LinearModel(names, 0.5, np.linspace(-1, 1, len(names)), 0.0, 0.0)
+        _, peak = self.traced(cli._correct_step, {"mlr": (model, out / "model_mlr.json")},
+                              stack, dem, reference, out, ("the DEM", "the reference"))
+        bound = 8 * terrain.BLOCK_ROWS * dem.ncols * (2 * len(names) + 9)
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
-    def test_correct_over_readers_within_the_stated_bound(self, copyless):
-        peak, bound = self.traced_correct(copyless, GridReader)
-        assert 0.5 * bound <= peak <= bound, (peak, bound)
-
-    def test_features_within_the_stated_bound(self, grid_files):
-        with contextlib.ExitStack() as files:
-            inputs = [files.enter_context(GridReader(grid_files[key]))
-                      for key in ("dem", "bare", "urban", "forest")]
-            _, peak = self.traced(build_feature_stack, *inputs, sink=lambda first, rows: None)
-        w = inputs[0].ncols
+    def test_features_within_the_stated_bound(self, inputs, grid_files):
+        slabs = [store.read_grid(grid_files[key], inputs[3])
+                 for key in ("dem", "bare", "urban", "forest")]
+        _, peak = self.traced(build_feature_stack, *slabs, sink=lambda first, rows: None)
+        w = slabs[0].ncols
         B, H = terrain.BLOCK_ROWS, 11
         bound = 8 * w * (35 * B + 40 * H) + 32 * w * (3 * B + 4 * H)
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
-    def test_evaluate_within_the_stated_bound(self, grid_files):
-        with contextlib.ExitStack() as files:
-            ref, dem, strata, *corrected = (files.enter_context(GridReader(grid_files[key]))
-                                            for key in ("reference", "dem", "strata", "a", "b"))
-            report, peak = self.traced(build_report, ref, dem, dict(zip("ab", corrected)), strata,
-                                       stratum_names=STRATUM_NAMES)
-        n, M = report.overall.before.n, len(corrected)
-        bound = 8 * n * (M + 3) + 16 * terrain.BLOCK_ROWS * ref.ncols * (M + 3)
+    def evaluate_bound(self, report: dict, w: int) -> int:
+        """The bound of scoring the models' corrected DEMs, from the
+        document of their report."""
+        n, M = report["overall"]["before"]["n"], len(self.MODELS)
+        s = max(stratum["before"]["n"] for stratum in report["strata"].values())
+        return 8 * n * (M + 3) + 8 * s * (M + 2) + 16 * terrain.BLOCK_ROWS * w * (M + 3)
+
+    def test_evaluate_within_the_stated_bound(self, inputs, grid_files):
+        """The whole ``evaluate`` step, which reads every grid from its copy:
+        the corrected DEMs too, as ``correct`` writes them."""
+        out = inputs[3] / "evaluate"
+        cfg = self.config(grid_files, out, ("reference", "dem", "strata"),
+                          models=list(self.MODELS))
+        _, peak = self.traced(cli.cmd_evaluate, cfg)
+        bound = self.evaluate_bound(json.loads((out / "report.json").read_text()),
+                                    inputs[0].ncols)
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
-    def test_evaluate_from_copies_within_the_stated_bound(self, grid_files, tmp_path):
-        """The same bound holds where each input is read from its binary
-        copy (``out/grids/v1``) a block at a time."""
-        keys = ("reference", "dem", "strata", "a", "b")
-        for key in keys:
-            store.read_grid(grid_files[key], tmp_path)  # a read without files writes the copy
-        with contextlib.ExitStack() as files:
-            ref, dem, strata, *corrected = (store.read_grid(grid_files[key], tmp_path, files)
-                                            for key in keys)
-            assert all(isinstance(rows, store.Slab) for rows in (ref, dem, strata, *corrected))
-            report, peak = self.traced(build_report, ref, dem, dict(zip("ab", corrected)), strata,
-                                       stratum_names=STRATUM_NAMES)
-        n, M = report.overall.before.n, len(corrected)
-        bound = 8 * n * (M + 3) + 16 * terrain.BLOCK_ROWS * ref.ncols * (M + 3)
+    def test_evaluate_from_copies_within_the_stated_bound(self, inputs, grid_files):
+        """``build_report`` alone, over the slabs of the five grids' copies."""
+        out = inputs[3] / "evaluate"
+        ref, dem, strata, *corrected = (store.read_grid(grid_files[key], out)
+                                        for key in ("reference", "dem", "strata", *self.MODELS))
+        report, peak = self.traced(build_report, ref, dem, dict(zip(self.MODELS, corrected)),
+                                   strata, stratum_names=STRATUM_NAMES)
+        bound = self.evaluate_bound(report.to_doc(), ref.ncols)
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
 

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 import tempfile
@@ -15,7 +14,6 @@ from demcorrect import (
     EvaluationReport,
     FeatureStack,
     GbdtParams,
-    GridReader,
     LinearModel,
     SampleTable,
     StrataLabelError,
@@ -29,6 +27,7 @@ from demcorrect import (
     predict_error_grid,
     save_grid,
 )
+import demcorrect.store as store
 import demcorrect.terrain as terrain
 from demcorrect.evaluate import _stratum_result
 from demcorrect.grid import GeometryMismatch, distinct_values
@@ -407,7 +406,7 @@ def build_report_oracle(reference, original, corrected_by_model, strata=None,
 
 class TestReportFromFiles:
     """``build_report`` reads its grids a block of rows at a time, from
-    in-memory grids or from files through :class:`GridReader`: either way
+    in-memory grids or from files through ``store.read_grid``: either way
     its report is the whole-grid oracle's, byte for byte, and so are its
     errors."""
 
@@ -444,12 +443,10 @@ class TestReportFromFiles:
         want = self.outcome(lambda: build_report_oracle(ref, dem, corrected, strata, self.NAMES))
         assert self.outcome(lambda: build_report(ref, dem, corrected, strata,
                                                  stratum_names=self.NAMES)) == want
-        with contextlib.ExitStack() as files:
-            read = {name: files.enter_context(GridReader(tmp_path / f"{name}.asc"))
-                    for name in grids}
-            got = self.outcome(lambda: build_report(
-                read["ref"], read["dem"], {m: read[m] for m in corrected}, read["strata"],
-                stratum_names=self.NAMES))
+        read = {name: store.read_grid(tmp_path / f"{name}.asc", tmp_path) for name in grids}
+        got = self.outcome(lambda: build_report(
+            read["ref"], read["dem"], {m: read[m] for m in corrected}, read["strata"],
+            stratum_names=self.NAMES))
         assert got == want
         return want
 

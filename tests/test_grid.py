@@ -18,13 +18,13 @@ from demcorrect import (
     Grid,
     GridGeometry,
     GridParseError,
-    GridReader,
     difference,
     read_ascii_grid,
     write_ascii_grid,
 )
 import demcorrect.cli as cli
 import demcorrect.grid as grid_module
+import demcorrect.store as store
 from demcorrect.grid import _fmt, _parse_tokens, ascii_rows, parse_ascii_header
 from demcorrect.synth import ErrorSpec, fractal_dem, inject_error, synth_landcover
 from demcorrect.terrain import build_feature_stack
@@ -467,26 +467,27 @@ def _outcome(parse):
 
 
 def _read_by_blocks(path, height: int, halo: int) -> np.ndarray:
-    """Every row of the file at ``path`` through a :class:`GridReader`, in
-    blocks of ``height`` rows, each asked for with ``halo`` rows above and
-    below, as the feature build asks for its sub-grids."""
-    with GridReader(path) as reader:
-        h = reader.nrows
-        blocks = []
-        for r0 in range(0, h, height):
-            r1 = min(r0 + height, h)
-            s0 = max(r0 - halo, 0)
-            rows = reader.rows(s0, min(r1 + halo, h))
-            blocks.append(rows[r0 - s0:r1 - s0].copy())
-        return np.concatenate(blocks)
+    """Every row of the file at ``path`` as a step reads it, from the copy
+    that ``store.read_grid`` keeps beside the file, in blocks of ``height``
+    rows, each asked for with ``halo`` rows above and below, as the feature
+    build asks for its sub-grids."""
+    slab = store.read_grid(path, path.parent)
+    h = slab.nrows
+    blocks = []
+    for r0 in range(0, h, height):
+        r1 = min(r0 + height, h)
+        s0 = max(r0 - halo, 0)
+        rows = slab.rows(s0, min(r1 + halo, h))
+        blocks.append(rows[r0 - s0:r1 - s0].copy())
+    return np.concatenate(blocks)
 
 
 class TestBulkReader:
     @settings(max_examples=400, deadline=None)
     @given(ascii_bodies(), st.integers(1, 4), st.integers(0, 2))
     def test_matches_token_reference(self, case, height, halo):
-        """The text parse, and the row-block reader over the text in a file,
-        against the token loop: the same values, or the same error."""
+        """The text parse, and the text in a file read as a step reads it, in
+        blocks, against the token loop: the same values, or the same error."""
         text, expected, nodata = case
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -566,43 +567,6 @@ class TestBulkReader:
         with pytest.raises(GridParseError, match="line 1008: non-numeric token 'y'"):
             grid_module.load_grid(p)
 
-    def test_reader_rereads_for_an_earlier_row(self, tmp_path):
-        """The whole grid, then blocks from the top: the reader drops the
-        rows it holds and reads the body again, a block at a time."""
-        g = make_grid(np.arange(35.0).reshape(7, 5))
-        path = tmp_path / "g.asc"
-        grid_module.save_grid(g, path)
-        with GridReader(path) as reader:
-            assert (reader.geometry, reader.nodata) == (g.geometry, g.nodata)
-            assert reader.rows(0, 7).tobytes() == g.values.tobytes()
-            for start, stop in ((0, 3), (1, 5), (5, 7), (2, 4), (4, 4), (6, 7)):
-                assert reader.rows(start, stop).tobytes() == g.values[start:stop].tobytes()
-            assert reader._grid is None  # never parsed whole by load_grid
-
-    def test_reader_parses_skipped_rows_a_block_at_a_time(self, tmp_path, monkeypatch):
-        """Rows between two calls are parsed, no more of them at once than
-        the later call asks for, and not held; a fault among them is
-        refused, naming its line."""
-        g = make_grid(np.arange(60.0).reshape(12, 5))
-        path = tmp_path / "g.asc"
-        grid_module.save_grid(g, path)
-        counts = []
-        real = grid_module._parse_rows
-        monkeypatch.setattr(grid_module, "_parse_rows", lambda lines, count, *args, **kwargs:
-                            counts.append(count) or real(lines, count, *args, **kwargs))
-        with GridReader(path) as reader:
-            for start, stop in ((0, 2), (7, 9), (11, 12)):
-                assert reader.rows(start, stop).tobytes() == g.values[start:stop].tobytes()
-                assert len(reader._held) == stop - start
-        assert max(counts) == 2 and sum(counts) == 12
-        lines = path.read_text().splitlines(keepends=True)
-        lines[10] = lines[10].replace(" ", " x ", 1)  # body row 4
-        path.write_text("".join(lines))
-        with GridReader(path) as reader, \
-                pytest.raises(GridParseError, match="line 11: non-numeric token 'x'"):
-            reader.rows(0, 2)
-            reader.rows(7, 9)
-
     @pytest.mark.parametrize("body, message", [
         ("1 2\n3 4\n", None),
         ("1 2 3\n4\n", None),
@@ -615,27 +579,33 @@ class TestBulkReader:
     ], ids=["rows", "wrapped", "blank-line", "blank-tail", "bad-token", "short", "long",
             "nan"])
     def test_reader_fallback(self, tmp_path, monkeypatch, body, message):
-        """Lines that are not one grid row each leave the file to load_grid,
-        which returns the grid or raises its error, naming the file."""
+        """Parsed into its copy a row at a time, lines that are not one grid
+        row each leave the rest of the file to the token loop, which gives
+        the grid or raises its error, naming the file."""
         path = tmp_path / "g.asc"
         path.write_text(SIMPLE.replace("1 2\n3 4\n", body))
-        whole = []
-        real = grid_module.load_grid
-        monkeypatch.setattr(grid_module, "load_grid", lambda p: whole.append(p) or real(p))
+        loops = []
+        real = grid_module._parse_tokens
+        monkeypatch.setattr(grid_module, "_parse_tokens",
+                            lambda *args: loops.append(1) or real(*args))
+        monkeypatch.setattr(grid_module, "_SINK_ROWS", 1)
         if message is None:
             assert _read_by_blocks(path, 1, 0).tolist() == [[1.0, 2.0], [3.0, 4.0]]
-            # only lines that are not one row each leave the file to load_grid
-            assert whole == ([path] if body in ("1 2 3\n4\n", "1 2\n\n3 4\n") else [])
+            # only lines that are not one row each leave the file to the token loop
+            assert bool(loops) == (body in ("1 2 3\n4\n", "1 2\n\n3 4\n"))
         else:
             with pytest.raises(GridParseError) as err:
                 _read_by_blocks(path, 1, 0)
             assert str(err.value) == f"'{path}': {message}"
 
     def test_reader_refuses_a_header_before_the_body(self, tmp_path):
+        """``store.read_grid`` refuses a bad header, naming the file, and
+        the file gets no copy."""
         path = tmp_path / "g.asc"
         path.write_text(SIMPLE.replace("cellsize 1", "cellsize -1") + "x" * 100 + "\n")
         with pytest.raises(GridParseError, match=f"^'{path}': line 5: cellsize must be"):
-            GridReader(path)
+            store.read_grid(path, tmp_path)
+        assert not (tmp_path / "grids").exists()
 
     def test_not_ascii_names_the_file(self, tmp_path):
         path = tmp_path / "g.asc"
@@ -657,31 +627,30 @@ class TestBulkReader:
         assert read_ascii_grid(write_ascii_grid(one)).values.tolist() == [[2.5]]
 
 
-def _takes_token_loop(text: str, height: int = 1, halo: int = 0) -> tuple[bool, bool]:
+def _takes_token_loop(text: str, height: int = 1) -> tuple[bool, bool]:
     """Whether ``read_ascii_grid(text)`` reaches ``_parse_tokens``, and
-    whether the row-block reader over the text in a file falls back to
-    ``load_grid``; either may end in a parse error."""
-    tokens, whole = [], []
-    parse_tokens, load_grid = grid_module._parse_tokens, grid_module.load_grid
-    with mock.patch.object(grid_module, "_parse_tokens",
-                           lambda *args: tokens.append(1) or parse_tokens(*args)):
-        _outcome(lambda: read_ascii_grid(text).values)
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(grid_module, "load_grid", lambda p: whole.append(p) or load_grid(p)):
+    whether ``store.read_grid`` does as it parses the text in a file into
+    its copy ``height`` rows at a time; either may end in a parse error."""
+    loops = ([], [])
+    parse_tokens = grid_module._parse_tokens
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(grid_module, "_SINK_ROWS", height):
         path = Path(tmp) / "g.asc"
         path.write_text(text, encoding="ascii", newline="")
-        _outcome(lambda: _read_by_blocks(path, height, halo))
-    return bool(tokens), bool(whole)
+        for loop, read in zip(loops, (lambda: read_ascii_grid(text).values,
+                                      lambda: _read_by_blocks(path, height, 0))):
+            with mock.patch.object(grid_module, "_parse_tokens",
+                                   lambda *args: loop.append(1) or parse_tokens(*args)):
+                _outcome(read)
+    return bool(loops[0]), bool(loops[1])
 
 
 class TestOneParseRule:
     """Whole grids and row blocks take numpy's C reader for the same bodies."""
 
     @settings(max_examples=400, deadline=None)
-    @given(ascii_bodies().filter(lambda case: case[0].isascii()), st.integers(1, 4),
-           st.integers(0, 2))
-    def test_text_and_blocks_agree(self, case, height, halo):
-        text_loop, block_loop = _takes_token_loop(case[0], height, halo)
+    @given(ascii_bodies().filter(lambda case: case[0].isascii()), st.integers(1, 4))
+    def test_text_and_blocks_agree(self, case, height):
+        text_loop, block_loop = _takes_token_loop(case[0], height)
         assert text_loop == block_loop
 
     @settings(max_examples=300, deadline=None)
@@ -740,7 +709,7 @@ _BREAKS = {
 
 
 @pytest.mark.parametrize("case", list(_BREAKS))
-@pytest.mark.parametrize("how", ["text", "stream", "load_grid", "GridReader"])
+@pytest.mark.parametrize("how", ["text", "stream", "load_grid", "read_grid"])
 def test_lines_end_only_at_line_ends(tmp_path, how, case):
     """Every path ends lines at \\n, \\r\\n and \\r only, as a file read in
     text mode does; other breaks inside a line separate values."""
@@ -751,7 +720,7 @@ def test_lines_end_only_at_line_ends(tmp_path, how, case):
         "text": lambda: read_ascii_grid(text).values,
         "stream": lambda: read_ascii_grid(io.StringIO(text)).values,
         "load_grid": lambda: grid_module.load_grid(path).values,
-        "GridReader": lambda: _read_by_blocks(path, 1, 0),
+        "read_grid": lambda: _read_by_blocks(path, 1, 0),
     }[how]
     if message is None:
         want = read_ascii_grid(SIMPLE).values.tobytes()

@@ -6,11 +6,11 @@ its ASCII file, whether its copy is missing, present, damaged or stale,
 and every step output must be what a run without copies writes.
 """
 
-import contextlib
 import json
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,14 +20,16 @@ from hypothesis import strategies as st
 import demcorrect.cli as cli
 import demcorrect.store as store
 from demcorrect import (
+    FeatureStack,
     GridParseError,
-    GridReader,
     fractal_dem,
     load_grid,
     save_grid,
     synth_landcover,
     write_ascii_grid,
 )
+from demcorrect.linstats import LinearModel
+from conftest import NODATA, make_grid
 from test_grid import ascii_bodies, grids
 
 STEPS = ("features", "diagnose", "train", "correct", "evaluate")
@@ -57,47 +59,33 @@ def outcome(read):
 
 
 def kept(path, out, height, halo):
-    """The blocks of the read that keeps a copy, which it serves."""
+    """The blocks of a step's read of ``path``, from the copy that it finds
+    or keeps."""
     rows = store.read_grid(path, out)
     assert isinstance(rows, store.Slab)
     return rows, by_blocks(rows, height, halo)
-
-
-def blocks(path, out, height, halo, kind):
-    with contextlib.ExitStack() as files:
-        rows = store.read_grid(path, out, files)
-        assert isinstance(rows, kind)
-        return rows, by_blocks(rows, height, halo)
-
-
-def parsed_blocks(path, height, halo):
-    with GridReader(path) as reader:
-        return reader, by_blocks(reader, height, halo)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(grids().map(write_ascii_grid), ascii_bodies().map(lambda case: case[0])),
        st.integers(1, 4), st.integers(0, 2))
 def test_copies_give_the_bits_of_the_parse(text, height, halo):
-    """In blocks, a read that parses, a read that keeps a copy, and reads
-    from the copy that it wrote give what ``load_grid`` and ``GridReader``
-    give: the same header and bits (-0.0 included), or the same refusal.
+    """In blocks, a read that parses a file into a copy, and a read of the
+    copy that it wrote, which parses nothing, give what ``load_grid``
+    gives: the same header and bits (-0.0 included), or the same refusal.
     A refused file gets no copy."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "grid.asc", Path(tmp) / "out"
         path.write_bytes(text.encode(errors="surrogatepass"))
         want = outcome(lambda: (g := load_grid(path), g.values))
-        want_blocks = outcome(lambda: parsed_blocks(path, height, halo))
-        assert want_blocks == want
-        assert outcome(lambda: blocks(path, out, height, halo, GridReader)) == want
         assert outcome(lambda: kept(path, out, height, halo)) == want
         copies = sorted(p.suffix for p in out.glob("grids/v1/*"))
         if isinstance(want, str):
             assert copies == []
             return
         assert copies == [".npy", ".sha256"]
-        assert outcome(lambda: kept(path, out, height, halo)) == want
-        assert outcome(lambda: blocks(path, out, height, halo, store.Slab)) == want
+        with mock.patch.object(store, "load_grid", side_effect=AssertionError("parsed again")):
+            assert outcome(lambda: kept(path, out, height, halo)) == want
 
 
 def test_file_changed_while_parsed_into_a_copy_is_refused(tmp_path, monkeypatch):
@@ -121,6 +109,30 @@ def test_file_changed_while_parsed_into_a_copy_is_refused(tmp_path, monkeypatch)
     assert rows.rows(0, 17).tobytes() == load_grid(path).values.tobytes()
     assert sorted(p.name for p in out.rglob("*.*")) == \
         [f"{store.sha256_file(path)}.npy", f"{store.sha256_file(path)}.sha256"]
+
+
+@pytest.mark.parametrize("nodata", [-9999.0, -0.0])
+def test_corrected_dem_copy_holds_the_parse_of_its_file(tmp_path, nodata):
+    """The copy that ``correct`` writes of a corrected DEM holds the bits of
+    ``load_grid`` of that file, under a record of its own sha256: where the
+    DEM holds -0.0, or a -0.0 sentinel, and the predicted error is 0.0, the
+    corrected value -0.0 is written as 0, which parses to 0.0."""
+    rng = np.random.default_rng(4)
+    values = np.round(rng.normal(size=(9, 7)), 2)
+    values[rng.random(values.shape) < 0.3] = -0.0
+    dem = make_grid(np.where(rng.random(values.shape) < 0.2, nodata, values), nodata=nodata)
+    assert (np.signbit(dem.values) & (dem.values == 0)).any()
+    layer = make_grid(np.where(rng.random(values.shape) < 0.2, NODATA, values))
+    model = LinearModel(("f0",), 0.0, [0.0], 0.0, 0.0)
+    cli._correct_step({"mlr": (model, tmp_path / "model_mlr.json")},
+                      FeatureStack(("f0",), (layer,)), dem, None, tmp_path, ("dem", "reference"))
+    path = tmp_path / "corrected_mlr.asc"
+    npy = tmp_path / store.COPIES / f"{store.sha256_file(path)}.npy"
+    assert np.load(npy).tobytes() == load_grid(path).values.tobytes()
+    assert npy.with_suffix(".sha256").read_text() == store.sha256_file(npy) + "\n"
+    assert sorted(p.name for p in tmp_path.rglob("*.*")) == sorted(
+        [f"{kind}_mlr.asc" for kind in ("corrected", "predicted_error")]
+        + [npy.name, npy.with_suffix(".sha256").name])
 
 
 @pytest.fixture
@@ -203,14 +215,15 @@ def edit_dem() -> None:
                                  "edited"])
 def test_damaged_copies_are_parsed_past(inputs, how):
     """Before each of ``train``, ``correct`` and ``evaluate``, every intact
-    copy is damaged: before ``train``, those of the eleven layers that
-    ``features`` writes, the DEM's among them (the elevation layer has the
-    DEM's bytes), and those of the reference and strata that ``diagnose``
-    writes; then those of the DEM, reference and strata that ``train``
-    writes again, and those of the DEM and reference that ``correct``
-    writes again. (For ``edited``, the DEM file is edited instead, once,
-    after ``diagnose`` read it.) The steps must write what they write when
-    each step finds no copy at all."""
+    copy is damaged: before ``train``, those of the eleven layers and of
+    the bare and forest masks that ``features`` writes (the elevation
+    layer has the DEM's bytes, and the urban layer the urban mask's), and
+    those of the reference and strata that ``diagnose`` writes; then those
+    of the layers, reference and strata that ``train`` writes again; then
+    those of the layers and reference that ``correct`` writes again and of
+    the three corrected DEMs. (For ``edited``, the DEM file is edited
+    instead, once, after ``diagnose`` read it.) The steps must write what
+    they write when each step finds no copy at all."""
     want = inputs("copyless")
     for step in STEPS:
         if step == "train" and how == "edited":
@@ -223,14 +236,15 @@ def test_damaged_copies_are_parsed_past(inputs, how):
             edit_dem()
         elif step in ("train", "correct", "evaluate") and how != "edited":
             copies = [npy for npy in Path("out/grids/v1").glob("*.npy") if intact(npy)]
-            assert len(copies) == {"train": 11 + 2, "correct": 3, "evaluate": 2}[step]
+            assert len(copies) == {"train": 11 + 2 + 2, "correct": 11 + 2,
+                                   "evaluate": 11 + 1 + 3}[step]
             for npy in copies:
                 damage(npy, how)
                 assert not intact(npy)
         run_step(step)
         if step in ("train", "correct") and how != "edited":
-            # each grid read with a copy kept was parsed, and its copy written anew
-            assert sum(intact(npy) for npy in copies) == (3 if step == "train" else 2)
+            # each grid read was parsed, and its copy written anew
+            assert sum(intact(npy) for npy in copies) == (11 + 2 if step == "train" else 11 + 1)
     assert outputs(got) == outputs(want)
     assert not list(got.rglob("*.partial"))
 
@@ -242,8 +256,9 @@ def test_faulty_body_refused_beside_a_copy_of_its_earlier_bytes(inputs, capsys, 
     inputs("faulty")
     for earlier in ("features", "diagnose", "train", "correct"):
         run_step(earlier)
-    # the layers', the DEM's among them, and the reference's and strata's
-    assert len(list(Path("out/grids/v1").glob("*.npy"))) == 11 + 2
+    # the layers', the DEM's and urban mask's among them, the bare and forest
+    # masks', the reference's and strata's, and the three corrected DEMs'
+    assert len(list(Path("out/grids/v1").glob("*.npy"))) == 11 + 2 + 2 + 3
     lines = Path("dem.asc").read_text().splitlines(keepends=True)
     lines[9] = lines[9].replace(" ", " x ", 1)
     Path("dem.asc").write_text("".join(lines))

@@ -1,5 +1,5 @@
 """Golden digests of what ``diagnose``, ``train``, ``correct`` and
-``evaluate`` write, the binary copies of their input grids included.
+``evaluate`` write, the binary copies of the grids they read included.
 
 A seeded stack of eleven random layers is written through the
 ``features`` writer, with its manifest and the layers' binary copies,
@@ -56,6 +56,20 @@ PINS = {
         "e32ac0cfe93f7d7ef418d9953b327e7a4fc6d98e28320eb03603728b18be5010",
     "grids/v1/9fc4d34c6de4049decc5b59fa8d3ea919e461de7d7b5c4574023a27dbf506ada.sha256":
         "a4ac3a4393a8c63c7beb7659b17108ce6adb6208aed55cd1d31b8f023a1f6c35",
+    # the binary copies that ``correct`` writes of the corrected DEMs
+    # (gbdt-leafwise, gbdt-depthwise, mlr), each named as above
+    "grids/v1/1ba75dfc96add65a2bc9e43490f3c26a59d4773020e79051e2cfc81dfada3e89.npy":
+        "4e3c5e474ac6add5e1977cc401f3852c18ce638ea70af8380ce52d7fd4be1400",
+    "grids/v1/1ba75dfc96add65a2bc9e43490f3c26a59d4773020e79051e2cfc81dfada3e89.sha256":
+        "15d9165bb5572838f4d286ff5f8c7f4c6febb88466edee96f5c40e22c17e442d",
+    "grids/v1/1cd1ae8d1d43f709db2479693670be7c65923333706356f140fc259300454a20.npy":
+        "8ce144d7ff837bf77e155f16202308264cf609e086521725db7b6c9e173cc909",
+    "grids/v1/1cd1ae8d1d43f709db2479693670be7c65923333706356f140fc259300454a20.sha256":
+        "0541aabcd80f64baf2ff81f49730b41f5eb2140112bb55e556ec1107287480df",
+    "grids/v1/3517561c27d169b1d35adcc3c90c57689abaeab7c012199b762d3629e0337a13.npy":
+        "e42cc07da109d9403c77a628a9aaaf6a220d652d2b954c959a93828ff3908de5",
+    "grids/v1/3517561c27d169b1d35adcc3c90c57689abaeab7c012199b762d3629e0337a13.sha256":
+        "7c3f9cace1710277d9a7c035228dbb8afc4e23c8eb94cfd4da5f237d0c54f52f",
 }
 
 

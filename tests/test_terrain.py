@@ -1,4 +1,3 @@
-import contextlib
 import math
 import os
 import subprocess
@@ -30,8 +29,9 @@ from demcorrect import (
     tri,
     vrm,
 )
+import demcorrect.store as store
 import demcorrect.terrain as terrain
-from demcorrect.grid import GeometryMismatch, GridReader, save_grid
+from demcorrect.grid import GeometryMismatch, save_grid
 from demcorrect.terrain import _NEIGHBOR_OFFSETS, _box_sum, _pit_peak_flags, _window_gate
 from conftest import NODATA, make_grid, plane_grid
 
@@ -749,9 +749,9 @@ class TestBlockedStack:
             assert joined.tobytes() == layer.values.tobytes(), stack.names[i]
 
     def test_reads_each_input_once_top_to_bottom(self, tmp_path):
-        """Over file readers, the build asks each input for rows whose start
-        and stop never go back, so no input is read twice (a reader asked
-        for earlier rows parses its body again from the first line)."""
+        """Over the inputs' binary copies, the build asks each input for rows
+        whose start and stop never go back, so each input's copy is read
+        once, top to bottom."""
         dem = fractal_dem(6, seed=3)
         land = synth_landcover(dem, seed=4)
         paths = []
@@ -759,17 +759,16 @@ class TestBlockedStack:
                            ("forest", land.forest)):
             paths.append(tmp_path / f"{name}.asc")
             save_grid(grid, paths[-1])
-        calls = {path: [] for path in paths}
-        read = GridReader.rows
+        slabs = [store.read_grid(path, tmp_path) for path in paths]
+        calls = {slab.path: [] for slab in slabs}
+        read = store.Slab.rows
 
         def rows(self, start, stop):
             calls[self.path].append((start, stop))
             return read(self, start, stop)
 
-        with contextlib.ExitStack() as files, block_size(8), \
-                mock.patch.object(GridReader, "rows", rows):
-            readers = [files.enter_context(GridReader(path)) for path in paths]
-            build_feature_stack(*readers, sink=lambda first, rows: None)
+        with block_size(8), mock.patch.object(store.Slab, "rows", rows):
+            build_feature_stack(*slabs, sink=lambda first, rows: None)
         for path, seen in calls.items():
             starts, stops = (list(ends) for ends in zip(*seen))
             assert len(seen) == len(range(0, dem.nrows, 8)), path
