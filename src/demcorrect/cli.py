@@ -54,12 +54,11 @@ from .gbdt import (
 from .grid import (
     Grid,
     GeometryMismatch,
+    GridGeometry,
     GridParseError,
     GridRows,
     InputOverflowError,
     NonFiniteError,
-    ascii_header,
-    ascii_rows,
     check_values,
     difference,
     save_grid,
@@ -79,7 +78,7 @@ from .sampling import (
     extract_samples,
     split_table,
 )
-from .store import CopyWriter, PartialFiles, read_grid, read_header, sha256_file
+from .store import GridWriter, PartialFiles, read_grid, read_header, sha256_file
 from .synth import (
     STRATUM_NAMES,
     ErrorSpec,
@@ -411,10 +410,6 @@ def _require_path(cfg: dict, key: str) -> Path:
     return path
 
 
-def _optional_path(cfg: dict, key: str) -> Path | None:
-    return _require_path(cfg, key) if cfg["paths"].get(key) else None
-
-
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["paths"]["out_dir"])
     try:
@@ -477,55 +472,17 @@ def _read_json(path: Path, what: str = "") -> dict:
 _MANIFEST_FILE = "features_manifest.json"
 
 
-class _StackWriter(PartialFiles):
-    """Writes the ``feature_<name>.asc`` files and their binary copies
-    (:class:`CopyWriter`) from row blocks, top to bottom: ``writer(first_row,
-    rows)`` takes a block's rows of every layer, as the ``sink`` of
-    :func:`build_feature_stack` does. ``templates`` give each layer's
-    geometry and nodata sentinel. The files are opened at the first block,
-    under temporary names, so a build refused at any block leaves no new
-    file; each copy is named once its ``.asc`` file's sha256 is final.
-    """
-
-    def __init__(self, out: Path, names, templates):
-        super().__init__()
-        self.out, self.names, self.templates = out, tuple(names), tuple(templates)
-        self.digests = [hashlib.sha256() for _ in self.names]
-        self._texts, self._copies = [], []
-
-    def __call__(self, first: int, rows) -> None:
-        if not self._texts:
-            self._open()
-        for values, fh, digest, copy in zip(rows, self._texts, self.digests, self._copies):
-            fh.write(text := ascii_rows(values))
-            digest.update(text)
-            # + 0.0 turns -0.0 into the 0.0 that parsing the written "0" gives
-            copy.write(values + 0.0)
-        if first + len(rows[0]) == self.templates[0].nrows:  # the digests are final
-            for copy, digest in zip(self._copies, self.digests):
-                copy.finish(self, digest.hexdigest())
-
-    def _open(self) -> None:
-        for name, template, digest in zip(self.names, self.templates, self.digests):
-            self._texts.append(self.open(self.out / f"feature_{name}.asc", "wb"))
-            self._texts[-1].write(header := ascii_header(template.geometry,
-                                                         template.nodata).encode())
-            digest.update(header)
-            self._copies.append(CopyWriter(self, self.out, f"feature_{name}",
-                                            (template.nrows, template.ncols)))
-
-    def write_manifest(self, cfg: dict) -> dict:
-        """Write ``features_manifest.json`` once the files are closed."""
-        manifest = {
-            "format": "feature-manifest",
-            "version": 1,
-            "layers": [{"name": name, "file": f"feature_{name}.asc", "sha256": d.hexdigest()}
-                       for name, d in zip(self.names, self.digests)],
-            "windows": dict(cfg["windows"]),
-            "provenance": _provenance(cfg),
-        }
-        _write_json(self.out / _MANIFEST_FILE, manifest)
-        return manifest
+def _write_manifest(cfg: dict, out: Path, digests: dict) -> None:
+    """Write ``features_manifest.json``: each layer's file and its sha256,
+    from {name: sha256} ``digests``."""
+    _write_json(out / _MANIFEST_FILE, {
+        "format": "feature-manifest",
+        "version": 1,
+        "layers": [{"name": name, "file": f"feature_{name}.asc", "sha256": digest}
+                   for name, digest in digests.items()],
+        "windows": dict(cfg["windows"]),
+        "provenance": _provenance(cfg),
+    })
 
 
 def _read_manifest(path: Path) -> list[dict]:
@@ -555,9 +512,9 @@ def _read_manifest(path: Path) -> list[dict]:
     return entries
 
 
-def _load_stack(out: Path) -> FeatureStack:
-    """The manifest's layers, each read a block of rows at a time from its
-    copy (:func:`read_grid`), once every layer's header is checked.
+def _stack_files(out: Path) -> tuple[list[str], list[Path], GridGeometry]:
+    """The manifest's layer names and files, and the stack's geometry,
+    once every layer's header is checked.
 
     Raises:
         GeometryMismatch: a layer is not on the first layer's geometry.
@@ -570,8 +527,14 @@ def _load_stack(out: Path) -> FeatureStack:
         geometries.append(read_header(path)[0])
         _require_on(f"feature layer '{path}'", geometries[-1], geometries[0],
                     "the feature stack's")
-    return FeatureStack([entry["name"] for entry in entries],
-                        [read_grid(path, out) for path in paths])
+    return [entry["name"] for entry in entries], paths, geometries[0]
+
+
+def _load_stack(out: Path, layers: tuple | None = None) -> FeatureStack:
+    """The ``layers`` of :func:`_stack_files`, each read a block of rows at
+    a time from its copy (:func:`read_grid`)."""
+    names, paths, _ = layers or _stack_files(out)
+    return FeatureStack(names, [read_grid(path, out) for path in paths])
 
 
 def _model_doc_path(out: Path, name: str) -> Path:
@@ -600,12 +563,24 @@ def _load_model(path: Path):
 
 def _features_step(cfg: dict, dem: GridRows, bare: GridRows, urban: GridRows, forest: GridRows,
                    out: Path) -> None:
-    """Build and write the feature stack, each row block as it is built, so
-    that no whole derived layer is held."""
-    with _StackWriter(out, CANONICAL_FEATURES, layer_templates(dem, bare, urban, forest)) as write:
+    """Build the feature stack and write each layer's ``feature_<name>.asc``
+    and binary copy through a :class:`GridWriter` a row block at a time, as
+    it is built, so that no whole derived layer is held, and a build
+    refused at any block leaves no new file; then the manifest."""
+    templates = layer_templates(dem, bare, urban, forest)
+    with PartialFiles() as files:
+        writers = [GridWriter(files, out / f"feature_{name}.asc", template.geometry,
+                              template.nodata, copy=True)
+                   for name, template in zip(CANONICAL_FEATURES, templates)]
+
+        def write(first, rows):
+            for writer, values in zip(writers, rows):
+                writer.write(values)
+
         build_feature_stack(dem, bare, urban, forest, _feature_config(cfg),
                             max_workers=worker_count(), sink=write)
-    write.write_manifest(cfg)
+    _write_manifest(cfg, out, {name: writer.sha256
+                               for name, writer in zip(CANONICAL_FEATURES, writers)})
 
 
 def _split_step(cfg: dict, stack: FeatureStack, target: GridRows,
@@ -690,28 +665,34 @@ def _source(cfg: dict, key: str) -> str:
     return f"paths.{key} '{cfg['paths'][key]}'"
 
 
-def _grid_on(cfg: dict, key: str, against: GridRows, what: str, out: Path) -> GridRows:
-    """The grid of ``paths.<key>`` (:func:`read_grid`), refused unless on
-    ``against``'s geometry."""
-    grid = read_grid(_require_path(cfg, key), out)
-    _require_on(_source(cfg, key), grid.geometry, against.geometry, what)
-    return grid
+def _read_inputs(cfg: dict, out: Path, keys: tuple, optional: tuple = ()):
+    """The feature stack and {key: grid} of ``paths.<key>`` for ``keys``
+    and the ``optional`` keys that are set, read once every header is
+    checked (the DEM's and strata's against the stack's, the reference's
+    against the DEM's), so that a refused input leaves no new copy."""
+    layers = _stack_files(out)
+    paths, geometry = {}, layers[2]
+    for key in keys + tuple(key for key in optional if cfg["paths"].get(key)):
+        against, what = (read_header(paths["dem"])[0], "the DEM's") if key == "reference" \
+            else (geometry, "the feature stack's")
+        paths[key] = _header_on(_source(cfg, key), _require_path(cfg, key), against, what)
+    return _load_stack(out, layers), {key: read_grid(path, out) for key, path in paths.items()}
 
 
 def _correct_step(models: dict, stack: FeatureStack, dem: GridRows, reference: GridRows | None,
-                  out: Path, sources: tuple[str, str]) -> None:
+                  out: Path) -> None:
     """Write each model's predicted error, corrected DEM and, given a
     reference, absolute error, for {name: (model, document path)}, a block
-    of rows at a time, as the predictions arrive, and the corrected DEM's
-    binary copy, which ``evaluate`` reads; they take their names once a
-    model's are complete. Every input is checked before the first file
-    opens; ``sources`` name the DEM and the reference in refusals.
+    of rows at a time, as the predictions arrive, each through a
+    :class:`GridWriter`; only the corrected DEM's writes a binary copy,
+    which ``evaluate`` reads. A model's files take their names once they
+    are complete. Every document is checked before the first file opens.
+    The DEM must be on the stack's geometry and the reference on the
+    DEM's, as :func:`_read_inputs` checks.
 
     Raises:
         ModelFormatError: a document names a feature layer the stack lacks,
             or gives a value that is not finite (names the cell).
-        GeometryMismatch: the DEM is not on the stack geometry, or the
-            reference is not on the DEM's.
     """
     for name, (model, path) in models.items():
         for feature in model.feature_names:
@@ -719,43 +700,35 @@ def _correct_step(models: dict, stack: FeatureStack, dem: GridRows, reference: G
                 raise ModelFormatError(
                     f"'{path}' names feature layer '{feature}', which the feature "
                     f"stack lacks (layers: {', '.join(stack.names)})")
-    _require_on(sources[0], dem.geometry, stack.geometry, "the feature stack's")
-    if reference is not None:
-        _require_on(sources[1], reference.geometry, dem.geometry, "the DEM's")
-    kinds = ("predicted_error", "corrected", "abs_error")[:2 if reference is None else 3]
     for name, (model, path) in models.items():
         # a value that overflows is refused by its check, not warned of
         with PartialFiles() as files, np.errstate(over="ignore", invalid="ignore"):
-            fhs = [files.open(out / f"{kind}_{name}.asc", "wb") for kind in kinds]
-            fhs[0].write(ascii_header(stack.geometry, stack.nodata[0]).encode())
-            for fh in fhs[1:]:
-                fh.write(header := ascii_header(dem.geometry, dem.nodata).encode())
-            digest = hashlib.sha256(header)  # of the corrected DEM, which names its copy
-            copy = CopyWriter(files, out, f"corrected_{name}", (dem.nrows, dem.ncols))
+            writers = [GridWriter(files, out / f"predicted_error_{name}.asc", stack.geometry,
+                                  stack.nodata[0]),
+                       GridWriter(files, _corrected_path(out, name), dem.geometry, dem.nodata,
+                                  copy=True)]
+            if reference is not None:
+                writers.append(GridWriter(files, out / f"abs_error_{name}.asc", dem.geometry,
+                                          dem.nodata))
 
             def write(first, error):
                 last = first + len(error)
-                fixed = corrected_values(dem.rows(first, last), dem.nodata, error,
-                                         stack.nodata[0])
-                blocks = [fixed]
+                blocks = [error, corrected_values(dem.rows(first, last), dem.nodata, error,
+                                                  stack.nodata[0])]
                 if reference is not None:
-                    blocks.append(abs_error_values(fixed, dem.nodata, reference.rows(first, last),
+                    blocks.append(abs_error_values(blocks[1], dem.nodata,
+                                                   reference.rows(first, last),
                                                    reference.nodata))
-                for block in blocks:
+                for block in blocks[1:]:
                     check_values(block, dem.nodata, first)
-                for fh, block in zip(fhs, [error, *blocks]):
-                    fh.write(text := ascii_rows(block))
-                    if block is fixed:
-                        digest.update(text)
-                fixed += 0.0  # -0.0 becomes the 0.0 that parsing the written "0" gives
-                copy.write(fixed)
+                for writer, block in zip(writers, blocks):
+                    writer.write(block)
 
             try:
                 predict_error_grid(model, stack, sink=write)
             except NonFiniteError as exc:
                 raise ModelFormatError(f"'{path}': the model's correction overflows: "
                                        f"{exc}") from None
-            copy.finish(files, digest.hexdigest())
 
 
 def _evaluate_step(cfg: dict, reference: GridRows, dem: GridRows, corrected: dict,
@@ -821,14 +794,11 @@ def _sample_sources(cfg: dict, out: Path) -> tuple[str, str, str]:
 
 def _load_train_split(cfg: dict) -> tuple[Path, SampleTable]:
     out = _out_dir(cfg)
-    stack = _load_stack(out)
-    dem = _grid_on(cfg, "dem", stack, "the feature stack's", out)
-    target = difference(dem, _grid_on(cfg, "reference", dem, "the DEM's", out))
-    strata = _grid_on(cfg, "strata", stack, "the feature stack's", out) \
-        if cfg["paths"].get("strata") else None
+    stack, grids = _read_inputs(cfg, out, ("dem", "reference"), ("strata",))
     with _named(StrataLabelError, _source(cfg, "strata")), \
             _named(EmptyTableError, *_sample_sources(cfg, out)):
-        train, _ = _split_step(cfg, stack, target, strata)
+        train, _ = _split_step(cfg, stack, difference(grids["dem"], grids["reference"]),
+                               grids.get("strata"))
     return out, train
 
 
@@ -853,10 +823,7 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
     out = _out_dir(cfg)
-    stack = _load_stack(out)
-    dem = read_grid(_require_path(cfg, "dem"), out)
-    reference = None if (ref := _optional_path(cfg, "reference")) is None else \
-        read_grid(ref, out)
+    stack, grids = _read_inputs(cfg, out, ("dem",), ("reference",))
     paths = [Path(p) for p in model_docs] if model_docs else \
         [_model_doc_path(out, name) for name in cfg["models"]]
     models = {}
@@ -873,7 +840,7 @@ def cmd_correct(cfg: dict, model_docs: list[str] | None = None) -> int:
             raise ModelFormatError(f"'{path}': model_name '{name}' is also that of "
                                    f"'{models[name][1]}'")
         models[name] = (model, path)
-    _correct_step(models, stack, dem, reference, out, _sample_sources(cfg, out)[1:])
+    _correct_step(models, stack, grids["dem"], grids.get("reference"), out)
     for name in models:
         print(f"corrected DEM with {name}")
     return 0
@@ -961,13 +928,12 @@ def cmd_bench(cfg: dict) -> int:
     train, test = _split_step(cfg, stack, difference(original, reference), land.strata)
     t_sample = time.perf_counter()
 
-    sources = (f"'{out / 'original.asc'}'", f"'{out / 'reference.asc'}'")
-    with _named(EmptyTableError, f"'{out / _MANIFEST_FILE}'", *sources,
-                _key(cfg, "sampling", "rate")):
+    with _named(EmptyTableError, f"'{out / _MANIFEST_FILE}'", f"'{out / 'original.asc'}'",
+                f"'{out / 'reference.asc'}'", _key(cfg, "sampling", "rate")):
         models = _train_step(cfg, train, out, _diagnose_step(cfg, train, out))
     t_train = time.perf_counter()
 
-    _correct_step(models, stack, original, reference, out, sources)
+    _correct_step(models, stack, original, reference, out)
     del stack  # and its block buffers, before the reports
     t_correct = time.perf_counter()
 

@@ -1,7 +1,8 @@
 """The grid store: ``out/grids/v1/<sha256>.npy`` holds the parsed values
 of any ESRI ASCII file with that sha256 (laid out as :func:`_npy_header`
 says), and ``<sha256>.sha256`` the copy's own sha256. Deleting them is
-always safe."""
+always safe. :func:`read_grid` is the steps' one read of an ASCII grid,
+and :class:`GridWriter` their one write of one, with its copy."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridGeometry, GridParseError, _naming, _read_header, load_grid
+from .grid import (GridGeometry, GridParseError, _naming, _read_header, ascii_header,
+                   ascii_rows, load_grid)
 
 COPIES = Path("grids", "v1")
 
@@ -85,12 +87,10 @@ class CopyWriter:
     (:class:`PartialFiles`) as ``<stem>.npy``: the header of ``shape``,
     then each block of rows, top to bottom, exactly as given, hashed as it
     is written. :meth:`finish` names it, and its record, by the sha256 of
-    the ASCII file it copies. It keeps no reference to ``files``, which
-    may hold it: the cycle would keep closed files alive until the garbage
-    collector runs."""
+    the ASCII file it copies."""
 
     def __init__(self, files: PartialFiles, out: Path, stem: str, shape: tuple):
-        self._dir, self._stem = out / COPIES, stem
+        self._files, self._dir, self._stem = files, out / COPIES, stem
         self._dir.mkdir(parents=True, exist_ok=True)
         self._fh = files.open(self._dir / f"{stem}.npy", "wb")
         self._fh.write(header := _npy_header(shape))
@@ -101,13 +101,43 @@ class CopyWriter:
         self._fh.write(data)
         self._digest.update(data)
 
-    def finish(self, files: PartialFiles, sha256: str) -> None:
-        """``files`` is the :class:`PartialFiles` that ``__init__`` was given."""
+    def finish(self, sha256: str) -> None:
         npy = self._dir / f"{sha256}.npy"
-        record = files.open(self._dir / f"{self._stem}.sha256", "w")
+        record = self._files.open(self._dir / f"{self._stem}.sha256", "w")
         record.write(self._digest.hexdigest() + "\n")
-        files.rename(self._fh, npy)
-        files.rename(record, npy.with_suffix(".sha256"))
+        self._files.rename(self._fh, npy)
+        self._files.rename(record, npy.with_suffix(".sha256"))
+
+
+class GridWriter:
+    """The ESRI ASCII file ``path`` of ``geometry`` and ``nodata``, written
+    into ``files`` (:class:`PartialFiles`, which holds no writer) a block of
+    rows at a time, top to bottom, and hashed as written: ``sha256`` once
+    the last row is in. Given ``copy``, the file's binary copy in the store
+    beside it (:class:`CopyWriter`) is written from the same blocks and
+    named by that sha256."""
+
+    def __init__(self, files: PartialFiles, path: Path, geometry: GridGeometry,
+                 nodata: float, copy: bool = False):
+        self._fh = files.open(path, "wb")
+        self._fh.write(header := ascii_header(geometry, nodata).encode())
+        self._digest = hashlib.sha256(header)
+        self._left, self.sha256 = geometry.nrows, None
+        self._copy = CopyWriter(files, path.parent, path.stem,
+                                (geometry.nrows, geometry.ncols)) if copy else None
+
+    def write(self, rows: np.ndarray) -> None:
+        if self._copy is not None:
+            # -0.0 is written as "0", which parses to 0.0; a block without
+            # one, as most are, is copied without a temporary
+            self._copy.write(rows + 0.0 if (np.signbit(rows) & (rows == 0)).any() else rows)
+        self._fh.write(text := ascii_rows(rows))
+        self._digest.update(text)
+        self._left -= len(rows)
+        if not self._left:
+            self.sha256 = self._digest.hexdigest()
+            if self._copy is not None:
+                self._copy.finish(self.sha256)
 
 
 def _npy_start(path: Path, shape: tuple) -> int | None:
@@ -177,7 +207,7 @@ def read_grid(path: Path, out: Path, copies: PartialFiles | None = None) -> Slab
             load_grid(path, lambda first, rows: copy.write(rows))
             if sha256_file(path) != digest:
                 raise GridParseError(None, "changed while it was read", path)
-            copy.finish(written, digest)
+            copy.finish(digest)
         if copies is not None:
             copies.adopt(npy, npy.with_suffix(".sha256"))
         start = len(_npy_header(shape))

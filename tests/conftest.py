@@ -30,12 +30,17 @@ def rng():
 
 
 def write_stack(stack, cfg, out):
-    """Write a stack held in memory through the ``features`` writer, as one
-    block: the assembled-stack oracle of the streamed files. Returns the
-    manifest."""
-    with cli._StackWriter(out, stack.names, stack.layers) as write:
-        write(0, [layer.values for layer in stack.layers])
-    return write.write_manifest(cfg)
+    """Write a stack held in memory as the ``features`` step writes one,
+    each layer as one block through a ``store.GridWriter`` with its copy,
+    then the manifest: the assembled-stack oracle of the streamed files."""
+    with store.PartialFiles() as files:
+        writers = [store.GridWriter(files, out / f"feature_{name}.asc", layer.geometry,
+                                    layer.nodata, copy=True)
+                   for name, layer in zip(stack.names, stack.layers)]
+        for writer, layer in zip(writers, stack.layers):
+            writer.write(layer.values)
+    cli._write_manifest(cfg, out, {name: writer.sha256
+                                   for name, writer in zip(stack.names, writers)})
 
 
 @contextlib.contextmanager

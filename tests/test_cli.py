@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import os
 import re
@@ -44,8 +46,7 @@ from demcorrect import (
 )
 from demcorrect.cli import ConfigError, main, resolve_config, worker_count
 import demcorrect.terrain as terrain
-from demcorrect.terrain import layer_templates
-from conftest import NODATA, make_grid, random_stacks, write_stack
+from conftest import NODATA, make_grid, write_stack
 
 
 @pytest.fixture
@@ -252,8 +253,9 @@ class TestFeatures:
 
 
 class TestStreamedWriter:
-    """The ``features`` step writes each row block as it is built: its files
-    equal those of the assembled stack written whole, however it is cut."""
+    """The ``features`` step writes each row block as it is built, through
+    one ``store.GridWriter`` per layer: its files equal those of the
+    assembled stack written whole, however it is cut."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("block_rows", [1, 5, 64])
@@ -272,10 +274,8 @@ class TestStreamedWriter:
         whole.mkdir()
         with monkeypatch.context() as patch:
             patch.setattr(terrain, "BLOCK_ROWS", block_rows)
-            with cli._StackWriter(streamed, CANONICAL_FEATURES, layer_templates(*grids)) as write:
-                build_feature_stack(*grids, cli._feature_config(cfg), max_workers=workers,
-                                    sink=write)
-        write.write_manifest(cfg)
+            patch.setenv("DEMCORRECT_THREADS", str(workers))
+            cli._features_step(cfg, *grids, streamed)
         write_stack(build_feature_stack(*grids, cli._feature_config(cfg)), cfg, whole)
         files = files_under(whole)
         assert len([name for name in files if "grids" not in name.parts]) == 12
@@ -408,9 +408,9 @@ class TestFeatureStackFile:
         geometries; without them, before any layer is parsed into a copy."""
         a = make_grid(np.ones((2, 3)), cellsize=30.0)
         b = make_grid(np.ones((2, 3)), cellsize=30.0, xll=15.0)
-        with cli._StackWriter(tmp_path, ("a", "b"), (a, b)) as write:
-            write(0, [a.values, b.values])
-        write.write_manifest(cli.DEFAULT_CONFIG)
+        # not a FeatureStack, which refuses layers off one geometry
+        write_stack(SimpleNamespace(names=("a", "b"), layers=(a, b)), cli.DEFAULT_CONFIG,
+                    tmp_path)
         if not binary:
             shutil.rmtree(tmp_path / "grids")
         message = (f"feature layer '{tmp_path / 'feature_b.asc'}' (3 x 2, xll 15.0, yll 0.0, "
@@ -419,26 +419,6 @@ class TestFeatureStackFile:
         with pytest.raises(GeometryMismatch, match=f"^{re.escape(message)}$"):
             cli._load_stack(tmp_path)
         assert (tmp_path / "grids").exists() == binary
-
-    @settings(max_examples=60, deadline=None)
-    @given(random_stacks(), st.integers(1, 5))
-    def test_copies_hold_the_parse_of_their_files(self, case, block_rows):
-        """Every copy the ``features`` writer makes, from blocks of any
-        height, holds the bits of ``load_grid`` of its layer's ``.asc`` file
-        (where -0.0 has become 0.0, and a -0.0 sentinel is written as 0),
-        under a record of its own sha256: so it may serve any file with
-        those bytes, such as the DEM."""
-        stack, _ = case
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp)
-            with cli._StackWriter(out, stack.names, stack.layers) as write:
-                for first in range(0, stack.geometry.nrows, block_rows):
-                    write(first, [layer.values[first:first + block_rows]
-                                  for layer in stack.layers])
-            for name, npy in self.layer_copies(out).items():
-                assert np.load(npy).tobytes() == load_grid(out / name).values.tobytes(), name
-                assert npy.with_suffix(".sha256").read_text() == store.sha256_file(npy) + "\n"
-            assert not list(out.rglob("*.partial"))
 
     def test_layers_with_equal_bytes_share_one_copy(self, workspace):
         """All-zero bare and forest masks make equal percentage layers: one
@@ -880,7 +860,7 @@ class TestStepMemory:
         names = stack.names[:10]
         model = LinearModel(names, 0.5, np.linspace(-1, 1, len(names)), 0.0, 0.0)
         _, peak = self.traced(cli._correct_step, {"mlr": (model, out / "model_mlr.json")},
-                              stack, dem, reference, out, ("the DEM", "the reference"))
+                              stack, dem, reference, out)
         bound = 8 * terrain.BLOCK_ROWS * dem.ncols * (2 * len(names) + 9)
         assert 0.5 * bound <= peak <= bound, (peak, bound)
 
@@ -992,8 +972,37 @@ class TestBenchMemory:
     JSON documents without building each as one string, as the README's
     "Memory" section states; so does ``SampleTable.to_csv`` a table."""
 
-    @pytest.mark.parametrize("rate", [0.25, 1.0])
-    def test_one_stack_when_training(self, tmp_path, monkeypatch, capsys, rate):
+    @pytest.fixture(scope="class", params=[0.25, 1.0], ids=["0.25", "1.0"])
+    def traced_bench(self, request, tmp_path_factory):
+        """``bench`` at 129² with the MLR alone, at sampling rate
+        ``request.param``, run traced: (its output directory, what it
+        printed, {step: traced live bytes when bench entered it}) for
+        ``_train_step`` and ``_evaluate_step``."""
+        tmp = tmp_path_factory.mktemp("bench")
+        # an untraced run first imports what bench needs
+        with contextlib.redirect_stdout(io.StringIO()):
+            run_cli("bench", "--out", tmp / "warm", "--set", "bench.size_exponent=5",
+                    "--set", "windows.texture_radius=3", "--model", "mlr")
+        live, printed = {}, io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            for step in ("_train_step", "_evaluate_step"):
+                def entered(*args, _step=step, _real=getattr(cli, step)):
+                    live.setdefault(_step, tracemalloc.get_traced_memory()[0])
+                    return _real(*args)
+
+                patch.setattr(cli, step, entered)
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(printed):
+                    rc = run_cli("bench", "--out", tmp / "bench", "--set",
+                                 "bench.size_exponent=7", "--set",
+                                 f"sampling.rate={request.param}", "--model", "mlr")
+            finally:
+                tracemalloc.stop()
+        assert rc == 0
+        return tmp / "bench", printed.getvalue(), live
+
+    def test_one_stack_when_training(self, traced_bench):
         """At 129², the traced live memory when ``bench`` enters
         ``_train_step`` is at most 7 grids of 8*h*w bytes (the reference,
         the DEM, three masks, the strata and one for smaller objects), the
@@ -1002,26 +1011,8 @@ class TestBenchMemory:
         buffers are gone and no corrected DEM is held. Holding the assembled
         stack, and then the corrected DEMs, took 17.8 and 18.9 grids at rate
         0.25 against 14.3 and 9.0 now."""
-        # an untraced run first imports what bench needs
-        run_cli("bench", "--out", tmp_path / "warm", "--set", "bench.size_exponent=5",
-                "--set", "windows.texture_radius=3", "--model", "mlr")
-        capsys.readouterr()
-        live = {}
-        for step in ("_train_step", "_evaluate_step"):
-            def entered(*args, _step=step, _real=getattr(cli, step)):
-                live.setdefault(_step, tracemalloc.get_traced_memory()[0])
-                return _real(*args)
-
-            monkeypatch.setattr(cli, step, entered)
-        out = tmp_path / "bench"
-        tracemalloc.start()
-        try:
-            rc = run_cli("bench", "--out", out, "--set", "bench.size_exponent=7",
-                         "--set", f"sampling.rate={rate}", "--model", "mlr")
-        finally:
-            tracemalloc.stop()
-        assert rc == 0
-        rows, = re.findall(r"^train/test rows: (\d+)/(\d+)$", capsys.readouterr().out, re.M)
+        _, printed, live = traced_bench
+        rows, = re.findall(r"^train/test rows: (\d+)/(\d+)$", printed, re.M)
         k = sum(map(int, rows))
         h = w = 129
         F = len(CANONICAL_FEATURES)
@@ -1029,6 +1020,21 @@ class TestBenchMemory:
         for step, bound in (("_train_step", held + 8 * F * terrain.BLOCK_ROWS * w),
                             ("_evaluate_step", held)):
             assert 0.5 * bound <= live[step] <= bound, (step, live[step], bound)
+
+    def test_written_rasters_equal_their_per_value_rendering(self, traced_bench):
+        """The ASCII writer finds each value's digits with numpy arithmetic
+        and leaves to ``repr`` only the cells it cannot decide: each of the
+        21 rasters that this ``bench`` wrote (its seven inputs, the eleven
+        layers and the MLR's three) holds the bytes that formatting each
+        value by itself with ``_fmt`` gives, on each host."""
+        out, _, _ = traced_bench
+        paths = sorted(out.glob("*.asc"))
+        assert len(paths) == 21
+        for path in paths:
+            grid = load_grid(path)
+            text = grid_module.ascii_header(grid.geometry, grid.nodata) + "".join(
+                " ".join(map(grid_module._fmt, row)) + "\n" for row in grid.values.tolist())
+            assert path.read_bytes() == text.encode(), path.name
 
     @staticmethod
     def gbdt_table(n=2000, k=11):
@@ -1325,6 +1331,29 @@ class TestInputErrors:
         written = sorted(p.name for p in (tmp / "out").iterdir())
         assert not [name for name in written if name.endswith(".asc")
                     and not name.startswith("feature_")], written
+
+    def test_refused_reference_leaves_no_new_copy(self, workspace, capsys):
+        """With the DEM edited to new bytes and the reference moved by half a
+        cell, ``diagnose``, ``train`` and ``correct`` each refuse the
+        reference before they parse any grid: no copy is added to
+        ``grids/v1``."""
+        cfg_path, tmp = workspace
+        for step in ("features", "train"):
+            assert run_cli(step, "--config", cfg_path, "--model", "mlr") == 0, step
+        edit = load_grid(tmp / "dem.asc")
+        save_grid(edit.with_values(edit.values + 1.0), tmp / "dem.asc")
+        ref = load_grid(tmp / "reference.asc")
+        save_grid(Grid(ref.ncols, ref.nrows, ref.xll + 15.0, ref.yll, ref.cellsize, ref.nodata,
+                       ref.values), tmp / "reference.asc")
+        copies = sorted((tmp / "out" / store.COPIES).iterdir())
+        for step in ("diagnose", "train", "correct"):
+            capsys.readouterr()
+            rc = run_cli(step, "--config", cfg_path, "--model", "mlr")
+            self.assert_input_error(rc, capsys, f"error: paths.reference '{tmp / 'reference.asc'}' "
+                                                "(33 x 33, xll 15.0, yll 0.0, cellsize 30.0) is "
+                                                "not on the DEM's geometry (33 x 33, xll 0.0, "
+                                                "yll 0.0, cellsize 30.0)\n")
+            assert sorted((tmp / "out" / store.COPIES).iterdir()) == copies, step
 
     def test_correct_dem_off_the_stack(self, workspace, capsys):
         """A DEM moved by half a cell after ``features`` is refused, naming its

@@ -21,6 +21,7 @@ import demcorrect.cli as cli
 import demcorrect.store as store
 from demcorrect import (
     FeatureStack,
+    Grid,
     GridParseError,
     fractal_dem,
     load_grid,
@@ -29,7 +30,7 @@ from demcorrect import (
     write_ascii_grid,
 )
 from demcorrect.linstats import LinearModel
-from conftest import NODATA, make_grid
+from conftest import NODATA, make_grid, random_stacks
 from test_grid import ascii_bodies, grids
 
 STEPS = ("features", "diagnose", "train", "correct", "evaluate")
@@ -111,6 +112,65 @@ def test_file_changed_while_parsed_into_a_copy_is_refused(tmp_path, monkeypatch)
         [f"{store.sha256_file(path)}.npy", f"{store.sha256_file(path)}.sha256"]
 
 
+@st.composite
+def written_grids(draw):
+    """A grid as a step writes one: a layer of ``random_stacks`` (rounded
+    values, -0.0 where they round to zero, holes) or a grid of any finite
+    cells, -0.0 among them, under a sentinel of -9999, 0, -0.0 or 7 (a
+    -0.0 sentinel is written as 0)."""
+    grid = draw(st.one_of(random_stacks().map(lambda case: case[0].layers[0]), grids()))
+    nodata = draw(st.sampled_from([NODATA, 0.0, -0.0, 7.0]))
+    values = np.where(grid.values == grid.nodata, nodata, grid.values)
+    return Grid(grid.ncols, grid.nrows, grid.xll, grid.yll, grid.cellsize, nodata, values)
+
+
+class Refused(Exception):
+    pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_grids(), st.data())
+def test_grid_writer_writes_what_save_grid_writes(grid, data):
+    """A ``store.GridWriter`` fed a grid in blocks of any heights writes the
+    bytes of ``save_grid`` of the whole grid, and gives their sha256. With
+    ``copy``, the copy named by that sha256 holds the bits of ``load_grid``
+    of the file (-0.0 read as 0.0), passes the store's checks, and its
+    record holds its own sha256: so it may serve any file with those
+    bytes, such as the DEM. An exception after any number of blocks, the
+    last one's included, leaves no file at all."""
+    cuts = sorted(data.draw(st.sets(st.integers(1, grid.nrows - 1)), "cuts")) \
+        if grid.nrows > 1 else []
+    bounds = list(zip([0] + cuts, cuts + [grid.nrows]))
+    copy = data.draw(st.booleans(), "copy")
+    refused_after = data.draw(st.none() | st.integers(0, len(bounds)), "refused after")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        path = out / "grid.asc"
+        try:
+            with store.PartialFiles() as files:
+                writer = store.GridWriter(files, path, grid.geometry, grid.nodata, copy=copy)
+                for k, (start, stop) in enumerate(bounds):
+                    if k == refused_after:
+                        raise Refused
+                    writer.write(grid.values[start:stop])
+                if refused_after == len(bounds):
+                    raise Refused
+        except Refused:
+            assert not [p for p in out.rglob("*") if p.is_file()]
+            return
+        save_grid(grid, out / "whole.asc")
+        assert path.read_bytes() == (out / "whole.asc").read_bytes()
+        assert writer.sha256 == store.sha256_file(path)
+        npy = out / store.COPIES / f"{writer.sha256}.npy"
+        copies = [npy, npy.with_suffix(".sha256")] if copy else []
+        assert sorted(p for p in out.rglob("*") if p.is_file()) == \
+            sorted([path, out / "whole.asc", *copies])
+        if copy:
+            assert np.load(npy).tobytes() == load_grid(path).values.tobytes()
+            assert store._npy_start(npy, (grid.nrows, grid.ncols)) is not None
+            assert npy.with_suffix(".sha256").read_text() == store.sha256_file(npy) + "\n"
+
+
 @pytest.mark.parametrize("nodata", [-9999.0, -0.0])
 def test_corrected_dem_copy_holds_the_parse_of_its_file(tmp_path, nodata):
     """The copy that ``correct`` writes of a corrected DEM holds the bits of
@@ -125,7 +185,7 @@ def test_corrected_dem_copy_holds_the_parse_of_its_file(tmp_path, nodata):
     layer = make_grid(np.where(rng.random(values.shape) < 0.2, NODATA, values))
     model = LinearModel(("f0",), 0.0, [0.0], 0.0, 0.0)
     cli._correct_step({"mlr": (model, tmp_path / "model_mlr.json")},
-                      FeatureStack(("f0",), (layer,)), dem, None, tmp_path, ("dem", "reference"))
+                      FeatureStack(("f0",), (layer,)), dem, None, tmp_path)
     path = tmp_path / "corrected_mlr.asc"
     npy = tmp_path / store.COPIES / f"{store.sha256_file(path)}.npy"
     assert np.load(npy).tobytes() == load_grid(path).values.tobytes()
